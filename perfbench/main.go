@@ -27,14 +27,23 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"syscall"
 	"time"
 )
 
 // setupRepeats is how many times a run sets its workload up; setup_s is
-// the median.
-const setupRepeats = 3
+// the median. A pass takes 40 to 300 ms, short enough for the shared
+// host's stalls to move a median of three by more than a quarter.
+const setupRepeats = 15
+
+// setupStart collects the garbage that earlier work left, so that a set-up
+// pass does not pay for it, and returns the pass's start time.
+func setupStart() time.Time {
+	runtime.GC()
+	return time.Now()
+}
 
 // maxProblems bounds how many failure descriptions a report keeps.
 const maxProblems = 20

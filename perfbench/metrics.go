@@ -67,13 +67,6 @@ func workMedian(name string) func(map[string]*layerSample, map[string]float64) f
 	}
 }
 
-// workRatio is the summed work of spans num over that of spans den.
-func workRatio(num, den string) func(map[string]*layerSample, map[string]float64) float64 {
-	return func(ls map[string]*layerSample, _ map[string]float64) float64 {
-		return sum(sample(ls, num).Work) / sum(sample(ls, den).Work)
-	}
-}
-
 func derivedValue(name string) func(map[string]*layerSample, map[string]float64) float64 {
 	return func(_ map[string]*layerSample, d map[string]float64) float64 {
 		v, ok := d[name]
@@ -92,14 +85,6 @@ func sample(ls map[string]*layerSample, name string) *layerSample {
 }
 
 func ms(secs []float64) float64 { return median(secs) * 1e3 }
-
-func sum(xs []float64) float64 {
-	t := 0.0
-	for _, x := range xs {
-		t += x
-	}
-	return t
-}
 
 // perLayer are the metrics a traced run prints, on every workload. See
 // LAYERS.md for the layer each measures and the end-to-end metric and
@@ -136,7 +121,6 @@ var perLayer = []layerDef{
 	{metricDef{"service.run_ms", "ms"}, selfMS("service.run")},
 	{metricDef{"service.results_ms", "ms"}, selfMS("service.results")},
 	{metricDef{"service.queue_wait_ms", "ms"}, selfMS("service.queue_wait")},
-	{metricDef{"service.cache_hit_ratio", "fraction"}, workRatio("service.cache_hits", "service.runs")},
 
 	{metricDef{"store.put_ms", "ms"}, selfMS("store.put")},
 	{metricDef{"store.get_ms", "ms"}, selfMS("store.get")},

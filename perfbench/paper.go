@@ -84,7 +84,7 @@ func buildPrograms(profiles []workload.Profile, seed int64, tr *tracer) error {
 func runPaper(ctx context.Context, cfg runConfig, tr *tracer) (*outcome, error) {
 	out := &outcome{}
 	for i := 0; i < setupRepeats; i++ {
-		t0 := time.Now()
+		t0 := setupStart()
 		if err := buildPrograms(workload.AllProfiles(), 0, tr); err != nil {
 			return nil, err
 		}

@@ -184,7 +184,7 @@ func (c *client) sweep(ctx context.Context, spec []byte, req string) (*sweepRepl
 }
 
 // recordJob turns the job's own timestamps into the service's queue-wait
-// and run spans, and its cache counters into the hit ratio's sample.
+// and run spans.
 func (c *client) recordJob(st service.Status, parent int, req string) {
 	if !c.tr.on {
 		return
@@ -197,8 +197,6 @@ func (c *client) recordJob(st service.Status, parent int, req string) {
 	}
 	c.tr.record("service.queue_wait", parent, req, c.tr.at(created), c.tr.at(started), 0)
 	c.tr.record("service.run", parent, req, c.tr.at(started), c.tr.at(finished), int64(st.Runs))
-	c.tr.record("service.cache_hits", parent, req, c.tr.at(started), c.tr.at(started), int64(st.CacheHits))
-	c.tr.record("service.runs", parent, req, c.tr.at(started), c.tr.at(started), int64(st.Runs))
 }
 
 // events reads the job's NDJSON stream to its end and returns the state of

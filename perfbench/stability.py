@@ -90,7 +90,7 @@ def print_summary(label, summary):
         for seed, overhead in s.get("tracing_overhead_by_seed", {}).items():
             print(f"    traced run (seed {seed}): median latency {overhead:+.3f} against the untraced run")
         for name, m in s["metrics"].items():
-            flag = "" if name == "setup_s" or m["spread"] < m["bound"] / 3 else "  <-- spread above bound/3"
+            flag = "" if m["spread"] < m["bound"] / 3 else "  <-- spread above bound/3"
             print(f"    {name:16s} median {m['median']:12.5g}  q1 {m['q1']:12.5g}  q3 {m['q3']:12.5g}"
                   f"  spread {m['spread']:6.3f}  bound {m['bound']:.2f}{flag}")
 
@@ -109,7 +109,6 @@ def compare(a, b):
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seeds", default="101-110", help="seed range, lo-hi inclusive")
-    ap.add_argument("--workloads", default="", help="comma-separated subset (default: all)")
     ap.add_argument("--trace", action="store_true", help="also make one traced run per workload")
     ap.add_argument("--out", help="write the set's runs and summary here")
     ap.add_argument("--summarize", nargs="+", metavar="SET", help="summarize recorded sets instead of running")
@@ -127,8 +126,6 @@ def main():
         return
 
     names = [w["name"] for w in bench["workloads"]]
-    if args.workloads:
-        names = args.workloads.split(",")
     runs = []
     for seed in parse_seeds(args.seeds):
         for name in names:

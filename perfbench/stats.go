@@ -30,38 +30,3 @@ func percentile(xs []float64, p float64) float64 {
 	hi := int(math.Ceil(pos))
 	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
 }
-
-// quartiles returns the first and third quartiles of xs by the method
-// Python's statistics.quantiles(xs, n=4) uses (its default "exclusive"
-// method), so spreads computed here match that reference. It needs at least
-// two values; with fewer it returns the single value (or NaN) twice.
-func quartiles(xs []float64) (q1, q3 float64) {
-	switch len(xs) {
-	case 0:
-		return math.NaN(), math.NaN()
-	case 1:
-		return xs[0], xs[0]
-	}
-	s := sortedCopy(xs)
-	n := len(s)
-	cut := func(i int) float64 {
-		// Exclusive method, transcribed from CPython: the i-th of 3 cut
-		// points sits at 1-based rank i*(n+1)/4, with the bracketing index
-		// clamped to 1..n-1 (so tiny samples extrapolate, as Python does).
-		j := min(max(i*(n+1)/4, 1), n-1)
-		delta := i*(n+1) - j*4
-		return (s[j-1]*float64(4-delta) + s[j]*float64(delta)) / 4
-	}
-	return cut(1), cut(3)
-}
-
-// spread returns the interquartile range of xs as a share of its median:
-// the run-to-run noise band a benchmark bound must exceed.
-func spread(xs []float64) float64 {
-	q1, q3 := quartiles(xs)
-	m := median(xs)
-	if m == 0 {
-		return math.NaN()
-	}
-	return (q3 - q1) / math.Abs(m)
-}

@@ -7,20 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"reno/internal/service"
 	"reno/internal/sweep"
 	"reno/internal/workload"
 )
-
-// warmClients is the closed loop's client count. With two clients (one per
-// vCPU of the reference host) a slice's latency depended on whether it
-// happened to overlap the other client's full-grid emission, and the
-// median moved by 40% between runs; one client keeps that overlap out.
-const warmClients = 1
 
 // minWarmResubmits is the fewest resubmits a serve_warm run completes, so
 // that at least ten latency samples lie beyond its p90.
@@ -114,7 +106,7 @@ func runScreenCold(ctx context.Context, cfg runConfig, tr *tracer) (*outcome, er
 	out := &outcome{}
 	var s *screen
 	for i := 0; i < setupRepeats; i++ {
-		t0 := time.Now()
+		t0 := setupStart()
 		var err error
 		if s, err = prepareScreen(cfg.seed, tr); err != nil {
 			return nil, err
@@ -149,10 +141,14 @@ func runScreenCold(ctx context.Context, cfg runConfig, tr *tracer) (*outcome, er
 // runServeWarm is the warm resubmission workload. The renosweep -stable
 // reference sweep of the seed's grid first fills a store directory. Set-up
 // then starts the service over that store, which warm-loads every result.
-// Then a closed loop of warmClients clients resubmits the seeded mix of
-// full grids and single-benchmark slices until the run's time is up and at
-// least 100 resubmits are done. Every resubmit must be served wholly from
-// the cache and return renosweep -stable's envelope for its grid.
+// Then one closed-loop client resubmits the seeded mix of full grids and
+// single-benchmark slices until the run's time is up and at least 100
+// resubmits are done. Every resubmit must be served wholly from the cache
+// and return renosweep -stable's envelope for its grid.
+//
+// The loop has one client, not one per vCPU: with two, a slice's latency
+// depended on whether it happened to overlap the other client's full-grid
+// emission, and the median moved by 40% between runs.
 func runServeWarm(ctx context.Context, cfg runConfig, tr *tracer) (*outcome, error) {
 	out := &outcome{}
 	s := newScreen(cfg.seed)
@@ -181,7 +177,7 @@ func runServeWarm(ctx context.Context, cfg runConfig, tr *tracer) (*outcome, err
 				return nil, err
 			}
 		}
-		t0 := time.Now()
+		t0 := setupStart()
 		if srv, err = startServer(service.Config{StoreDir: store}, tr); err != nil {
 			return nil, err
 		}
@@ -189,44 +185,26 @@ func runServeWarm(ctx context.Context, cfg runConfig, tr *tracer) (*outcome, err
 	}
 	defer srv.close()
 
-	mix := warmMix(cfg.seed, 1<<16)
-	var (
-		next atomic.Int64
-		mu   sync.Mutex // guards out
-		wg   sync.WaitGroup
-	)
+	cl := newClient(srv.base, tr)
 	start, alloc0 := time.Now(), heapAllocMB()
-	for c := 0; c < warmClients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl := newClient(srv.base, tr)
-			for ctx.Err() == nil {
-				i := next.Add(1) - 1
-				if int(i) >= len(mix) || (i >= minWarmResubmits && time.Since(start) >= cfg.seconds) {
-					return
-				}
-				spec, want := s.full, s.refFull
-				if b := mix[i].Bench; b != "" {
-					spec, want = s.slices[b], s.refSlices[b]
-				}
-				r, err := cl.sweep(ctx, spec, fmt.Sprint(i))
-				if err == nil {
-					err = checkWarm(r, want)
-				}
-				mu.Lock()
-				out.attempted++
-				if r != nil {
-					out.latencies = append(out.latencies, r.Latency.Seconds())
-				}
-				if err != nil {
-					out.fail("resubmit %d: %v", i, err)
-				}
-				mu.Unlock()
-			}
-		}()
+	for i, req := range warmMix(cfg.seed, 1<<16) {
+		if ctx.Err() != nil || (i >= minWarmResubmits && time.Since(start) >= cfg.seconds) {
+			break
+		}
+		spec, want := s.full, s.refFull
+		if req.Bench != "" {
+			spec, want = s.slices[req.Bench], s.refSlices[req.Bench]
+		}
+		out.attempted++
+		r, err := cl.sweep(ctx, spec, fmt.Sprint(i))
+		if err == nil {
+			out.latencies = append(out.latencies, r.Latency.Seconds())
+			err = checkWarm(r, want)
+		}
+		if err != nil {
+			out.fail("resubmit %d: %v", i, err)
+		}
 	}
-	wg.Wait()
 	out.measured, out.allocMB = time.Since(start), heapAllocMB()-alloc0
 	if err := ctx.Err(); err != nil {
 		return nil, err
