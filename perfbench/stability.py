@@ -11,8 +11,8 @@ drift in host speed falls on all of them alike. For each workload and
 end-to-end metric it records the median, the quartiles (as Python's
 statistics.quantiles(values, n=4) gives them) and the spread: the distance
 between the quartiles as a share of the median. --summarize prints each
-set's spreads against the bounds in BENCHMARK.json and, for two sets, how
-far the second median moved from the first.
+set's spreads against the bounds in BENCHMARK.json and how far each later
+set's medians moved from the first set's.
 """
 
 import argparse
@@ -95,8 +95,8 @@ def print_summary(label, summary):
                   f"  spread {m['spread']:6.3f}  bound {m['bound']:.2f}{flag}")
 
 
-def compare(a, b):
-    print("== second set against first (median ratio − 1)")
+def compare(label, a, b):
+    print(f"== {label} against the first set (median ratio − 1)")
     for workload in a:
         if workload not in b:
             continue
@@ -109,7 +109,8 @@ def compare(a, b):
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seeds", default="101-110", help="seed range, lo-hi inclusive")
-    ap.add_argument("--trace", action="store_true", help="also make one traced run per workload")
+    ap.add_argument("--trace", action="store_true",
+                    help="also make one traced run per workload, right after the first seed's untraced run")
     ap.add_argument("--out", help="write the set's runs and summary here")
     ap.add_argument("--summarize", nargs="+", metavar="SET", help="summarize recorded sets instead of running")
     args = ap.parse_args()
@@ -121,21 +122,23 @@ def main():
             with open(path) as f:
                 sets.append(json.load(f))
             print_summary(path, sets[-1]["summary"])
-        if len(sets) == 2:
-            compare(sets[0]["summary"], sets[1]["summary"])
+        for path, later in zip(args.summarize[1:], sets[1:]):
+            compare(path, sets[0]["summary"], later["summary"])
         return
 
     names = [w["name"] for w in bench["workloads"]]
+    seeds = parse_seeds(args.seeds)
     runs = []
-    for seed in parse_seeds(args.seeds):
+    for seed in seeds:
         for name in names:
             runs.append(run_once(bench, name, seed, 0))
             m = runs[-1]["result"]["metrics"]
             print(f"{name} seed {seed}: " + ", ".join(f"{k} {v['value']:.5g}" for k, v in sorted(m.items())),
                   flush=True)
-    if args.trace:
-        for name in names:
-            runs.append(run_once(bench, name, parse_seeds(args.seeds)[0], 1))
+            if args.trace and seed == seeds[0]:
+                # The traced run follows its untraced twin at once, so that
+                # drift in host speed stays out of the overhead reading.
+                runs.append(run_once(bench, name, seed, 1))
     summary = summarize_runs(bench, runs)
     print_summary(args.out or "this set", summary)
     if args.out:
