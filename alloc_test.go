@@ -26,9 +26,9 @@ func loopFeed(trace []emu.Dyn) func() (emu.Dyn, bool) {
 }
 
 // steadySim builds a simulator over a looped gzip trace and runs it past
-// its allocation high-water mark: all scratch buffers (rename group, squash
-// replay, stream replay stack, optimizer record buffer) reach their final
-// capacity during this warm phase.
+// its allocation high-water mark: all reusable buffers (squash replay,
+// stream replay stack, the elimination engine's decision window) reach
+// their final capacity during this warm phase.
 func steadySim(tb testing.TB) (*pipeline.Sim, uint64) {
 	tb.Helper()
 	prof, ok := workload.ByName("gzip")

@@ -22,7 +22,8 @@ import (
 )
 
 // benchOpts keeps bench runtime modest; renobench runs the full scale. All
-// figure benchmarks execute on the sweep worker pool via harness.Execute.
+// figure benchmarks except Figure 9 and the instruction mix execute as
+// sweep grids on the worker pool.
 func benchOpts() harness.Options {
 	return harness.Options{Scale: 0.4, MaxInsts: 60_000, Parallel: true}
 }

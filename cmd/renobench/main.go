@@ -1,7 +1,6 @@
 // Command renobench regenerates the tables and figures of the RENO paper's
 // evaluation (Section 4). Each figure prints as a text table whose rows and
-// series correspond to the paper's bars; see EXPERIMENTS.md for the
-// paper-vs-measured record.
+// series correspond to the paper's bars.
 //
 // Usage:
 //
@@ -16,18 +15,8 @@
 //
 // -scale and -max trade runtime for measurement length.
 //
-// A second mode measures the simulator itself rather than the simulated
-// core: -bench-json times the simulator on every (machine preset,
-// benchmark, backend) triple and writes BENCH_pipeline.json as a
-// reno.metrics/v1 envelope — simulated MIPS, cycles per second, and
-// allocations per kilo-instruction, with the recorded pre-optimization
-// baseline comparison in the summary set (see docs/benchmarking.md and
-// docs/metrics.md). Non-detailed backend cells carry an "@backend" key
-// suffix and are excluded from the totals and the baseline speedup:
-//
-//	renobench -bench-json BENCH_pipeline.json
-//	renobench -bench-json out.json -bench-machines 4w -bench-benches gzip -max 30000
-//	renobench -bench-json out.json -bench-backends detailed,approx,functional
+// The simulator's own speed is measured by the repository benchmark
+// (BENCHMARK.json, perfbench/), not here; see docs/benchmarking.md.
 package main
 
 import (
@@ -36,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -50,46 +38,10 @@ func main() {
 	serial := flag.Bool("serial", false, "disable parallel simulation")
 	workers := flag.Int("workers", 0, "sweep pool size (0 = GOMAXPROCS; ignored with -serial)")
 	timeout := flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none)")
-	benchJSON := flag.String("bench-json", "", "measure simulator throughput and write BENCH_pipeline.json to this path instead of regenerating figures")
-	benchMachines := flag.String("bench-machines", "4w,6w", "machine presets for -bench-json (comma-separated registry specs)")
-	benchBenches := flag.String("bench-benches", "gzip,gsm.de", "workloads for -bench-json (comma-separated)")
-	benchBackends := flag.String("bench-backends", "detailed,functional", "simulation backends for -bench-json (comma-separated: detailed, approx, functional)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *benchJSON != "" {
-		// Throughput mode defaults -max to the baseline's measurement
-		// length unless the user overrode it.
-		max := *maxInsts
-		if !flagSet("max") {
-			max = 100_000
-		}
-		rep, err := harness.BenchPipeline(ctx,
-			strings.Split(*benchMachines, ","), strings.Split(*benchBenches, ","),
-			strings.Split(*benchBackends, ","), max, *scale, *timeout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "renobench: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "renobench: %v\n", err)
-			os.Exit(1)
-		}
-		werr := rep.WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "renobench: write %s: %v\n", *benchJSON, werr)
-			os.Exit(1)
-		}
-		rep.FprintSummary(os.Stdout)
-		fmt.Printf("wrote %s\n", *benchJSON)
-		return
-	}
 
 	opts := harness.Options{Scale: *scale, MaxInsts: *maxInsts, Parallel: !*serial, Workers: *workers, Timeout: *timeout}
 	w := os.Stdout
@@ -142,15 +94,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "renobench: interrupted")
 		os.Exit(130)
 	}
-}
-
-// flagSet reports whether the named flag was set explicitly.
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }

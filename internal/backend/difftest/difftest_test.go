@@ -168,18 +168,14 @@ func TestApproxIPCTolerance(t *testing.T) {
 	t.Logf("worst-case approx IPC error: %.1f%%", 100*worst)
 }
 
-// TestFunctionalSpeedup pins the point of the functional backend. Two
-// regimes: baseline screening (no elimination accounting, emulator speed)
-// must beat detailed timing by an order of magnitude; with full RENO
-// accounting the elimination engine is shared work on both sides, and the
-// measured gap is ~3x (see docs/backends.md), pinned here at >= 2x.
+// TestFunctionalSpeedup runs gzip to halt on the functional and detailed
+// backends, checks that both commit the same instructions, and logs how
+// much faster screening is (about 10x under BASE and 3x with RENO
+// accounting; see docs/backends.md). The ratio carries no floor: a ratio of
+// two wall-clock timings fails on a loaded host, and fails by design once
+// the detailed backend gets faster. The repository benchmark measures it
+// under repetition as backend.functional_speedup (perfbench/LAYERS.md).
 func TestFunctionalSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("timing comparison is meaningless under the race detector")
-	}
 	ctx := context.Background()
 	p, ok := workload.ByName("gzip")
 	if !ok {
@@ -194,41 +190,25 @@ func TestFunctionalSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	measure := func(rcfg string) float64 {
+	for _, rcfg := range []string{"BASE", "RENO"} {
 		cell := benchCell(t, "gzip", "4w", rcfg)
 		cell.Code = prog.Code
 		cell.Warmup = warm
 		cell.MaxInsts = 0 // run to halt: both backends do identical work
-		time_ := func(k backend.Kind) time.Duration {
+		run := func(k backend.Kind) (*backend.Result, time.Duration) {
 			start := time.Now()
-			if _, err := backend.For(k).Run(ctx, cell.request()); err != nil {
+			res, err := backend.For(k).Run(ctx, cell.request())
+			if err != nil {
 				t.Fatal(err)
 			}
-			return time.Since(start)
+			return res, time.Since(start)
 		}
-		// Warm both paths once (build caches, page in), then take the best
-		// of three to shed scheduler noise.
-		time_(backend.Functional)
-		time_(backend.Detailed)
-		fn, det := time_(backend.Functional), time_(backend.Detailed)
-		for i := 0; i < 2; i++ {
-			if v := time_(backend.Functional); v < fn {
-				fn = v
-			}
-			if v := time_(backend.Detailed); v < det {
-				det = v
-			}
+		fn, fnT := run(backend.Functional)
+		det, detT := run(backend.Detailed)
+		if fn.Pipe.Insts != det.Pipe.Insts {
+			t.Errorf("%s: functional committed %d instructions, detailed %d", rcfg, fn.Pipe.Insts, det.Pipe.Insts)
 		}
-		ratio := float64(det) / float64(fn)
-		t.Logf("%s: detailed %v, functional %v: %.1fx", rcfg, det, fn, ratio)
-		return ratio
-	}
-
-	if ratio := measure("BASE"); ratio < 10 {
-		t.Errorf("baseline screening only %.1fx faster than detailed (want >= 10x)", ratio)
-	}
-	if ratio := measure("RENO"); ratio < 2 {
-		t.Errorf("functional with RENO accounting only %.1fx faster than detailed (want >= 2x)", ratio)
+		t.Logf("%s: detailed %v, functional %v: %.1fx", rcfg, detT, fnT, float64(detT)/float64(fnT))
 	}
 }
 

@@ -153,8 +153,12 @@ func TestClusterEndToEnd(t *testing.T) {
 	if granted == 0 {
 		t.Error("no lease-granted events on the job stream")
 	}
-	if done := w1.Stats().CellsSimulated + w2.Stats().CellsSimulated; done != 4 {
-		t.Errorf("workers simulated %d cells, want 4", done)
+	// At least 4, not exactly: a work-steal may re-run a cell its victim
+	// is still simulating, and both copies count. First-upload-wins keeps
+	// the duplicate out of the results, which the byte-identity check on
+	// the resubmission below covers.
+	if done := w1.Stats().CellsSimulated + w2.Stats().CellsSimulated; done < 4 {
+		t.Errorf("workers simulated %d cells, want at least 4", done)
 	}
 
 	// Resubmission: 100% cache hits on the coordinator, not one lease

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 
@@ -9,24 +10,20 @@ import (
 	"reno/internal/emu"
 	"reno/internal/isa"
 	"reno/internal/pipeline"
-	"reno/internal/reno"
 	"reno/internal/sweep"
 	"reno/internal/workload"
 )
 
 // Fig8 regenerates Figure 8: per-benchmark instruction elimination rates
 // (ME / CF / RA+CSE stacks) and speedups, on 4- and 6-wide machines.
-func Fig8(ctx context.Context, w io.Writer, opts Options) *Set {
+func Fig8(ctx context.Context, w io.Writer, opts Options) {
 	spec, media := Suites()
 
-	set, err := ExecuteGridContext(ctx, sweep.Grid{
+	rs := runGrid(ctx, w, sweep.Grid{
 		Benches:        []string{"all"},
 		MachineConfigs: sweep.Specs("4w", "6w"),
 		RenoConfigs:    sweep.Specs("BASE", "RENO"),
-	}, opts, nil)
-	if err != nil {
-		panic(err) // static grid: a failure is a programming error
-	}
+	}, opts)
 
 	for _, suite := range []struct {
 		name  string
@@ -42,20 +39,20 @@ func Fig8(ctx context.Context, w io.Writer, opts Options) *Set {
 		}
 		var tots4, tots6, sps4, sps6 []float64
 		for _, b := range suite.profs {
-			r4 := set.Get(b.Name, "4w/RENO")
-			r6 := set.Get(b.Name, "6w/RENO")
+			r4 := rs.get(b.Name, "4w/RENO")
+			r6 := rs.get(b.Name, "6w/RENO")
 			if r4 == nil || r6 == nil {
 				continue
 			}
 			elim.AddRow(b.Name,
-				F(r4.Res.ElimME), F(r4.Res.ElimCF),
-				F(r4.Res.ElimLoads+r4.Res.ElimALU),
-				F(r4.Res.ElimTotal), F(r6.Res.ElimTotal))
-			sp4 := set.Speedup(b.Name, "4w/BASE", "4w/RENO")
-			sp6 := set.Speedup(b.Name, "6w/BASE", "6w/RENO")
+				F(r4.ElimME), F(r4.ElimCF),
+				F(r4.ElimLoads+r4.ElimALU),
+				F(r4.ElimTotal), F(r6.ElimTotal))
+			sp4 := rs.speedup(b.Name, "4w/BASE", "4w/RENO")
+			sp6 := rs.speedup(b.Name, "6w/BASE", "6w/RENO")
 			speed.AddRow(b.Name, F(sp4), F(sp6))
-			tots4 = append(tots4, r4.Res.ElimTotal)
-			tots6 = append(tots6, r6.Res.ElimTotal)
+			tots4 = append(tots4, r4.ElimTotal)
+			tots6 = append(tots6, r6.ElimTotal)
 			sps4 = append(sps4, sp4)
 			sps6 = append(sps6, sp6)
 		}
@@ -66,51 +63,47 @@ func Fig8(ctx context.Context, w io.Writer, opts Options) *Set {
 		speed.Fprint(w)
 		fmt.Fprintln(w)
 	}
-	return set
 }
 
 // Fig9 regenerates Figure 9: critical-path breakdowns for the paper's
-// benchmark subset under BASE, ME+CF, and full RENO.
+// benchmark subset under BASE, ME+CF, and full RENO. The sweep pool has no
+// critical-path analyzer, so the grid only resolves the configurations and
+// each run goes straight to the pipeline with CPA attached.
 func Fig9(ctx context.Context, w io.Writer, opts Options) {
 	specSel := []string{"crafty", "eon.k", "gap", "gzip", "parser", "perl.s", "vortex", "vpr.r"}
 	mediaSel := []string{"adpcm.de", "epic", "g721.en", "gsm.de", "jpg.de", "mesa.m", "mesa.t", "mpg2.en", "pegw.en"}
-
-	cfgs := []struct {
-		tag string
-		rc  reno.Config
-	}{
-		{"BASE", reno.Baseline(160)},
-		{"ME+CF", reno.MECF(160)},
-		{"RENO", reno.Default(160)},
-	}
+	renos := sweep.Specs("BASE", "ME+CF", "RENO")
 
 	for _, sel := range [][]string{specSel, mediaSel} {
+		// Expansion is bench-major: each benchmark's runs are len(renos)
+		// consecutive jobs on the default "4w" machine.
+		jobs, err := sweep.Grid{Benches: sel, RenoConfigs: renos}.Expand()
+		if err != nil {
+			panic(err)
+		}
 		tb := &Table{
 			Title:   "Figure 9: critical-path breakdown (% of critical path)",
 			Columns: []string{"bench", "config", "fetch", "alu", "load", "mem", "commit"},
 		}
-		for _, name := range sel {
+		for i := 0; i < len(jobs); i += len(renos) {
 			if ctx.Err() != nil {
 				return
 			}
-			prof, ok := workload.ByName(name)
-			if !ok {
-				continue
-			}
-			prog := workload.MustBuild(workload.Scale(prof, opts.Scale))
+			name := jobs[i].Profile.Name
+			prog := workload.MustBuild(workload.Scale(jobs[i].Profile, opts.Scale))
 			warm, err := prog.WarmupCount()
 			if err != nil {
 				fmt.Fprintf(w, "%s: %v\n", name, err)
 				continue
 			}
-			for _, c := range cfgs {
-				res, _, err := pipeline.RunProgramCPA(pipeline.FourWide(c.rc), prog.Code, warm, opts.MaxInsts, 50_000)
+			for _, j := range jobs[i : i+len(renos)] {
+				res, _, err := pipeline.RunProgramCPA(j.Cfg, prog.Code, warm, opts.MaxInsts, 50_000)
 				if err != nil {
-					fmt.Fprintf(w, "%s/%s: %v\n", name, c.tag, err)
+					fmt.Fprintf(w, "%s/%s: %v\n", name, j.Config, err)
 					continue
 				}
 				p := res.CPA.Percent()
-				tb.AddRow(name, c.tag,
+				tb.AddRow(name, j.Config,
 					F(p[cpa.BFetch]), F(p[cpa.BALU]), F(p[cpa.BLoad]), F(p[cpa.BMem]), F(p[cpa.BCommit]))
 			}
 		}
@@ -123,18 +116,15 @@ func Fig9(ctx context.Context, w io.Writer, opts Options) {
 // RENO.CSE+RA — RENO (CF + loads-only IT), RENO + full IT, full integration
 // alone, loads-only integration alone — plus the E9 table-bandwidth
 // accounting (Section 2.4's 50%/56% claims).
-func Fig10(ctx context.Context, w io.Writer, opts Options) *Set {
+func Fig10(ctx context.Context, w io.Writer, opts Options) {
 	spec, media := Suites()
 	all := append(append([]workload.Profile{}, spec...), media...)
 
-	set, err := ExecuteGridContext(ctx, sweep.Grid{
+	rs := runGrid(ctx, w, sweep.Grid{
 		Benches:        []string{"all"},
 		MachineConfigs: sweep.Specs("4w"),
 		RenoConfigs:    sweep.Specs("BASE", "RENO", "RENO+FI", "FullInteg", "LoadsInteg"),
-	}, opts, nil)
-	if err != nil {
-		panic(err)
-	}
+	}, opts)
 
 	for _, suite := range []struct {
 		name  string
@@ -149,7 +139,7 @@ func Fig10(ctx context.Context, w io.Writer, opts Options) *Set {
 		for _, b := range suite.profs {
 			row := []string{b.Name}
 			for _, c := range cols {
-				sp := set.Speedup(b.Name, "4w/BASE", "4w/"+c)
+				sp := rs.speedup(b.Name, "4w/BASE", "4w/"+c)
 				row = append(row, F(sp))
 				means[c] = append(means[c], sp)
 			}
@@ -165,18 +155,17 @@ func Fig10(ctx context.Context, w io.Writer, opts Options) *Set {
 	// cuts IT size by 50% and accesses by ~56% versus full integration.
 	var renoAcc, fiAcc uint64
 	for _, b := range all {
-		if r := set.Get(b.Name, "4w/RENO"); r != nil {
-			renoAcc += r.Res.ITLookups + r.Res.ITInserts
+		if r := rs.get(b.Name, "4w/RENO"); r != nil {
+			renoAcc += r.Pipeline.ITLookups + r.Pipeline.ITInserts
 		}
-		if r := set.Get(b.Name, "4w/RENO+FI"); r != nil {
-			fiAcc += r.Res.ITLookups + r.Res.ITInserts
+		if r := rs.get(b.Name, "4w/RENO+FI"); r != nil {
+			fiAcc += r.Pipeline.ITLookups + r.Pipeline.ITInserts
 		}
 	}
 	if fiAcc > 0 {
 		fmt.Fprintf(w, "IT accesses: RENO (loads-only) %d vs RENO+FullInteg %d: %.0f%% reduction (paper: 56%%; table size halved by construction)\n\n",
 			renoAcc, fiAcc, 100*(1-float64(renoAcc)/float64(fiAcc)))
 	}
-	return set
 }
 
 // renoAxis is the Figure 11/12 RENO configuration axis: paper labels
@@ -202,14 +191,11 @@ func Fig11(ctx context.Context, w io.Writer, opts Options) {
 
 	// Top: register file sweep ("4w" is the 160-preg default).
 	pregMachines := map[int]string{96: "4w:p96", 112: "4w:p112", 128: "4w:p128", 160: "4w"}
-	set, err := ExecuteGridContext(ctx, sweep.Grid{
+	rs := runGrid(ctx, w, sweep.Grid{
 		Benches:        []string{"all"},
 		MachineConfigs: sweep.Specs("4w:p96", "4w:p112", "4w:p128", "4w"),
 		RenoConfigs:    sweep.Specs("BASE", "ME+CF", "RENO"),
-	}, opts, nil)
-	if err != nil {
-		panic(err)
-	}
+	}, opts)
 
 	for _, suite := range []struct {
 		name  string
@@ -224,7 +210,7 @@ func Fig11(ctx context.Context, w io.Writer, opts Options) {
 			for _, c := range renoAxis {
 				var vals []float64
 				for _, b := range suite.profs {
-					vals = append(vals, set.RelPerf(b.Name, "4w/BASE", pregMachines[n]+"/"+c.cfg))
+					vals = append(vals, rs.relPerf(b.Name, "4w/BASE", pregMachines[n]+"/"+c.cfg))
 				}
 				row = append(row, F(MeanPct(vals)))
 			}
@@ -236,14 +222,11 @@ func Fig11(ctx context.Context, w io.Writer, opts Options) {
 
 	// Bottom: issue width sweep.
 	widths := []string{"i2t2", "i2t3", "i3t4"}
-	set, err = ExecuteGridContext(ctx, sweep.Grid{
+	rs = runGrid(ctx, w, sweep.Grid{
 		Benches:        []string{"all"},
 		MachineConfigs: sweep.Specs("4w:i2t2", "4w:i2t3", "4w:i3t4"),
 		RenoConfigs:    sweep.Specs("BASE", "ME+CF", "RENO"),
-	}, opts, nil)
-	if err != nil {
-		panic(err)
-	}
+	}, opts)
 
 	for _, suite := range []struct {
 		name  string
@@ -258,7 +241,7 @@ func Fig11(ctx context.Context, w io.Writer, opts Options) {
 			for _, c := range renoAxis {
 				var vals []float64
 				for _, b := range suite.profs {
-					vals = append(vals, set.RelPerf(b.Name, "4w:i3t4/BASE", "4w:"+wd+"/"+c.cfg))
+					vals = append(vals, rs.relPerf(b.Name, "4w:i3t4/BASE", "4w:"+wd+"/"+c.cfg))
 				}
 				row = append(row, F(MeanPct(vals)))
 			}
@@ -276,14 +259,11 @@ func Fig12(ctx context.Context, w io.Writer, opts Options) {
 
 	// "4w" has the 1-cycle wakeup-select loop; "4w:s2" stretches it to 2.
 	loopMachines := map[int]string{1: "4w", 2: "4w:s2"}
-	set, err := ExecuteGridContext(ctx, sweep.Grid{
+	rs := runGrid(ctx, w, sweep.Grid{
 		Benches:        []string{"all"},
 		MachineConfigs: sweep.Specs("4w", "4w:s2"),
 		RenoConfigs:    sweep.Specs("BASE", "ME+CF", "RENO"),
-	}, opts, nil)
-	if err != nil {
-		panic(err)
-	}
+	}, opts)
 
 	for _, suite := range []struct {
 		name  string
@@ -298,7 +278,7 @@ func Fig12(ctx context.Context, w io.Writer, opts Options) {
 			for _, c := range renoAxis {
 				var vals []float64
 				for _, b := range suite.profs {
-					vals = append(vals, set.RelPerf(b.Name, "4w/BASE", loopMachines[loop]+"/"+c.cfg))
+					vals = append(vals, rs.relPerf(b.Name, "4w/BASE", loopMachines[loop]+"/"+c.cfg))
 				}
 				row = append(row, F(MeanPct(vals)))
 			}
@@ -377,21 +357,22 @@ func TableMix(ctx context.Context, w io.Writer, opts Options) {
 // (the paper: it loses only 20-25% of its relative gain, 1-2% absolute).
 func CFLatencyAblation(ctx context.Context, w io.Writer, opts Options) {
 	spec, media := Suites()
-	all := append(append([]workload.Profile{}, spec...), media...)
 
-	free := reno.MECF(160)
-	slow := reno.MECF(160)
-	slow.PenalizeAllFusions = true
-
-	var jobs []Job
-	for _, b := range all {
-		jobs = append(jobs,
-			Job{Bench: b, CfgTag: "BASE", Cfg: machine("4", reno.Baseline(160))},
-			Job{Bench: b, CfgTag: "CF-free", Cfg: machine("4", free)},
-			Job{Bench: b, CfgTag: "CF-penal", Cfg: machine("4", slow)},
-		)
+	// The inline spec is ME+CF with every fused operation charged an extra
+	// cycle; its tag is the registry's base#hash form.
+	g := sweep.Grid{
+		Version:        2,
+		Benches:        []string{"all"},
+		MachineConfigs: sweep.Specs("4w"),
+		RenoConfigs: []sweep.Spec{{Name: "BASE"}, {Name: "ME+CF"},
+			{Raw: json.RawMessage(`{"base":"ME+CF","penalize_all_fusions":true}`)}},
 	}
-	set := ExecuteContext(ctx, jobs, opts, nil)
+	jobs, err := g.Expand()
+	if err != nil {
+		panic(err)
+	}
+	penal := jobs[2].Tag() // bench-major: the first benchmark's third config
+	rs := runGrid(ctx, w, g, opts)
 
 	tb := &Table{
 		Title:   "CF fusion-latency ablation (Section 3.3): % speedup over baseline",
@@ -403,8 +384,8 @@ func CFLatencyAblation(ctx context.Context, w io.Writer, opts Options) {
 	}{{"SPECint", spec}, {"MediaBench", media}} {
 		var f, s []float64
 		for _, b := range suite.profs {
-			f = append(f, set.Speedup(b.Name, "BASE", "CF-free"))
-			s = append(s, set.Speedup(b.Name, "BASE", "CF-penal"))
+			f = append(f, rs.speedup(b.Name, "4w/BASE", "4w/ME+CF"))
+			s = append(s, rs.speedup(b.Name, "4w/BASE", penal))
 		}
 		mf, ms := MeanPct(f), MeanPct(s)
 		ret := "-"
@@ -415,12 +396,4 @@ func CFLatencyAblation(ctx context.Context, w io.Writer, opts Options) {
 	}
 	tb.Fprint(w)
 	fmt.Fprintln(w)
-}
-
-// machine builds a pipeline config for a width tag ("4" or "6").
-func machine(width string, rc reno.Config) pipeline.Config {
-	if width == "6" {
-		return pipeline.SixWide(rc)
-	}
-	return pipeline.FourWide(rc)
 }

@@ -7,8 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"reno/internal/pipeline"
-	"reno/internal/reno"
+	"reno/internal/machine"
+	"reno/internal/sweep"
 	"reno/internal/workload"
 )
 
@@ -17,54 +17,44 @@ func tinyOpts() Options {
 }
 
 func TestExecuteAndSpeedup(t *testing.T) {
-	prof, _ := workload.ByName("gzip")
-	jobs := []Job{
-		{Bench: prof, CfgTag: "base", Cfg: pipeline.FourWide(reno.Baseline(160))},
-		{Bench: prof, CfgTag: "reno", Cfg: pipeline.FourWide(reno.Default(160))},
-	}
-	set := Execute(jobs, tinyOpts(), nil)
-	if set.Get("gzip", "base") == nil || set.Get("gzip", "reno") == nil {
+	rs := runGrid(context.Background(), io.Discard, sweep.Grid{Benches: []string{"gzip"}}, tinyOpts())
+	if rs.get("gzip", "4w/BASE") == nil || rs.get("gzip", "4w/RENO") == nil {
 		t.Fatal("runs missing")
 	}
-	sp := set.Speedup("gzip", "base", "reno")
+	sp := rs.speedup("gzip", "4w/BASE", "4w/RENO")
 	if math.IsNaN(sp) {
 		t.Fatal("speedup NaN")
 	}
 	if sp < -30 || sp > 60 {
 		t.Errorf("implausible speedup %.1f%%", sp)
 	}
-	rel := set.RelPerf("gzip", "base", "reno")
+	rel := rs.relPerf("gzip", "4w/BASE", "4w/RENO")
 	if math.Abs(rel-(100+sp)) > 0.01 {
-		t.Errorf("RelPerf %.2f inconsistent with speedup %.2f", rel, sp)
+		t.Errorf("relPerf %.2f inconsistent with speedup %.2f", rel, sp)
 	}
 }
 
 func TestArchitecturalEquivalenceAcrossConfigs(t *testing.T) {
 	// The central soundness property: RENO must be invisible to software.
-	// Run several benchmarks under all configurations to completion and
-	// compare final state hashes.
-	for _, name := range []string{"gzip", "perl.s", "gsm.de", "crafty"} {
-		prof, _ := workload.ByName(name)
-		var jobs []Job
-		for tag, rc := range RenoConfigs(160) {
-			jobs = append(jobs, Job{Bench: prof, CfgTag: tag, Cfg: pipeline.FourWide(rc)})
-		}
-		opts := Options{Scale: 0.1, MaxInsts: 0, Parallel: true} // to completion
-		set := Execute(jobs, opts, nil)
-		var h uint64
-		var first string
-		for tag := range RenoConfigs(160) {
-			r := set.Get(name, tag)
-			if r == nil {
-				t.Fatalf("%s/%s failed", name, tag)
-			}
-			if first == "" {
-				h, first = r.Hash, tag
-				continue
-			}
-			if r.Hash != h {
-				t.Errorf("%s: architectural state differs between %s and %s", name, first, tag)
-			}
+	// Run several benchmarks under every registered RENO configuration to
+	// completion; runGrid's audit reports any final-state divergence as a
+	// WARNING line.
+	benches := []string{"gzip", "perl.s", "gsm.de", "crafty"}
+	renos := machine.RenoNames()
+	var out strings.Builder
+	rs := runGrid(context.Background(), &out, sweep.Grid{
+		Benches:     benches,
+		RenoConfigs: sweep.Specs(renos...),
+	}, Options{Scale: 0.1, MaxInsts: 0, Parallel: true}) // to completion
+	if strings.Contains(out.String(), "WARNING") {
+		t.Errorf("architectural state differs across configurations:\n%s", out.String())
+	}
+	if len(rs) != len(benches)*len(renos) {
+		t.Errorf("%d runs, want %d", len(rs), len(benches)*len(renos))
+	}
+	for key, r := range rs {
+		if r.Err != "" {
+			t.Errorf("%s failed: %s", key, r.Err)
 		}
 	}
 }
@@ -74,14 +64,19 @@ func TestEliminationRatesInPaperBands(t *testing.T) {
 	// instructions in both suites (we accept 15-32% per-suite averages).
 	spec, media := Suites()
 	check := func(suite string, profs []workload.Profile) {
+		var names []string
+		for _, p := range profs[:6] { // subset for test runtime
+			names = append(names, p.Name)
+		}
+		rs := runGrid(context.Background(), io.Discard, sweep.Grid{
+			Benches:     names,
+			RenoConfigs: sweep.Specs("RENO"),
+		}, tinyOpts())
 		var tot float64
 		n := 0
-		for _, p := range profs[:6] { // subset for test runtime
-			var jobs []Job
-			jobs = append(jobs, Job{Bench: p, CfgTag: "reno", Cfg: pipeline.FourWide(reno.Default(160))})
-			set := Execute(jobs, tinyOpts(), nil)
-			if r := set.Get(p.Name, "reno"); r != nil {
-				tot += r.Res.ElimTotal
+		for _, name := range names {
+			if r := rs.get(name, "4w/RENO"); r != nil {
+				tot += r.ElimTotal
 				n++
 			}
 		}
@@ -97,24 +92,18 @@ func TestEliminationRatesInPaperBands(t *testing.T) {
 func TestRenoBeatsBaselineOnAverage(t *testing.T) {
 	// Figure 8 bottom: positive average speedups on both suites.
 	spec, media := Suites()
-	avgSpeedup := func(profs []workload.Profile) float64 {
-		var jobs []Job
-		for _, p := range profs {
-			jobs = append(jobs,
-				Job{Bench: p, CfgTag: "base", Cfg: pipeline.FourWide(reno.Baseline(160))},
-				Job{Bench: p, CfgTag: "reno", Cfg: pipeline.FourWide(reno.Default(160))})
-		}
-		set := Execute(jobs, tinyOpts(), nil)
+	avgSpeedup := func(suite string, profs []workload.Profile) float64 {
+		rs := runGrid(context.Background(), io.Discard, sweep.Grid{Benches: []string{suite}}, tinyOpts())
 		var sps []float64
 		for _, p := range profs {
-			sps = append(sps, set.Speedup(p.Name, "base", "reno"))
+			sps = append(sps, rs.speedup(p.Name, "4w/BASE", "4w/RENO"))
 		}
 		return MeanPct(sps)
 	}
-	if sp := avgSpeedup(spec); sp <= 0 {
+	if sp := avgSpeedup("SPECint", spec); sp <= 0 {
 		t.Errorf("SPECint average speedup %.1f%%, want positive (paper: 8%%)", sp)
 	}
-	if sp := avgSpeedup(media); sp <= 3 {
+	if sp := avgSpeedup("MediaBench", media); sp <= 3 {
 		t.Errorf("MediaBench average speedup %.1f%%, want clearly positive (paper: 13%%)", sp)
 	}
 }
@@ -140,19 +129,77 @@ func TestFiguresRenderWithoutError(t *testing.T) {
 			t.Errorf("figure output missing %q", frag)
 		}
 	}
+	if strings.Contains(out, "WARNING") {
+		t.Errorf("figure output carries audit warnings:\n%s", out)
+	}
 }
 
+func TestSpeedupEdgeCases(t *testing.T) {
+	rs := results{}
+	for key, c := range map[string]uint64{
+		"b/base": 200, "b/fast": 100, "b/zero": 0, "z/base": 0, "z/cfg": 100,
+	} {
+		rs[key] = &sweep.Result{Cycles: c}
+	}
+	for _, tc := range []struct {
+		name                string
+		bench, base, config string
+		want                float64 // NaN means "expect NaN"
+	}{
+		{"normal 2x", "b", "base", "fast", 100},
+		{"identity", "b", "base", "base", 0},
+		{"missing config", "b", "base", "nope", math.NaN()},
+		{"missing bench", "x", "base", "fast", math.NaN()},
+		{"zero-cycle config", "b", "base", "zero", math.NaN()},
+		{"zero-cycle baseline", "z", "base", "cfg", -100},
+	} {
+		got := rs.speedup(tc.bench, tc.base, tc.config)
+		if math.IsNaN(tc.want) != math.IsNaN(got) || (!math.IsNaN(tc.want) && math.Abs(got-tc.want) > 1e-9) {
+			t.Errorf("%s: speedup(%s,%s,%s) = %v, want %v", tc.name, tc.bench, tc.base, tc.config, got, tc.want)
+		}
+	}
+}
+
+// TestMeanAndGeoMean checks the amean the figures report; the geometric
+// mean it once covered is gone, the arithmetic half stays.
 func TestMeanAndGeoMean(t *testing.T) {
 	vals := []float64{10, 20, math.NaN(), 30}
 	if m := MeanPct(vals); math.Abs(m-20) > 1e-9 {
 		t.Errorf("mean = %f", m)
 	}
-	g := GeoMeanPct([]float64{10, 10})
-	if math.Abs(g-10) > 1e-9 {
-		t.Errorf("geomean of equal values = %f", g)
-	}
 	if !math.IsNaN(MeanPct([]float64{math.NaN()})) {
 		t.Error("mean of all-NaN should be NaN")
+	}
+}
+
+func TestMeanPctEdgeCases(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		vals []float64
+		want float64
+	}{
+		{"empty", nil, math.NaN()},
+		{"all NaN", []float64{math.NaN(), math.NaN()}, math.NaN()},
+		{"single element", []float64{7.5}, 7.5},
+		{"single with NaNs", []float64{math.NaN(), 7.5, math.NaN()}, 7.5},
+		{"zeros", []float64{0, 0}, 0},
+		{"mixed sign", []float64{-10, 10}, 0},
+	} {
+		got := MeanPct(tc.vals)
+		if math.IsNaN(tc.want) != math.IsNaN(got) || (!math.IsNaN(tc.want) && math.Abs(got-tc.want) > 1e-9) {
+			t.Errorf("%s: MeanPct(%v) = %v, want %v", tc.name, tc.vals, got, tc.want)
+		}
+	}
+}
+
+// TestSerialOverridesWorkers pins Options semantics: Parallel=false means
+// one worker even when Workers is set (renobench -serial -workers N).
+func TestSerialOverridesWorkers(t *testing.T) {
+	if got := (Options{Parallel: false, Workers: 8}).workers(); got != 1 {
+		t.Errorf("serial options resolved to %d workers, want 1", got)
+	}
+	if got := (Options{Parallel: true, Workers: 8}).workers(); got != 8 {
+		t.Errorf("parallel options resolved to %d workers, want 8", got)
 	}
 }
 
@@ -173,31 +220,5 @@ func TestFFormat(t *testing.T) {
 	}
 	if F(math.NaN()) != "-" {
 		t.Errorf("F(NaN) = %s", F(math.NaN()))
-	}
-}
-
-func TestRenoConfigsComplete(t *testing.T) {
-	cfgs := RenoConfigs(160)
-	for _, name := range []string{"BASE", "ME", "ME+CF", "RENO", "RENO+FI", "FullInteg", "LoadsInteg"} {
-		if _, ok := cfgs[name]; !ok {
-			t.Errorf("config %q missing", name)
-		}
-	}
-	if cfgs["BASE"].EnableME || cfgs["BASE"].EnableCF || cfgs["BASE"].EnableCSERA {
-		t.Error("BASE enables optimizations")
-	}
-	if !cfgs["RENO"].EnableCF || !cfgs["RENO"].EnableCSERA {
-		t.Error("RENO misconfigured")
-	}
-}
-
-func TestDump(t *testing.T) {
-	prof, _ := workload.ByName("gzip")
-	set := Execute([]Job{{Bench: prof, CfgTag: "base", Cfg: pipeline.FourWide(reno.Baseline(160))}},
-		Options{Scale: 0.05, MaxInsts: 3_000, Parallel: false}, io.Discard)
-	var b strings.Builder
-	set.Dump(&b)
-	if !strings.Contains(b.String(), "gzip/base") {
-		t.Errorf("dump missing run: %s", b.String())
 	}
 }

@@ -81,7 +81,7 @@ const (
 
 	// Floating point stand-ins: long-latency ALU ops on the integer file.
 	// They exist so that FP-heavy benchmark mixes (mesa, epic) are
-	// representable. See DESIGN.md non-goals.
+	// representable; a real FP register file is out of scope.
 	OpFAdd // rd = rs + rt, FP-latency
 	OpFMul // rd = rs * rt, FP-latency
 

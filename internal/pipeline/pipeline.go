@@ -516,8 +516,7 @@ func (s *Sim) fqAt(off int) *entry {
 // decoupled retirement queue; it fails only when the backlog exceeds the
 // queue depth. Stores use the store-retirement port; integrated load
 // re-executions use the load-port bandwidth their elimination vacated (a
-// capacity-neutral reading of the paper's re-execution scheme — see
-// DESIGN.md §5). A method rather than a per-commitStage closure: the commit
+// capacity-neutral reading of the paper's re-execution scheme). A method rather than a per-commitStage closure: the commit
 // stage runs every cycle and must not allocate.
 //
 //reno:hotpath

@@ -243,10 +243,8 @@ type Optimizer struct {
 
 	Stats Stats
 
-	// scratch backs RenameGroupScratch so the per-cycle rename path
-	// allocates nothing; invScratch backs CheckInvariant's per-register
-	// tallies for the same reason on instrumented runs.
-	scratch    []Renamed
+	// invScratch backs CheckInvariant's per-register tallies so
+	// instrumented runs allocate nothing per check.
 	invScratch []int
 }
 
@@ -296,25 +294,7 @@ var zeroMap = renamer.Mapping{P: refcount.ZeroReg}
 // be short of len(g) when the physical register file is exhausted — the
 // caller re-presents the remainder next cycle.
 func (o *Optimizer) RenameGroup(g []GroupInst) (out []Renamed, n int) {
-	return o.renameGroupInto(make([]Renamed, 0, len(g)), g)
-}
-
-// RenameGroupScratch is RenameGroup writing into a buffer the optimizer
-// owns and reuses: the returned records are valid only until the next
-// RenameGroupScratch call. The pipeline's rename stage copies each record
-// into its ROB entry immediately, so the steady-state rename path allocates
-// nothing.
-//
-//reno:hotpath
-func (o *Optimizer) RenameGroupScratch(g []GroupInst) (out []Renamed, n int) {
-	out, n = o.renameGroupInto(o.scratch[:0], g)
-	o.scratch = out[:0] // retain the (possibly grown) backing array
-	return out, n
-}
-
-//reno:hotpath
-func (o *Optimizer) renameGroupInto(out []Renamed, g []GroupInst) ([]Renamed, int) {
-	n := 0
+	out = make([]Renamed, 0, len(g))
 	var elimDest uint32 // bitmask of logical regs written by group-eliminated insts
 	for _, gi := range g {
 		r, ok := o.renameOne(gi, elimDest)

@@ -261,9 +261,9 @@ func (g Grid) Expand() ([]Job, error) {
 				return nil, err
 			}
 			// Duplicate tags would make result records indistinguishable
-			// (and harness Sets silently drop one run), so a repeated
-			// axis entry — or an inline "name" shadowing another spec's
-			// tag — is an error, not a quiet last-wins.
+			// (and the figures' bench/tag index silently drop one run), so
+			// a repeated axis entry — or an inline "name" shadowing another
+			// spec's tag — is an error, not a quiet last-wins.
 			if tag := machineTag + "/" + renoTag; seenTags[tag] {
 				return nil, fmt.Errorf("grid: duplicate configuration %q (repeated axis entry, or an inline spec \"name\" colliding with another spec's tag)", tag)
 			} else {

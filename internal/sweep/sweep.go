@@ -51,9 +51,9 @@ type Job struct {
 
 // Tag returns the run's configuration axis label: "machine/config", with
 // "@s<seed>" appended for non-zero seeds. When no machine spec was recorded
-// (low-level callers that prebuilt their own Cfg — e.g. harness.Execute),
-// Config is taken verbatim as the caller's complete tag, seed suffix
-// included if the caller wanted one.
+// (low-level callers that prebuilt their own Cfg), Config is taken verbatim
+// as the caller's complete tag, seed suffix included if the caller wanted
+// one.
 func (j Job) Tag() string {
 	if j.Machine == "" {
 		return j.Config
@@ -157,10 +157,9 @@ type Result struct {
 	restoredStop string
 }
 
-// BuildFailed reports whether the run's workload could not even be built —
-// for static grids that is a programming error, and harness.Execute
-// restores the pre-sweep behavior of panicking on it rather than letting a
-// nil progress writer swallow the failure.
+// BuildFailed reports whether the run's workload could not even be built.
+// For static grids that is a programming error: the paper's figures
+// (internal/harness) panic on it rather than render a blank table cell.
 func (r *Result) BuildFailed() bool { return r.buildFailed }
 
 // Key identifies the run within a sweep: bench/tag.

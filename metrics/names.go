@@ -78,16 +78,4 @@ const (
 	SweepWallNS        = "sweep.wall_ns"        // counter: summed per-run wall time
 	SweepMeanIPC       = "sweep.mean_ipc"       // gauge
 	SweepAuditWarnings = "sweep.audit_warnings" // counter: architectural-equivalence violations
-
-	// Simulator-throughput benchmarking (renobench -bench-json).
-	BenchWallNS        = "bench.wall_ns"                    // counter: timed-run wall nanoseconds
-	BenchMIPS          = "bench.mips"                       // gauge: simulated Minsts per wall second
-	BenchCyclesPerSec  = "bench.cycles_per_sec"             // gauge
-	BenchAllocsPerKI   = "bench.allocs_per_kilo_inst"       // gauge
-	BenchBytesPerKI    = "bench.bytes_per_kilo_inst"        // gauge
-	BenchTotalInsts    = "bench.total.insts"                // counter
-	BenchTotalWallNS   = "bench.total.wall_ns"              // counter
-	BenchTotalMIPS     = "bench.total.mips"                 // gauge
-	BenchTotalAllocsKI = "bench.total.allocs_per_kilo_inst" // gauge
-	BenchSpeedupPct    = "bench.speedup_pct_vs_baseline"    // gauge: vs the embedded baseline
 )
