@@ -34,7 +34,8 @@
 //	renoserve -role worker -peers http://coord:8844 -addr :8845 \
 //	    -store /shared/results
 //
-// Workers survive coordinator restarts (they back off and repoll), the
+// -peers names the worker's one coordinator; a list is refused. Workers
+// survive coordinator restarts (they back off and repoll), the
 // coordinator survives worker crashes (leases expire and the cells
 // requeue), and the assembled envelope is byte-identical to a standalone
 // run of the same grid.
@@ -43,17 +44,14 @@
 // <store>/journal.ndjson, override with -journal) of job state: kill -9
 // the coordinator mid-sweep, restart it on the same store, and the
 // in-flight sweeps are restored and resumed — already-computed cells are
-// skipped via the store, so nothing is simulated twice. For failover
-// without a restart, run a second coordinator with -standby pointed at
-// the primary and the same shared -store: it serves 503 (plus its own
-// healthz) until the primary's healthz goes dark, then replays the
-// journal and promotes itself; workers' -peers rotation lands on it with
-// no reconfiguration. See docs/cluster.md, "Durability & failover".
+// skipped via the store, so nothing is simulated twice. One live
+// coordinator owns a journal: a second one opened on the same path takes
+// it over, and the first then refuses submissions with 503. See
+// docs/cluster.md, "Durability".
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -62,8 +60,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -82,15 +78,12 @@ func main() {
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget before in-flight runs are cancelled")
 
 		role     = flag.String("role", "standalone", "standalone | coordinator | worker")
-		peers    = flag.String("peers", "", "comma-separated coordinator base URLs (worker role)")
+		peers    = flag.String("peers", "", "coordinator base URL (worker role; exactly one)")
 		leaseTTL = flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "lease lifetime without a heartbeat before cells requeue (coordinator role)")
 		workerID = flag.String("worker-id", "", "this worker's name in cluster state (worker role; default host-pid)")
 		poll     = flag.Duration("poll", cluster.DefaultPoll, "idle lease-poll interval (worker role)")
 
-		journalPath  = flag.String("journal", "", "write-ahead journal for durable job state (coordinator role; empty = <store>/journal.ndjson when -store is set, \"off\" = disabled)")
-		standbyURL   = flag.String("standby", "", "primary coordinator base URL to stand by for (coordinator role: serve 503 until the primary goes dark, then replay the journal and promote)")
-		standbyProbe = flag.Duration("standby-probe", cluster.DefaultStandbyProbe, "primary healthz probe interval (standby)")
-		standbyFails = flag.Int("standby-fails", cluster.DefaultStandbyFailures, "consecutive failed probes before standby promotion")
+		journalPath = flag.String("journal", "", "write-ahead journal for durable job state (coordinator role; empty = <store>/journal.ndjson when -store is set, \"off\" = disabled)")
 	)
 	flag.Parse()
 
@@ -102,13 +95,8 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -role %q (want standalone, coordinator, or worker)", *role))
 	}
-	if *role != "coordinator" {
-		if *journalPath != "" {
-			fatal(errors.New("-journal requires -role coordinator"))
-		}
-		if *standbyURL != "" {
-			fatal(errors.New("-standby requires -role coordinator"))
-		}
+	if *role != "coordinator" && *journalPath != "" {
+		fatal(errors.New("-journal requires -role coordinator"))
 	}
 	jpath := *journalPath
 	switch {
@@ -118,121 +106,62 @@ func main() {
 		jpath = filepath.Join(*storeDir, "journal.ndjson")
 	}
 
-	// boot assembles one full serving stack: journal (replayed), cluster
-	// coordinator, scheduler with restored jobs, and the mounted handler.
-	// The primary path runs it at startup; the standby path defers it
-	// until promotion.
-	boot := func() (*service.Service, *cluster.Coordinator, http.Handler, error) {
-		cfg := service.Config{
-			Workers: *workers, QueueDepth: *queue, Runners: *runners,
-			CacheEntries: *cache, StoreDir: *storeDir,
-		}
-		var coord *cluster.Coordinator
-		var jnl *cluster.Journal
-		if *role == "coordinator" {
-			if jpath != "" {
-				var err error
-				if jnl, err = cluster.OpenJournal(jpath); err != nil {
-					return nil, nil, nil, err
-				}
-				fmt.Fprintf(os.Stderr, "renoserve: journal at %s (%d in-flight sweeps recovered)\n", jpath, len(jnl.Recovered()))
-			}
-			coord = cluster.NewCoordinator(cluster.CoordinatorConfig{LeaseTTL: *leaseTTL, Journal: jnl})
-			cfg.Dispatcher = coord
-		}
-		svc, err := service.New(cfg)
-		if err != nil {
-			if coord != nil {
-				coord.Close()
-			}
-			return nil, nil, nil, err
-		}
-		if jnl != nil {
-			// Re-enqueue the journaled in-flight sweeps under their
-			// original IDs before the listener opens; each dispatch's
-			// cache pass then resolves every cell whose result already
-			// reached the store, so recovery re-simulates nothing twice.
-			for _, rs := range jnl.Recovered() {
-				if _, err := svc.Restore(rs.ID, rs.Spec); err != nil {
-					fmt.Fprintf(os.Stderr, "renoserve: restore %s: %v\n", rs.ID, err)
-					continue
-				}
-				fmt.Fprintf(os.Stderr, "renoserve: restored %s (%d cells already settled)\n", rs.ID, len(rs.Settled))
-			}
-		}
-		h := service.NewHandler(svc)
-		if coord != nil {
-			// One listener serves both planes: the public API and, under
-			// /v1/cluster/, the worker-facing protocol.
-			mux := http.NewServeMux()
-			mux.Handle("/v1/cluster/", coord.Handler())
-			mux.Handle("/", h)
-			h = mux
-		}
-		return svc, coord, h, nil
+	// Assemble the serving stack: journal (replayed), cluster coordinator,
+	// scheduler with restored jobs, and the mounted handler.
+	cfg := service.Config{
+		Workers: *workers, QueueDepth: *queue, Runners: *runners,
+		CacheEntries: *cache, StoreDir: *storeDir,
 	}
-
-	// The handler is swappable so a standby can replace its 503 surface
-	// with the full API atomically at promotion, on the same listener.
-	var handler atomic.Value // http.Handler
-	root := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		handler.Load().(http.Handler).ServeHTTP(w, r)
-	})
-	srv := &http.Server{Addr: *addr, Handler: root}
+	var coord *cluster.Coordinator
+	var jnl *cluster.Journal
+	if *role == "coordinator" {
+		if jpath != "" {
+			var err error
+			if jnl, err = cluster.OpenJournal(jpath); err != nil {
+				fatal(err)
+			}
+			fmt.Fprintf(os.Stderr, "renoserve: journal at %s (%d in-flight sweeps recovered)\n", jpath, len(jnl.Recovered()))
+		}
+		coord = cluster.NewCoordinator(cluster.CoordinatorConfig{LeaseTTL: *leaseTTL, Journal: jnl})
+		cfg.Dispatcher = coord
+	}
+	svc, err := service.New(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	if jnl != nil {
+		// Re-enqueue the journaled in-flight sweeps under their original
+		// IDs before the listener opens; each dispatch's cache pass then
+		// resolves every cell whose result already reached the store, so
+		// recovery re-simulates nothing twice.
+		for _, rs := range jnl.Recovered() {
+			if _, err := svc.Restore(rs.ID, rs.Spec); err != nil {
+				fmt.Fprintf(os.Stderr, "renoserve: restore %s: %v\n", rs.ID, err)
+				continue
+			}
+			fmt.Fprintf(os.Stderr, "renoserve: restored %s\n", rs.ID)
+		}
+	}
+	handler := service.NewHandler(svc)
+	if coord != nil {
+		// One listener serves both planes: the public API and, under
+		// /v1/cluster/, the worker-facing protocol.
+		mux := http.NewServeMux()
+		mux.Handle("/v1/cluster/", coord.Handler())
+		mux.Handle("/", handler)
+		handler = mux
+	}
+	srv := &http.Server{Addr: *addr, Handler: handler}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	// active is the currently serving stack; a standby has none until it
-	// promotes, so shutdown consults this under the lock.
-	var activeMu sync.Mutex
-	var activeSvc *service.Service
-	var activeCoord *cluster.Coordinator
-
-	if *standbyURL == "" {
-		svc, coord, h, err := boot()
-		if err != nil {
-			fatal(err)
-		}
-		activeSvc, activeCoord = svc, coord
-		handler.Store(http.Handler(h))
-	} else {
-		watcher, err := cluster.NewStandby(cluster.StandbyConfig{
-			Primary: strings.TrimRight(*standbyURL, "/"), Probe: *standbyProbe, Failures: *standbyFails,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		handler.Store(standbyHandler(watcher))
-		go func() {
-			if err := watcher.Run(ctx); err != nil {
-				return // shutting down before the primary died
-			}
-			fmt.Fprintf(os.Stderr, "renoserve: primary %s dark for %d probes, promoting\n", *standbyURL, *standbyFails)
-			svc, coord, h, err := boot()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "renoserve: promotion failed: %v\n", err)
-				stop()
-				return
-			}
-			activeMu.Lock()
-			activeSvc, activeCoord = svc, coord
-			activeMu.Unlock()
-			handler.Store(http.Handler(h))
-			fmt.Fprintf(os.Stderr, "renoserve: promoted, serving as coordinator on %s\n", *addr)
-		}()
-	}
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	if *storeDir != "" {
 		fmt.Fprintf(os.Stderr, "renoserve: result store at %s\n", *storeDir)
 	}
-	if *standbyURL != "" {
-		fmt.Fprintf(os.Stderr, "renoserve: standby for %s listening on %s\n", *standbyURL, *addr)
-	} else {
-		fmt.Fprintf(os.Stderr, "renoserve: %s listening on %s\n", *role, *addr)
-	}
+	fmt.Fprintf(os.Stderr, "renoserve: %s listening on %s\n", *role, *addr)
 
 	select {
 	case err := <-errc:
@@ -240,22 +169,16 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	activeMu.Lock()
-	svc, coord := activeSvc, activeCoord
-	activeMu.Unlock()
-
 	// Shutdown ordering: stop intake before anything else, so submissions
 	// racing the signal get a clean 503 + Retry-After (not a reset) while
 	// the listener keeps serving status, results, and event streams for
-	// the jobs still draining. An unpromoted standby has nothing to drain.
-	if svc != nil {
-		svc.StopIntake()
-		fmt.Fprintf(os.Stderr, "renoserve: draining (budget %s)\n", *drain)
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := svc.Close(dctx); err != nil {
-			fmt.Fprintf(os.Stderr, "renoserve: drain budget exceeded, in-flight runs cancelled\n")
-		}
+	// the jobs still draining.
+	svc.StopIntake()
+	fmt.Fprintf(os.Stderr, "renoserve: draining (budget %s)\n", *drain)
+	dctx, cancel := context.WithTimeout(context.Background(), *drain)
+	defer cancel()
+	if err := svc.Close(dctx); err != nil {
+		fmt.Fprintf(os.Stderr, "renoserve: drain budget exceeded, in-flight runs cancelled\n")
 	}
 	if coord != nil {
 		// After the drain every sweep is settled and journaled done; this
@@ -273,40 +196,15 @@ func main() {
 	fmt.Fprintln(os.Stderr, "renoserve: stopped")
 }
 
-// standbyHandler is the surface an unpromoted standby serves: its own
-// healthz (status "standby", with watcher counters), and 503 + Retry-After
-// for everything else — which is precisely what makes workers' -peers
-// rotation bounce off it and back to the primary until promotion.
-func standbyHandler(watcher *cluster.Standby) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		json.NewEncoder(w).Encode(struct {
-			Status  string               `json:"status"`
-			Role    string               `json:"role"`
-			Build   service.Build        `json:"build"`
-			Standby cluster.StandbyStats `json:"standby"`
-		}{"standby", "coordinator", service.BuildIdentity(), watcher.Stats()})
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "standby: not promoted", http.StatusServiceUnavailable)
-	})
-	return mux
-}
-
 // runWorker runs the worker role: no scheduler, no public sweep API — just
-// the pull loop against the coordinators plus a /v1/healthz of its own.
+// the pull loop against the coordinator plus a /v1/healthz of its own.
 func runWorker(addr, peers, id string, capacity int, poll time.Duration, storeDir string) {
-	var coords []string
-	for _, p := range strings.Split(peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			coords = append(coords, strings.TrimRight(p, "/"))
-		}
-	}
-	if len(coords) == 0 {
+	coord := strings.TrimRight(strings.TrimSpace(peers), "/")
+	if coord == "" {
 		fatal(errors.New("worker role requires -peers http://coordinator:port"))
+	}
+	if strings.Contains(coord, ",") {
+		fatal(fmt.Errorf("-peers %q: only one coordinator is supported", peers))
 	}
 	if id == "" {
 		host, _ := os.Hostname()
@@ -325,7 +223,7 @@ func runWorker(addr, peers, id string, capacity int, poll time.Duration, storeDi
 		fmt.Fprintf(os.Stderr, "renoserve: result store at %s\n", storeDir)
 	}
 	w, err := cluster.NewWorker(cluster.WorkerConfig{
-		ID: id, Coordinators: coords, Capacity: capacity, Poll: poll, Store: store,
+		ID: id, Coordinator: coord, Capacity: capacity, Poll: poll, Store: store,
 	})
 	if err != nil {
 		fatal(err)
@@ -337,7 +235,7 @@ func runWorker(addr, peers, id string, capacity int, poll time.Duration, storeDi
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "renoserve: worker %s polling %s, listening on %s\n", id, strings.Join(coords, ","), addr)
+	fmt.Fprintf(os.Stderr, "renoserve: worker %s polling %s, listening on %s\n", id, coord, addr)
 
 	done := make(chan struct{})
 	go func() { w.Run(ctx); close(done) }()

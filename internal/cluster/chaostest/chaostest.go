@@ -1,10 +1,10 @@
 // Package chaostest drives real renoserve processes through fault
 // schedules — worker SIGKILL, coordinator SIGKILL plus restart on the
-// same journal, primary death with standby promotion, and seeded
-// drop/duplicate/delay faults on the worker↔coordinator HTTP path — and
-// asserts the one property every schedule must preserve: the final sweep
-// envelope is byte-identical to a standalone `renosweep -stable` run of
-// the same grid.
+// same journal, a second coordinator taking over the first one's journal,
+// and seeded drop/duplicate/delay faults on the worker↔coordinator HTTP
+// path — and asserts the one property every schedule must preserve: the
+// final sweep envelope is byte-identical to a standalone
+// `renosweep -stable` run of the same grid.
 //
 // The package is a small process-and-HTTP toolkit (Proc, Client,
 // FaultTransport); the schedules themselves live in its test files and
@@ -90,8 +90,8 @@ func FreeAddr() (string, error) {
 
 // Client speaks the renoserve public API, with the retry posture a chaos
 // harness needs: every call tolerates the server being mid-crash, and
-// the polling calls keep going while a coordinator restarts or a standby
-// promotes underneath them.
+// the polling calls keep going while a coordinator restarts underneath
+// them.
 type Client struct {
 	Base string
 	HTTP *http.Client
@@ -103,7 +103,7 @@ func NewClient(base string) *Client {
 }
 
 // WaitHealthy polls /v1/healthz until it answers 200 with the given
-// status ("ok" for a serving node, "standby" for an unpromoted standby).
+// status ("ok" for a serving node).
 func (c *Client) WaitHealthy(status string, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {

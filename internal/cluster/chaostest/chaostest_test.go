@@ -140,10 +140,10 @@ func freeAddr(t *testing.T) string {
 	return a
 }
 
-func startWorkerProc(t *testing.T, id, addr string, peers ...string) *Proc {
+func startWorkerProc(t *testing.T, id, addr, coordinator string) *Proc {
 	t.Helper()
 	return startServe(t, id,
-		"-role", "worker", "-addr", addr, "-peers", strings.Join(peers, ","),
+		"-role", "worker", "-addr", addr, "-peers", coordinator,
 		"-worker-id", id, "-workers", "2", "-poll", "25ms")
 }
 
@@ -285,43 +285,48 @@ func TestCoordinatorKill9Restart(t *testing.T) {
 	coord2.Stop(30 * time.Second)
 }
 
-// TestStandbyPromotion: a standby coordinator tails the primary's
-// health, promotes when it is SIGKILLed, replays the shared journal, and
-// the workers' peer rotation finishes the sweep on it transparently.
-func TestStandbyPromotion(t *testing.T) {
+// TestSecondCoordinatorFencesFirst: two coordinators started on one
+// -store share its default journal path. The second one's start-up
+// compaction takes the journal over, so the first must refuse new sweeps
+// with 503 rather than acknowledge jobs no restart would recover, while
+// the second runs a sweep to the CLI's exact envelope.
+func TestSecondCoordinatorFencesFirst(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
 	}
 	grid := chaosGrid()
 	_, want := referenceBytes(t, grid)
 	store := t.TempDir()
-	primaryAddr, standbyAddr := freeAddr(t), freeAddr(t)
+	firstAddr, secondAddr := freeAddr(t), freeAddr(t)
 
-	primary := startServe(t, "primary",
-		"-role", "coordinator", "-addr", primaryAddr, "-lease-ttl", "1s", "-store", store)
-	standby := startServe(t, "standby",
-		"-role", "coordinator", "-addr", standbyAddr, "-lease-ttl", "1s", "-store", store,
-		"-standby", "http://"+primaryAddr, "-standby-probe", "50ms", "-standby-fails", "3")
-	w1 := startWorkerProc(t, "w1", freeAddr(t), "http://"+primaryAddr, "http://"+standbyAddr)
-	w2 := startWorkerProc(t, "w2", freeAddr(t), "http://"+primaryAddr, "http://"+standbyAddr)
-
-	pc, sc := NewClient("http://"+primaryAddr), NewClient("http://"+standbyAddr)
-	if err := pc.WaitHealthy("ok", 15*time.Second); err != nil {
+	first := startServe(t, "coord-first",
+		"-role", "coordinator", "-addr", firstAddr, "-lease-ttl", "1s", "-store", store)
+	fc := NewClient("http://" + firstAddr)
+	if err := fc.WaitHealthy("ok", 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.WaitHealthy("standby", 15*time.Second); err != nil {
+	second := startServe(t, "coord-second",
+		"-role", "coordinator", "-addr", secondAddr, "-lease-ttl", "1s", "-store", store)
+	sc := NewClient("http://" + secondAddr)
+	if err := sc.WaitHealthy("ok", 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	id, err := pc.Submit(grid)
+
+	resp, err := fc.HTTP.Post(fc.Base+"/v1/sweeps", "application/json", bytes.NewReader(grid))
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitSettled(t, pc, id, 1)
-	primary.Kill9()
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit to the displaced coordinator answered %s, want 503", resp.Status)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("displaced coordinator's 503 has no Retry-After header")
+	}
 
-	// Promotion: the standby's healthz flips from "standby" to "ok" once
-	// it has replayed the journal and restored the sweep.
-	if err := sc.WaitHealthy("ok", 30*time.Second); err != nil {
+	w := startWorkerProc(t, "w1", freeAddr(t), "http://"+secondAddr)
+	id, err := sc.Submit(grid)
+	if err != nil {
 		t.Fatal(err)
 	}
 	st, err := sc.WaitState(id, 3*time.Minute)
@@ -329,13 +334,13 @@ func TestStandbyPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st["state"] != "done" {
-		t.Fatalf("sweep on promoted standby ended %v: %v", st["state"], st)
+		t.Fatalf("sweep on the journal's owner ended %v: %v", st["state"], st)
 	}
 	assertEnvelope(t, sc, id, want)
 
-	w1.Stop(10 * time.Second)
-	w2.Stop(10 * time.Second)
-	standby.Stop(30 * time.Second)
+	w.Stop(10 * time.Second)
+	second.Stop(30 * time.Second)
+	first.Stop(30 * time.Second)
 }
 
 // TestFaultScheduleByteIdentity runs in-process workers whose HTTP path
@@ -375,7 +380,7 @@ func TestFaultScheduleByteIdentity(t *testing.T) {
 				}, nil)
 				transports[i] = ft
 				w, err := cluster.NewWorker(cluster.WorkerConfig{
-					ID: fmt.Sprintf("chaos-w%d", i), Coordinators: []string{ts.URL},
+					ID: fmt.Sprintf("chaos-w%d", i), Coordinator: ts.URL,
 					Capacity: 2, Poll: 10 * time.Millisecond, Seed: seed + int64(i),
 					Client: &http.Client{Timeout: 5 * time.Second, Transport: ft},
 				})

@@ -26,13 +26,13 @@
 // correctness — and never a double-counted result.
 //
 // Coordinator state is durable when a write-ahead Journal is configured:
-// job submissions, settled cells, completions, and lease transitions are
-// appended as NDJSON records, and a restarted coordinator (or a Standby
-// promoted after the primary goes dark) replays the journal, restores the
+// job submissions and completions are appended as NDJSON records, and a
+// coordinator restarted on the same journal replays it, restores the
 // in-flight sweeps, and resumes them — re-simulating nothing whose result
-// already reached the shared store. See journal.go/recover.go/standby.go
-// and the "Durability & failover" section of docs/cluster.md; the chaos
-// proof lives in internal/cluster/chaostest.
+// already reached the shared store. One live coordinator owns a journal;
+// each worker talks to exactly one coordinator. See journal.go/recover.go
+// and the "Durability" section of docs/cluster.md; the chaos proof lives
+// in internal/cluster/chaostest.
 //
 // Wall-clock enters this package only through the injected clock seam
 // (lease deadlines, worker liveness); every emitted result byte is a pure

@@ -49,7 +49,7 @@ func (tc *testCluster) startWorker(t *testing.T, id string, store service.Result
 func startWorkerAt(t *testing.T, url, id string, store service.ResultStore) (*Worker, context.CancelFunc) {
 	t.Helper()
 	w, err := NewWorker(WorkerConfig{
-		ID: id, Coordinators: []string{url}, Capacity: 2,
+		ID: id, Coordinator: url, Capacity: 2,
 		Poll: 10 * time.Millisecond, Store: store,
 	})
 	if err != nil {

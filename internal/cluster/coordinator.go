@@ -33,10 +33,10 @@ type CoordinatorConfig struct {
 	MaxAttempts int
 	// Clock substitutes a fake time source in tests; nil means time.Now.
 	Clock func() time.Time
-	// Journal, when non-nil, makes job state durable: submits, settled
-	// cells, completions, and lease transitions are logged so a restart
-	// resumes in-flight sweeps (see OpenJournal). The coordinator owns
-	// the journal from here on and closes it in Close.
+	// Journal, when non-nil, makes job state durable: submits and
+	// completions are logged so a restart resumes in-flight sweeps (see
+	// OpenJournal). The coordinator owns the journal from here on and
+	// closes it in Close.
 	Journal *Journal
 }
 
@@ -127,7 +127,8 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 // closes the journal. It does not cancel in-flight dispatches — draining
 // those is the scheduler's job — and is idempotent and safe against
 // concurrent request handling: requests after Close still work, they just
-// lose journaling and background expiry (every request path also reaps).
+// lose background expiry (every request path also reaps) and done
+// records; a submit after Close is refused by the closed journal.
 func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() { close(c.stopCh) })
 	c.wg.Wait()
@@ -139,11 +140,12 @@ func (c *Coordinator) Close() error {
 
 // JournalSubmit implements service.Journaler: the scheduler records every
 // accepted job before queueing it, so jobs waiting for a runner survive a
-// crash too, not just jobs that reached Dispatch.
-func (c *Coordinator) JournalSubmit(id string, spec []byte) {
-	if c.journal != nil {
-		c.journal.submit(id, spec)
+// crash too, not just jobs that reached Dispatch. An error refuses the job.
+func (c *Coordinator) JournalSubmit(id string, spec []byte) error {
+	if c.journal == nil {
+		return nil
 	}
+	return c.journal.submit(id, spec)
 }
 
 // JournalSettled implements service.Journaler: a job that reached a
@@ -175,12 +177,6 @@ func (c *Coordinator) Dispatch(ctx context.Context, id string, spec []byte, jobs
 	}
 	for i, j := range jobs {
 		d.keys[i] = j.Key(opts)
-	}
-	// Journal the submission before the cache pass so a crash at any
-	// later point recovers the sweep. (A no-op when the scheduler already
-	// recorded it at intake — the journal collapses duplicate submits.)
-	if c.journal != nil {
-		c.journal.submit(id, spec)
 	}
 	// Serial cache pass before anything executes, mirroring the pool: a
 	// fully cached resubmission returns here without a single lease.
@@ -314,9 +310,6 @@ func (c *Coordinator) reapLocked() {
 		if d.publish != nil {
 			d.publish(service.Event{Type: "lease", Lease: ex.id, Worker: ex.worker, Cells: requeued, Action: "expired"})
 		}
-		if c.journal != nil {
-			c.journal.lease("expire", ex.sweep, ex.id, ex.worker, nil)
-		}
 	}
 }
 
@@ -342,9 +335,6 @@ func (c *Coordinator) grant(req LeaseRequest) (LeaseGrant, bool) {
 		if d.publish != nil {
 			d.publish(service.Event{Type: "lease", Lease: lid, Worker: req.Worker, Cells: len(cells), Action: "granted"})
 		}
-		if c.journal != nil {
-			c.journal.lease("grant", id, lid, req.Worker, cells)
-		}
 		return LeaseGrant{Lease: lid, Sweep: id, Spec: d.spec, Cells: cells, TTLMillis: c.ttl.Milliseconds()}, true
 	}
 	st, ok := c.leases.Steal(req.Worker)
@@ -355,9 +345,6 @@ func (c *Coordinator) grant(req LeaseRequest) (LeaseGrant, bool) {
 	if d := c.sweeps[st.sweep]; d != nil && d.publish != nil {
 		d.publish(service.Event{Type: "lease", Lease: st.victimLease, Worker: st.victimWorker, Cells: len(st.cells), Action: "stolen"})
 		d.publish(service.Event{Type: "lease", Lease: st.id, Worker: req.Worker, Cells: len(st.cells), Action: "granted"})
-	}
-	if c.journal != nil {
-		c.journal.lease("steal", st.sweep, st.id, req.Worker, st.cells)
 	}
 	return LeaseGrant{Lease: st.id, Sweep: st.sweep, Spec: c.sweeps[st.sweep].spec, Cells: st.cells, TTLMillis: c.ttl.Milliseconds(), Stolen: true}, true
 }
@@ -370,9 +357,6 @@ func (c *Coordinator) heartbeat(req Heartbeat) (HeartbeatReply, bool) {
 	c.touchLocked(req.Worker)
 	c.reapLocked()
 	left, ok := c.leases.Renew(req.Lease)
-	if ok && c.journal != nil {
-		c.journal.lease("renew", "", req.Lease, req.Worker, nil)
-	}
 	return HeartbeatReply{CellsLeft: left}, ok
 }
 
@@ -423,9 +407,6 @@ func (c *Coordinator) upload(req UploadRequest) UploadReply {
 func (c *Coordinator) settleCellLocked(d *dispatch, cell int, r *sweep.Result, worker string) {
 	d.results[cell] = r
 	c.leases.CompleteCell(d.id, cell)
-	if c.journal != nil {
-		c.journal.cell(d.id, cell, d.keys[cell], r.Err)
-	}
 	if w := c.workers[worker]; w != nil {
 		w.cellsDone++
 	}

@@ -2,48 +2,57 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"reno/internal/service"
 )
 
 // The write-ahead journal makes coordinator job state durable: every job
-// submission, lease transition, settled cell, and job completion is an
-// appended NDJSON record, so a coordinator restart (or a promoted standby
-// sharing the journal's filesystem) can reconstruct which sweeps were in
-// flight and resume them instead of losing them. Only the submit/cell/done
-// records carry recovery semantics — replay is in recover.go — while the
-// lease records are a scheduling audit trail. The journal never stores
-// result payloads: completed cells live in the content-addressed result
-// store, and a resumed sweep's cache pass re-resolves them by run key,
-// which is exactly how replay "skips cells already present in the store".
+// submission and job completion is an appended NDJSON record, so a
+// coordinator restarted on the same journal can reconstruct which sweeps
+// were in flight and resume them instead of losing them. Replay is in
+// recover.go. The journal never stores result payloads or per-cell state:
+// completed cells live in the content-addressed result store, and a
+// resumed sweep's cache pass re-resolves them by run key, which is exactly
+// how replay "skips cells already present in the store".
+//
+// One live coordinator owns a journal. Opening a journal compacts it by
+// renaming a fresh file over the path, so a second coordinator opened on
+// the same path orphans the first one's file; the first then refuses
+// every submit (see Journal.submit) rather than acknowledge a job that no
+// restart would recover.
 
-// journalRecord is one NDJSON line of the write-ahead journal. Type is one
-// of submit, grant, renew, expire, steal, cell, done; every other field is
-// populated only where it applies.
+// journalRecord is one NDJSON line of the write-ahead journal. Type is
+// submit or done; Spec is set on submit only. Journals written by older
+// builds also hold lease and cell records, which replay skips.
 type journalRecord struct {
-	Type   string          `json:"type"`
-	Sweep  string          `json:"sweep,omitempty"`
-	Spec   json.RawMessage `json:"spec,omitempty"`
-	Lease  string          `json:"lease,omitempty"`
-	Worker string          `json:"worker,omitempty"`
-	Cells  []int           `json:"cells,omitempty"`
-	Cell   *int            `json:"cell,omitempty"`
-	Key    string          `json:"key,omitempty"`
-	Err    string          `json:"error,omitempty"`
+	Type  string          `json:"type"`
+	Sweep string          `json:"sweep,omitempty"`
+	Spec  json.RawMessage `json:"spec,omitempty"`
 }
 
-// Journal is the coordinator's append-only write-ahead log. Appends are
-// best-effort in the same spirit as ResultStore.Put: an append that cannot
-// land is counted, never surfaced on the scheduling path — durability
-// degrades, correctness does not. Records that decide recovery (submit,
-// cell, done) are fsynced; lease audit records are buffered writes.
+// ErrJournalReplaced reports that the journal's path no longer names the
+// file this coordinator appends to: another coordinator opened the same
+// journal and compacted it, so submits written here would never be
+// replayed.
+var ErrJournalReplaced = errors.New("journal file was replaced by another coordinator; only one live coordinator may own a journal")
+
+// Journal is the coordinator's append-only write-ahead log. Submit records
+// are the durability contract: one that cannot land (closed journal,
+// replaced file, failed write or fsync) is an error the scheduler turns
+// into a refused job. Done records are best-effort in the same spirit as
+// ResultStore.Put: a lost one is counted, and at worst a finished sweep is
+// restored and served from the store on the next start.
 type Journal struct {
 	path string
 
 	mu        sync.Mutex
 	f         *os.File        // guarded by mu; nil once closed
+	fi        os.FileInfo     // guarded by mu; identity of f, for the one-owner fence
 	seen      map[string]bool // guarded by mu; sweep ids with a live submit record
 	records   uint64          // guarded by mu
 	bytes     int64           // guarded by mu
@@ -53,31 +62,37 @@ type Journal struct {
 	recovered []RecoveredSweep
 }
 
-// OpenJournal opens (creating if needed) the journal at path, replays any
-// existing records to reconstruct the incomplete sweeps — available from
-// Recovered, in submission order — and compacts the file down to exactly
-// those sweeps' records before reopening it for appends. A torn final
+// OpenJournal opens (creating it and its directory if needed) the journal
+// at path, replays any existing records to reconstruct the incomplete
+// sweeps — available from Recovered, in submission order — and compacts
+// the file down to exactly those sweeps' records before reopening it for
+// appends. A torn final
 // line (the crash happened mid-append) and corrupt lines are skipped, not
-// fatal: the journal trades completeness of the audit trail for never
-// refusing to start.
+// fatal: the journal gives up an unreadable record rather than refuse to
+// start.
 func OpenJournal(path string) (*Journal, error) {
-	st, err := replayPath(path)
+	recovered, err := replayPath(path)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{path: path, seen: make(map[string]bool), recovered: st.incomplete()}
-	if err := j.compact(st); err != nil {
+	j := &Journal{path: path, seen: make(map[string]bool), recovered: recovered}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	if err := j.compact(); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j.mu.Lock()
-	j.f = f
-	if fi, err := f.Stat(); err == nil {
-		j.bytes = fi.Size()
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("journal: %w", err)
 	}
+	j.mu.Lock()
+	j.f, j.fi, j.bytes = f, fi, fi.Size()
 	for _, rs := range j.recovered {
 		j.seen[rs.ID] = true
 	}
@@ -86,33 +101,25 @@ func OpenJournal(path string) (*Journal, error) {
 }
 
 // compact rewrites the journal to hold only the incomplete sweeps'
-// submit and cell records (atomically, via temp + rename in the same
+// submit records (atomically, via temp + rename in the same
 // directory), so completed sweeps stop costing replay time and disk
 // across restarts. A journal that replays empty becomes an empty file.
-func (j *Journal) compact(st *replayState) error {
+func (j *Journal) compact() error {
 	dir := filepath.Dir(j.path)
 	tmp, err := os.CreateTemp(dir, ".journal-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	for _, rs := range st.incomplete() {
-		recs := []journalRecord{{Type: "submit", Sweep: rs.ID, Spec: rs.Spec}}
-		for _, cell := range rs.SettledCells() {
-			cell := cell
-			out := rs.Settled[cell]
-			recs = append(recs, journalRecord{Type: "cell", Sweep: rs.ID, Cell: &cell, Key: out.Key, Err: out.Err})
+	for _, rs := range j.recovered {
+		data, err := json.Marshal(journalRecord{Type: "submit", Sweep: rs.ID, Spec: rs.Spec})
+		if err != nil {
+			tmp.Close()
+			return err
 		}
-		for _, rec := range recs {
-			data, err := json.Marshal(rec)
-			if err != nil {
-				tmp.Close()
-				return err
-			}
-			if _, err := tmp.Write(append(data, '\n')); err != nil {
-				tmp.Close()
-				return err
-			}
+		if _, err := tmp.Write(append(data, '\n')); err != nil {
+			tmp.Close()
+			return err
 		}
 	}
 	if err := tmp.Sync(); err != nil {
@@ -150,8 +157,8 @@ func (j *Journal) Stats() JournalStats {
 	}
 }
 
-// Close syncs and closes the journal; later appends are dropped (and
-// counted), not errors. Idempotent.
+// Close syncs and closes the journal; later submits fail and later done
+// records are dropped and counted. Idempotent.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -168,59 +175,74 @@ func (j *Journal) Close() error {
 
 // submit records a job's intake. The spec is the verbatim grid JSON; the
 // record is fsynced before submit returns, so an acknowledged submission
-// survives kill -9. Duplicate submits of one sweep (service intake first,
-// Dispatch again later) collapse to the first record.
-func (j *Journal) submit(id string, spec []byte) {
+// survives kill -9. A sweep already on record (a recovered job, whose
+// submit line survived compaction) is not written twice: submit answers
+// service.ErrRecorded. Every call first checks that this coordinator still
+// owns the journal: it fails with ErrJournalReplaced once another
+// coordinator has compacted a new file over the path.
+func (j *Journal) submit(id string, spec []byte) error {
+	data, err := json.Marshal(journalRecord{Type: "submit", Sweep: id, Spec: json.RawMessage(spec)})
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
 	j.mu.Lock()
-	dup := j.seen[id]
-	if !dup {
-		j.seen[id] = true
+	defer j.mu.Unlock()
+	if err := j.ownedLocked(); err != nil {
+		j.appendErr++
+		return err
 	}
-	j.mu.Unlock()
-	if dup {
-		return
+	if j.seen[id] {
+		return service.ErrRecorded
 	}
-	j.append(journalRecord{Type: "submit", Sweep: id, Spec: json.RawMessage(spec)}, true)
+	if err := j.writeLocked(data); err != nil {
+		return err
+	}
+	j.seen[id] = true
+	return nil
 }
 
-// cell records one settled cell: its run key and, for a cell that settled
-// failed, the failure message. Fsynced — replay must never resurrect a
-// settled failure as pending work beyond the attempt budget.
-func (j *Journal) cell(sweep string, cell int, key, errMsg string) {
-	j.append(journalRecord{Type: "cell", Sweep: sweep, Cell: &cell, Key: key, Err: errMsg}, true)
+// ownedLocked checks that the journal is open and that its path still
+// names the open file.
+func (j *Journal) ownedLocked() error {
+	if j.f == nil {
+		return errors.New("journal: closed")
+	}
+	cur, err := os.Stat(j.path)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	if !os.SameFile(j.fi, cur) {
+		return ErrJournalReplaced
+	}
+	return nil
 }
 
 // done records a sweep reaching a terminal state (completed or cancelled);
 // replay drops done sweeps and the next compaction reclaims their records.
+// A failure is counted in AppendErrors, not returned.
 func (j *Journal) done(sweep string) {
-	j.append(journalRecord{Type: "done", Sweep: sweep}, true)
-}
-
-// lease records a lease transition (grant, renew, expire, steal) — audit
-// only, so the write is buffered, not fsynced.
-func (j *Journal) lease(action, sweep, lease, worker string, cells []int) {
-	j.append(journalRecord{Type: action, Sweep: sweep, Lease: lease, Worker: worker, Cells: cells}, false)
-}
-
-// append marshals and writes one record; sync forces it to disk. All
-// failure modes are counted in AppendErrors and otherwise swallowed.
-func (j *Journal) append(rec journalRecord, sync bool) {
-	data, err := json.Marshal(rec)
+	data, err := json.Marshal(journalRecord{Type: "done", Sweep: sweep})
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err != nil || j.f == nil {
 		j.appendErr++
 		return
 	}
+	_ = j.writeLocked(data) // counted in AppendErrors; a done is best-effort
+}
+
+// writeLocked appends one marshalled record and fsyncs it. A failure is
+// counted in AppendErrors and returned.
+func (j *Journal) writeLocked(data []byte) error {
 	if _, err := j.f.Write(append(data, '\n')); err != nil {
 		j.appendErr++
-		return
+		return fmt.Errorf("journal: %w", err)
 	}
 	j.records++
 	j.bytes += int64(len(data) + 1)
-	if sync {
-		if err := j.f.Sync(); err != nil {
-			j.appendErr++
-		}
+	if err := j.f.Sync(); err != nil {
+		j.appendErr++
+		return fmt.Errorf("journal: %w", err)
 	}
+	return nil
 }

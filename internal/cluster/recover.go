@@ -7,70 +7,29 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"sort"
 )
 
 // Replay-on-start: OpenJournal feeds the journal file through
 // replayJournal, which folds the record stream into the set of sweeps
 // that were submitted but never reached a terminal state. Those are the
-// sweeps a restarted coordinator (or a promoted standby) must resume.
-
-// CellOutcome is the settled state of one cell as recorded in the
-// journal: the run key it settled under, and the failure message when it
-// settled failed (empty Err means the keyed result is in the store).
-type CellOutcome struct {
-	Key string
-	Err string
-}
+// sweeps a restarted coordinator must resume.
 
 // RecoveredSweep is one incomplete sweep reconstructed from the journal:
-// its id, the verbatim grid spec it was submitted with, and the cells
-// that had already settled. Restoring it (service.Restore) re-runs the
-// grid; the dispatch cache pass resolves every settled cell from the
-// result store by key, so only genuinely unfinished cells are leased out
-// again.
+// its id and the verbatim grid spec it was submitted with. Restoring it
+// (service.Restore) re-runs the grid; the dispatch cache pass resolves
+// every cell whose result already reached the store by key, so only
+// genuinely unfinished cells are leased out again.
 type RecoveredSweep struct {
-	ID      string
-	Spec    json.RawMessage
-	Settled map[int]CellOutcome
-}
-
-// SettledCells returns the settled cell indices in ascending order.
-func (rs *RecoveredSweep) SettledCells() []int {
-	cells := make([]int, 0, len(rs.Settled))
-	for cell := range rs.Settled {
-		cells = append(cells, cell)
-	}
-	sort.Ints(cells)
-	return cells
-}
-
-// replayState accumulates the journal fold: sweeps in submission order,
-// minus the ones that reached done.
-type replayState struct {
-	sweeps map[string]*RecoveredSweep
-	order  []string
-	lines  int // decoded records
-	skips  int // undecodable lines (torn tail, corruption)
-}
-
-// incomplete returns the recovered sweeps in submission order.
-func (st *replayState) incomplete() []RecoveredSweep {
-	out := make([]RecoveredSweep, 0, len(st.order))
-	for _, id := range st.order {
-		if rs, ok := st.sweeps[id]; ok {
-			out = append(out, *rs)
-		}
-	}
-	return out
+	ID   string
+	Spec json.RawMessage
 }
 
 // replayPath replays the journal at path; a missing file is an empty
 // journal, not an error.
-func replayPath(path string) (*replayState, error) {
+func replayPath(path string) ([]RecoveredSweep, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return replayJournal(nil)
+		return nil, nil
 	}
 	if err != nil {
 		return nil, err
@@ -83,73 +42,44 @@ func replayPath(path string) (*replayState, error) {
 // this by the service intake limit.
 const maxJournalLine = 4 << 20
 
-// replayJournal folds a journal record stream into the incomplete-sweep
-// set. Undecodable lines — a torn tail from a crash mid-append, or any
-// corruption — are counted and skipped: recovery prefers resuming with
-// what decodes over refusing to start. A nil reader replays empty.
-func replayJournal(r io.Reader) (*replayState, error) {
-	st := &replayState{sweeps: make(map[string]*RecoveredSweep)}
-	if r == nil {
-		return st, nil
-	}
+// replayJournal folds a journal record stream into the sweeps that were
+// submitted and never reached done, in submission order. Undecodable
+// lines (a torn tail from a crash mid-append, or any corruption) are
+// skipped: recovery prefers resuming with what decodes over refusing to
+// start. So are record types other than submit and done, which is how the
+// lease and cell records of journals written by older builds replay.
+func replayJournal(r io.Reader) ([]RecoveredSweep, error) {
+	live := make(map[string]json.RawMessage)
+	var order []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxJournalLine)
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
 		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Type == "" {
-			st.skips++
+		if json.Unmarshal(sc.Bytes(), &rec) != nil || rec.Sweep == "" {
 			continue
 		}
-		st.lines++
-		st.apply(rec)
-	}
-	if err := sc.Err(); err != nil {
-		// An over-long or unterminated final line is a torn tail, not a
-		// reason to refuse recovery of everything before it.
-		if errors.Is(err, bufio.ErrTooLong) {
-			st.skips++
-			return st, nil
+		switch rec.Type {
+		case "submit":
+			if _, dup := live[rec.Sweep]; dup || len(rec.Spec) == 0 {
+				continue
+			}
+			live[rec.Sweep] = append(json.RawMessage(nil), rec.Spec...)
+			order = append(order, rec.Sweep)
+		case "done":
+			delete(live, rec.Sweep)
 		}
+	}
+	// An over-long or unterminated final line is a torn tail, not a
+	// reason to refuse recovery of everything before it.
+	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
 		return nil, err
 	}
-	return st, nil
-}
-
-// apply folds one record into the state.
-func (st *replayState) apply(rec journalRecord) {
-	switch rec.Type {
-	case "submit":
-		if rec.Sweep == "" || len(rec.Spec) == 0 {
-			st.skips++
-			return
+	var out []RecoveredSweep
+	for _, id := range order {
+		if spec, ok := live[id]; ok {
+			out = append(out, RecoveredSweep{ID: id, Spec: spec})
+			delete(live, id) // a sweep submitted again after done is listed once
 		}
-		if _, ok := st.sweeps[rec.Sweep]; ok {
-			return // duplicate submit (intake + dispatch): first wins
-		}
-		st.sweeps[rec.Sweep] = &RecoveredSweep{
-			ID:      rec.Sweep,
-			Spec:    append(json.RawMessage(nil), rec.Spec...),
-			Settled: make(map[int]CellOutcome),
-		}
-		st.order = append(st.order, rec.Sweep)
-	case "cell":
-		rs, ok := st.sweeps[rec.Sweep]
-		if !ok || rec.Cell == nil {
-			st.skips++
-			return
-		}
-		rs.Settled[*rec.Cell] = CellOutcome{Key: rec.Key, Err: rec.Err}
-	case "done":
-		delete(st.sweeps, rec.Sweep)
-	case "grant", "renew", "expire", "steal":
-		// Lease transitions are an audit trail; scheduling state is
-		// rebuilt fresh — replay re-queues every unsettled cell and the
-		// normal lease protocol re-issues what expiry would have.
-	default:
-		st.skips++
 	}
+	return out, nil
 }

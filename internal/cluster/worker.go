@@ -20,14 +20,15 @@ import (
 // the coordinator has nothing to hand out.
 const DefaultPoll = 500 * time.Millisecond
 
-// WorkerConfig parameterizes a Worker; ID and at least one coordinator
-// address are required.
+// WorkerConfig parameterizes a Worker; ID and the coordinator address are
+// required.
 type WorkerConfig struct {
 	// ID names this worker in lease requests and cluster state.
 	ID string
-	// Coordinators are base URLs ("http://host:port"); the worker sticks
-	// with the first that answers and rotates on transport errors.
-	Coordinators []string
+	// Coordinator is the coordinator's base URL ("http://host:port"). A
+	// coordinator that restarts at the same address is found again by
+	// the worker's back-off and repoll.
+	Coordinator string
 	// Capacity is the local sweep pool width; <= 0 means GOMAXPROCS.
 	Capacity int
 	// Poll is the idle retry interval; zero means DefaultPoll.
@@ -71,7 +72,6 @@ type Worker struct {
 	started time.Time
 
 	mu    sync.Mutex
-	coord int         // guarded by mu
 	stats WorkerStats // guarded by mu
 	rng   *rand.Rand  // guarded by mu; seeded backoff jitter
 }
@@ -81,8 +81,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("cluster worker: empty worker id")
 	}
-	if len(cfg.Coordinators) == 0 {
-		return nil, fmt.Errorf("cluster worker: no coordinator addresses")
+	if cfg.Coordinator == "" {
+		return nil, fmt.Errorf("cluster worker: no coordinator address")
 	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = DefaultPoll
@@ -136,7 +136,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		grant, ok, err := w.requestLease(ctx)
 		if err != nil {
-			w.rotateCoordinator()
 			sleepCtx(ctx, backoff+w.jitter(backoff/2))
 			if backoff *= 2; backoff > maxBackoff {
 				backoff = maxBackoff
@@ -233,7 +232,6 @@ func (w *Worker) uploadCell(ctx context.Context, cancel context.CancelFunc, g *L
 		var rep UploadReply
 		status, err := w.post(ctx, "/v1/cluster/results", req, &rep)
 		if err != nil || status != http.StatusOK {
-			w.rotateCoordinator()
 			sleepCtx(ctx, time.Duration(attempt+1)*200*time.Millisecond)
 			if ctx.Err() != nil {
 				return
@@ -283,7 +281,6 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cancel context.CancelFunc, g
 			var rep HeartbeatReply
 			status, err := w.post(ctx, "/v1/cluster/heartbeat", Heartbeat{Worker: w.cfg.ID, Lease: g.Lease}, &rep)
 			if err != nil {
-				w.rotateCoordinator()
 				continue // transient; the TTL absorbs a missed beat
 			}
 			if status == http.StatusGone {
@@ -291,19 +288,11 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cancel context.CancelFunc, g
 				cancel()
 				return
 			}
-			if status >= http.StatusInternalServerError {
-				// 5xx is not a live coordinator: an unpromoted standby
-				// answers 503 on every cluster endpoint. Rotate so the
-				// next beat (and the post-batch lease request) lands on
-				// a peer that can actually renew.
-				w.rotateCoordinator()
-				continue
-			}
 		}
 	}
 }
 
-// requestLease asks the current coordinator for work. ok is false on an
+// requestLease asks the coordinator for work. ok is false on an
 // idle 204.
 func (w *Worker) requestLease(ctx context.Context) (*LeaseGrant, bool, error) {
 	var g LeaseGrant
@@ -321,14 +310,14 @@ func (w *Worker) requestLease(ctx context.Context) (*LeaseGrant, bool, error) {
 	}
 }
 
-// post sends one JSON request to the current coordinator and decodes a
+// post sends one JSON request to the coordinator and decodes a
 // 200 response into out.
 func (w *Worker) post(ctx context.Context, path string, body, out any) (int, error) {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.coordinator()+path, bytes.NewReader(data))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(data))
 	if err != nil {
 		return 0, err
 	}
@@ -345,20 +334,6 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) (int, err
 	}
 	io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode, nil
-}
-
-// coordinator returns the current coordinator base URL.
-func (w *Worker) coordinator() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.cfg.Coordinators[w.coord]
-}
-
-// rotateCoordinator fails over to the next configured coordinator.
-func (w *Worker) rotateCoordinator() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.coord = (w.coord + 1) % len(w.cfg.Coordinators)
 }
 
 // bump applies a counter update under the stats lock.

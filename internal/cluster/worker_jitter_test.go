@@ -12,7 +12,7 @@ import (
 func TestWorkerJitterSeeded(t *testing.T) {
 	draw := func(id string, seed int64) []time.Duration {
 		t.Helper()
-		w, err := NewWorker(WorkerConfig{ID: id, Coordinators: []string{"http://unused"}, Seed: seed})
+		w, err := NewWorker(WorkerConfig{ID: id, Coordinator: "http://unused", Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestWorkerJitterSeeded(t *testing.T) {
 		t.Error("workers a and b share an ID-derived jitter sequence")
 	}
 
-	w, err := NewWorker(WorkerConfig{ID: "z", Coordinators: []string{"http://unused"}})
+	w, err := NewWorker(WorkerConfig{ID: "z", Coordinator: "http://unused"})
 	if err != nil {
 		t.Fatal(err)
 	}

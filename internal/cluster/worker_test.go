@@ -44,7 +44,7 @@ func (f *fakeCoordinator) server(t *testing.T) *httptest.Server {
 
 func testWorker(t *testing.T, url string) *Worker {
 	t.Helper()
-	w, err := NewWorker(WorkerConfig{ID: "w1", Coordinators: []string{url}})
+	w, err := NewWorker(WorkerConfig{ID: "w1", Coordinator: url})
 	if err != nil {
 		t.Fatal(err)
 	}

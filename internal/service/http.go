@@ -70,9 +70,10 @@ func NewHandler(svc *Service) http.Handler {
 				code = http.StatusServiceUnavailable
 				w.Header().Set("Retry-After", "1")
 			}
-			if errors.Is(err, ErrClosed) {
-				// Draining: this instance stops intake for good; a clean
-				// refusal with a backoff hint, never a connection reset.
+			if errors.Is(err, ErrClosed) || errors.Is(err, ErrJournal) {
+				// Draining, or the job could not be made durable: this
+				// instance refuses intake; a clean refusal with a backoff
+				// hint, never a connection reset.
 				code = http.StatusServiceUnavailable
 				w.Header().Set("Retry-After", "5")
 			}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"reno/internal/sweep"
 	"reno/metrics"
 	"reno/sim"
 )
@@ -407,6 +409,44 @@ func TestDrainRefusesSubmissions(t *testing.T) {
 		dresp.Body.Close()
 	}
 	pollTerminal(t, ts, st.ID)
+}
+
+// refusingJournal is a Dispatcher whose journal refuses every submit, as
+// a cluster coordinator does once another coordinator owns its journal.
+type refusingJournal struct{}
+
+func (refusingJournal) Dispatch(context.Context, string, []byte, []sweep.Job, sweep.Options, func(Event)) []*sweep.Result {
+	panic("a refused job must never dispatch")
+}
+func (refusingJournal) JournalSubmit(string, []byte) error { return errors.New("journal replaced") }
+func (refusingJournal) JournalSettled(string)              {}
+
+// TestJournalRefusalIs503: a job the dispatcher cannot journal is refused
+// like a draining service's (503 + Retry-After), and leaves no job behind.
+func TestJournalRefusalIs503(t *testing.T) {
+	svc, ts := testServer(t, Config{Dispatcher: refusingJournal{}})
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json",
+		strings.NewReader(`{"benches":["gzip"],"max_insts":1000,"scale":0.1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("POST with a refusing journal: %d %s, want 503", resp.StatusCode, body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" {
+		t.Error("503 for a journal refusal has no Retry-After header")
+	}
+	if !strings.Contains(string(body), "journal") {
+		t.Errorf("refusal body %q does not name the journal", body)
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Errorf("refused submit left %d jobs behind", len(jobs))
+	}
+	if _, err := svc.Restore("sw-000007", []byte(`{"benches":["gzip"],"max_insts":1000,"scale":0.1}`)); !errors.Is(err, ErrJournal) {
+		t.Errorf("Restore with a refusing journal: %v, want ErrJournal", err)
+	}
 }
 
 // TestHTTPErrors pins the error surface: validation failures are 400s

@@ -339,9 +339,11 @@ type ClusterReporter interface {
 // Restore alike — before acknowledging it, so jobs still waiting for a
 // runner survive a crash, and records the one terminal transition that
 // never reaches Dispatch (a job cancelled while queued), so a restart
-// cannot resurrect it.
+// cannot resurrect it. JournalSubmit answers ErrRecorded for an ID that is
+// already on record (a recovered job Restore has not re-enqueued yet); any
+// other error refuses the job (ErrJournal).
 type Journaler interface {
-	JournalSubmit(id string, spec []byte)
+	JournalSubmit(id string, spec []byte) error
 	JournalSettled(id string)
 }
 
@@ -421,11 +423,18 @@ type Service struct {
 	pending []*Job
 }
 
-// Submission and lifecycle errors. HTTP maps both to 503; everything else
-// Submit returns is a validation error (400).
+// Submission and lifecycle errors. HTTP maps these to 503; everything
+// else Submit returns is a validation error (400).
 var (
 	ErrClosed    = errors.New("service is draining and no longer accepts jobs")
 	ErrQueueFull = errors.New("job queue is full")
+	// ErrJournal wraps the dispatcher's refusal to journal a job: the
+	// job is not accepted because a crash would lose it.
+	ErrJournal = errors.New("job could not be journaled")
+	// ErrRecorded is a Journaler's answer for an ID already on record.
+	// Restore takes it as success; Submit moves on to the next ID, so a
+	// fresh job never takes the ID of a recovered one.
+	ErrRecorded = errors.New("job id is already journaled")
 )
 
 // New starts a Service with cfg's scheduler bounds. The result cache is
@@ -519,8 +528,8 @@ func (s *Service) Simulated() uint64 { return s.simulated.Load() }
 // Submit parses, validates, and expands a grid spec (the renosweep JSON
 // schema) and enqueues it as a new job. Spec problems are reported with the
 // same field-level errors as `renosweep -validate`, before the job is
-// created — a job that enqueues will not fail on a spec error. ErrClosed
-// and ErrQueueFull report scheduler, not spec, conditions.
+// created — a job that enqueues will not fail on a spec error. ErrClosed,
+// ErrQueueFull and ErrJournal report scheduler, not spec, conditions.
 func (s *Service) Submit(spec []byte) (*Job, error) {
 	grid, err := sweep.ParseGridJSON(spec)
 	if err != nil {
@@ -539,30 +548,16 @@ func (s *Service) Submit(spec []byte) (*Job, error) {
 	if len(s.pending) >= s.cfg.queueDepth() {
 		return nil, ErrQueueFull
 	}
-	s.seq++
-	j := &Job{
-		id:      fmt.Sprintf("sw-%06d", s.seq),
-		spec:    append([]byte(nil), spec...),
-		grid:    grid,
-		jobs:    jobs,
-		created: time.Now(),
-		update:  make(chan struct{}),
-		state:   StateQueued,
-		// Initialized here, in the literal, rather than written after
-		// construction: every mutation of guarded state once the Job is
-		// reachable goes through j.mu (lockcheck pins this).
-		events: []Event{{Type: "state", State: StateQueued}},
+	for {
+		j, err := s.enqueueLocked(fmt.Sprintf("sw-%06d", s.seq+1), spec, grid, jobs, false)
+		if err != nil && !errors.Is(err, ErrRecorded) {
+			return nil, err
+		}
+		s.seq++
+		if err == nil {
+			return j, nil
+		}
 	}
-	s.pending = append(s.pending, j)
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.wake.Signal()
-	// Journal before the caller learns the ID: an acknowledged submission
-	// must survive a crash even if no runner ever picks it up.
-	if jn, ok := s.cfg.Dispatcher.(Journaler); ok {
-		jn.JournalSubmit(j.id, j.spec)
-	}
-	return j, nil
 }
 
 // Restore re-enqueues a job recovered from the dispatcher's journal under
@@ -595,18 +590,46 @@ func (s *Service) Restore(id string, spec []byte) (*Job, error) {
 	if _, ok := s.jobs[id]; ok {
 		return nil, fmt.Errorf("restore: job %q already exists", id)
 	}
+	j, err := s.enqueueLocked(id, spec, grid, jobs, true)
+	if err != nil {
+		return nil, err
+	}
 	if n > s.seq {
 		s.seq = n
 	}
+	return j, nil
+}
+
+// enqueueLocked journals a validated job and then queues it under id.
+// Journaling comes first, before the caller learns the ID: an
+// acknowledged job must survive a crash even if no runner ever picks it
+// up, and a job the journal refuses leaves no trace. A restored job's ID
+// is expected to be on record already; a fresh one's is not, and then
+// ErrRecorded comes back unwrapped. Callers hold s.mu.
+func (s *Service) enqueueLocked(id string, spec []byte, grid sweep.Grid, jobs []sweep.Job, restore bool) (*Job, error) {
+	spec = append([]byte(nil), spec...)
+	if jn, ok := s.cfg.Dispatcher.(Journaler); ok {
+		switch err := jn.JournalSubmit(id, spec); {
+		case errors.Is(err, ErrRecorded):
+			if !restore {
+				return nil, err
+			}
+		case err != nil:
+			return nil, fmt.Errorf("%w: %w", ErrJournal, err)
+		}
+	}
 	j := &Job{
 		id:      id,
-		spec:    append([]byte(nil), spec...),
+		spec:    spec,
 		grid:    grid,
 		jobs:    jobs,
 		created: time.Now(),
 		update:  make(chan struct{}),
 		state:   StateQueued,
-		events:  []Event{{Type: "state", State: StateQueued}},
+		// Initialized here, in the literal, rather than written after
+		// construction: every mutation of guarded state once the Job is
+		// reachable goes through j.mu (lockcheck pins this).
+		events: []Event{{Type: "state", State: StateQueued}},
 	}
 	s.pending = append(s.pending, j)
 	s.jobs[id] = j
@@ -617,9 +640,6 @@ func (s *Service) Restore(id string, spec []byte) (*Job, error) {
 	copy(s.order[at+1:], s.order[at:])
 	s.order[at] = id
 	s.wake.Signal()
-	if jn, ok := s.cfg.Dispatcher.(Journaler); ok {
-		jn.JournalSubmit(id, j.spec)
-	}
 	return j, nil
 }
 
