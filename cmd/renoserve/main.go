@@ -182,7 +182,7 @@ func main() {
 	}
 	if coord != nil {
 		// After the drain every sweep is settled and journaled done; this
-		// joins the reaper and syncs the journal.
+		// syncs and closes the journal.
 		coord.Close()
 	}
 	// Jobs are settled now, so open event streams have ended; give the

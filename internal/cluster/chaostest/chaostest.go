@@ -36,7 +36,7 @@ import (
 type Proc struct {
 	Name string
 	cmd  *exec.Cmd
-	done chan error // closed by the reaper goroutine after Wait
+	done chan error // closed by the goroutine that Waits on cmd
 }
 
 // StartProc launches bin with args, teeing its stdout+stderr to logw

@@ -15,15 +15,15 @@
 // envelope is byte-identical to a standalone `renosweep -stable` run of the
 // same grid.
 //
-// Fault tolerance is lease-based. A worker owns its batch only while it
-// heartbeats: when the lease TTL lapses, the coordinator requeues the
-// incomplete cells and any worker — including a brand-new one — picks them
-// up. Idle workers steal from stragglers: when nothing is pending, the
-// coordinator splits the largest outstanding lease and hands the tail half
-// to the idle worker. Both mechanisms may execute a cell twice; the
-// coordinator dedups by cell (first complete upload wins, verified against
-// the cell's run key), so a kill -9'd worker costs wall-clock, never
-// correctness — and never a double-counted result.
+// Fault tolerance is lease-based, and lease expiry is the only way a cell
+// changes hands. A worker owns its batch only while it heartbeats: when the
+// lease TTL lapses, the next lease, heartbeat or state request reaps it,
+// the coordinator requeues the incomplete cells, and any worker —
+// including a brand-new one — picks them up. A reaped worker may still
+// finish a cell its successor also runs; the coordinator dedups by cell
+// (first complete upload wins, verified against the cell's run key), so a
+// kill -9'd worker costs wall-clock, never correctness — and never a
+// double-counted result.
 //
 // Coordinator state is durable when a write-ahead Journal is configured:
 // job submissions and completions are appended as NDJSON records, and a

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -52,12 +53,6 @@ type Coordinator struct {
 	leases      *leaseTable
 	journal     *Journal // nil when durability is not configured
 
-	// Lifecycle of the background lease reaper: Close closes stopCh and
-	// joins wg, so the goroutine never outlives the coordinator.
-	stopCh    chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-
 	mu      sync.Mutex
 	sweeps  map[string]*dispatch   // guarded by mu
 	order   []string               // guarded by mu
@@ -90,7 +85,7 @@ type dispatch struct {
 
 	results   []*sweep.Result // one per job; nil until the cell settles
 	attempts  []int           // worker-reported failures per cell
-	pending   []int           // cells awaiting a lease, grant order
+	pending   []int           // unsettled cells awaiting a lease, grant order
 	done      int             // settled cells (cached + uploaded + failed)
 	remaining int             // unsettled cells; 0 closes doneCh
 	doneCh    chan struct{}
@@ -108,30 +103,23 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	c := &Coordinator{
+	return &Coordinator{
 		ttl:         cfg.LeaseTTL,
 		maxAttempts: cfg.MaxAttempts,
 		clock:       cfg.Clock,
 		leases:      newLeaseTable(cfg.LeaseTTL, cfg.Clock),
 		journal:     cfg.Journal,
-		stopCh:      make(chan struct{}),
 		sweeps:      make(map[string]*dispatch),
 		workers:     make(map[string]*workerInfo),
 	}
-	c.wg.Add(1)
-	go c.reapLoop()
-	return c
 }
 
-// Close stops the background lease reaper (joining its goroutine) and
-// closes the journal. It does not cancel in-flight dispatches — draining
-// those is the scheduler's job — and is idempotent and safe against
-// concurrent request handling: requests after Close still work, they just
-// lose background expiry (every request path also reaps) and done
-// records; a submit after Close is refused by the closed journal.
+// Close closes the journal. It does not cancel in-flight dispatches —
+// draining those is the scheduler's job — and is idempotent and safe
+// against concurrent request handling: requests after Close still work,
+// they just lose done records; a submit after Close is refused by the
+// closed journal.
 func (c *Coordinator) Close() error {
-	c.closeOnce.Do(func() { close(c.stopCh) })
-	c.wg.Wait()
 	if c.journal != nil {
 		return c.journal.Close()
 	}
@@ -219,33 +207,6 @@ func (c *Coordinator) Dispatch(ctx context.Context, id string, spec []byte, jobs
 	}
 }
 
-// reapLoop bounds how stale an expired lease can get between worker
-// requests (every request path also reaps); cadence, not correctness, so
-// a real ticker is fine even under an injected clock. Close joins it.
-func (c *Coordinator) reapLoop() {
-	defer c.wg.Done()
-	t := time.NewTicker(c.reapInterval())
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stopCh:
-			return
-		case <-t.C:
-			c.mu.Lock()
-			c.reapLocked()
-			c.mu.Unlock()
-		}
-	}
-}
-
-func (c *Coordinator) reapInterval() time.Duration {
-	iv := c.ttl / 4
-	if iv < 10*time.Millisecond {
-		iv = 10 * time.Millisecond
-	}
-	return iv
-}
-
 // retire removes a completed sweep from the scheduler's view.
 func (c *Coordinator) retire(d *dispatch) {
 	c.mu.Lock()
@@ -291,9 +252,11 @@ func (c *Coordinator) dropSweepLocked(d *dispatch) {
 	}
 }
 
-// reapLocked requeues the incomplete cells of every expired lease. Cells a
-// dead worker already uploaded stay settled — expiry costs only the
-// unfinished remainder.
+// reapLocked requeues the incomplete cells of every expired lease; it is
+// the only way a cell changes hands. It runs at the top of every lease,
+// heartbeat and state request: nothing acts on an expired lease until a
+// request arrives, so checking then is enough. Cells a dead worker already
+// uploaded stay settled — expiry costs only the unfinished remainder.
 func (c *Coordinator) reapLocked() {
 	for _, ex := range c.leases.Expire() {
 		d := c.sweeps[ex.sweep]
@@ -314,8 +277,8 @@ func (c *Coordinator) reapLocked() {
 }
 
 // grant hands the next batch to a worker: pending cells from the oldest
-// sweep with any, else a batch stolen from the largest outstanding lease.
-// ok is false when the cluster is fully idle.
+// sweep with any. ok is false when nothing is pending — every unsettled
+// cell is leased, and an idle worker waits for a lease to expire.
 func (c *Coordinator) grant(req LeaseRequest) (LeaseGrant, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -337,32 +300,22 @@ func (c *Coordinator) grant(req LeaseRequest) (LeaseGrant, bool) {
 		}
 		return LeaseGrant{Lease: lid, Sweep: id, Spec: d.spec, Cells: cells, TTLMillis: c.ttl.Milliseconds()}, true
 	}
-	st, ok := c.leases.Steal(req.Worker)
-	if !ok {
-		return LeaseGrant{}, false
-	}
-	w.leases++
-	if d := c.sweeps[st.sweep]; d != nil && d.publish != nil {
-		d.publish(service.Event{Type: "lease", Lease: st.victimLease, Worker: st.victimWorker, Cells: len(st.cells), Action: "stolen"})
-		d.publish(service.Event{Type: "lease", Lease: st.id, Worker: req.Worker, Cells: len(st.cells), Action: "granted"})
-	}
-	return LeaseGrant{Lease: st.id, Sweep: st.sweep, Spec: c.sweeps[st.sweep].spec, Cells: st.cells, TTLMillis: c.ttl.Milliseconds(), Stolen: true}, true
+	return LeaseGrant{}, false
 }
 
-// heartbeat renews a lease; ok is false when the lease is gone and the
-// worker should abandon the batch.
-func (c *Coordinator) heartbeat(req Heartbeat) (HeartbeatReply, bool) {
+// heartbeat renews a lease; it reports false when the lease is gone and
+// the worker should abandon the batch.
+func (c *Coordinator) heartbeat(req Heartbeat) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.touchLocked(req.Worker)
 	c.reapLocked()
-	left, ok := c.leases.Renew(req.Lease)
-	return HeartbeatReply{CellsLeft: left}, ok
+	return c.leases.Renew(req.Lease)
 }
 
 // upload ingests finished cells. First complete upload wins per cell;
-// later copies — a reaped worker racing its replacement, a steal victim
-// finishing a cell the thief also ran — count as duplicates, never double.
+// later copies — a reaped worker racing its replacement — count as
+// duplicates, never double.
 // Entries are honored even when the quoted lease has expired: finished
 // work is never discarded.
 func (c *Coordinator) upload(req UploadRequest) UploadReply {
@@ -403,10 +356,13 @@ func (c *Coordinator) upload(req UploadRequest) UploadReply {
 }
 
 // settleCellLocked records a cell's final result, releases it from its
-// lease, reports progress, and completes the sweep when it was the last.
+// lease or the pending queue (a reaped lease's late upload settles a cell
+// that was already requeued), reports progress, and completes the sweep
+// when it was the last.
 func (c *Coordinator) settleCellLocked(d *dispatch, cell int, r *sweep.Result, worker string) {
 	d.results[cell] = r
 	c.leases.CompleteCell(d.id, cell)
+	d.pending = slices.DeleteFunc(d.pending, func(p int) bool { return p == cell })
 	if w := c.workers[worker]; w != nil {
 		w.cellsDone++
 	}
@@ -427,7 +383,9 @@ func (c *Coordinator) failCellLocked(d *dispatch, cell int, msg string) int {
 	d.attempts[cell]++
 	if d.attempts[cell] < c.maxAttempts {
 		c.leases.CompleteCell(d.id, cell)
-		d.pending = append(d.pending, cell)
+		if !slices.Contains(d.pending, cell) { // a reaped lease's cell is already back
+			d.pending = append(d.pending, cell)
+		}
 		return 1
 	}
 	c.settleCellLocked(d, cell, sweep.NewErrorResult(d.jobs[cell], msg), "")
@@ -452,13 +410,14 @@ func (c *Coordinator) ClusterStats() any { return c.stats() }
 func (c *Coordinator) stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.reapLocked()
 	var st Stats
 	st.ActiveSweeps = len(c.sweeps)
 	for _, id := range c.order {
 		st.PendingCells += len(c.sweeps[id].pending)
 	}
 	st.ActiveLeases, st.LeasedCells = c.leases.Counts()
-	st.LeasesGranted, st.LeasesRenewed, st.LeasesExpired, st.LeasesStolen = c.leases.Lifetime()
+	st.LeasesGranted, st.LeasesRenewed, st.LeasesExpired = c.leases.Lifetime()
 	st.DuplicateResults = c.duplicates
 	if c.journal != nil {
 		js := c.journal.Stats()
@@ -507,14 +466,13 @@ func (c *Coordinator) Handler() http.Handler {
 		if !readJSON(w, r, &req) {
 			return
 		}
-		rep, ok := c.heartbeat(req)
-		if !ok {
+		if !c.heartbeat(req) {
 			writeJSON(w, http.StatusGone, struct {
 				Error string `json:"error"`
 			}{"lease " + req.Lease + " is gone"})
 			return
 		}
-		writeJSON(w, http.StatusOK, rep)
+		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("POST /v1/cluster/results", func(w http.ResponseWriter, r *http.Request) {
 		var req UploadRequest

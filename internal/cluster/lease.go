@@ -14,8 +14,8 @@ type lease struct {
 	id     string
 	worker string
 	sweep  string
-	// cells holds the batch's incomplete cell indices; completed and
-	// stolen cells are removed, and an emptied lease is retired.
+	// cells holds the batch's incomplete cell indices; completed cells
+	// are removed, and an emptied lease is retired.
 	cells map[int]struct{}
 	// deadline is the instant the lease expires unless renewed.
 	deadline time.Time
@@ -27,16 +27,6 @@ type expiredLease struct {
 	worker string
 	sweep  string
 	cells  []int
-}
-
-// stolenBatch reports a successful steal: the new lease carved for the
-// thief and the victim it was carved from.
-type stolenBatch struct {
-	id           string
-	sweep        string
-	cells        []int
-	victimLease  string
-	victimWorker string
 }
 
 // leaseTable owns every outstanding lease. It is self-locking: the
@@ -53,7 +43,6 @@ type leaseTable struct {
 	granted uint64 // guarded by mu
 	renewed uint64 // guarded by mu
 	expired uint64 // guarded by mu
-	stolen  uint64 // guarded by mu
 }
 
 func newLeaseTable(ttl time.Duration, clock func() time.Time) *leaseTable {
@@ -64,10 +53,6 @@ func newLeaseTable(ttl time.Duration, clock func() time.Time) *leaseTable {
 func (t *leaseTable) Grant(worker, sweep string, cells []int) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.grantLocked(worker, sweep, cells)
-}
-
-func (t *leaseTable) grantLocked(worker, sweep string, cells []int) string {
 	t.seq++
 	l := &lease{
 		id:       fmt.Sprintf("ls-%06d", t.seq),
@@ -84,25 +69,25 @@ func (t *leaseTable) grantLocked(worker, sweep string, cells []int) string {
 	return l.id
 }
 
-// Renew pushes the lease's deadline out by one TTL and reports how many of
-// its cells are still incomplete. ok is false when the lease is gone —
-// expired, stolen whole, or retired with its sweep.
-func (t *leaseTable) Renew(id string) (cellsLeft int, ok bool) {
+// Renew pushes the lease's deadline out by one TTL. It reports false when
+// the lease is gone — expired, fully completed, or retired with its sweep.
+func (t *leaseTable) Renew(id string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	l := t.m[id]
 	if l == nil {
-		return 0, false
+		return false
 	}
 	l.deadline = t.clock().Add(t.ttl)
 	t.renewed++
-	return len(l.cells), true
+	return true
 }
 
 // CompleteCell removes a settled cell from whichever of the sweep's leases
 // holds it (at most one does) and retires the lease if it empties. The
 // settling upload may come from a lease that no longer exists — an expired
-// worker racing its reaper — in which case there is nothing to remove.
+// worker uploading after its lease was reaped — in which case there is
+// nothing to remove.
 func (t *leaseTable) CompleteCell(sweep string, cell int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -141,40 +126,6 @@ func (t *leaseTable) Expire() []expiredLease {
 	return out
 }
 
-// Steal carves a new lease for thief from the victim with the most
-// incomplete cells (ties broken by grant order, for determinism under a
-// fixed clock). The victim keeps the head of its batch and its deadline;
-// the thief's lease starts a fresh TTL. ok is false when no lease has two
-// cells to split.
-func (t *leaseTable) Steal(thief string) (stolenBatch, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var victim *lease
-	for _, id := range t.idsLocked() {
-		l := t.m[id]
-		if len(l.cells) >= 2 && (victim == nil || len(l.cells) > len(victim.cells)) {
-			victim = l
-		}
-	}
-	if victim == nil {
-		return stolenBatch{}, false
-	}
-	keep, steal := SplitSteal(sortedCells(victim.cells))
-	victim.cells = make(map[int]struct{}, len(keep))
-	for _, c := range keep {
-		victim.cells[c] = struct{}{}
-	}
-	t.stolen++
-	id := t.grantLocked(thief, victim.sweep, steal)
-	return stolenBatch{
-		id:           id,
-		sweep:        victim.sweep,
-		cells:        steal,
-		victimLease:  victim.id,
-		victimWorker: victim.worker,
-	}, true
-}
-
 // DropSweep retires every lease belonging to a finished or cancelled sweep.
 func (t *leaseTable) DropSweep(sweep string) {
 	t.mu.Lock()
@@ -197,10 +148,10 @@ func (t *leaseTable) Counts() (leases, cells int) {
 }
 
 // Lifetime reports the lifetime lease-lifecycle counters.
-func (t *leaseTable) Lifetime() (granted, renewed, expired, stolen uint64) {
+func (t *leaseTable) Lifetime() (granted, renewed, expired uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.granted, t.renewed, t.expired, t.stolen
+	return t.granted, t.renewed, t.expired
 }
 
 // idsLocked returns the live lease ids in grant order; callers hold t.mu.

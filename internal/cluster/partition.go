@@ -1,13 +1,13 @@
 package cluster
 
-// Batch sizing and work-stealing splits. Both are pure functions so the
-// policies are testable without a coordinator, and so grant contents are a
-// deterministic function of queue state.
+// Batch sizing is a pure function so the policy is testable without a
+// coordinator, and so grant contents are a deterministic function of queue
+// state.
 
 // NextBatch sizes a lease grant: an even share of the pending cells over
 // the active leases plus headroom for two more workers, so early grants
 // don't starve late joiners, and late in the sweep grants shrink toward
-// single cells — the straggler window a steal has to cover stays small.
+// single cells — a dead worker's lease strands few cells until it expires.
 // capacity is the worker's pool width; a grant is capped at twice it so a
 // narrow worker can't hoard a wide sweep. Returns 0 only when nothing is
 // pending.
@@ -24,17 +24,4 @@ func NextBatch(pending, activeLeases, capacity int) int {
 		n = 1
 	}
 	return n
-}
-
-// SplitSteal divides a straggler's incomplete cells between the victim and
-// an idle thief. The victim keeps the head (the cells its pool reaches
-// first under sweep's in-order dispatch), the thief takes the tail, and the
-// victim gets the odd cell — stealing must never leave the victim with less
-// work than the thief gains. Batches of one cell are unsplittable.
-func SplitSteal(cells []int) (keep, steal []int) {
-	if len(cells) < 2 {
-		return cells, nil
-	}
-	cut := (len(cells) + 1) / 2
-	return cells[:cut], cells[cut:]
 }

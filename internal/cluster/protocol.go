@@ -6,7 +6,7 @@ import "encoding/json"
 // under /v1/cluster/ on the coordinator; workers are pure HTTP clients:
 //
 //	POST /v1/cluster/lease      LeaseRequest  → LeaseGrant (204 when idle)
-//	POST /v1/cluster/heartbeat  Heartbeat     → HeartbeatReply (410 when gone)
+//	POST /v1/cluster/heartbeat  Heartbeat     → 204 (410 when gone)
 //	POST /v1/cluster/results    UploadRequest → UploadReply
 //	GET  /v1/cluster/state      → Stats
 //
@@ -42,23 +42,15 @@ type LeaseGrant struct {
 	Cells []int `json:"cells"`
 	// TTLMillis is the lease TTL; workers heartbeat at a fraction of it.
 	TTLMillis int64 `json:"ttl_ms"`
-	// Stolen marks a grant carved from a straggler's lease rather than
-	// the pending queue.
-	Stolen bool `json:"stolen,omitempty"`
 }
 
-// Heartbeat renews a lease. The coordinator answers 410 Gone when the
-// lease no longer exists (expired and requeued, stolen whole, or the sweep
-// finished/cancelled) — the worker's cue to abandon the batch.
+// Heartbeat renews a lease. The coordinator answers 204 No Content on
+// renewal and 410 Gone when the lease no longer exists (expired and
+// requeued, fully completed, or the sweep finished/cancelled) — the
+// worker's cue to abandon the batch.
 type Heartbeat struct {
 	Worker string `json:"worker"`
 	Lease  string `json:"lease"`
-}
-
-// HeartbeatReply reports how much of the lease is still unfinished, which
-// shrinks as this worker's uploads land and as thieves finish stolen cells.
-type HeartbeatReply struct {
-	CellsLeft int `json:"cells_left"`
 }
 
 // CellUpload is one finished cell: either a canonical result record or a
@@ -77,8 +69,8 @@ type CellUpload struct {
 }
 
 // UploadRequest streams finished cells back. Uploads quote the lease for
-// bookkeeping but are honored even when it has expired or been stolen —
-// work already done is never discarded; duplicates are dropped per cell.
+// bookkeeping but are honored even when it has expired — work already
+// done is never discarded; duplicates are dropped per cell.
 type UploadRequest struct {
 	Worker  string       `json:"worker"`
 	Lease   string       `json:"lease"`
@@ -121,7 +113,6 @@ type Stats struct {
 	LeasesGranted    uint64 `json:"leases_granted"`
 	LeasesRenewed    uint64 `json:"leases_renewed"`
 	LeasesExpired    uint64 `json:"leases_expired"`
-	LeasesStolen     uint64 `json:"leases_stolen"`
 	DuplicateResults uint64 `json:"duplicate_results"`
 	// Journal reports write-ahead-journal state when durability is
 	// configured (renoserve -journal); nil otherwise.

@@ -278,8 +278,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cancel context.CancelFunc, g
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			var rep HeartbeatReply
-			status, err := w.post(ctx, "/v1/cluster/heartbeat", Heartbeat{Worker: w.cfg.ID, Lease: g.Lease}, &rep)
+			status, err := w.post(ctx, "/v1/cluster/heartbeat", Heartbeat{Worker: w.cfg.ID, Lease: g.Lease}, nil)
 			if err != nil {
 				continue // transient; the TTL absorbs a missed beat
 			}

@@ -17,7 +17,7 @@ import (
 type fakeCoordinator struct {
 	beats     atomic.Int64
 	uploads   atomic.Int64
-	goneAfter int64 // heartbeats answered 200 before switching to 410
+	goneAfter int64 // heartbeats answered 204 before switching to 410
 	stale     bool  // answer every upload as stale
 }
 
@@ -29,7 +29,7 @@ func (f *fakeCoordinator) server(t *testing.T) *httptest.Server {
 			w.WriteHeader(http.StatusGone)
 			return
 		}
-		writeJSON(w, http.StatusOK, HeartbeatReply{CellsLeft: 1})
+		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("POST /v1/cluster/results", func(w http.ResponseWriter, r *http.Request) {
 		var req UploadRequest

@@ -58,7 +58,7 @@ func (s State) Terminal() bool {
 // Event is one entry of a job's progress stream, serialized as a line of
 // the daemon's NDJSON events endpoint. Type "run" records one completed
 // run; type "state" records a lifecycle transition; type "lease" records a
-// cluster scheduling event (lease granted, expired, or stolen — emitted
+// cluster scheduling event (lease granted or expired — emitted
 // only when the service runs behind a cluster dispatcher). Every cluster
 // field is omitempty, so standalone event streams are byte-identical to
 // their pre-cluster form.
@@ -81,7 +81,7 @@ type Event struct {
 	State State `json:"state,omitempty"`
 
 	// Cluster fields (Type "lease"): which worker held which lease over how
-	// many cells, and what happened to it ("granted", "expired", "stolen").
+	// many cells, and what happened to it ("granted" or "expired").
 	Worker string `json:"worker,omitempty"`
 	Lease  string `json:"lease,omitempty"`
 	Cells  int    `json:"cells,omitempty"`
@@ -320,7 +320,7 @@ func (j *Job) complete(results []*sweep.Result, interrupted bool) {
 // completed cell, with RunInfo.Index identifying the cell. Cancellation of
 // ctx must settle every unfinished cell with an error result and return —
 // never block past the context. publish lets the dispatcher append
-// scheduling events (lease grants, expiries, steals) to the job's NDJSON
+// scheduling events (lease grants and expiries) to the job's NDJSON
 // stream; it may be called from any goroutine.
 type Dispatcher interface {
 	Dispatch(ctx context.Context, id string, spec []byte, jobs []sweep.Job, opts sweep.Options, publish func(Event)) []*sweep.Result
