@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 
+	"reno/internal/elim"
+	"reno/internal/emu"
 	"reno/internal/harness"
 	"reno/internal/pipeline"
 	"reno/internal/reno"
@@ -147,7 +149,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			var insts uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, _, err := pipeline.RunProgram(pipeline.FourWide(reno.Default(160)), w.Code, warm, 100_000)
+				res, _, err := pipeline.RunProgram(context.Background(), pipeline.FourWide(reno.Default(160)), w.Code, warm, 100_000, pipeline.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -187,35 +189,27 @@ func BenchmarkSteadyStateCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkRenameGroup measures the RENO optimizer's rename throughput in
-// isolation (groups per second), the structure Section 3.2 argues fits a
-// two-stage rename pipeline.
-func BenchmarkRenameGroup(b *testing.B) {
+// BenchmarkEngineNext measures the shared elimination engine's decision
+// rate over a recorded gzip trace: every RENO rename decision the three
+// backends consume, with the engine's commit window, in decisions per
+// second.
+func BenchmarkEngineNext(b *testing.B) {
 	prof, _ := workload.ByName("gzip")
 	w := workload.MustBuild(workload.Scale(prof, 0.2))
-	m, err := w.Run(5_000_000)
+	trace, err := emu.CollectTrace(w.Code, 200_000)
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = m
+	cfg := pipeline.FourWide(reno.Default(160))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := reno.New(reno.Default(160))
-		var inflight []reno.Renamed
-		for pc := 0; pc < len(w.Code)-4; pc += 4 {
-			g := make([]reno.GroupInst, 0, 4)
-			for k := 0; k < 4; k++ {
-				g = append(g, reno.GroupInst{Inst: w.Code[pc+k]})
-			}
-			recs, _ := o.RenameGroup(g)
-			inflight = append(inflight, recs...)
-			if len(inflight) > 64 {
-				o.Commit(&inflight[0])
-				o.Commit(&inflight[1])
-				o.Commit(&inflight[2])
-				o.Commit(&inflight[3])
-				inflight = inflight[4:]
+		eng := elim.New(cfg.Reno, cfg.ROBSize, cfg.RenameWidth)
+		for _, d := range trace {
+			if _, err := eng.Next(d); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
+	b.ReportMetric(float64(b.N)*float64(len(trace))/b.Elapsed().Seconds(), "decisions/s")
 }

@@ -101,7 +101,7 @@ func (st *approxState) step(cfg pipeline.Config, d emu.Dyn, dec elim.Decision) {
 		}
 	}
 
-	elim := dec.Ren.Elim || dec.MisBypass
+	elim := dec.Ren.Elim || dec.Ren.MisBypass
 	pen := uint64(dec.Ren.FusePenalty)
 	done := start
 	cls := isa.ClassOf(in)

@@ -23,9 +23,6 @@ func (detailedBackend) Run(ctx context.Context, req Request) (*Result, error) {
 			prev(d)
 		}
 	}
-	res, arch, err := pipeline.RunProgramContext(ctx, req.Cfg, req.Code, req.Warmup, req.MaxInsts, opts)
-	if err != nil {
-		return &Result{Pipe: res, ArchHash: arch, CommitHash: ch.sum()}, err
-	}
-	return &Result{Pipe: res, ArchHash: arch, CommitHash: ch.sum()}, nil
+	res, arch, err := pipeline.RunProgram(ctx, req.Cfg, req.Code, req.Warmup, req.MaxInsts, opts)
+	return &Result{Pipe: res, ArchHash: arch, CommitHash: ch.sum()}, err
 }

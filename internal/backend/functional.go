@@ -7,11 +7,9 @@ import (
 	"reno/internal/elim"
 	"reno/internal/emu"
 	"reno/internal/pipeline"
-	"reno/internal/reno"
 )
 
-// ctxCheckInterval is how many functional steps pass between context polls
-// (matches the detailed model's warmup polling cadence).
+// ctxCheckInterval is how many timed steps pass between context polls.
 const ctxCheckInterval = 4096
 
 // functionalBackend executes the program on the emulator and drives the
@@ -45,19 +43,9 @@ func runEngine(ctx context.Context, req Request, hook func(d emu.Dyn, dec elim.D
 	if err := req.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
-	m := emu.New(req.Code)
-	done := ctx.Done()
-	for m.ICount < req.Warmup && !m.Halted {
-		if done != nil && m.ICount%ctxCheckInterval == 0 {
-			select {
-			case <-done:
-				return nil, fmt.Errorf("backend warmup: %w", ctx.Err())
-			default:
-			}
-		}
-		if _, err := m.Step(); err != nil {
-			return nil, fmt.Errorf("backend warmup: %w", err)
-		}
+	m, err := pipeline.Warmup(ctx, req.Code, req.Warmup)
+	if err != nil {
+		return nil, fmt.Errorf("backend warmup: %w", err)
 	}
 
 	// Fast path: a configuration with no elimination mechanism decides
@@ -70,6 +58,7 @@ func runEngine(ctx context.Context, req Request, hook func(d emu.Dyn, dec elim.D
 	}
 	ch := newCommitHasher()
 	run := &engineRun{eng: eng, m: m}
+	done := ctx.Done()
 	canceled := false
 	var dec elim.Decision
 	for !m.Halted && !(req.MaxInsts > 0 && m.ICount >= req.Warmup+req.MaxInsts) {
@@ -117,26 +106,13 @@ func runEngine(ctx context.Context, req Request, hook func(d emu.Dyn, dec elim.D
 	if eng != nil {
 		// Untimed runs never squash, so every decided instruction commits:
 		// the engine's rename-time statistics are exact commit tallies.
-		r.Reno = eng.Stats()
-		r.ReexecFails = eng.ReexecFails()
-		r.MaxPregsUsed = eng.Optimizer().RefCounts().MaxInUse
-		if t := eng.Optimizer().IT(); t != nil {
-			r.ITLookups, r.ITInserts, r.ITHits = t.Lookups, t.Inserts, t.Hits
-		}
+		r.SetEngineStats(eng)
+		r.ReexecFails = r.Reno.ReexecFails
 	}
 	if finishHook != nil {
 		finishHook(run, r)
 	}
-	if n := float64(r.Insts); n > 0 {
-		r.ElimME = 100 * float64(r.Reno.Eliminated[reno.KindME]) / n
-		r.ElimCF = 100 * float64(r.Reno.Eliminated[reno.KindCF]) / n
-		r.ElimLoads = 100 * float64(r.Reno.Eliminated[reno.KindCSELoad]+r.Reno.Eliminated[reno.KindRALoad]) / n
-		r.ElimALU = 100 * float64(r.Reno.Eliminated[reno.KindCSEALU]) / n
-		r.ElimTotal = r.ElimME + r.ElimCF + r.ElimLoads + r.ElimALU
-		if r.Cycles > 0 {
-			r.IPC = n / float64(r.Cycles)
-		}
-	}
+	r.Derive()
 	res := &Result{Pipe: r, ArchHash: m.StateHash(), CommitHash: ch.sum()}
 	if canceled {
 		return res, ctx.Err()

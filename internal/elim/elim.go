@@ -28,12 +28,9 @@
 // stalls rename until its own commit count reaches that floor, reproducing
 // the structural stall.
 //
-// Speculative load bypassing is adjudicated immediately: before renaming a
-// load that would integrate, the engine peeks the integration table and
-// compares the tuple's value oracle against the trace result. A mismatch
-// invalidates the stale tuple, counts a re-execution failure, renames the
-// load conventionally, and marks the decision MisBypass so the detailed
-// pipeline can model the retirement-time squash-and-replay.
+// Speculative load bypassing is judged by the optimizer itself when it
+// renames the load (reno.Renamed.MisBypass). A verdict reached on an attempt
+// that then ran out of registers is kept across the force-commit retry.
 package elim
 
 import (
@@ -41,8 +38,6 @@ import (
 
 	"reno/internal/emu"
 	"reno/internal/isa"
-	"reno/internal/refcount"
-	"reno/internal/renamer"
 	"reno/internal/reno"
 )
 
@@ -50,12 +45,6 @@ import (
 type Decision struct {
 	// Ren is the complete rename record (shared with the pipeline ROB).
 	Ren reno.Renamed
-
-	// MisBypass marks a load whose speculative integration would have
-	// promised the wrong value: it was renamed conventionally, and the
-	// detailed pipeline models the retirement-time mismatch (squash and
-	// replay) this decision stands in for.
-	MisBypass bool
 
 	// MinCommitted is the engine's commit count after this decision: the
 	// number of older instructions whose resources this decision may have
@@ -79,12 +68,7 @@ type Engine struct {
 	winHead   int
 	winCount  int
 	committed uint64
-
-	reexecFails uint64
 }
-
-// zeroMap mirrors the optimizer's unused-source mapping.
-var zeroMap = renamer.Mapping{P: refcount.ZeroReg}
 
 // New builds an engine for one program run. robSize bounds the decision
 // window and renameWidth fixes the group alignment; both must match the
@@ -106,16 +90,6 @@ func (e *Engine) Optimizer() *reno.Optimizer { return e.opt }
 // Stats returns the optimizer's rename-time statistics. Over a fully
 // committed stream these equal the per-backend commit tallies exactly.
 func (e *Engine) Stats() reno.Stats { return e.opt.Stats }
-
-// ReexecFails returns the number of loads whose speculative integration was
-// adjudicated as a value mismatch.
-func (e *Engine) ReexecFails() uint64 { return e.reexecFails }
-
-// Decided returns the number of instructions decided so far.
-func (e *Engine) Decided() uint64 { return e.idx }
-
-// Committed returns the engine's commit-pointer position.
-func (e *Engine) Committed() uint64 { return e.committed }
 
 // commitOldest retires the oldest window record, releasing the physical
 // register its displacement holds.
@@ -145,32 +119,13 @@ func (e *Engine) Next(d emu.Dyn) (Decision, error) {
 		e.commitOldest()
 	}
 
-	var dec Decision
-	in := d.Inst
-
-	// Pre-adjudicate speculative load bypassing: if this load would
-	// integrate, compare the tuple's value oracle against the trace result
-	// now instead of at retirement. The guards mirror the optimizer's own
-	// elimination path so a tuple is only invalidated when it would
-	// actually have been used.
-	if isa.ClassOf(in) == isa.ClassLoad && isa.HasDest(in) && !e.depOnElim(in) {
-		if t := e.opt.IT(); t != nil && t.Covers(in) {
-			rs, _ := isa.Sources(in)
-			src := e.opt.MapTable().Lookup(rs)
-			if _, val, _, hit := t.Peek(isa.OpLd, in.Imm, src, zeroMap); hit && val != d.Result {
-				t.InvalidateSignature(isa.OpLd, in.Imm, src, zeroMap)
-				e.reexecFails++
-				dec.MisBypass = true
-			}
-		}
-	}
-
 	result := d.Result
-	if in.Op == isa.OpSt {
+	if d.Inst.Op == isa.OpSt {
 		result = d.SrcVals[1] // stored data value
 	}
-	gi := reno.GroupInst{Inst: in, Result: result}
+	gi := reno.GroupInst{Inst: d.Inst, Result: result}
 	r, ok := e.opt.RenameOne(gi, e.mask)
+	misBypass := r.MisBypass
 	for !ok {
 		// Physical register file exhausted: force-commit older decisions
 		// until an allocation succeeds, publishing the commit floor.
@@ -181,7 +136,11 @@ func (e *Engine) Next(d emu.Dyn) (Decision, error) {
 		}
 		e.commitOldest()
 		r, ok = e.opt.RenameOne(gi, e.mask)
+		// A failed attempt keeps its verdict: the stale tuple it
+		// invalidated cannot be judged again on the retry.
+		misBypass = misBypass || r.MisBypass
 	}
+	r.MisBypass = misBypass
 	e.mask = reno.UpdateGroupMask(e.mask, &r)
 
 	tail := e.winHead + e.winCount
@@ -192,24 +151,5 @@ func (e *Engine) Next(d emu.Dyn) (Decision, error) {
 	e.winCount++
 	e.idx++
 
-	dec.Ren = r
-	dec.MinCommitted = e.committed
-	return dec, nil
-}
-
-// depOnElim reports whether in reads a logical register written by an older
-// eliminated instruction of the current fixed group (the Section 3.2
-// restriction the optimizer will apply).
-//
-//reno:hotpath
-func (e *Engine) depOnElim(in isa.Inst) bool {
-	rs, rt := isa.Sources(in)
-	n := isa.NumSources(in)
-	if n >= 1 && rs != isa.RZero && e.mask&(1<<uint(rs)) != 0 {
-		return true
-	}
-	if n >= 2 && rt != isa.RZero && e.mask&(1<<uint(rt)) != 0 {
-		return true
-	}
-	return false
+	return Decision{Ren: r, MinCommitted: e.committed}, nil
 }

@@ -75,9 +75,6 @@ func (m *Memory) Store(addr, val uint64) {
 	m.page(addr, true)[addr&pageMask] = val
 }
 
-// Footprint returns the number of distinct pages touched.
-func (m *Memory) Footprint() int { return len(m.pages) }
-
 // Machine is the architectural state of an AXP32 processor.
 type Machine struct {
 	Regs [isa.NumLogicalRegs]uint64

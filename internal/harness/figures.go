@@ -68,7 +68,8 @@ func Fig8(ctx context.Context, w io.Writer, opts Options) {
 // Fig9 regenerates Figure 9: critical-path breakdowns for the paper's
 // benchmark subset under BASE, ME+CF, and full RENO. The sweep pool has no
 // critical-path analyzer, so the grid only resolves the configurations and
-// each run goes straight to the pipeline with CPA attached.
+// each run goes straight to the pipeline with CPA attached, under ctx and
+// opts.Timeout like a sweep run.
 func Fig9(ctx context.Context, w io.Writer, opts Options) {
 	specSel := []string{"crafty", "eon.k", "gap", "gzip", "parser", "perl.s", "vortex", "vpr.r"}
 	mediaSel := []string{"adpcm.de", "epic", "g721.en", "gsm.de", "jpg.de", "mesa.m", "mesa.t", "mpg2.en", "pegw.en"}
@@ -86,9 +87,6 @@ func Fig9(ctx context.Context, w io.Writer, opts Options) {
 			Columns: []string{"bench", "config", "fetch", "alu", "load", "mem", "commit"},
 		}
 		for i := 0; i < len(jobs); i += len(renos) {
-			if ctx.Err() != nil {
-				return
-			}
 			name := jobs[i].Profile.Name
 			prog := workload.MustBuild(workload.Scale(jobs[i].Profile, opts.Scale))
 			warm, err := prog.WarmupCount()
@@ -97,7 +95,10 @@ func Fig9(ctx context.Context, w io.Writer, opts Options) {
 				continue
 			}
 			for _, j := range jobs[i : i+len(renos)] {
-				res, _, err := pipeline.RunProgramCPA(j.Cfg, prog.Code, warm, opts.MaxInsts, 50_000)
+				if ctx.Err() != nil {
+					return
+				}
+				res, err := runCPA(ctx, j.Cfg, prog.Code, warm, opts)
 				if err != nil {
 					fmt.Fprintf(w, "%s/%s: %v\n", name, j.Config, err)
 					continue
@@ -110,6 +111,18 @@ func Fig9(ctx context.Context, w io.Writer, opts Options) {
 		tb.Fprint(w)
 		fmt.Fprintln(w)
 	}
+}
+
+// runCPA times one Figure 9 run with the critical-path analyzer attached,
+// bounded by opts.Timeout.
+func runCPA(ctx context.Context, cfg pipeline.Config, code []isa.Inst, warm uint64, opts Options) (*pipeline.Result, error) {
+	if opts.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
+		defer cancel()
+	}
+	res, _, err := pipeline.RunProgram(ctx, cfg, code, warm, opts.MaxInsts, pipeline.RunOptions{CPAChunk: 50_000})
+	return res, err
 }
 
 // Fig10 regenerates Figure 10: the division of labor between RENO.CF and

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"reno/internal/machine"
 	"reno/internal/sweep"
@@ -131,6 +132,17 @@ func TestFiguresRenderWithoutError(t *testing.T) {
 	}
 	if strings.Contains(out, "WARNING") {
 		t.Errorf("figure output carries audit warnings:\n%s", out)
+	}
+}
+
+// TestFig9HonorsTimeout: Figure 9 bypasses the sweep pool, so it applies
+// Options.Timeout to each of its runs itself, as a sweep run does.
+func TestFig9HonorsTimeout(t *testing.T) {
+	var b strings.Builder
+	Fig9(context.Background(), &b, Options{Scale: 0.05, MaxInsts: 3_000, Timeout: time.Nanosecond})
+	const runs = (8 + 9) * 3 // benchmarks x {BASE, ME+CF, RENO}
+	if n := strings.Count(b.String(), context.DeadlineExceeded.Error()); n != runs {
+		t.Errorf("%d runs reported the deadline, want %d:\n%s", n, runs, b.String())
 	}
 }
 

@@ -358,19 +358,6 @@ func (t *Table) InvalidateSignature(op isa.Op, imm int32, in1, in2 renamer.Mappi
 	}
 }
 
-// Reset clears the table and statistics.
-func (t *Table) Reset() {
-	for i := range t.entries {
-		t.entries[i] = Entry{}
-	}
-	for i := range t.phys {
-		t.phys[i] = t.phys[i][:0]
-		t.physOver[i] = false
-	}
-	t.tick = 0
-	t.Lookups, t.Hits, t.Inserts, t.Invalids = 0, 0, 0, 0
-}
-
 // Occupancy returns the number of valid entries (tests and stats).
 func (t *Table) Occupancy() int {
 	n := 0

@@ -184,8 +184,4 @@ func TestStatsCounting(t *testing.T) {
 	if tb.Inserts != 1 || tb.Lookups != 2 || tb.Hits != 1 {
 		t.Errorf("stats = ins%d look%d hit%d", tb.Inserts, tb.Lookups, tb.Hits)
 	}
-	tb.Reset()
-	if tb.Lookups != 0 || tb.Occupancy() != 0 {
-		t.Error("reset incomplete")
-	}
 }

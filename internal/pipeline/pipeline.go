@@ -32,15 +32,13 @@ type entry struct {
 	seq uint64
 
 	// Elimination-engine decision state. renValid marks that ren (and
-	// misBypass/minCommitted) hold the engine's decision — pulled exactly
-	// once per dynamic instruction and carried through squash replays, so
-	// the engine is never consulted twice. misBypass marks a load whose
-	// speculative integration the engine adjudicated as a value mismatch:
-	// its first trip through the pipeline models the bogus integration and
-	// fails at retirement. minCommitted is the engine's commit floor; rename
-	// stalls until this core has committed that many instructions.
+	// minCommitted) hold the engine's decision — pulled exactly once per
+	// dynamic instruction and carried through squash replays, so the engine
+	// is never consulted twice. A load with ren.MisBypass set models the
+	// bogus integration on its first trip through the pipeline and fails at
+	// retirement. minCommitted is the engine's commit floor; rename stalls
+	// until this core has committed that many instructions.
 	renValid     bool
-	misBypass    bool
 	minCommitted uint64
 
 	fetchC  uint64
@@ -116,8 +114,37 @@ type Result struct {
 	// IT telemetry (E9).
 	ITLookups, ITInserts, ITHits uint64
 
-	// Critical path breakdown (nil unless AttachCPA was called).
+	// Critical path breakdown (nil unless RunOptions.CPAChunk was set).
 	CPA *cpa.Analyzer
+}
+
+// SetEngineStats copies the elimination engine's end-of-run statistics
+// into r: the optimizer's rename-time tallies, peak physical-register use
+// and the integration-table counters.
+func (r *Result) SetEngineStats(eng *elim.Engine) {
+	o := eng.Optimizer()
+	r.Reno = o.Stats
+	r.MaxPregsUsed = o.RefCounts().MaxInUse
+	if t := o.IT(); t != nil {
+		r.ITLookups, r.ITInserts, r.ITHits = t.Lookups, t.Inserts, t.Hits
+	}
+}
+
+// Derive computes IPC and the elimination percentages of committed
+// instructions from Insts, Cycles and Reno.Eliminated.
+func (r *Result) Derive() {
+	if r.Insts == 0 {
+		return
+	}
+	n := float64(r.Insts)
+	if r.Cycles > 0 {
+		r.IPC = n / float64(r.Cycles)
+	}
+	r.ElimME = 100 * float64(r.Reno.Eliminated[reno.KindME]) / n
+	r.ElimCF = 100 * float64(r.Reno.Eliminated[reno.KindCF]) / n
+	r.ElimLoads = 100 * float64(r.Reno.Eliminated[reno.KindCSELoad]+r.Reno.Eliminated[reno.KindRALoad]) / n
+	r.ElimALU = 100 * float64(r.Reno.Eliminated[reno.KindCSEALU]) / n
+	r.ElimTotal = r.ElimME + r.ElimCF + r.ElimLoads + r.ElimALU
 }
 
 // Sim is one pipeline simulation instance.
@@ -222,15 +249,6 @@ func New(cfg Config, next func() (emu.Dyn, bool)) *Sim {
 	return s
 }
 
-// AttachCPA enables critical-path analysis with the given chunk size.
-func (s *Sim) AttachCPA(chunk int) { s.analyzer = cpa.New(chunk) }
-
-// Optimizer exposes the elimination engine's RENO optimizer (tests).
-func (s *Sim) Optimizer() *reno.Optimizer { return s.eng.Optimizer() }
-
-// Engine exposes the elimination engine (cross-backend equivalence tests).
-func (s *Sim) Engine() *elim.Engine { return s.eng }
-
 // replayRec is one replayed instruction: the dynamic record plus the
 // elimination-engine decision it already pulled, so squash replays never
 // consult the engine a second time.
@@ -238,7 +256,6 @@ type replayRec struct {
 	dyn          emu.Dyn
 	ren          reno.Renamed
 	renValid     bool
-	misBypass    bool
 	minCommitted uint64
 }
 
@@ -294,8 +311,7 @@ type RunOptions struct {
 	Observer func(IntervalStats)
 
 	// CPAChunk attaches the critical-path analyzer with this chunk size
-	// before timing begins (0 = no analysis). It is the options-form of
-	// AttachCPA, so context-aware callers need no separate setup step.
+	// before timing begins (0 = no analysis).
 	CPAChunk int
 
 	// FeedObserver, when non-nil, receives every dynamic instruction fed
@@ -334,13 +350,6 @@ type IntervalStats struct {
 // within microseconds of simulated work.
 const ctxCheckInterval = 1024
 
-// Run simulates until the stream drains (or MaxInsts commit) and returns
-// the result. It is RunContext with no deadline, no budget, and no
-// observer.
-func (s *Sim) Run() (*Result, error) {
-	return s.RunContext(context.Background(), RunOptions{})
-}
-
 // RunContext simulates until the stream drains, Config.MaxInsts commit, the
 // cycle budget is exhausted, or ctx is done. On cancellation it returns the
 // partial result accumulated so far together with ctx's error, so callers
@@ -350,7 +359,7 @@ func (s *Sim) Run() (*Result, error) {
 // cycles) once ctx is canceled.
 func (s *Sim) RunContext(ctx context.Context, opts RunOptions) (*Result, error) {
 	if opts.CPAChunk > 0 && s.analyzer == nil {
-		s.AttachCPA(opts.CPAChunk)
+		s.analyzer = cpa.New(opts.CPAChunk)
 	}
 	done := ctx.Done()
 	var prev obsBase // observer baseline (zero = start of timing)
@@ -454,30 +463,18 @@ func (s *Sim) finish() *Result {
 	r.Cycles = s.cycle
 	r.Insts = s.committed
 	if s.cycle > 0 {
-		r.IPC = float64(s.committed) / float64(s.cycle)
 		r.AvgIQOcc = float64(s.iqOccSum) / float64(s.cycle)
 		r.AvgPregsInUse = float64(s.pregSum) / float64(s.cycle)
 	}
 	// Engine stats cover every *decision*; the Eliminated tally is replaced
 	// by the commit-time per-kind counts so the report is exact even when a
 	// cycle budget or cancellation stopped the run mid-window.
-	r.Reno = s.eng.Stats()
+	r.SetEngineStats(s.eng)
 	r.Reno.Eliminated = s.elimCommit
-	if s.committed > 0 {
-		n := float64(s.committed)
-		r.ElimME = 100 * float64(r.Reno.Eliminated[reno.KindME]) / n
-		r.ElimCF = 100 * float64(r.Reno.Eliminated[reno.KindCF]) / n
-		r.ElimLoads = 100 * float64(r.Reno.Eliminated[reno.KindCSELoad]+r.Reno.Eliminated[reno.KindRALoad]) / n
-		r.ElimALU = 100 * float64(r.Reno.Eliminated[reno.KindCSEALU]) / n
-		r.ElimTotal = r.ElimME + r.ElimCF + r.ElimLoads + r.ElimALU
-	}
+	r.Derive()
 	r.BranchAccuracy = s.bp.Accuracy()
 	r.L1DMissRate = s.mem.L1D.MissRate()
 	r.L2MissRate = s.mem.L2.MissRate()
-	r.MaxPregsUsed = s.rc.MaxInUse
-	if it := s.eng.Optimizer().IT(); it != nil {
-		r.ITLookups, r.ITInserts, r.ITHits = it.Lookups, it.Inserts, it.Hits
-	}
 	if s.analyzer != nil {
 		s.analyzer.Flush()
 		r.CPA = s.analyzer
@@ -562,7 +559,7 @@ func (s *Sim) commitStage() {
 				return
 			}
 			s.mem.AccessD(e.dyn.EA*8, s.cycle, false)
-		} else if e.misBypass {
+		} else if e.ren.MisBypass {
 			// Engine-adjudicated stale bypass: the first trip modeled the
 			// bogus integration; retirement re-execution now fails. Drop
 			// this load and all younger work and replay — the recorded
@@ -572,7 +569,7 @@ func (s *Sim) commitStage() {
 			}
 			s.mem.AccessD(e.dyn.EA*8, s.cycle, false)
 			s.res.ReexecFails++
-			e.misBypass = false
+			e.ren.MisBypass = false
 			s.squashFrom(0, e.seq)
 			return
 		}
@@ -869,7 +866,7 @@ func (s *Sim) forwardBlocker(e *entry, off int) (int, bool) {
 func (s *Sim) checkViolations(st *entry, stOff int) bool {
 	for i := stOff + 1; i < s.robCount; i++ {
 		le := s.robPos(i)
-		if !le.isLoad || le.state != stIssued || le.ren.Elim || le.misBypass {
+		if !le.isLoad || le.state != stIssued || le.ren.Elim || le.ren.MisBypass {
 			continue
 		}
 		if le.dyn.EA != st.dyn.EA {
@@ -902,8 +899,8 @@ func (s *Sim) findOlder(seq uint64, limitOff int) (int, bool) {
 	return 0, false
 }
 
-// squashFrom rolls back ROB offsets [from, robCount) youngest-first —
-// exercising RENO's rollback semantics — and replays them through fetch.
+// squashFrom drops ROB offsets [from, robCount) and the fetch queue and
+// replays them through fetch with the rename decisions they already hold.
 // causeSeq identifies the resolving instruction for CPA accounting.
 //
 //reno:hotpath
@@ -924,8 +921,7 @@ func (s *Sim) squashFrom(from int, causeSeq uint64) {
 	for i := from; i < s.robCount; i++ {
 		e := s.robPos(i)
 		replay = append(replay, replayRec{
-			dyn: e.dyn, ren: e.ren, renValid: true,
-			misBypass: e.misBypass, minCommitted: e.minCommitted,
+			dyn: e.dyn, ren: e.ren, renValid: true, minCommitted: e.minCommitted,
 		})
 	}
 	// The fetch queue holds even younger instructions; they replay too
@@ -934,8 +930,7 @@ func (s *Sim) squashFrom(from int, causeSeq uint64) {
 	for i := 0; i < s.fqLen; i++ {
 		fe := s.fqAt(i)
 		replay = append(replay, replayRec{
-			dyn: fe.dyn, ren: fe.ren, renValid: fe.renValid,
-			misBypass: fe.misBypass, minCommitted: fe.minCommitted,
+			dyn: fe.dyn, ren: fe.ren, renValid: fe.renValid, minCommitted: fe.minCommitted,
 		})
 	}
 	s.fqHead, s.fqLen = 0, 0
@@ -1036,7 +1031,6 @@ func (s *Sim) renameStage() {
 				return
 			}
 			e.ren = dec.Ren
-			e.misBypass = dec.MisBypass
 			e.minCommitted = dec.MinCommitted
 			e.renValid = true
 		}
@@ -1069,7 +1063,7 @@ func (s *Sim) renameStage() {
 		e.isStore = cls == isa.ClassStore
 
 		if e.ren.HasDest && !e.ren.Elim {
-			if e.misBypass {
+			if e.ren.MisBypass {
 				// Stand-in for the bogus integration: dependents see the
 				// (wrong) value as already available, exactly as they
 				// would have through the shared mapping.
@@ -1080,7 +1074,7 @@ func (s *Sim) renameStage() {
 			s.writerSeq[e.ren.NewMap.P] = e.seq
 		}
 
-		if e.ren.Elim || e.misBypass {
+		if e.ren.Elim || e.ren.MisBypass {
 			// Collapsed out of the execution core: no IQ entry, no issue,
 			// no execution. Consumers wake on the shared register's
 			// original producer (wakeAt untouched): the dataflow collapse.
@@ -1165,8 +1159,7 @@ func (s *Sim) fetchStage() {
 			dyn: d, state: stFetched, seq: s.seqNext,
 			fetchC: fetchC, compC: never, replayed: replayed,
 			fetchBound: cpa.BoundPrevFetch,
-			ren:        rec.ren, renValid: rec.renValid,
-			misBypass: rec.misBypass, minCommitted: rec.minCommitted,
+			ren:        rec.ren, renValid: rec.renValid, minCommitted: rec.minCommitted,
 		}
 		s.seqNext++
 		if s.pendingCauseKind != cpa.BoundNone {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ func mustRun(t *testing.T, cfg Config, src string) (*Result, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, hash, err := RunProgram(cfg, p.Code, 0, 0)
+	res, hash, err := RunProgram(context.Background(), cfg, p.Code, 0, 0, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestCPABreakdownSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := RunProgramCPA(FourWide(reno.Baseline(160)), p.Code, 0, 0, 256)
+	res, _, err := RunProgram(context.Background(), FourWide(reno.Baseline(160)), p.Code, 0, 0, RunOptions{CPAChunk: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +382,7 @@ func TestWarmupSkipsTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := RunProgram(FourWide(reno.Baseline(160)), p.Code, 5, 0)
+	res, _, err := RunProgram(context.Background(), FourWide(reno.Baseline(160)), p.Code, 5, 0, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +396,7 @@ func TestMaxInstsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := RunProgram(FourWide(reno.Baseline(160)), p.Code, 0, 100)
+	res, _, err := RunProgram(context.Background(), FourWide(reno.Baseline(160)), p.Code, 0, 100, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

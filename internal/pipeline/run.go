@@ -12,44 +12,40 @@ import (
 // context polls.
 const warmupCtxInterval = 4096
 
-// RunProgram times a program on the given configuration. The first warmup
-// dynamic instructions execute functionally only (the paper's
-// sampling-warmup methodology); timing then runs until the program halts or
-// maxInsts instructions commit (0 = no limit). The final architectural
-// state hash is returned for cross-configuration equivalence checks.
-func RunProgram(cfg Config, code []isa.Inst, warmup, maxInsts uint64) (*Result, uint64, error) {
-	return runProgram(context.Background(), cfg, code, warmup, maxInsts, RunOptions{})
-}
-
-// RunProgramCPA is RunProgram with critical-path analysis attached.
-func RunProgramCPA(cfg Config, code []isa.Inst, warmup, maxInsts uint64, chunk int) (*Result, uint64, error) {
-	return runProgram(context.Background(), cfg, code, warmup, maxInsts, RunOptions{CPAChunk: chunk})
-}
-
-// RunProgramContext is RunProgram under a context and RunOptions: the run
-// can be canceled (or timed out) mid-flight, bounded by a cycle budget, and
-// observed at an instruction interval. On cancellation during timing it
-// returns the partial Result together with the architectural hash of the
-// state reached and ctx's error; cancellation during functional warmup
-// returns a nil Result (no cycles were timed yet).
-func RunProgramContext(ctx context.Context, cfg Config, code []isa.Inst, warmup, maxInsts uint64, opts RunOptions) (*Result, uint64, error) {
-	return runProgram(ctx, cfg, code, warmup, maxInsts, opts)
-}
-
-func runProgram(ctx context.Context, cfg Config, code []isa.Inst, warmup, maxInsts uint64, opts RunOptions) (*Result, uint64, error) {
+// Warmup executes the first n dynamic instructions of code functionally
+// only (the paper's sampling-warmup methodology) and returns the machine
+// positioned at the first timed instruction. It polls ctx every
+// warmupCtxInterval steps and returns ctx's error once it is done.
+func Warmup(ctx context.Context, code []isa.Inst, n uint64) (*emu.Machine, error) {
 	m := emu.New(code)
 	done := ctx.Done()
-	for m.ICount < warmup && !m.Halted {
+	for m.ICount < n && !m.Halted {
 		if done != nil && m.ICount%warmupCtxInterval == 0 {
 			select {
 			case <-done:
-				return nil, 0, fmt.Errorf("pipeline warmup: %w", ctx.Err())
+				return nil, ctx.Err()
 			default:
 			}
 		}
 		if _, err := m.Step(); err != nil {
-			return nil, 0, fmt.Errorf("pipeline warmup: %w", err)
+			return nil, err
 		}
+	}
+	return m, nil
+}
+
+// RunProgram times a program on the given configuration under ctx and opts.
+// The first warmup dynamic instructions execute functionally only; timing
+// then runs until the program halts or maxInsts instructions commit (0 = no
+// limit). The final architectural state hash is returned for
+// cross-configuration equivalence checks. On cancellation during timing it
+// returns the partial Result together with the architectural hash of the
+// state reached and ctx's error; cancellation during functional warmup
+// returns a nil Result (no cycles were timed yet).
+func RunProgram(ctx context.Context, cfg Config, code []isa.Inst, warmup, maxInsts uint64, opts RunOptions) (*Result, uint64, error) {
+	m, err := Warmup(ctx, code, warmup)
+	if err != nil {
+		return nil, 0, fmt.Errorf("pipeline warmup: %w", err)
 	}
 	cfg.MaxInsts = maxInsts
 	var ferr error

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"reno/internal/asm"
+	"reno/internal/emu"
 	"reno/internal/reno"
 )
 
@@ -32,22 +33,33 @@ func assembleLong(t *testing.T) *asm.Program {
 	return p
 }
 
+// TestRunContextMatchesRun: driving a Sim with RunContext over the
+// emulator's stream times the program exactly as RunProgram does.
 func TestRunContextMatchesRun(t *testing.T) {
 	p := assembleLong(t)
 	cfg := FourWide(reno.Default(160))
-	a, ha, err := RunProgram(cfg, p.Code, 0, 50_000)
+	a, ha, err := RunProgram(context.Background(), cfg, p.Code, 0, 50_000, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, hb, err := RunProgramContext(context.Background(), cfg, p.Code, 0, 50_000, RunOptions{})
+	m := emu.New(p.Code)
+	cfg.MaxInsts = 50_000
+	s := New(cfg, func() (emu.Dyn, bool) {
+		if m.Halted || m.ICount >= cfg.MaxInsts {
+			return emu.Dyn{}, false
+		}
+		d, err := m.Step()
+		return d, err == nil
+	})
+	b, err := s.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Cycles != b.Cycles || a.Insts != b.Insts || ha != hb {
-		t.Errorf("RunContext diverged from Run: %d/%d vs %d/%d", a.Cycles, a.Insts, b.Cycles, b.Insts)
+	if a.Cycles != b.Cycles || a.Insts != b.Insts || ha != m.StateHash() {
+		t.Errorf("RunContext diverged from RunProgram: %d/%d vs %d/%d", b.Cycles, b.Insts, a.Cycles, a.Insts)
 	}
-	if b.StopReason != "max-insts" {
-		t.Errorf("stop reason %q, want max-insts", b.StopReason)
+	if a.StopReason != "max-insts" || b.StopReason != "max-insts" {
+		t.Errorf("stop reasons %q/%q, want max-insts", a.StopReason, b.StopReason)
 	}
 }
 
@@ -59,7 +71,7 @@ func TestRunContextCancelReturnsPartial(t *testing.T) {
 	cfg := FourWide(reno.Baseline(160))
 
 	calls := 0
-	res, _, err := RunProgramContext(ctx, cfg, p.Code, 0, 0, RunOptions{
+	res, _, err := RunProgram(ctx, cfg, p.Code, 0, 0, RunOptions{
 		ObserveEvery: 5_000,
 		Observer: func(st IntervalStats) {
 			calls++
@@ -94,7 +106,7 @@ func TestRunContextCancelDuringWarmup(t *testing.T) {
 	p := assembleLong(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, _, err := RunProgramContext(ctx, FourWide(reno.Baseline(160)), p.Code, 50_000, 0, RunOptions{})
+	res, _, err := RunProgram(ctx, FourWide(reno.Baseline(160)), p.Code, 50_000, 0, RunOptions{})
 	if err == nil {
 		t.Fatal("pre-canceled warmup ran")
 	}
@@ -107,7 +119,7 @@ func TestRunContextCancelDuringWarmup(t *testing.T) {
 // with a complete summary of the cycles that ran.
 func TestRunContextCycleBudget(t *testing.T) {
 	p := assembleLong(t)
-	res, _, err := RunProgramContext(context.Background(), FourWide(reno.Baseline(160)), p.Code, 0, 0,
+	res, _, err := RunProgram(context.Background(), FourWide(reno.Baseline(160)), p.Code, 0, 0,
 		RunOptions{MaxCycles: 2_000})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +143,7 @@ func TestObserverIntervals(t *testing.T) {
 	cfg := FourWide(reno.Default(160))
 
 	var snaps []IntervalStats
-	res, _, err := RunProgramContext(context.Background(), cfg, p.Code, 0, 40_000, RunOptions{
+	res, _, err := RunProgram(context.Background(), cfg, p.Code, 0, 40_000, RunOptions{
 		ObserveEvery: 10_000,
 		Observer:     func(st IntervalStats) { snaps = append(snaps, st) },
 	})
@@ -161,7 +173,7 @@ func TestObserverIntervals(t *testing.T) {
 		t.Errorf("last snapshot (%d insts) beyond the final result (%d)", last.Insts, res.Insts)
 	}
 
-	quiet, _, err := RunProgramContext(context.Background(), cfg, p.Code, 0, 40_000, RunOptions{})
+	quiet, _, err := RunProgram(context.Background(), cfg, p.Code, 0, 40_000, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,28 +123,6 @@ func (t *Table) Dec(p int) (freed bool) {
 	return false
 }
 
-// Snapshot returns a copy of all counts, for checkpoint-style recovery and
-// for invariant checks in tests.
-func (t *Table) Snapshot() []uint16 {
-	s := make([]uint16, len(t.counts))
-	copy(s, t.counts)
-	return s
-}
-
-// Restore overwrites the table from a snapshot.
-func (t *Table) Restore(s []uint16) {
-	if len(s) != len(t.counts) {
-		panic("refcount: snapshot size mismatch")
-	}
-	copy(t.counts, s)
-	t.free = 0
-	for p, c := range t.counts {
-		if p != ZeroReg && c == 0 {
-			t.free++
-		}
-	}
-}
-
 // CheckInvariant verifies that free matches the count array; tests use it
 // after randomized operation sequences.
 func (t *Table) CheckInvariant() error {

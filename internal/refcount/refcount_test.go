@@ -101,26 +101,6 @@ func TestIncOfFreePanics(t *testing.T) {
 	tb.Inc(p)
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	tb := New(16)
-	p1, _ := tb.Alloc()
-	tb.Inc(p1)
-	snap := tb.Snapshot()
-	p2, _ := tb.Alloc()
-	tb.Inc(p2)
-	tb.Dec(p1)
-	tb.Restore(snap)
-	if tb.Count(p1) != 2 {
-		t.Errorf("p1 count after restore = %d, want 2", tb.Count(p1))
-	}
-	if tb.Count(p2) != 0 {
-		t.Errorf("p2 count after restore = %d, want 0", tb.Count(p2))
-	}
-	if err := tb.CheckInvariant(); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestConservation is the core property: through any random sequence of
 // alloc/inc/dec, free-count bookkeeping matches the table exactly, and the
 // number of live references equals allocations+incs-decs.

@@ -9,10 +9,10 @@
 // the paper's overflow rule (16-bit displacement field, conservatively
 // checked) bounds d.
 //
-// The map table supports both recovery styles described in Section 3.4:
-// full checkpoints (restore a copied table, checkpoint-restoration
-// semantics) and per-instruction rollback records (old mapping saved at
-// rename, walked youngest-first on a squash).
+// The recovery styles of Section 3.4 (checkpoint restoration and
+// per-instruction rollback) are not modelled: the trace-driven simulator
+// never renames a wrong-path instruction, and its squash replays reuse the
+// rename records already made, so the table only moves forward.
 package renamer
 
 import (
@@ -83,9 +83,6 @@ func New(rc *refcount.Table) *MapTable {
 	return t
 }
 
-// RefCounts returns the backing reference-count table.
-func (t *MapTable) RefCounts() *refcount.Table { return t.rc }
-
 // Lookup returns the current mapping of r. The zero register always reads
 // as [p0:0] regardless of writes.
 func (t *MapTable) Lookup(r isa.Reg) Mapping {
@@ -113,26 +110,6 @@ func (t *MapTable) SetShared(r isa.Reg, m Mapping) (old Mapping) {
 	return old
 }
 
-// RestoreEntry writes back an old mapping during rollback. The reference
-// transfer mirrors SetNew/SetShared in reverse: the caller decrements the
-// current mapping's register separately.
-func (t *MapTable) RestoreEntry(r isa.Reg, m Mapping) {
-	t.m[r] = m
-}
-
-// Checkpoint copies the entire table (checkpoint-restoration semantics for
-// displacements, per Section 3.4).
-func (t *MapTable) Checkpoint() [isa.NumLogicalRegs]Mapping {
-	return t.m
-}
-
-// RestoreCheckpoint overwrites the table from a checkpoint. Reference
-// counts must be restored separately (or reconciled by walking rollback
-// records); see the reno package.
-func (t *MapTable) RestoreCheckpoint(cp [isa.NumLogicalRegs]Mapping) {
-	t.m = cp
-}
-
 // LiveRefsInto accumulates, for invariant checking, how many map entries
 // point at each physical register into counts (indexed by physical register;
 // the caller zeroes it beforehand). It allocates nothing, so stats and
@@ -145,18 +122,4 @@ func (t *MapTable) LiveRefsInto(counts []int) {
 		}
 		counts[t.m[r].P]++
 	}
-}
-
-// LiveRefs returns the same tallies as LiveRefsInto in map form, omitting
-// unreferenced registers (debugging convenience; allocates per call).
-func (t *MapTable) LiveRefs() map[int]int {
-	counts := make([]int, t.rc.Size())
-	t.LiveRefsInto(counts)
-	refs := make(map[int]int, isa.NumLogicalRegs)
-	for p, n := range counts {
-		if n != 0 {
-			refs[p] = n
-		}
-	}
-	return refs
 }

@@ -96,26 +96,6 @@ func TestZeroRegisterAlwaysZeroMapping(t *testing.T) {
 	}
 }
 
-func TestCheckpointRestore(t *testing.T) {
-	rc := refcount.New(64)
-	mt := New(rc)
-	p1, _ := rc.Alloc()
-	mt.SetNew(isa.Reg(1), p1)
-	cp := mt.Checkpoint()
-
-	p2, _ := rc.Alloc()
-	mt.SetNew(isa.Reg(1), p2)
-	mt.SetShared(isa.Reg(2), Mapping{P: p1, D: 8})
-
-	mt.RestoreCheckpoint(cp)
-	if got := mt.Lookup(isa.Reg(1)); got.P != p1 {
-		t.Errorf("r1 after restore = %v", got)
-	}
-	if got := mt.Lookup(isa.Reg(2)); got.P != refcount.ZeroReg {
-		t.Errorf("r2 after restore = %v", got)
-	}
-}
-
 func TestMappingString(t *testing.T) {
 	if s := (Mapping{P: 5}).String(); s != "[p5]" {
 		t.Errorf("plain mapping = %q", s)

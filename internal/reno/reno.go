@@ -24,9 +24,12 @@
 // or execution bandwidth; they still occupy a reorder-buffer slot and
 // commit in order (integrated loads re-execute at retirement). The
 // optimizer works solely on physical register *names* and immediates — it
-// never reads or writes register values. (The Value fields threaded through
-// the integration table exist only so the trace-driven simulator can
-// adjudicate retirement-time re-execution of speculatively bypassed loads.)
+// never reads or writes register values, with one exception: the Value
+// fields threaded through the integration table let the trace-driven
+// simulator judge a speculative load bypass at rename time. A load whose
+// tuple promises a value other than the trace result is renamed
+// conventionally and marked MisBypass (see tryEliminate), standing in for
+// the retirement-time re-execution mismatch of the paper.
 package reno
 
 import (
@@ -178,15 +181,16 @@ func RENOPlusFullIntegration(n int) Config {
 }
 
 // GroupInst is one decoded instruction presented to the renamer, together
-// with the trace oracle values the simulator uses to model retirement-time
-// verification of speculative load bypassing.
+// with the trace oracle value the optimizer uses to judge speculative load
+// bypassing (Renamed.MisBypass).
 type GroupInst struct {
 	Inst   isa.Inst
 	Result uint64 // destination value; for stores, the stored data value
 }
 
 // Renamed is the renamer's output record for one instruction. The pipeline
-// keeps it in the ROB: it carries everything commit and squash need.
+// keeps it in the ROB and replays it unchanged after a squash: it carries
+// everything commit needs.
 type Renamed struct {
 	Inst isa.Inst
 
@@ -210,8 +214,12 @@ type Renamed struct {
 	// Reexec marks an integrated load that must re-execute at retirement
 	// on the store-retirement data cache port.
 	Reexec bool
-	// ExpectVal is the value integration promised for a Reexec load.
-	ExpectVal uint64
+	// MisBypass marks a load whose integration tuple promised a stale
+	// value: the tuple was invalidated and the load renamed conventionally.
+	// The detailed pipeline models the bogus integration on the load's
+	// first trip and the failed retirement re-execution (squash and
+	// replay) this verdict stands in for.
+	MisBypass bool
 }
 
 // Stats aggregates optimizer activity.
@@ -223,6 +231,8 @@ type Stats struct {
 	ZeroSourceFolds    uint64
 	FusedOps           uint64
 	FusedPenalized     uint64
+	// ReexecFails counts loads judged MisBypass.
+	ReexecFails uint64
 }
 
 // Total returns the total eliminated instruction count.
@@ -273,55 +283,11 @@ func (o *Optimizer) Config() Config { return o.cfg }
 // RefCounts exposes the reference-count table (pipeline occupancy checks).
 func (o *Optimizer) RefCounts() *refcount.Table { return o.rc }
 
-// MapTable exposes the map table (tests).
-func (o *Optimizer) MapTable() *renamer.MapTable { return o.mt }
-
 // IT exposes the integration table; nil when CSE/RA is disabled.
 func (o *Optimizer) IT() *it.Table { return o.it }
 
-// FreeRegs returns the number of free physical registers.
-func (o *Optimizer) FreeRegs() int { return o.rc.Free() }
-
 // zeroMap is the mapping every unused source slot carries.
 var zeroMap = renamer.Mapping{P: refcount.ZeroReg}
-
-// RenameGroup renames up to len(g) instructions presented in the same
-// cycle, honoring the paper's restriction that an instruction depending on
-// an older *eliminated* instruction from the same group is renamed
-// conventionally (the output-selection mux simplification of Section 3.2).
-//
-// It returns the records for the instructions successfully renamed; n may
-// be short of len(g) when the physical register file is exhausted — the
-// caller re-presents the remainder next cycle.
-func (o *Optimizer) RenameGroup(g []GroupInst) (out []Renamed, n int) {
-	out = make([]Renamed, 0, len(g))
-	var elimDest uint32 // bitmask of logical regs written by group-eliminated insts
-	for _, gi := range g {
-		r, ok := o.renameOne(gi, elimDest)
-		if !ok {
-			break // structural stall: no free physical register
-		}
-		elimDest = UpdateGroupMask(elimDest, &r)
-		out = append(out, r)
-		n++
-	}
-	return out, n
-}
-
-// RenameOne renames a single instruction against the current rename state.
-// elimDest is the group-dependence mask accumulated over older instructions
-// renamed in the same cycle (see UpdateGroupMask); pass 0 for the first
-// instruction of a group. ok is false when the physical register file is
-// exhausted — the caller re-presents the instruction once a register frees.
-//
-// Callers that drive the optimizer one instruction at a time (the shared
-// elimination engine) use this; RenameGroup remains the whole-group
-// entry point.
-//
-//reno:hotpath
-func (o *Optimizer) RenameOne(gi GroupInst, elimDest uint32) (Renamed, bool) {
-	return o.renameOne(gi, elimDest)
-}
 
 // UpdateGroupMask folds one rename result into the same-group elimination
 // mask: an eliminated destination sets its bit (younger in-group readers
@@ -339,8 +305,18 @@ func UpdateGroupMask(mask uint32, r *Renamed) uint32 {
 	return mask &^ (1 << uint(r.Dest))
 }
 
+// RenameOne renames a single instruction against the current rename state.
+// elimDest is the group-dependence mask accumulated over older instructions
+// renamed in the same cycle (see UpdateGroupMask); pass 0 for the first
+// instruction of a group: an instruction depending on an older *eliminated*
+// instruction of its group is renamed conventionally (the output-selection
+// mux simplification of Section 3.2). ok is false when the physical register
+// file is exhausted — the caller re-presents the instruction once a register
+// frees. A failed attempt still reports a MisBypass verdict it reached, since
+// the stale tuple is already gone when the instruction is re-presented.
+//
 //reno:hotpath
-func (o *Optimizer) renameOne(gi GroupInst, elimDest uint32) (Renamed, bool) {
+func (o *Optimizer) RenameOne(gi GroupInst, elimDest uint32) (Renamed, bool) {
 	in := gi.Inst
 	r := Renamed{Inst: in, Src: [2]renamer.Mapping{zeroMap, zeroMap}}
 	rs, rt := isa.Sources(in)
@@ -378,7 +354,7 @@ func (o *Optimizer) renameOne(gi GroupInst, elimDest uint32) (Renamed, bool) {
 	if r.HasDest {
 		p, ok := o.rc.Alloc()
 		if !ok {
-			return Renamed{}, false
+			return Renamed{MisBypass: r.MisBypass}, false
 		}
 		r.NewMap = renamer.Mapping{P: p}
 		r.OldMap = o.mt.SetNew(r.Dest, p)
@@ -458,7 +434,15 @@ func (o *Optimizer) tryEliminate(r *Renamed, gi GroupInst) bool {
 	if o.cfg.EnableCSERA && o.it != nil && o.it.Covers(in) {
 		switch isa.ClassOf(in) {
 		case isa.ClassLoad:
-			outM, val, reverse, hit := o.lookupIT(isa.OpLd, in.Imm, r.Src[0], zeroMap)
+			// Judge the bypass before using it: a tuple whose value oracle
+			// disagrees with the trace result is stale. Peek leaves the
+			// table's access statistics and LRU state to the lookup below.
+			if _, val, _, hit := o.it.Peek(isa.OpLd, in.Imm, r.Src[0], zeroMap); hit && val != gi.Result {
+				o.it.InvalidateSignature(isa.OpLd, in.Imm, r.Src[0], zeroMap)
+				o.Stats.ReexecFails++
+				r.MisBypass = true
+			}
+			outM, _, reverse, hit := o.it.LookupRev(isa.OpLd, in.Imm, r.Src[0], zeroMap)
 			if hit {
 				r.NewMap = outM
 				r.OldMap = o.mt.SetShared(r.Dest, outM)
@@ -469,12 +453,11 @@ func (o *Optimizer) tryEliminate(r *Renamed, gi GroupInst) bool {
 					r.Kind = KindCSELoad
 				}
 				r.Reexec = true
-				r.ExpectVal = val
 				o.Stats.Eliminated[r.Kind]++
 				return true
 			}
 		case isa.ClassIntALU:
-			outM, _, _, hit := o.lookupIT(in.Op, in.Imm, r.Src[0], r.Src[1])
+			outM, _, hit := o.it.Lookup(in.Op, in.Imm, r.Src[0], r.Src[1])
 			if hit {
 				r.NewMap = outM
 				r.OldMap = o.mt.SetShared(r.Dest, outM)
@@ -486,15 +469,6 @@ func (o *Optimizer) tryEliminate(r *Renamed, gi GroupInst) bool {
 		}
 	}
 	return false
-}
-
-// lookupIT probes the integration table, tracking whether the hit entry was
-// a reverse (store-created) tuple.
-//
-//reno:hotpath
-func (o *Optimizer) lookupIT(op isa.Op, imm int32, in1, in2 renamer.Mapping) (out renamer.Mapping, val uint64, reverse, hit bool) {
-	out, val, rev, hit := o.it.LookupRev(op, imm, in1, in2)
-	return out, val, rev, hit
 }
 
 // insertForwardTuple installs the IT entry describing the value a
@@ -629,36 +603,9 @@ func (o *Optimizer) Commit(r *Renamed) {
 	}
 }
 
-// Squash rolls back one renamed instruction. Records must be presented
-// youngest-first (ROB walk, Section 3.4: re-order buffer immediates have
-// rollback semantics).
-//
-//reno:hotpath
-func (o *Optimizer) Squash(r *Renamed) {
-	if !r.HasDest {
-		return
-	}
-	if freed := o.rc.Dec(r.NewMap.P); freed && o.it != nil {
-		o.it.InvalidatePhys(r.NewMap.P)
-	}
-	o.mt.RestoreEntry(r.Dest, r.OldMap)
-}
-
-// ReexecMismatch reports an integrated load whose retirement re-execution
-// produced a different value than integration promised; the stale tuple is
-// removed so it cannot mis-integrate again. The pipeline squashes younger
-// instructions and replays.
-//
-//reno:hotpath
-func (o *Optimizer) ReexecMismatch(r *Renamed) {
-	if o.it != nil {
-		o.it.InvalidateSignature(isa.OpLd, r.Inst.Imm, r.Src[0], zeroMap)
-	}
-}
-
 // CheckInvariant validates reference-count consistency against the map
 // table plus a caller-supplied count of in-flight holds per register.
-// Tests call it after randomized rename/commit/squash sequences; the
+// Tests call it after randomized rename/commit sequences; the
 // per-register tallies live in a reusable scratch slice, so instrumented
 // runs can call it at interval granularity without allocating.
 func (o *Optimizer) CheckInvariant(inflightHolds map[int]int) error {

@@ -3,6 +3,7 @@ package reno
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"reno/internal/isa"
 	"reno/internal/refcount"
@@ -12,11 +13,28 @@ import (
 // rename1 pushes a single instruction through the optimizer.
 func rename1(t *testing.T, o *Optimizer, in isa.Inst, result uint64) Renamed {
 	t.Helper()
-	out, n := o.RenameGroup([]GroupInst{{Inst: in, Result: result}})
-	if n != 1 {
+	r, ok := o.RenameOne(GroupInst{Inst: in, Result: result}, 0)
+	if !ok {
 		t.Fatalf("rename of %v stalled", in)
 	}
-	return out[0]
+	return r
+}
+
+// renameGroup renames g as one rename group (the same-group dependence
+// restriction of Section 3.2 applies across it), stopping at the first
+// instruction that finds the register file exhausted.
+func renameGroup(o *Optimizer, g []GroupInst) (out []Renamed, n int) {
+	var mask uint32
+	for _, gi := range g {
+		r, ok := o.RenameOne(gi, mask)
+		if !ok {
+			break
+		}
+		mask = UpdateGroupMask(mask, &r)
+		out = append(out, r)
+		n++
+	}
+	return out, n
 }
 
 // TestFigure1MoveElimination walks the paper's Figure 1 sequence:
@@ -121,7 +139,7 @@ func TestSameCycleDependentElimination(t *testing.T) {
 		{Inst: isa.Addi(2, 1, 5)}, // I0: foldable
 		{Inst: isa.Addi(4, 2, 6)}, // I1: depends on I0 -> renamed normally
 	}
-	out, n := o.RenameGroup(group)
+	out, n := renameGroup(o, group)
 	if n != 2 {
 		t.Fatal("group stalled")
 	}
@@ -153,7 +171,7 @@ func TestIndependentPairBothEliminated(t *testing.T) {
 	o := New(MECF(64))
 	rename1(t, o, isa.R(isa.OpAdd, 1, 2, 3), 0)
 	rename1(t, o, isa.R(isa.OpAdd, 5, 2, 3), 0)
-	out, n := o.RenameGroup([]GroupInst{
+	out, n := renameGroup(o, []GroupInst{
 		{Inst: isa.Addi(2, 1, 5)},
 		{Inst: isa.Addi(6, 5, 6)},
 	})
@@ -211,8 +229,8 @@ func TestCSELoadIntegration(t *testing.T) {
 	if ld2.NewMap.P != ld1.NewMap.P {
 		t.Error("integrated load does not share the first load's register")
 	}
-	if !ld2.Reexec || ld2.ExpectVal != 111 {
-		t.Errorf("integrated load reexec=%v expect=%d", ld2.Reexec, ld2.ExpectVal)
+	if !ld2.Reexec || ld2.MisBypass {
+		t.Errorf("integrated load reexec=%v misBypass=%v", ld2.Reexec, ld2.MisBypass)
 	}
 }
 
@@ -321,43 +339,15 @@ func TestCommitFreesOldMapping(t *testing.T) {
 	}
 }
 
-func TestSquashRollsBack(t *testing.T) {
-	o := New(MECF(40))
-	add := rename1(t, o, isa.R(isa.OpAdd, 1, 2, 3), 0)
-	p1 := add.NewMap.P
-	before := o.MapTable().Checkpoint()
-	freeBefore := o.RefCounts().Free()
-
-	mv := rename1(t, o, isa.Move(2, 1), 0)            // shares p1
-	ai := rename1(t, o, isa.Addi(3, 2, 4), 0)         // folds onto p1
-	nr := rename1(t, o, isa.R(isa.OpAdd, 2, 3, 1), 0) // allocates
-
-	// Squash youngest-first.
-	o.Squash(&nr)
-	o.Squash(&ai)
-	o.Squash(&mv)
-
-	after := o.MapTable().Checkpoint()
-	if before != after {
-		t.Error("map table not restored by rollback walk")
-	}
-	if o.RefCounts().Free() != freeBefore {
-		t.Errorf("free regs after squash = %d, want %d", o.RefCounts().Free(), freeBefore)
-	}
-	if o.RefCounts().Count(p1) != 1 {
-		t.Errorf("shared count after squash = %d, want 1", o.RefCounts().Count(p1))
-	}
-}
-
 func TestRenameStallsWhenFileExhausted(t *testing.T) {
 	o := New(Baseline(isa.NumLogicalRegs + 3))
 	var live []Renamed
 	for i := 0; ; i++ {
-		out, n := o.RenameGroup([]GroupInst{{Inst: isa.Addi(isa.Reg(1+i%8), isa.RZero, int32(i))}})
-		if n == 0 {
+		r, ok := o.RenameOne(GroupInst{Inst: isa.Addi(isa.Reg(1+i%8), isa.RZero, int32(i))}, 0)
+		if !ok {
 			break
 		}
-		live = append(live, out[0])
+		live = append(live, r)
 		if i > 100 {
 			t.Fatal("never stalled")
 		}
@@ -370,7 +360,7 @@ func TestRenameStallsWhenFileExhausted(t *testing.T) {
 	for i := range live {
 		o.Commit(&live[i])
 	}
-	if _, n := o.RenameGroup([]GroupInst{{Inst: isa.Addi(1, isa.RZero, 9)}}); n != 1 {
+	if _, ok := o.RenameOne(GroupInst{Inst: isa.Addi(1, isa.RZero, 9)}, 0); !ok {
 		t.Error("rename still stalled after commits freed registers")
 	}
 }
@@ -450,26 +440,44 @@ func TestFoldZeroSourceExtension(t *testing.T) {
 	}
 }
 
+// TestReexecMismatchInvalidates: a load whose integration tuple promises a
+// stale value is judged at rename. It renames conventionally with MisBypass
+// set, counts one re-execution failure, and replaces the stale tuple with
+// its own, which a later load of the same (now current) value integrates.
 func TestReexecMismatchInvalidates(t *testing.T) {
 	o := New(Default(64))
 	rename1(t, o, isa.R(isa.OpAdd, 1, 2, 3), 0)
 	rename1(t, o, isa.Ld(3, 1, 8), 111)
+	lookups, hits := o.IT().Lookups, o.IT().Hits
 	ld2 := rename1(t, o, isa.Ld(4, 1, 8), 222) // memory changed: stale value
-	if !ld2.Elim {
-		t.Fatal("second load not integrated")
+	if ld2.Elim || !ld2.MisBypass || ld2.Reexec {
+		t.Fatalf("stale bypass: elim=%v misBypass=%v reexec=%v, want a conventional MisBypass load",
+			ld2.Elim, ld2.MisBypass, ld2.Reexec)
 	}
-	if ld2.ExpectVal == 222 {
-		t.Fatal("test setup: expected stale value")
+	if o.Stats.ReexecFails != 1 {
+		t.Errorf("re-execution failures = %d, want 1", o.Stats.ReexecFails)
 	}
-	o.ReexecMismatch(&ld2)
+	if o.IT().Lookups != lookups+1 || o.IT().Hits != hits {
+		t.Errorf("judging the bypass changed IT statistics: lookups +%d, hits +%d, want +1 and +0",
+			o.IT().Lookups-lookups, o.IT().Hits-hits)
+	}
 	ld3 := rename1(t, o, isa.Ld(5, 1, 8), 222)
-	if ld3.Elim {
-		t.Error("stale tuple survived mismatch invalidation")
+	if !ld3.Elim || ld3.MisBypass || ld3.NewMap.P != ld2.NewMap.P {
+		t.Errorf("load after the verdict: elim=%v misBypass=%v p%d, want integration with p%d",
+			ld3.Elim, ld3.MisBypass, ld3.NewMap.P, ld2.NewMap.P)
 	}
 }
 
-// TestRandomizedInvariants drives the optimizer with random instructions,
-// random commits and squashes, and validates reference-count conservation
+// TestRenamedSize keeps the ROB record, copied on every rename, commit and
+// replay, from growing.
+func TestRenamedSize(t *testing.T) {
+	if n := unsafe.Sizeof(Renamed{}); n > 120 {
+		t.Errorf("Renamed is %d bytes, want at most 120", n)
+	}
+}
+
+// TestRandomizedInvariants drives the optimizer with random instructions
+// and random commits, and validates reference-count conservation
 // throughout.
 func TestRandomizedInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -506,22 +514,15 @@ func TestRandomizedInvariants(t *testing.T) {
 		}
 
 		for step := 0; step < 400; step++ {
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0, 1: // rename
-				out, _ := o.RenameGroup([]GroupInst{{Inst: randInst(), Result: uint64(rng.Int63())}})
-				inflight = append(inflight, out...)
+				if r, ok := o.RenameOne(GroupInst{Inst: randInst(), Result: uint64(rng.Int63())}, 0); ok {
+					inflight = append(inflight, r)
+				}
 			case 2: // commit oldest
 				if len(inflight) > 0 {
 					o.Commit(&inflight[0])
 					inflight = inflight[1:]
-				}
-			case 3: // squash a suffix
-				if len(inflight) > 1 {
-					cut := 1 + rng.Intn(len(inflight)-1)
-					for i := len(inflight) - 1; i >= cut; i-- {
-						o.Squash(&inflight[i])
-					}
-					inflight = inflight[:cut]
 				}
 			}
 			if err := o.CheckInvariant(holds()); err != nil {
