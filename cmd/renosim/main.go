@@ -43,7 +43,7 @@ func main() {
 	sched := flag.Int("sched", 1, "wakeup-select loop latency (1 or 2)")
 	intALUs := flag.Int("ints", 0, "override integer ALU count (0 = default)")
 	issueTot := flag.Int("issue", 0, "override total issue width (0 = default)")
-	backend := flag.String("backend", "", "simulation backend: detailed (default), approx, or functional")
+	backend := flag.String("backend", "", "simulation backend: detailed (default) or functional")
 	seed := flag.Int64("seed", 0, "workload seed offset (0 = canonical program)")
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	maxInsts := flag.Uint64("max", 300_000, "timed instruction budget (0 = to completion)")
@@ -138,8 +138,7 @@ func printText(p *sim.Program, res *sim.Result) {
 	mi := p.Machine()
 	fmt.Printf("config            %s / %s / %d pregs / sched %d\n", mi.Name, res.Tag, mi.PhysRegs, mi.SchedLoop)
 	if b := p.Backend(); b != "detailed" {
-		fmt.Printf("backend           %s (timing %s)\n", b,
-			map[string]string{"approx": "estimated", "functional": "not modeled"}[b])
+		fmt.Printf("backend           %s (timing not modeled)\n", b)
 	}
 	fmt.Printf("instructions      %d\n", res.Insts)
 	fmt.Printf("cycles            %d\n", res.Cycles)

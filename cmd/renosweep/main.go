@@ -54,7 +54,7 @@ func main() {
 		seeds    = flag.String("seeds", "0", "comma-separated workload seed offsets")
 		scale    = flag.Float64("scale", 1.0, "workload scale factor")
 		maxInsts = flag.Uint64("max", 300_000, "timed instructions per run (0 = to completion)")
-		backend  = flag.String("backend", "", "simulation backend: detailed (default), approx, or functional")
+		backend  = flag.String("backend", "", "simulation backend: detailed (default) or functional")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		timeout  = flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none; timed-out runs fail with partial stats)")
 		gridPath = flag.String("grid", "", "JSON grid spec file (overrides the grid axis flags)")

@@ -1,22 +1,18 @@
-// Package backend defines the multi-fidelity simulation backends: one
-// Backend interface with three implementations spanning the
-// cost/fidelity spectrum, all consuming the shared elimination engine
-// (internal/elim) so RENO elimination accounting is identical at every
+// Package backend defines the simulation backends: one Backend interface
+// with two implementations, both consuming the shared elimination engine
+// (internal/elim) so RENO elimination accounting is identical at either
 // fidelity level.
 //
 //	detailed    the cycle-level pipeline model (internal/pipeline): full
 //	            structural hazards, ports, squash/replay. Ground truth.
-//	approx      cycle-approximate: the full elimination engine plus branch
-//	            predictor and cache hierarchy drive an analytic IPC
-//	            estimate; no structural-hazard, port, or replay detail.
 //	functional  the emulator plus the elimination engine, no timing at
 //	            all. Screens cells an order of magnitude faster than
 //	            detailed.
 //
-// Every backend reports the same architectural result (final state hash and
+// Both backends report the same architectural result (final state hash and
 // committed-instruction stream hash) and the same elimination counts for a
-// given cell; internal/backend/difftest proves it. Timing fields degrade
-// with fidelity: approx estimates cycles/IPC, functional reports none.
+// given cell; internal/backend/difftest proves it. Functional reports no
+// cycles or IPC.
 package backend
 
 import (
@@ -24,6 +20,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strings"
 
 	"reno/internal/emu"
 	"reno/internal/isa"
@@ -37,8 +34,6 @@ const (
 	// Detailed is the cycle-level pipeline model — the zero value, so
 	// specs and grids that never mention a backend keep their meaning.
 	Detailed Kind = iota
-	// Approx is the cycle-approximate model.
-	Approx
 	// Functional is the untimed emulator-plus-engine model.
 	Functional
 )
@@ -47,8 +42,6 @@ func (k Kind) String() string {
 	switch k {
 	case Detailed:
 		return "detailed"
-	case Approx:
-		return "approx"
 	case Functional:
 		return "functional"
 	}
@@ -61,16 +54,14 @@ func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "", "detailed":
 		return Detailed, nil
-	case "approx":
-		return Approx, nil
 	case "functional":
 		return Functional, nil
 	}
-	return Detailed, fmt.Errorf("unknown backend %q (want %s)", s, knownList())
+	return Detailed, fmt.Errorf("unknown backend %q (want %s)", s, strings.Join(Names(), ", "))
 }
 
 // Kinds returns every backend, detailed first.
-func Kinds() []Kind { return []Kind{Detailed, Approx, Functional} }
+func Kinds() []Kind { return []Kind{Detailed, Functional} }
 
 // Names returns the canonical backend names, sorted.
 func Names() []string {
@@ -80,17 +71,6 @@ func Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-func knownList() string {
-	s := ""
-	for i, n := range Names() {
-		if i > 0 {
-			s += ", "
-		}
-		s += n
-	}
-	return s
 }
 
 // Request describes one simulation cell: a fully resolved machine
@@ -134,8 +114,6 @@ type Backend interface {
 // For returns the backend implementing k.
 func For(k Kind) Backend {
 	switch k {
-	case Approx:
-		return approxBackend{}
 	case Functional:
 		return functionalBackend{}
 	default:

@@ -2,7 +2,6 @@ package difftest
 
 import (
 	"context"
-	"math"
 	"testing"
 	"time"
 
@@ -47,9 +46,9 @@ func benchCell(t testing.TB, bench, mach, rcfg string) Cell {
 }
 
 // TestBackendEquivalenceMatrix is the tentpole proof: for every machine
-// preset × RENO configuration in the registry, the functional and
-// cycle-approximate backends must match the detailed pipeline exactly on
-// architectural results and elimination counts.
+// preset × RENO configuration in the registry, the functional backend must
+// match the detailed pipeline exactly on architectural results and
+// elimination counts.
 func TestBackendEquivalenceMatrix(t *testing.T) {
 	ctx := context.Background()
 	for _, m := range machine.Machines() {
@@ -58,14 +57,12 @@ func TestBackendEquivalenceMatrix(t *testing.T) {
 			t.Run(m.Name+"/"+r.Name, func(t *testing.T) {
 				t.Parallel()
 				cell := benchCell(t, "gzip", m.Name, r.Name)
-				for _, alt := range []backend.Kind{backend.Functional, backend.Approx} {
-					rep, err := Compare(ctx, cell, backend.Detailed, alt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !rep.Equivalent() {
-						t.Errorf("%s", rep)
-					}
+				rep, err := Compare(ctx, cell, backend.Detailed, backend.Functional)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.Equivalent() {
+					t.Errorf("%s", rep)
 				}
 			})
 		}
@@ -73,7 +70,7 @@ func TestBackendEquivalenceMatrix(t *testing.T) {
 }
 
 // TestEquivalenceAcrossBenches widens the workload axis on the flagship
-// configuration: every fidelity pair must agree on benches that stress
+// configuration: both fidelity levels must agree on benches that stress
 // memory (mcf-like chase), calls/returns, and redundancy differently.
 func TestEquivalenceAcrossBenches(t *testing.T) {
 	ctx := context.Background()
@@ -82,14 +79,12 @@ func TestEquivalenceAcrossBenches(t *testing.T) {
 		t.Run(bench, func(t *testing.T) {
 			t.Parallel()
 			cell := benchCell(t, bench, "4w", "RENO")
-			for _, alt := range []backend.Kind{backend.Functional, backend.Approx} {
-				rep, err := Compare(ctx, cell, backend.Detailed, alt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.Equivalent() {
-					t.Errorf("%s", rep)
-				}
+			rep, err := Compare(ctx, cell, backend.Detailed, backend.Functional)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Equivalent() {
+				t.Errorf("%s", rep)
 			}
 		})
 	}
@@ -122,50 +117,6 @@ func TestRunToHaltEquivalence(t *testing.T) {
 		t.Errorf("expected run-to-halt on both backends, got %q / %q",
 			rep.ResA.Pipe.StopReason, rep.ResB.Pipe.StopReason)
 	}
-}
-
-// ApproxIPCTolerance is the pinned accuracy envelope of the approx backend:
-// its IPC estimate stays within this relative error of the detailed model on
-// the preset matrix. Worst case measured across the pinned cells is ~20%
-// (see docs/backends.md); the envelope leaves margin for workload drift.
-// The model is a screening tool, not a substitute for detailed timing.
-const ApproxIPCTolerance = 0.35
-
-// TestApproxIPCTolerance measures the approx model against detailed timing
-// and enforces the documented envelope.
-func TestApproxIPCTolerance(t *testing.T) {
-	ctx := context.Background()
-	worst := 0.0
-	for _, c := range []struct{ bench, mach, rcfg string }{
-		{"gzip", "4w", "BASE"},
-		{"gzip", "4w", "RENO"},
-		{"mcf", "4w", "RENO"},
-		{"crafty", "6w", "RENO"},
-	} {
-		cell := benchCell(t, c.bench, c.mach, c.rcfg)
-		det, err := backend.For(backend.Detailed).Run(ctx, cell.request())
-		if err != nil {
-			t.Fatal(err)
-		}
-		apx, err := backend.For(backend.Approx).Run(ctx, cell.request())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if det.Pipe.IPC <= 0 || apx.Pipe.IPC <= 0 {
-			t.Fatalf("%s: non-positive IPC (detailed %.3f, approx %.3f)", cell, det.Pipe.IPC, apx.Pipe.IPC)
-		}
-		relErr := math.Abs(apx.Pipe.IPC-det.Pipe.IPC) / det.Pipe.IPC
-		t.Logf("%s: detailed IPC %.3f, approx IPC %.3f, rel err %.1f%%",
-			cell, det.Pipe.IPC, apx.Pipe.IPC, 100*relErr)
-		if relErr > worst {
-			worst = relErr
-		}
-		if relErr > ApproxIPCTolerance {
-			t.Errorf("%s: approx IPC %.3f vs detailed %.3f: rel err %.1f%% exceeds the %.0f%% envelope",
-				cell, apx.Pipe.IPC, det.Pipe.IPC, 100*relErr, 100*ApproxIPCTolerance)
-		}
-	}
-	t.Logf("worst-case approx IPC error: %.1f%%", 100*worst)
 }
 
 // TestFunctionalSpeedup runs gzip to halt on the functional and detailed

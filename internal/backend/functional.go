@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"reno/internal/elim"
-	"reno/internal/emu"
 	"reno/internal/pipeline"
 )
 
@@ -20,26 +19,10 @@ type functionalBackend struct{}
 
 func (functionalBackend) Kind() Kind { return Functional }
 
+// Run is the emulator-plus-engine loop: functional warmup, then one engine
+// decision per committed instruction under the same instruction budget the
+// detailed feed applies.
 func (functionalBackend) Run(ctx context.Context, req Request) (*Result, error) {
-	return runEngine(ctx, req, nil, nil)
-}
-
-// engineRun is the state shared by the functional and approx backends after
-// the emulator/engine loop drains.
-type engineRun struct {
-	eng   *elim.Engine
-	m     *emu.Machine
-	insts uint64
-	stop  string
-}
-
-// runEngine is the common emulator-plus-engine loop: functional warmup, then
-// one engine decision per committed instruction under the same instruction
-// budget the detailed feed applies. hook (may be nil) observes each timed
-// instruction with its decision; finishHook (may be nil) stamps
-// backend-specific timing fields onto the result before percentages are
-// derived.
-func runEngine(ctx context.Context, req Request, hook func(d emu.Dyn, dec elim.Decision), finishHook func(run *engineRun, r *pipeline.Result)) (*Result, error) {
 	if err := req.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
@@ -50,17 +33,15 @@ func runEngine(ctx context.Context, req Request, hook func(d emu.Dyn, dec elim.D
 
 	// Fast path: a configuration with no elimination mechanism decides
 	// every instruction conventionally and counts nothing — the engine is
-	// pure overhead, so baseline screening runs at emulator speed. The
-	// hook still receives the (zero) decision each instruction.
+	// pure overhead, so baseline screening runs at emulator speed.
 	var eng *elim.Engine
 	if req.Cfg.Reno.AnyEnabled() {
 		eng = elim.New(req.Cfg.Reno, req.Cfg.ROBSize, req.Cfg.RenameWidth)
 	}
 	ch := newCommitHasher()
-	run := &engineRun{eng: eng, m: m}
 	done := ctx.Done()
 	canceled := false
-	var dec elim.Decision
+	var insts uint64
 	for !m.Halted && !(req.MaxInsts > 0 && m.ICount >= req.Warmup+req.MaxInsts) {
 		if done != nil && m.ICount%ctxCheckInterval == 0 {
 			select {
@@ -81,36 +62,30 @@ func runEngine(ctx context.Context, req Request, hook func(d emu.Dyn, dec elim.D
 		}
 		ch.add(d)
 		if eng != nil {
-			dec, err = eng.Next(d)
-			if err != nil {
+			if _, err := eng.Next(d); err != nil {
 				return nil, err
 			}
 		}
-		if hook != nil {
-			hook(d, dec)
-		}
-		run.insts++
+		insts++
 	}
+	var stop string
 	switch {
 	case canceled:
-		run.stop = "canceled"
+		stop = "canceled"
 	case req.MaxInsts > 0 && m.ICount >= req.Warmup+req.MaxInsts:
-		run.stop = "max-insts"
+		stop = "max-insts"
 	}
 
 	r := &pipeline.Result{
 		Config:     req.Cfg,
-		StopReason: run.stop,
-		Insts:      run.insts,
+		StopReason: stop,
+		Insts:      insts,
 	}
 	if eng != nil {
 		// Untimed runs never squash, so every decided instruction commits:
 		// the engine's rename-time statistics are exact commit tallies.
 		r.SetEngineStats(eng)
 		r.ReexecFails = r.Reno.ReexecFails
-	}
-	if finishHook != nil {
-		finishHook(run, r)
 	}
 	r.Derive()
 	res := &Result{Pipe: r, ArchHash: m.StateHash(), CommitHash: ch.sum()}

@@ -3,8 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"net/http/httptest"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -275,4 +277,66 @@ func TestSubmitSkipsRecoveredID(t *testing.T) {
 	if _, err := svc.Restore("sw-000001", j2.Recovered()[0].Spec); err != nil {
 		t.Fatalf("restore after a fresh submission: %v", err)
 	}
+}
+
+// TestRestoreSkipsRejectedBackend: a journal written by a build that still
+// accepted the approx backend holds an unfinished approx sweep ahead of a
+// functional one. Recovery refuses the first with an error naming the
+// backend, restores and completes the second, and a fresh submission is
+// numbered past both.
+func TestRestoreSkipsRejectedBackend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	approxSpec := []byte(`{"version":2,"benches":["gzip"],"renos":["BASE","RENO"],"max_insts":2000,"scale":0.1,"backend":"approx"}`)
+	fnSpec := []byte(`{"version":2,"benches":["gzip"],"renos":["BASE","RENO"],"max_insts":2000,"scale":0.1,"backend":"functional"}`)
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.submit("sw-000001", approxSpec); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.submit("sw-000002", fnSpec); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := j2.Recovered()
+	if len(rec) != 2 || rec[0].ID != "sw-000001" || rec[1].ID != "sw-000002" {
+		t.Fatalf("recovered %+v, want sw-000001 and sw-000002", rec)
+	}
+	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Hour, Journal: j2})
+	svc, err := service.New(service.Config{Dispatcher: coord})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { closeFast(svc, coord) })
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(ts.Close)
+	startWorkerAt(t, ts.URL, "w1", nil)
+
+	if _, err := svc.Restore(rec[0].ID, rec[0].Spec); err == nil {
+		t.Fatal("approx sweep restored")
+	} else if !strings.Contains(err.Error(), "approx") {
+		t.Errorf("restore error %q does not name the rejected backend", err)
+	}
+	restored, err := svc.Restore(rec[1].ID, rec[1].Spec)
+	if err != nil {
+		t.Fatalf("functional sweep behind a rejected one: %v", err)
+	}
+	if st := waitTerminal(t, restored); st.State != service.StateDone {
+		t.Fatalf("restored functional sweep ended %s: %+v", st.State, st)
+	}
+
+	fresh, err := svc.Submit(fnSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID() != "sw-000003" {
+		t.Errorf("fresh submission got %s, want sw-000003 (past both journaled IDs)", fresh.ID())
+	}
+	waitTerminal(t, fresh)
 }

@@ -5,12 +5,12 @@
 // every simulation backend consumes.
 //
 // Hoisting the decision out of the detailed pipeline is what makes
-// multi-fidelity simulation provable: the functional and cycle-approximate
-// backends run the same engine over the same stream, and the detailed
-// pipeline *replays* the engine's recorded decisions instead of re-deciding
-// under timing pressure (squash replays reuse the original record), so all
-// backends report identical elimination counts by construction — the
-// invariant the differential harness in internal/backend/difftest pins.
+// multi-fidelity simulation provable: the functional backend runs the same
+// engine over the same stream, and the detailed pipeline *replays* the
+// engine's recorded decisions instead of re-deciding under timing pressure
+// (squash replays reuse the original record), so both backends report
+// identical elimination counts by construction — the invariant the
+// differential harness in internal/backend/difftest pins.
 //
 // # Decision discipline
 //

@@ -184,12 +184,15 @@ type Inst struct {
 	Imm int32 // sign-extended 16-bit immediate / shift amount / branch offset in words
 }
 
-// Word is an encoded 32-bit AXP32 instruction.
+// Word is an encoded 32-bit AXP32 instruction. Every format has the same
+// opcode and two register fields; the low 16 bits hold either an immediate
+// or a third register:
 //
-// Layout: [31:26] opcode, [25:21] rd, [20:16] rs, [15:11] rt... no: AXP32
-// packs opcode(6) | rd(5) | rs(5) | rt(5) | unused — immediates need 16 bits,
-// so the real layout is opcode(6) | rd(5) | rs(5) | imm(16) for I-format and
-// opcode(6) | rd(5) | rs(5) | rt(5) | zero(11) for R-format.
+//	immediate  opcode(6) | reg(5) | reg(5) | imm(16)          I, B, J formats
+//	register   opcode(6) | rd(5)  | rs(5)  | rt(5) | zero(11) R format
+//
+// The two register fields hold rd, rs for FmtI; rs, rt for FmtB; rd and
+// zero for FmtJ. FmtN encodes the opcode alone.
 type Word uint32
 
 // Format describes how an opcode's operands are encoded.
@@ -309,17 +312,12 @@ func IsCFCandidate(i Inst) bool {
 // renamer may want to know the format).
 func NumSources(i Inst) int {
 	switch FormatOf(i.Op) {
-	case FmtN:
-		return 0
-	case FmtJ:
+	case FmtN, FmtJ:
 		return 0
 	case FmtI:
 		return 1
 	case FmtB:
-		if i.Op == OpSt {
-			return 2 // base + data
-		}
-		return 2
+		return 2 // branch operands, or a store's base + data
 	}
 	switch i.Op {
 	case OpJr, OpJalr:

@@ -14,7 +14,6 @@ func TestNormalizeBackend(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"", ""},
 		{"detailed", ""},
-		{"approx", "approx"},
 		{"functional", "functional"},
 	}
 	for _, c := range cases {
@@ -25,10 +24,12 @@ func TestNormalizeBackend(t *testing.T) {
 			t.Errorf("NormalizeBackend(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
-	if _, err := NormalizeBackend("fast"); err == nil {
-		t.Error("unknown backend normalized without error")
-	} else if !strings.Contains(err.Error(), "fast") {
-		t.Errorf("error %q does not name the bad backend", err)
+	for _, bad := range []string{"fast", "approx"} {
+		if _, err := NormalizeBackend(bad); err == nil {
+			t.Errorf("unknown backend %q normalized without error", bad)
+		} else if !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), "detailed, functional") {
+			t.Errorf("error %q does not name the bad backend and list the known ones", err)
+		}
 	}
 }
 
@@ -36,11 +37,14 @@ func TestNormalizeBackend(t *testing.T) {
 // field-level error, demands schema version 2, and normalizes through
 // Expand ("detailed" and absent both land as the "" default).
 func TestGridBackendField(t *testing.T) {
-	bad := `{"version": 2, "benches": ["gzip"], "backend": "fast"}`
-	if _, err := ParseGridJSON([]byte(bad)); err == nil {
-		t.Error("unknown backend accepted")
-	} else if !strings.Contains(err.Error(), "backend") || !strings.Contains(err.Error(), "fast") {
-		t.Errorf("unhelpful backend error: %v", err)
+	for _, bad := range []string{"fast", "approx"} {
+		spec := `{"version": 2, "benches": ["gzip"], "backend": "` + bad + `"}`
+		if _, err := ParseGridJSON([]byte(spec)); err == nil {
+			t.Errorf("unknown backend %q accepted", bad)
+		} else if !strings.Contains(err.Error(), "backend") || !strings.Contains(err.Error(), bad) ||
+			!strings.Contains(err.Error(), "detailed, functional") {
+			t.Errorf("unhelpful backend error: %v", err)
+		}
 	}
 
 	v1 := `{"benches": ["gzip"], "backend": "functional"}`
@@ -53,7 +57,6 @@ func TestGridBackendField(t *testing.T) {
 	for spec, want := range map[string]string{
 		`{"version": 2, "benches": ["gzip"], "backend": "detailed"}`:   "",
 		`{"version": 2, "benches": ["gzip"], "backend": "functional"}`: "functional",
-		`{"version": 2, "benches": ["gzip"], "backend": "approx"}`:     "approx",
 	} {
 		g, err := ParseGridJSON([]byte(spec))
 		if err != nil {
@@ -82,12 +85,10 @@ func TestJobKeyBackendIsolation(t *testing.T) {
 
 	legacy := jobs[0] // Backend "" — the pre-backend key shape
 	keys := map[string]string{"": legacy.Key(opts)}
-	for _, be := range []string{"functional", "approx"} {
-		j := jobs[0]
-		j.Backend = be
-		keys[be] = j.Key(opts)
-	}
-	if keys["functional"] == keys[""] || keys["approx"] == keys[""] || keys["functional"] == keys["approx"] {
+	fn := jobs[0]
+	fn.Backend = "functional"
+	keys["functional"] = fn.Key(opts)
+	if keys["functional"] == keys[""] {
 		t.Errorf("backend does not isolate run keys: %v", keys)
 	}
 
@@ -119,7 +120,7 @@ func TestHashCoversBackend(t *testing.T) {
 }
 
 // TestBackendStableEmission: every backend honors the -stable contract —
-// byte-identical JSON and CSV whatever the pool width — and the three
+// byte-identical JSON and CSV whatever the pool width — and the two
 // backends agree on elimination counts for the same grid while their run
 // keys and hashes stay distinct.
 func TestBackendStableEmission(t *testing.T) {
@@ -136,7 +137,7 @@ func TestBackendStableEmission(t *testing.T) {
 	}
 
 	byBackend := map[string][]*Result{}
-	for _, be := range []string{"", "approx", "functional"} {
+	for _, be := range []string{"", "functional"} {
 		g := Grid{
 			Version:        GridVersion,
 			Benches:        []string{"gzip"},
@@ -156,16 +157,16 @@ func TestBackendStableEmission(t *testing.T) {
 		byBackend[be] = serial
 	}
 
-	det, fn, ap := byBackend[""], byBackend["functional"], byBackend["approx"]
+	det, fn := byBackend[""], byBackend["functional"]
 	for i := range det {
-		if det[i].ElimTotal != fn[i].ElimTotal || det[i].ElimTotal != ap[i].ElimTotal {
-			t.Errorf("%s: elimination diverges across backends (detailed %.3f functional %.3f approx %.3f)",
-				det[i].Key(), det[i].ElimTotal, fn[i].ElimTotal, ap[i].ElimTotal)
+		if det[i].ElimTotal != fn[i].ElimTotal {
+			t.Errorf("%s: elimination diverges across backends (detailed %.3f functional %.3f)",
+				det[i].Key(), det[i].ElimTotal, fn[i].ElimTotal)
 		}
-		if det[i].ArchHash != fn[i].ArchHash || det[i].ArchHash != ap[i].ArchHash {
+		if det[i].ArchHash != fn[i].ArchHash {
 			t.Errorf("%s: architectural hash diverges across backends", det[i].Key())
 		}
-		if det[i].Hash == fn[i].Hash || det[i].Hash == ap[i].Hash {
+		if det[i].Hash == fn[i].Hash {
 			t.Errorf("%s: run hash collides across backends", det[i].Key())
 		}
 	}

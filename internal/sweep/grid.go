@@ -107,11 +107,11 @@ type Grid struct {
 
 	// Backend selects the simulation fidelity for every run of the grid:
 	// "detailed" (the cycle-level pipeline — the default, and what the
-	// empty string means), "approx" (cycle-approximate), or "functional"
-	// (untimed screening). All backends produce identical architectural
-	// results and elimination counts (see docs/backends.md); timing fields
-	// degrade with fidelity. A version-2 field: pre-backend grids never
-	// mention it and keep their meaning.
+	// empty string means) or "functional" (untimed screening). Both
+	// backends produce identical architectural results and elimination
+	// counts (see docs/backends.md); functional reports no timing. A
+	// version-2 field: pre-backend grids never mention it and keep their
+	// meaning.
 	Backend string `json:"backend,omitempty"`
 
 	// Scale multiplies workload iteration counts (0 = 1.0).

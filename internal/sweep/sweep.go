@@ -43,7 +43,7 @@ type Job struct {
 	Seed    int64  // seed offset (0 = the profile's canonical program)
 	Cfg     pipeline.Config
 	// Backend is the simulation fidelity in normalized form: the canonical
-	// name of a non-default backend ("approx", "functional"), or "" for the
+	// name of a non-default backend ("functional"), or "" for the
 	// detailed pipeline (see NormalizeBackend — the normalization is what
 	// keeps pre-backend run keys and cache entries valid).
 	Backend string

@@ -21,7 +21,7 @@ const (
 	LabelMachine = "machine" // machine spec tag ("4w", "4w:p128", inline-spec tag)
 	LabelConfig  = "config"  // RENO configuration tag
 	LabelSeed    = "seed"    // workload seed offset, decimal
-	LabelBackend = "backend" // simulation backend ("approx", "functional"; absent = detailed)
+	LabelBackend = "backend" // simulation backend ("functional"; absent = detailed)
 
 	AttrArchHash   = "arch_hash"   // final architectural state hash, %016x
 	AttrRunHash    = "run_hash"    // stable per-run result hash, %016x

@@ -28,7 +28,7 @@ var reproducedGrid = sim.Grid{
 }
 
 // TestReproducedNumbers pins every metric of every cell of reproducedGrid
-// on all three backends. Each golden line holds a cell's labels, its
+// on both backends. Each golden line holds a cell's labels, its
 // run_hash and an FNV-64a digest of the whole stable record, so any change
 // to a reproduced number, on any backend, fails here. A deliberate change
 // regenerates the pin with
@@ -39,7 +39,7 @@ var reproducedGrid = sim.Grid{
 func TestReproducedNumbers(t *testing.T) {
 	var got strings.Builder
 	hits := uint64(0)
-	for _, backend := range []string{"detailed", "approx", "functional"} {
+	for _, backend := range []string{"detailed", "functional"} {
 		g := reproducedGrid
 		g.Backend = backend
 		gr, err := sim.RunGrid(context.Background(), &g, sim.GridOptions{Workers: 2, Stable: true})

@@ -55,7 +55,7 @@ func TestSpecBackendBackCompat(t *testing.T) {
 	}
 }
 
-// TestBackendRunAgreement runs the same spec on all three backends through
+// TestBackendRunAgreement runs the same spec on both backends through
 // the facade: identical architectural results and elimination counts, with
 // the backend label on non-detailed records only.
 func TestBackendRunAgreement(t *testing.T) {
@@ -64,7 +64,7 @@ func TestBackendRunAgreement(t *testing.T) {
 		elim float64
 	}
 	results := map[string]outcome{}
-	for _, be := range []string{"", "approx", "functional"} {
+	for _, be := range []string{"", "functional"} {
 		p, err := sim.Load(sim.Spec{Bench: "gzip", Machine: "4w", Config: "RENO", Scale: 0.1, Backend: be})
 		if err != nil {
 			t.Fatal(err)
@@ -138,14 +138,14 @@ func TestGridBackendThreading(t *testing.T) {
 	}
 
 	reg := sim.ListRegistered()
-	if len(reg.Backends) != 3 {
-		t.Fatalf("registry lists %d backends, want 3", len(reg.Backends))
+	if len(reg.Backends) != 2 {
+		t.Fatalf("registry lists %d backends, want 2", len(reg.Backends))
 	}
 	var buf bytes.Buffer
 	if err := reg.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Backends", "detailed", "approx", "functional"} {
+	for _, want := range []string{"Backends", "detailed", "functional"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("registry listing lacks %q", want)
 		}

@@ -31,11 +31,10 @@ type Grid struct {
 	// MaxInsts caps timed instructions per run (0 = to completion).
 	MaxInsts uint64
 	// Backend selects the simulation backend for every run: "detailed"
-	// (default; also selected by ""), "approx", or "functional". All
-	// backends produce identical architectural results and elimination
-	// counts; timing fidelity degrades from detailed to functional (see
-	// docs/backends.md). In the JSON schema the field requires
-	// "version": 2.
+	// (default; also selected by "") or "functional". Both backends
+	// produce identical architectural results and elimination counts;
+	// functional reports no timing (see docs/backends.md). In the JSON
+	// schema the field requires "version": 2.
 	Backend string
 
 	// version/workers carry a parsed file's schema version and worker

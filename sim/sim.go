@@ -62,11 +62,11 @@ type Spec struct {
 	// Scale multiplies the workload's iteration count (0 = 1.0).
 	Scale float64 `json:"scale,omitempty"`
 	// Backend selects the simulation fidelity: "detailed" (the cycle-level
-	// pipeline — the default, and what the empty string means), "approx"
-	// (cycle-approximate), or "functional" (untimed screening). Every
-	// backend produces identical architectural results and elimination
-	// counts for the same spec (see docs/backends.md); timing fields
-	// degrade with fidelity. Stored pre-backend specs keep their meaning.
+	// pipeline — the default, and what the empty string means) or
+	// "functional" (untimed screening). Both backends produce identical
+	// architectural results and elimination counts for the same spec (see
+	// docs/backends.md); functional reports no cycles or IPC. Stored
+	// pre-backend specs keep their meaning.
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -282,7 +282,7 @@ type Options struct {
 	// observed and unobserved runs of the same program are
 	// cycle-identical. Only the detailed backend simulates cycles, so
 	// MaxCycles, observation, and CPA attachment are silently inert on the
-	// approx and functional backends.
+	// functional backend.
 	ObserveEvery uint64
 	// Observer receives interval snapshots, synchronously on the
 	// simulating goroutine.
@@ -455,7 +455,6 @@ func Configs() []Info {
 func Backends() []Info {
 	return []Info{
 		{Name: "detailed", Desc: "cycle-accurate pipeline model (default; exact timing)"},
-		{Name: "approx", Desc: "cycle-approximate dataflow model (exact elimination, estimated IPC)"},
 		{Name: "functional", Desc: "architectural emulation only (exact elimination, no timing)"},
 	}
 }
