@@ -6,6 +6,7 @@ import (
 
 	"reno/internal/elim"
 	"reno/internal/pipeline"
+	"reno/internal/reno"
 )
 
 // ctxCheckInterval is how many timed steps pass between context polls.
@@ -38,6 +39,7 @@ func (functionalBackend) Run(ctx context.Context, req Request) (*Result, error) 
 	if req.Cfg.Reno.AnyEnabled() {
 		eng = elim.New(req.Cfg.Reno, req.Cfg.ROBSize, req.Cfg.RenameWidth)
 	}
+	var ren reno.Renamed // decision scratch: an untimed run never reads it
 	ch := newCommitHasher()
 	done := ctx.Done()
 	canceled := false
@@ -62,7 +64,7 @@ func (functionalBackend) Run(ctx context.Context, req Request) (*Result, error) 
 		}
 		ch.add(d)
 		if eng != nil {
-			if _, err := eng.Next(d); err != nil {
+			if _, err := eng.NextInto(&d, &ren); err != nil {
 				return nil, err
 			}
 		}

@@ -24,7 +24,7 @@
 // passes the pipeline's and registers freed by the engine have no live
 // readers in flight. When the physical register file is exhausted the engine
 // force-commits older records until an allocation succeeds and publishes the
-// resulting commit floor as Decision.MinCommitted; the detailed pipeline
+// resulting commit floor (NextInto's minCommitted); the detailed pipeline
 // stalls rename until its own commit count reaches that floor, reproducing
 // the structural stall.
 //
@@ -40,19 +40,6 @@ import (
 	"reno/internal/isa"
 	"reno/internal/reno"
 )
-
-// Decision is the engine's verdict for one dynamic instruction.
-type Decision struct {
-	// Ren is the complete rename record (shared with the pipeline ROB).
-	Ren reno.Renamed
-
-	// MinCommitted is the engine's commit count after this decision: the
-	// number of older instructions whose resources this decision may have
-	// reclaimed. A timing model must commit at least this many instructions
-	// before acting on the decision (the detailed pipeline's rename stall
-	// on physical-register exhaustion).
-	MinCommitted uint64
-}
 
 // Engine makes all RENO elimination decisions for one simulated program.
 type Engine struct {
@@ -106,12 +93,18 @@ func (e *Engine) commitOldest() {
 	e.committed++
 }
 
-// Next decides instruction d. Instructions must be presented exactly once
-// each, in program order (the committed stream); timing-model replays reuse
-// the record returned here rather than calling Next again.
+// NextInto decides instruction d, writing its rename record into out. The
+// record is built in place in the engine's window and copied once, into
+// out. minCommitted is the engine's commit count after this decision: the
+// number of older instructions whose resources it may have reclaimed. A
+// timing model must commit at least that many instructions before acting
+// on the decision (the detailed pipeline's rename stall on
+// physical-register exhaustion). Instructions must be presented exactly
+// once each, in program order (the committed stream); timing-model replays
+// reuse the record rather than calling NextInto again.
 //
 //reno:hotpath
-func (e *Engine) Next(d emu.Dyn) (Decision, error) {
+func (e *Engine) NextInto(d *emu.Dyn, out *reno.Renamed) (minCommitted uint64, err error) {
 	if e.idx%uint64(e.width) == 0 {
 		e.mask = 0 // fixed group boundary: the in-group restriction resets
 	}
@@ -124,32 +117,34 @@ func (e *Engine) Next(d emu.Dyn) (Decision, error) {
 		result = d.SrcVals[1] // stored data value
 	}
 	gi := reno.GroupInst{Inst: d.Inst, Result: result}
-	r, ok := e.opt.RenameOne(gi, e.mask)
+	// The tail slot lies outside the live window, and force-commits only
+	// retire records from the head, so it stays free across retries.
+	tail := e.winHead + e.winCount
+	if tail >= len(e.win) {
+		tail -= len(e.win)
+	}
+	r := &e.win[tail]
+	ok := e.opt.RenameOneInto(gi, r, e.mask)
 	misBypass := r.MisBypass
 	for !ok {
 		// Physical register file exhausted: force-commit older decisions
 		// until an allocation succeeds, publishing the commit floor.
 		if e.winCount == 0 {
 			//lint:ignore hotalloc fatal-error path, taken at most once per run
-			return Decision{}, fmt.Errorf("elim: %d physical registers exhausted with no in-flight work at instruction %d",
+			return 0, fmt.Errorf("elim: %d physical registers exhausted with no in-flight work at instruction %d",
 				e.opt.Config().PhysRegs, e.idx)
 		}
 		e.commitOldest()
-		r, ok = e.opt.RenameOne(gi, e.mask)
+		ok = e.opt.RenameOneInto(gi, r, e.mask)
 		// A failed attempt keeps its verdict: the stale tuple it
 		// invalidated cannot be judged again on the retry.
 		misBypass = misBypass || r.MisBypass
 	}
 	r.MisBypass = misBypass
-	e.mask = reno.UpdateGroupMask(e.mask, &r)
-
-	tail := e.winHead + e.winCount
-	if tail >= len(e.win) {
-		tail -= len(e.win)
-	}
-	e.win[tail] = r
+	e.mask = reno.UpdateGroupMask(e.mask, r)
 	e.winCount++
 	e.idx++
 
-	return Decision{Ren: r, MinCommitted: e.committed}, nil
+	*out = *r
+	return e.committed, nil
 }

@@ -8,13 +8,21 @@ import (
 	"reno/internal/reno"
 )
 
+// decision is one NextInto outcome.
+type decision struct {
+	Ren          reno.Renamed
+	MinCommitted uint64
+}
+
 // next decides one hand-built dynamic instruction.
-func next(t *testing.T, e *Engine, in isa.Inst, result uint64) Decision {
+func next(t *testing.T, e *Engine, in isa.Inst, result uint64) decision {
 	t.Helper()
-	dec, err := e.Next(emu.Dyn{Inst: in, Result: result})
+	var dec decision
+	mc, err := e.NextInto(&emu.Dyn{Inst: in, Result: result}, &dec.Ren)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dec.MinCommitted = mc
 	return dec
 }
 

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"reno/internal/bpred"
 	"reno/internal/cache"
@@ -15,7 +16,9 @@ import (
 	"reno/internal/storesets"
 )
 
-// never marks a not-yet-known event time / absent sequence number.
+// never marks a not-yet-known event time / absent sequence number. It is
+// the largest uint64, so wakeAt[p] > cycle also holds for a register whose
+// wake-up is not yet known.
 const never = ^uint64(0)
 
 // entry states.
@@ -26,10 +29,26 @@ const (
 	//                        eliminated instructions enter this state at rename
 )
 
+// entry is one in-flight instruction. Fields issue reads come first, so
+// that they share cache lines with ren's source mappings.
 type entry struct {
-	dyn emu.Dyn
-	ren reno.Renamed
-	seq uint64
+	state        uint8
+	cls          isa.Class // isa.ClassOf(dyn.Inst), decoded once at fetch
+	isLoad       bool
+	isStore      bool
+	hasSS        bool // ssConstraint is set
+	addrDone     bool // store: address resolved
+	forwarded    bool // load: forwarded from fwdStore
+	mispredicted bool
+	// iqHeld marks a store whose issue ended in an order-violation
+	// squash. issueStage returns before such a store releases its
+	// issue-queue slot, and its commit does not release it either: only a
+	// squash of the store does.
+	iqHeld bool
+
+	// CPA constraint provenance.
+	fetchBound cpa.BoundKind
+	issueBound cpa.BoundKind
 
 	// Elimination-engine decision state. renValid marks that ren (and
 	// minCommitted) hold the engine's decision — pulled exactly once per
@@ -38,38 +57,25 @@ type entry struct {
 	// bogus integration on its first trip through the pipeline and fails at
 	// retirement. minCommitted is the engine's commit floor; rename stalls
 	// until this core has committed that many instructions.
-	renValid     bool
-	minCommitted uint64
+	renValid bool
 
-	fetchC  uint64
-	renameC uint64
-	issueC  uint64
-	compC   uint64
-
-	state   uint8
-	inIQ    bool
-	isLoad  bool
-	isStore bool
-
-	// Store bookkeeping.
-	addrDone bool
-	dataP    int // store data physical register
-
-	// Load bookkeeping.
-	forwarded    bool
-	fwdStore     uint64 // seq of the forwarding store
-	ssConstraint uint64 // seq of the store-set constraining store
-	hasSS        bool
-	memLevel     cpa.Bucket // BLoad or BMem
-
-	mispredicted bool
-	replayed     bool
-
-	// CPA constraint provenance.
-	fetchBound    cpa.BoundKind
-	fetchBoundSeq uint64
-	issueBound    cpa.BoundKind
+	seq           uint64
+	renameC       uint64
+	issueC        uint64
+	compC         uint64
 	issueBoundSeq uint64
+
+	ren reno.Renamed
+
+	minCommitted  uint64
+	fetchC        uint64
+	fetchBoundSeq uint64
+	dataP         int        // store data physical register
+	fwdStore      uint64     // load: seq of the forwarding store
+	ssConstraint  uint64     // load: seq of the store-set constraining store
+	memLevel      cpa.Bucket // load: BLoad or BMem
+
+	dyn emu.Dyn
 }
 
 // Result summarizes one simulation.
@@ -161,20 +167,27 @@ type Sim struct {
 	cycle   uint64
 	seqNext uint64
 
+	// rob is one fixed ring holding the reorder buffer, robCount entries
+	// from robHead, followed directly by the fetch queue, fqLen entries.
+	// Fetch builds each entry in its ring slot and rename admits the fetch
+	// queue's head by moving the boundary, so an entry is never copied
+	// between the two. Its length is ROBSize+fqCap rounded up to a
+	// multiple of 64, the issue queue's bitset word.
 	rob      []entry
 	robHead  int
 	robCount int
+	fqLen    int
 
-	// fq is the fetch queue (front end to rename), a fixed-capacity ring:
-	// fqLen entries starting at fqHead. A ring rather than an appended
-	// slice keeps the steady-state cycle loop allocation-free.
-	fq     []entry // len fqCap
-	fqHead int
-	fqLen  int
+	iq     issueQueue
+	iqUsed int // issue-queue occupancy: stWaiting entries plus iqHeld stores
 
-	iqUsed int
 	lqUsed int
 	sqUsed int
+	// stq holds the in-flight stores' ring indices, oldest first: sqUsed
+	// of them from stqHead, in a power-of-two ring. Store-to-load
+	// forwarding searches it instead of the whole ROB.
+	stq     []int32
+	stqHead int
 
 	wakeAt    []uint64 // per preg: cycle its value can feed a dependent's issue
 	writerSeq []uint64 // per preg: seq of the producing instruction
@@ -217,11 +230,8 @@ type Sim struct {
 	// file too small to make progress); RunContext surfaces it.
 	engErr error
 
-	// Reusable hot-path scratch. replayBuf backs squashFrom's replay batch
-	// (capacity ROBSize+fqCap, the in-flight maximum, so it never regrows),
-	// and ssDead is the store-set squash predicate created once in New so
+	// ssDead is the store-set squash predicate, created once in New so
 	// squashes allocate no closure.
-	replayBuf    []replayRec
 	squashMinSeq uint64
 	ssDead       func(tag uint32) bool
 }
@@ -238,16 +248,19 @@ func New(cfg Config, next func() (emu.Dyn, bool)) *Sim {
 		src: &stream{next: next},
 	}
 	s.rc = s.eng.Optimizer().RefCounts()
-	s.rob = make([]entry, cfg.ROBSize)
-	s.fq = make([]entry, fqCap)
+	s.rob = make([]entry, (cfg.ROBSize+fqCap+63)/64*64)
+	s.stq = make([]int32, pow2(cfg.SQSize))
+	s.iq = newIssueQueue(len(s.rob), cfg.Reno.PhysRegs)
 	s.wakeAt = make([]uint64, cfg.Reno.PhysRegs)
 	s.writerSeq = make([]uint64, cfg.Reno.PhysRegs)
-	s.replayBuf = make([]replayRec, 0, cfg.ROBSize+fqCap)
 	s.ssDead = func(tag uint32) bool { return uint64(tag) >= s.squashMinSeq }
 	s.blockingSeq = never
 	s.res.Config = cfg
 	return s
 }
+
+// pow2 returns the least power of two >= n.
+func pow2(n int) int { return 1 << bits.Len(uint(n-1)) }
 
 // replayRec is one replayed instruction: the dynamic record plus the
 // elimination-engine decision it already pulled, so squash replays never
@@ -266,26 +279,32 @@ type stream struct {
 	done   bool
 }
 
-func (st *stream) pull() (r replayRec, replayed, ok bool) {
+// pull fills the next instruction into the zeroed entry e: a replay, with
+// the decision it already holds, or else the next dynamic instruction.
+//
+//reno:hotpath
+func (st *stream) pull(e *entry) (replayed, ok bool) {
 	if n := len(st.replay); n > 0 {
-		r := st.replay[n-1]
+		r := &st.replay[n-1]
+		e.dyn, e.ren, e.renValid, e.minCommitted = r.dyn, r.ren, r.renValid, r.minCommitted
 		st.replay = st.replay[:n-1]
-		return r, true, true
+		return true, true
 	}
 	if st.done {
-		return replayRec{}, false, false
+		return false, false
 	}
-	d, ok := st.next()
-	if !ok {
-		st.done = true
-	}
-	return replayRec{dyn: d}, false, ok
+	e.dyn, ok = st.next()
+	st.done = !ok
+	return false, ok
 }
 
-func (st *stream) pushFront(rs []replayRec) {
-	for i := len(rs) - 1; i >= 0; i-- {
-		st.replay = append(st.replay, rs[i])
-	}
+// push stacks e for replay; the entry pushed last replays first.
+//
+//reno:hotpath
+func (st *stream) push(e *entry) {
+	st.replay = append(st.replay, replayRec{
+		dyn: e.dyn, ren: e.ren, renValid: e.renValid, minCommitted: e.minCommitted,
+	})
 }
 
 func (st *stream) exhausted() bool { return st.done && len(st.replay) == 0 }
@@ -361,6 +380,7 @@ func (s *Sim) RunContext(ctx context.Context, opts RunOptions) (*Result, error) 
 	if opts.CPAChunk > 0 && s.analyzer == nil {
 		s.analyzer = cpa.New(opts.CPAChunk)
 	}
+	s.res.StopReason = "" // a resumed run reports its own stop
 	done := ctx.Done()
 	var prev obsBase // observer baseline (zero = start of timing)
 	nextObserve := uint64(0)
@@ -392,6 +412,7 @@ func (s *Sim) RunContext(ctx context.Context, opts RunOptions) (*Result, error) 
 			default:
 			}
 		}
+		before := s.mark()
 		s.commitStage()
 		s.issueStage()
 		s.renameStage()
@@ -402,6 +423,9 @@ func (s *Sim) RunContext(ctx context.Context, opts RunOptions) (*Result, error) 
 		s.iqOccSum += uint64(s.iqUsed)
 		s.pregSum += uint64(s.rc.InUse())
 		s.cycle++
+		if s.mark().sameCounts(before) {
+			s.skipIdle(before, opts.MaxCycles)
+		}
 		if nextObserve > 0 && s.committed >= nextObserve {
 			prev = s.observe(opts.Observer, prev)
 			for nextObserve <= s.committed {
@@ -417,6 +441,115 @@ func (s *Sim) RunContext(ctx context.Context, opts RunOptions) (*Result, error) 
 		}
 	}
 	return s.finish(), nil
+}
+
+// cycleMark is what a cycle can move: the four counts that change when any
+// instruction is fetched, renamed, issued, committed or squashed, and the
+// counters a stalled stage charges once per cycle.
+type cycleMark struct {
+	committed               uint64
+	robCount, fqLen, iqUsed int
+	fetchStalls, portStalls uint64
+	renameStalls            uint64
+}
+
+//reno:hotpath
+func (s *Sim) mark() cycleMark {
+	return cycleMark{
+		committed: s.committed, robCount: s.robCount, fqLen: s.fqLen, iqUsed: s.iqUsed,
+		fetchStalls: s.res.FetchStallCycles, portStalls: s.res.StorePortConflicts,
+		renameStalls: s.res.RenameStallPregs,
+	}
+}
+
+// sameCounts reports whether no instruction moved between two marks.
+//
+//reno:hotpath
+func (m cycleMark) sameCounts(o cycleMark) bool {
+	return m.committed == o.committed && m.robCount == o.robCount &&
+		m.fqLen == o.fqLen && m.iqUsed == o.iqUsed
+}
+
+// skipIdle runs after an idle cycle: one in which no instruction moved, so
+// only time changed. Every stage stopped on a condition that holds until
+// some cycle (nextEvent), and each cycle before that one would repeat the
+// idle cycle exactly. skipIdle jumps s.cycle there, charging each skipped
+// cycle what the idle one charged: issue-queue and register occupancy and
+// any stall counter it moved (before is the mark taken before it ran). The
+// jump stops at maxCycles (0 = none) and at the next multiple of
+// ctxCheckInterval, so the context poll and the hang check still see every
+// multiple.
+//
+//reno:hotpath
+func (s *Sim) skipIdle(before cycleMark, maxCycles uint64) {
+	t := s.nextEvent()
+	if lim := (s.cycle + ctxCheckInterval - 1) / ctxCheckInterval * ctxCheckInterval; t > lim {
+		t = lim
+	}
+	if maxCycles > 0 && t > maxCycles {
+		t = maxCycles
+	}
+	if t <= s.cycle {
+		return
+	}
+	k := t - s.cycle
+	s.iqOccSum += k * uint64(s.iqUsed)
+	s.pregSum += k * uint64(s.rc.InUse())
+	s.res.FetchStallCycles += k * (s.res.FetchStallCycles - before.fetchStalls)
+	s.res.StorePortConflicts += k * (s.res.StorePortConflicts - before.portStalls)
+	s.res.RenameStallPregs += k * (s.res.RenameStallPregs - before.renameStalls)
+	s.cycle = t
+}
+
+// nextEvent returns the first cycle after the idle cycle now = s.cycle-1 at
+// which a timed condition that blocked a stage in it lifts (never if none
+// did). Untimed blocks lift only when an instruction moves, and that move
+// is itself preceded by one of these events: an entry blocked by a
+// store-set constraint waits for the store's issue, a full window for a
+// commit or issue, a full fetch queue for a rename, an unresolved
+// mispredicted branch for its issue.
+//
+//reno:hotpath
+func (s *Sim) nextEvent() uint64 {
+	now := s.cycle - 1
+	// Issue: the next operand wake-up, and the store data that candidate
+	// loads blocked by a forwarding store wait on (never, the largest
+	// value, never wins).
+	t := s.iq.earliest()
+	for off := s.nextCand(0); off < s.robCount; off = s.nextCand(off + 1) {
+		if p := s.iq.blockP[s.ringIdx(off)]; p >= 0 {
+			t = min(t, s.wakeAt[p])
+		}
+	}
+	// Commit: the ROB head, in commitStage's order of checks. A head not
+	// yet issued waits on its issue, counted above.
+	if s.robCount > 0 {
+		h := s.robPos(0)
+		switch {
+		case h.state != stIssued:
+		case h.compC > now:
+			t = min(t, h.compC)
+		case h.isStore && s.wakeAt[h.dataP] > now:
+			t = min(t, s.wakeAt[h.dataP])
+		case h.isStore:
+			t = min(t, s.portFreeAt-uint64(s.cfg.RetireQueue)*uint64(s.cfg.StorePorts))
+		case h.ren.Reexec || h.ren.MisBypass:
+			t = min(t, s.reexecFreeAt-uint64(s.cfg.RetireQueue)*uint64(s.cfg.LoadPorts))
+		default:
+			return s.cycle // a committable head: not an idle cycle
+		}
+	}
+	// Rename: the fetch-queue head still in the front-end pipe.
+	if s.fqLen > 0 {
+		if r := s.fqAt(0).fetchC + uint64(s.cfg.FrontLat); r > now {
+			t = min(t, r)
+		}
+	}
+	// Fetch: a redirect in progress.
+	if now < s.redirectUntil {
+		t = min(t, s.redirectUntil)
+	}
+	return t
 }
 
 // obsBase is the raw-counter snapshot an interval is measured against.
@@ -482,30 +615,28 @@ func (s *Sim) finish() *Result {
 	return r
 }
 
-// robPos returns the entry at offset off from the ROB head (0 = oldest).
-// off is always < len(s.rob), so the wrap needs a compare, not a division —
-// issueStage walks the whole window every cycle, making this the hottest
-// address computation in the simulator.
+// ringIdx returns the ring index of offset off from the ROB head (0 =
+// oldest). Offsets past robCount address the fetch queue. off is always
+// < len(s.rob), so the wrap needs a compare, not a division.
 //
 //reno:hotpath
-func (s *Sim) robPos(off int) *entry {
-	idx := s.robHead + off
-	if idx >= len(s.rob) {
-		idx -= len(s.rob)
+func (s *Sim) ringIdx(off int) int {
+	if idx := s.robHead + off; idx < len(s.rob) {
+		return idx
 	}
-	return &s.rob[idx]
+	return s.robHead + off - len(s.rob)
 }
 
-// fqAt returns the fetch-queue entry at offset off from the queue head.
+// robPos returns the entry at offset off from the ROB head (0 = oldest).
 //
 //reno:hotpath
-func (s *Sim) fqAt(off int) *entry {
-	idx := s.fqHead + off
-	if idx >= fqCap {
-		idx -= fqCap
-	}
-	return &s.fq[idx]
-}
+func (s *Sim) robPos(off int) *entry { return &s.rob[s.ringIdx(off)] }
+
+// fqAt returns the fetch-queue entry at offset off from the queue head,
+// the ring slot just past the ROB's youngest entry.
+//
+//reno:hotpath
+func (s *Sim) fqAt(off int) *entry { return s.robPos(s.robCount + off) }
 
 // ---------------------------------------------------------------- commit
 
@@ -513,8 +644,8 @@ func (s *Sim) fqAt(off int) *entry {
 // decoupled retirement queue; it fails only when the backlog exceeds the
 // queue depth. Stores use the store-retirement port; integrated load
 // re-executions use the load-port bandwidth their elimination vacated (a
-// capacity-neutral reading of the paper's re-execution scheme). A method rather than a per-commitStage closure: the commit
-// stage runs every cycle and must not allocate.
+// capacity-neutral reading of the paper's re-execution scheme). It is a
+// method rather than a closure so the commit stage allocates nothing.
 //
 //reno:hotpath
 func (s *Sim) bookPort(freeAt *uint64, ports int) bool {
@@ -540,7 +671,7 @@ func (s *Sim) commitStage() {
 		}
 		if e.isStore {
 			// Data must have arrived and the retirement queue must accept.
-			if w := s.wakeAt[e.dataP]; w == never || w > s.cycle {
+			if s.wakeAt[e.dataP] > s.cycle {
 				return
 			}
 			if !s.bookPort(&s.portFreeAt, s.cfg.StorePorts) {
@@ -599,9 +730,9 @@ func (s *Sim) commitStage() {
 		}
 		if e.isStore {
 			s.sqUsed--
+			s.stqHead = (s.stqHead + 1) & (len(s.stq) - 1)
 		}
-		s.robHead++
-		if s.robHead == len(s.rob) {
+		if s.robHead++; s.robHead == len(s.rob) {
 			s.robHead = 0
 		}
 		s.robCount--
@@ -611,7 +742,7 @@ func (s *Sim) commitStage() {
 
 //reno:hotpath
 func (s *Sim) trainBranch(e *entry) {
-	switch isa.ClassOf(e.dyn.Inst) {
+	switch e.cls {
 	case isa.ClassBranch:
 		switch e.dyn.Inst.Op {
 		case isa.OpJmp:
@@ -643,103 +774,159 @@ func (s *Sim) execBucket(e *entry) cpa.Bucket {
 
 // ---------------------------------------------------------------- issue
 
+// Issue port classes: issueStage's per-cycle budget is indexed by these.
+const (
+	portInt = iota
+	portFP
+	portLoad
+	portStore
+	numPorts
+)
+
+//reno:hotpath
+func portOf(cls isa.Class) int {
+	switch cls {
+	case isa.ClassLoad:
+		return portLoad
+	case isa.ClassStore:
+		return portStore
+	case isa.ClassFP:
+		return portFP
+	}
+	return portInt
+}
+
+// nextCand returns the offset of the oldest issue candidate at or after
+// offset off, or robCount if there is none.
+//
+//reno:hotpath
+func (s *Sim) nextCand(off int) int {
+	for off < s.robCount {
+		idx := s.ringIdx(off)
+		if b := s.iq.cand[idx>>6] >> uint(idx&63); b != 0 {
+			return min(off+bits.TrailingZeros64(b), s.robCount)
+		}
+		// The ring's length is a multiple of 64, so the next word never
+		// straddles the wrap.
+		off += 64 - idx&63
+	}
+	return s.robCount
+}
+
+// issueStage selects from the issue candidates, oldest first.
+//
 //reno:hotpath
 func (s *Sim) issueStage() {
+	s.iq.due(s.cycle)
 	total := s.cfg.IssueTotal
-	ints := s.cfg.IntALUs
-	fps := s.cfg.FPUnits
-	lds := s.cfg.LoadPorts
-	sts := s.cfg.StorePorts
+	free := [numPorts]int{
+		portInt: s.cfg.IntALUs, portFP: s.cfg.FPUnits,
+		portLoad: s.cfg.LoadPorts, portStore: s.cfg.StorePorts,
+	}
 
-	for off := 0; off < s.robCount && total > 0; off++ {
-		e := s.robPos(off)
+	for off := s.nextCand(0); off < s.robCount && total > 0; off = s.nextCand(off + 1) {
+		idx := s.ringIdx(off)
+		e := &s.rob[idx]
 		if e.state != stWaiting {
+			s.iq.drop(idx) // stale: the slot was reused after a squash
 			continue
 		}
-		cls := isa.ClassOf(e.dyn.Inst)
-		switch cls {
-		case isa.ClassLoad:
-			if lds == 0 {
-				continue
-			}
-		case isa.ClassStore:
-			if sts == 0 {
-				continue
-			}
-		case isa.ClassFP:
-			if fps == 0 {
-				continue
-			}
-		default:
-			if ints == 0 {
-				continue
-			}
-		}
-		if !s.ready(e, off) {
+		port := portOf(e.cls)
+		if free[port] == 0 {
 			continue
 		}
+		if p, operand, ok := s.ready(e, off); !ok {
+			if operand {
+				s.iq.sleepOn(idx, p, s.wakeAt[p])
+			} else {
+				s.iq.blockP[idx] = p
+			}
+			continue
+		}
+		s.iq.drop(idx)
 
 		e.issueC = s.cycle
 		e.state = stIssued
 		e.compC = s.cycle + uint64(s.execLatency(e))
 
 		if e.isLoad {
-			s.issueLoad(e, off)
+			s.issueLoad(e)
 		}
 		if e.isStore {
 			e.addrDone = true
 			if s.checkViolations(e, off) {
+				e.iqHeld = true
 				return // squash invalidated iteration state
 			}
 		}
 		if e.ren.HasDest {
 			w := e.compC
-			if sl := uint64(s.cfg.SchedLoop); w-e.issueC < sl {
-				w = e.issueC + sl
+			if loop := uint64(s.cfg.SchedLoop); w-e.issueC < loop {
+				w = e.issueC + loop
 			}
 			s.wakeAt[e.ren.NewMap.P] = w
+			s.iq.wake(e.ren.NewMap.P, w)
 		}
 		if e.mispredicted && s.blockingSeq == e.seq {
 			s.redirectUntil = e.compC + uint64(s.cfg.RedirectPenalty)
 			s.blockingSeq = never
 			s.pendingCauseKind, s.pendingCauseSeq = cpa.BoundMispredict, e.seq
 		}
-		e.inIQ = false
 		s.iqUsed--
 		total--
-		switch cls {
-		case isa.ClassLoad:
-			lds--
-		case isa.ClassStore:
-			sts--
-		case isa.ClassFP:
-			fps--
-		default:
-			ints--
-		}
+		free[port]--
 	}
 }
 
-// ready decides whether an IQ entry can be selected this cycle and records
-// the last-arriving constraint for the critical-path analyzer.
+// issueSrcs returns how many of e's source operands gate its issue. Stores
+// need only the base-address operand; data merges in the store queue
+// later.
 //
 //reno:hotpath
-func (s *Sim) ready(e *entry, off int) bool {
-	// Stores need only the base-address operand to issue; data merges in
-	// the store queue later.
-	nsrc := e.ren.NSrc
+func issueSrcs(e *entry) int {
 	if e.isStore {
-		nsrc = 1
+		return 1
 	}
+	return e.ren.NSrc
+}
+
+// enqueue admits the waiting entry e, at ring index idx, to the issue
+// queue during its rename cycle. Its first check would come next cycle; an
+// operand that cannot wake by then would fail it until it wakes, so e
+// sleeps on that operand straight away. (The bound ready records for such
+// a failure is always overwritten when e issues: the operand then arrives
+// after e's earliest issue cycle.)
+//
+//reno:hotpath
+func (s *Sim) enqueue(e *entry, idx int) {
+	for i, n := 0, issueSrcs(e); i < n; i++ {
+		p := e.ren.Src[i].P
+		if w := s.wakeAt[p]; w > s.cycle+1 {
+			s.iq.sleepOn(idx, int32(p), w)
+			return
+		}
+	}
+	s.iq.add(idx)
+}
+
+// ready decides whether an IQ entry can be selected this cycle and records
+// the last-arriving constraint for the critical-path analyzer. When it
+// cannot, p is the physical register whose wake-up can release it:
+// operand reports that p is a source operand, which must wake first;
+// otherwise p is a forwarding store's data register, or -1 for a store-set
+// block, and the entry needs a check every cycle.
+//
+//reno:hotpath
+func (s *Sim) ready(e *entry, off int) (p int32, operand, ok bool) {
 	var opWake uint64
 	opSrc := -1
-	for i := 0; i < nsrc; i++ {
+	for i, n := 0, issueSrcs(e); i < n; i++ {
 		p := e.ren.Src[i].P
 		w := s.wakeAt[p]
-		if w == never || w > s.cycle {
+		if w > s.cycle {
 			e.issueBound = cpa.BoundProducer
 			e.issueBoundSeq = s.writerSeq[p]
-			return false
+			return int32(p), true, false
 		}
 		if w > opWake {
 			opWake, opSrc = w, i
@@ -755,16 +942,16 @@ func (s *Sim) ready(e *entry, off int) bool {
 				if !se.addrDone {
 					e.issueBound = cpa.BoundProducer
 					e.issueBoundSeq = se.seq
-					return false
+					return -1, false, false
 				}
 			}
 		}
 		// An older same-address store with a resolved address but unready
 		// data blocks the load until it can forward.
-		if idx, blocked := s.forwardBlocker(e, off); blocked {
+		if se := s.olderStore(e); se != nil && s.wakeAt[se.dataP] > s.cycle {
 			e.issueBound = cpa.BoundProducer
-			e.issueBoundSeq = s.robPos(idx).seq
-			return false
+			e.issueBoundSeq = se.seq
+			return int32(se.dataP), false, false
 		}
 	}
 
@@ -784,7 +971,7 @@ func (s *Sim) ready(e *entry, off int) bool {
 	default:
 		e.issueBound = cpa.BoundFrontend
 	}
-	return true
+	return 0, false, true
 }
 
 // execLatency returns issue-to-result latency including fusion penalties
@@ -793,7 +980,7 @@ func (s *Sim) ready(e *entry, off int) bool {
 //reno:hotpath
 func (s *Sim) execLatency(e *entry) int {
 	pen := e.ren.FusePenalty
-	switch isa.ClassOf(e.dyn.Inst) {
+	switch e.cls {
 	case isa.ClassIntMul:
 		if e.dyn.Inst.Op == isa.OpDiv {
 			return s.cfg.DivLat + pen
@@ -815,21 +1002,14 @@ func (s *Sim) execLatency(e *entry) int {
 // older same-address store has its data, else the cache hierarchy.
 //
 //reno:hotpath
-func (s *Sim) issueLoad(e *entry, off int) {
+func (s *Sim) issueLoad(e *entry) {
 	addrReady := e.compC
-	for i := off - 1; i >= 0; i-- {
-		se := s.robPos(i)
-		if !se.isStore || !se.addrDone || se.dyn.EA != e.dyn.EA {
-			continue
-		}
-		if w := s.wakeAt[se.dataP]; w != never && w <= s.cycle {
-			e.forwarded = true
-			e.fwdStore = se.seq
-			e.compC = addrReady + 1
-			e.memLevel = cpa.BLoad
-			return
-		}
-		break
+	if se := s.olderStore(e); se != nil && s.wakeAt[se.dataP] <= s.cycle {
+		e.forwarded = true
+		e.fwdStore = se.seq
+		e.compC = addrReady + 1
+		e.memLevel = cpa.BLoad
+		return
 	}
 	memBefore := s.mem.MemAccesses
 	e.compC = s.mem.AccessD(e.dyn.EA*8, addrReady, false)
@@ -840,22 +1020,20 @@ func (s *Sim) issueLoad(e *entry, off int) {
 	}
 }
 
-// forwardBlocker finds the youngest older address-resolved same-address
-// store whose data is not ready yet.
+// olderStore returns the youngest store older than the load e that has
+// resolved e's address, or nil: the store e forwards from once its data is
+// ready.
 //
 //reno:hotpath
-func (s *Sim) forwardBlocker(e *entry, off int) (int, bool) {
-	for i := off - 1; i >= 0; i-- {
-		se := s.robPos(i)
-		if !se.isStore || !se.addrDone || se.dyn.EA != e.dyn.EA {
-			continue
+func (s *Sim) olderStore(e *entry) *entry {
+	mask := len(s.stq) - 1
+	for k := s.sqUsed - 1; k >= 0; k-- {
+		se := &s.rob[s.stq[(s.stqHead+k)&mask]]
+		if se.seq < e.seq && se.addrDone && se.dyn.EA == e.dyn.EA {
+			return se
 		}
-		if w := s.wakeAt[se.dataP]; w == never || w > s.cycle {
-			return i, true
-		}
-		return 0, false
 	}
-	return 0, false
+	return nil
 }
 
 // checkViolations runs when a store resolves its address: a younger
@@ -911,33 +1089,17 @@ func (s *Sim) squashFrom(from int, causeSeq uint64) {
 	}
 	s.res.Replays++
 	minSeq := s.robPos(from).seq
-	// replayBuf has capacity for the full in-flight window, so rebuilding
-	// the replay batch allocates nothing; pushFront copies it into the
-	// stream's own stack before squashFrom returns. Each record carries the
-	// elimination-engine decision already pulled for it: rename state is
-	// owned by the engine and is never rolled back — a replayed instruction
-	// reuses its original mappings.
-	replay := s.replayBuf[:0]
-	for i := from; i < s.robCount; i++ {
+	// Stack the dropped entries for replay, youngest first so the oldest
+	// replays first. The fetch queue behind the ROB holds even younger
+	// instructions, fetched down a path now being refetched; they replay
+	// too. Each record carries the elimination-engine decision already
+	// pulled for it (every ROB entry holds one): rename state is owned by
+	// the engine and is never rolled back — a replayed instruction reuses
+	// its original mappings.
+	for i := s.robCount + s.fqLen - 1; i >= from; i-- {
 		e := s.robPos(i)
-		replay = append(replay, replayRec{
-			dyn: e.dyn, ren: e.ren, renValid: true, minCommitted: e.minCommitted,
-		})
-	}
-	// The fetch queue holds even younger instructions; they replay too
-	// (they were fetched down a path now being refetched), carrying any
-	// decision they may already hold.
-	for i := 0; i < s.fqLen; i++ {
-		fe := s.fqAt(i)
-		replay = append(replay, replayRec{
-			dyn: fe.dyn, ren: fe.ren, renValid: fe.renValid, minCommitted: fe.minCommitted,
-		})
-	}
-	s.fqHead, s.fqLen = 0, 0
-
-	for i := s.robCount - 1; i >= from; i-- {
-		e := s.robPos(i)
-		if e.inIQ {
+		s.src.push(e)
+		if e.state == stWaiting || e.iqHeld {
 			s.iqUsed--
 		}
 		if e.isLoad {
@@ -947,11 +1109,10 @@ func (s *Sim) squashFrom(from int, causeSeq uint64) {
 			s.sqUsed--
 		}
 	}
-	s.robCount = from
+	s.robCount, s.fqLen = from, 0
 
 	s.squashMinSeq = minSeq
 	s.ss.Squash(s.ssDead)
-	s.src.pushFront(replay)
 	s.redirectUntil = s.cycle + uint64(s.cfg.RedirectPenalty)
 	s.pendingCauseKind, s.pendingCauseSeq = cpa.BoundReplay, causeSeq
 	if s.blockingSeq != never && s.blockingSeq >= minSeq {
@@ -991,12 +1152,13 @@ func (s *Sim) renameStage() {
 	iqLeft := s.cfg.IQSize - s.iqUsed
 	lqLeft := s.cfg.LQSize - s.lqUsed
 	sqLeft := s.cfg.SQSize - s.sqUsed
-	robLeft := len(s.rob) - s.robCount
+	robLeft := s.cfg.ROBSize - s.robCount
 
 	s.windowBlocked = false
-	n := 0
-	for n < width && n < s.fqLen {
-		e := s.fqAt(n)
+	for n := 0; n < width && s.fqLen > 0; n++ {
+		// Renaming the fetch queue's head admits it to the ROB in place:
+		// the ROB/fetch-queue boundary moves past it.
+		e := s.fqAt(0)
 		if e.fetchC+uint64(s.cfg.FrontLat) > s.cycle {
 			break
 		}
@@ -1012,7 +1174,7 @@ func (s *Sim) renameStage() {
 			s.blockOn(blockWaiting)
 			break
 		}
-		cls := isa.ClassOf(e.dyn.Inst)
+		cls := e.cls
 		if cls == isa.ClassLoad && lqLeft == 0 {
 			s.blockOn(blockLoad)
 			break
@@ -1025,13 +1187,12 @@ func (s *Sim) renameStage() {
 		// Pull the elimination-engine decision — exactly once per dynamic
 		// instruction; replays arrive with renValid already set.
 		if !e.renValid {
-			dec, err := s.eng.Next(e.dyn)
+			mc, err := s.eng.NextInto(&e.dyn, &e.ren)
 			if err != nil {
 				s.engErr = err
 				return
 			}
-			e.ren = dec.Ren
-			e.minCommitted = dec.MinCommitted
+			e.minCommitted = mc
 			e.renValid = true
 		}
 		// The engine may have force-committed past this core's retirement
@@ -1085,8 +1246,8 @@ func (s *Sim) renameStage() {
 			e.compC = s.cycle
 		} else {
 			e.state = stWaiting
-			e.inIQ = true
 			s.iqUsed++
+			s.enqueue(e, s.ringIdx(s.robCount))
 		}
 
 		if e.isLoad {
@@ -1097,20 +1258,15 @@ func (s *Sim) renameStage() {
 			}
 		}
 		if e.isStore {
+			s.stq[(s.stqHead+s.sqUsed)&(len(s.stq)-1)] = int32(s.ringIdx(s.robCount))
 			s.sqUsed++
 			e.dataP = e.ren.Src[1].P
 			s.ss.NoteStoreFetched(e.dyn.PC, uint32(e.seq))
 		}
 
-		*s.robPos(s.robCount) = *e
 		s.robCount++
-		n++
+		s.fqLen--
 	}
-	s.fqHead += n
-	if s.fqHead >= fqCap {
-		s.fqHead -= fqCap
-	}
-	s.fqLen -= n
 }
 
 // ---------------------------------------------------------------- fetch
@@ -1136,11 +1292,13 @@ func (s *Sim) fetchStage() {
 			s.fqWasFull = true
 			break
 		}
-		rec, replayed, ok := s.src.pull()
+		e := s.fqAt(s.fqLen)
+		*e = entry{}
+		replayed, ok := s.src.pull(e)
 		if !ok {
 			break
 		}
-		d := rec.dyn
+		d := &e.dyn
 		// One I$ access per new 32-byte block.
 		if blk := d.PC / 8; blk != lastBlock {
 			lastBlock = blk
@@ -1155,12 +1313,9 @@ func (s *Sim) fetchStage() {
 		}
 		s.lastFetchC = fetchC
 
-		e := entry{
-			dyn: d, state: stFetched, seq: s.seqNext,
-			fetchC: fetchC, compC: never, replayed: replayed,
-			fetchBound: cpa.BoundPrevFetch,
-			ren:        rec.ren, renValid: rec.renValid, minCommitted: rec.minCommitted,
-		}
+		e.state, e.seq = stFetched, s.seqNext
+		e.fetchC, e.compC = fetchC, never
+		e.fetchBound = cpa.BoundPrevFetch
 		s.seqNext++
 		if s.pendingCauseKind != cpa.BoundNone {
 			e.fetchBound, e.fetchBoundSeq = s.pendingCauseKind, s.pendingCauseSeq
@@ -1173,6 +1328,7 @@ func (s *Sim) fetchStage() {
 		}
 
 		cls := isa.ClassOf(d.Inst)
+		e.cls = cls
 		isCT := cls == isa.ClassBranch || cls == isa.ClassCall || cls == isa.ClassReturn
 		if isCT && !replayed {
 			// Replayed instructions re-fetch down a known-correct path;
@@ -1184,7 +1340,6 @@ func (s *Sim) fetchStage() {
 				s.res.Mispredicts++
 			}
 		}
-		*s.fqAt(s.fqLen) = e
 		s.fqLen++
 		if e.mispredicted {
 			s.blockingSeq = e.seq

@@ -3,11 +3,14 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"reno/internal/asm"
 	"reno/internal/emu"
+	"reno/internal/isa"
 	"reno/internal/reno"
+	"reno/internal/workload"
 )
 
 // longLoop runs long enough (~1M dynamic instructions) that budgets and
@@ -199,5 +202,215 @@ func TestConfigValidatePresets(t *testing.T) {
 	bad.IQSize = bad.ROBSize + 1
 	if bad.Validate() == nil {
 		t.Error("invalid config validated")
+	}
+}
+
+// missChain runs a chain of dependent loads 32 KB apart: every load misses
+// both cache levels, and the next load's address waits on it, so most
+// cycles are idle ones the pipeline jumps over.
+const missChain = `
+	addi r9, zero, 20000
+loop:
+	ld   r1, 0(r2)
+	add  r2, r2, r1
+	addi r2, r2, 4099
+	subi r9, r9, 1
+	bne  r9, zero, loop
+	halt
+`
+
+// newMissSim builds a simulator over missChain.
+func newMissSim(t *testing.T) *Sim {
+	t.Helper()
+	p, err := asm.Assemble(missChain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newSim(t, FourWide(reno.Default(160)), p.Code, 0)
+}
+
+// newSim builds a simulator over code, timing from dynamic instruction
+// warm on.
+func newSim(t *testing.T, cfg Config, code []isa.Inst, warm uint64) *Sim {
+	t.Helper()
+	m, err := Warmup(context.Background(), code, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(cfg, func() (emu.Dyn, bool) {
+		if m.Halted {
+			return emu.Dyn{}, false
+		}
+		d, err := m.Step()
+		return d, err == nil
+	})
+}
+
+// TestCycleBudgetInsideIdleStretch: a cycle budget stops the run at exactly
+// that cycle even when it falls inside a stretch of idle cycles the
+// pipeline would otherwise jump over.
+func TestCycleBudgetInsideIdleStretch(t *testing.T) {
+	idle := 0 // budgets one cycle apart with nothing committed between
+	var prev *Result
+	for budget := uint64(20_000); budget < 20_400; budget++ {
+		res, err := newMissSim(t).RunContext(context.Background(), RunOptions{MaxCycles: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cycles != budget || res.StopReason != "cycle-budget" {
+			t.Fatalf("budget %d: stopped at cycle %d (%q)", budget, res.Cycles, res.StopReason)
+		}
+		if prev != nil && prev.Insts == res.Insts && prev.FetchStallCycles == res.FetchStallCycles {
+			idle++
+		}
+		prev = res
+	}
+	if idle < 200 {
+		t.Errorf("only %d of 400 budgets fell in an idle stretch; the program no longer stalls", idle)
+	}
+}
+
+// TestSplitRunMatchesOneRun: a run stopped by a cycle budget inside an
+// idle stretch and resumed under a larger one ends exactly as a single run
+// under the larger budget, in every Result field.
+func TestSplitRunMatchesOneRun(t *testing.T) {
+	const end = 40_000
+	want, err := newMissSim(t).RunContext(context.Background(), RunOptions{MaxCycles: end})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, split := range []uint64{1, 1023, 1024, 1025, 17_001, 20_000, 33_333} {
+		s := newMissSim(t)
+		if _, err := s.RunContext(context.Background(), RunOptions{MaxCycles: split}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.RunContext(context.Background(), RunOptions{MaxCycles: end})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("split at %d:\n got %+v\nwant %+v", split, got, want)
+		}
+	}
+}
+
+// TestCancelDuringStall: a context canceled while the pipeline waits on a
+// miss stops the run within ctxCheckInterval cycles, although the stall's
+// idle cycles are jumped over rather than stepped.
+func TestCancelDuringStall(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var at uint64
+	res, err := newMissSim(t).RunContext(ctx, RunOptions{
+		ObserveEvery: 5_000,
+		Observer: func(st IntervalStats) {
+			if at == 0 {
+				at = st.Cycles
+				cancel()
+			}
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v, want context.Canceled", err)
+	}
+	if res == nil || res.StopReason != "canceled" {
+		t.Fatalf("result %+v, want a canceled partial result", res)
+	}
+	if res.Cycles < at || res.Cycles-at > ctxCheckInterval {
+		t.Errorf("canceled at cycle %d, stopped at %d: more than %d cycles later", at, res.Cycles, ctxCheckInterval)
+	}
+}
+
+// unusedMiss alternates two missing loads, only the second one read: while
+// the ROB is full, the oldest load's completion is the next event, and
+// nothing waits on its value.
+const unusedMiss = `
+	addi r9, zero, 2000
+loop:
+	ld   r1, 0(r2)
+	addi r2, r2, 4099
+	ld   r3, 0(r2)
+	add  r4, r4, r3
+	addi r2, r2, 4099
+	subi r9, r9, 1
+	bne  r9, zero, loop
+	halt
+`
+
+// forwardWait stores a multiply's result and loads it straight back, so
+// the load waits on the store's data, behind an older load that misses.
+// It also stores the missing load's value plus one: with a wakeup-select
+// loop longer than the add, that store reaches the ROB head before its
+// data wakes.
+const forwardWait = `
+	addi r9, zero, 2000
+	addi r6, zero, 64
+loop:
+	ld   r1, 0(r2)
+	addi r2, r2, 4099
+	mul  r7, r9, r9
+	st   r7, 0(r6)
+	ld   r8, 0(r6)
+	addi r11, r1, 1
+	st   r11, 8(r6)
+	add  r10, r10, r8
+	subi r9, r9, 1
+	bne  r9, zero, loop
+	halt
+`
+
+// TestSkippingMatchesStepping: a run that jumps over idle cycles ends
+// exactly as one stepped a cycle at a time, in every Result field. A
+// one-cycle budget per RunContext call leaves no stretch to jump over, so
+// the stepped run simulates every cycle; any idle cycle skipped past an
+// event, or charged differently, shows up as a difference.
+func TestSkippingMatchesStepping(t *testing.T) {
+	const cycles = 30_000
+	type program struct {
+		name string
+		code []isa.Inst
+		warm uint64
+	}
+	var progs []program
+	for _, src := range []struct{ name, asm string }{
+		{"missChain", missChain}, {"unusedMiss", unusedMiss}, {"forwardWait", forwardWait},
+	} {
+		p, err := asm.Assemble(src.asm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, program{src.name, p.Code, 0})
+	}
+	for _, name := range []string{"mcf", "parser", "vortex", "gzip"} {
+		prof, _ := workload.ByName(name)
+		w := workload.MustBuild(prof)
+		warm, err := w.WarmupCount()
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, program{name, w.Code, warm})
+	}
+	for _, cfg := range []Config{
+		FourWide(reno.Default(160)),
+		FourWide(reno.Baseline(160)).WithSchedLoop(2),
+		FourWide(reno.Default(40)).WithSchedLoop(4),
+		SixWide(reno.FullIntegration(0)),
+	} {
+		for _, pr := range progs {
+			want, err := newSim(t, cfg, pr.code, pr.warm).RunContext(context.Background(), RunOptions{MaxCycles: cycles})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := newSim(t, cfg, pr.code, pr.warm)
+			var got *Result
+			for c := uint64(1); c <= cycles; c++ {
+				if got, err = s.RunContext(context.Background(), RunOptions{MaxCycles: c}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %s: stepped run differs\n got %+v\nwant %+v", pr.name, cfg.Name, got, want)
+			}
+		}
 	}
 }

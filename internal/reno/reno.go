@@ -305,20 +305,23 @@ func UpdateGroupMask(mask uint32, r *Renamed) uint32 {
 	return mask &^ (1 << uint(r.Dest))
 }
 
-// RenameOne renames a single instruction against the current rename state.
+// RenameOneInto renames a single instruction against the current rename
+// state, overwriting *r with its record.
 // elimDest is the group-dependence mask accumulated over older instructions
 // renamed in the same cycle (see UpdateGroupMask); pass 0 for the first
 // instruction of a group: an instruction depending on an older *eliminated*
 // instruction of its group is renamed conventionally (the output-selection
-// mux simplification of Section 3.2). ok is false when the physical register
-// file is exhausted — the caller re-presents the instruction once a register
-// frees. A failed attempt still reports a MisBypass verdict it reached, since
-// the stale tuple is already gone when the instruction is re-presented.
+// mux simplification of Section 3.2). It reports false when the physical
+// register file is exhausted — the caller re-presents the instruction once a
+// register frees. A failed attempt leaves only the MisBypass verdict it
+// reached in *r, since the stale tuple is already gone when the instruction
+// is re-presented.
 //
 //reno:hotpath
-func (o *Optimizer) RenameOne(gi GroupInst, elimDest uint32) (Renamed, bool) {
+func (o *Optimizer) RenameOneInto(gi GroupInst, r *Renamed, elimDest uint32) bool {
 	in := gi.Inst
-	r := Renamed{Inst: in, Src: [2]renamer.Mapping{zeroMap, zeroMap}}
+	*r = Renamed{} // refcount.ZeroReg is 0: unused source slots carry zeroMap
+	r.Inst = in
 	rs, rt := isa.Sources(in)
 	r.NSrc = isa.NumSources(in)
 	if r.NSrc >= 1 {
@@ -340,10 +343,10 @@ func (o *Optimizer) RenameOne(gi GroupInst, elimDest uint32) (Renamed, bool) {
 
 	// --- Elimination decision tree -------------------------------------
 	if r.HasDest && !depOnElim {
-		if o.tryEliminate(&r, gi) {
-			o.finishRecord(&r)
+		if o.tryEliminate(r, gi) {
+			o.finishRecord(r)
 			o.Stats.Renamed++
-			return r, true
+			return true
 		}
 	}
 	if r.HasDest && depOnElim && o.wouldEliminate(in) {
@@ -354,16 +357,19 @@ func (o *Optimizer) RenameOne(gi GroupInst, elimDest uint32) (Renamed, bool) {
 	if r.HasDest {
 		p, ok := o.rc.Alloc()
 		if !ok {
-			return Renamed{MisBypass: r.MisBypass}, false
+			misBypass := r.MisBypass
+			*r = Renamed{}
+			r.MisBypass = misBypass
+			return false
 		}
 		r.NewMap = renamer.Mapping{P: p}
 		r.OldMap = o.mt.SetNew(r.Dest, p)
-		o.insertForwardTuple(&r, gi)
+		o.insertForwardTuple(r, gi)
 	}
-	o.insertReverseTuples(&r, gi)
-	o.finishRecord(&r)
+	o.insertReverseTuples(r, gi)
+	o.finishRecord(r)
 	o.Stats.Renamed++
-	return r, true
+	return true
 }
 
 // wouldEliminate reports whether in is the kind of instruction the current

@@ -10,10 +10,17 @@ import (
 	"reno/internal/renamer"
 )
 
+// renameOne is RenameOneInto returning the record.
+func renameOne(o *Optimizer, gi GroupInst, elimDest uint32) (Renamed, bool) {
+	var r Renamed
+	ok := o.RenameOneInto(gi, &r, elimDest)
+	return r, ok
+}
+
 // rename1 pushes a single instruction through the optimizer.
 func rename1(t *testing.T, o *Optimizer, in isa.Inst, result uint64) Renamed {
 	t.Helper()
-	r, ok := o.RenameOne(GroupInst{Inst: in, Result: result}, 0)
+	r, ok := renameOne(o, GroupInst{Inst: in, Result: result}, 0)
 	if !ok {
 		t.Fatalf("rename of %v stalled", in)
 	}
@@ -26,7 +33,7 @@ func rename1(t *testing.T, o *Optimizer, in isa.Inst, result uint64) Renamed {
 func renameGroup(o *Optimizer, g []GroupInst) (out []Renamed, n int) {
 	var mask uint32
 	for _, gi := range g {
-		r, ok := o.RenameOne(gi, mask)
+		r, ok := renameOne(o, gi, mask)
 		if !ok {
 			break
 		}
@@ -343,7 +350,7 @@ func TestRenameStallsWhenFileExhausted(t *testing.T) {
 	o := New(Baseline(isa.NumLogicalRegs + 3))
 	var live []Renamed
 	for i := 0; ; i++ {
-		r, ok := o.RenameOne(GroupInst{Inst: isa.Addi(isa.Reg(1+i%8), isa.RZero, int32(i))}, 0)
+		r, ok := renameOne(o, GroupInst{Inst: isa.Addi(isa.Reg(1+i%8), isa.RZero, int32(i))}, 0)
 		if !ok {
 			break
 		}
@@ -360,7 +367,7 @@ func TestRenameStallsWhenFileExhausted(t *testing.T) {
 	for i := range live {
 		o.Commit(&live[i])
 	}
-	if _, ok := o.RenameOne(GroupInst{Inst: isa.Addi(1, isa.RZero, 9)}, 0); !ok {
+	if _, ok := renameOne(o, GroupInst{Inst: isa.Addi(1, isa.RZero, 9)}, 0); !ok {
 		t.Error("rename still stalled after commits freed registers")
 	}
 }
@@ -516,7 +523,7 @@ func TestRandomizedInvariants(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			switch rng.Intn(3) {
 			case 0, 1: // rename
-				if r, ok := o.RenameOne(GroupInst{Inst: randInst(), Result: uint64(rng.Int63())}, 0); ok {
+				if r, ok := renameOne(o, GroupInst{Inst: randInst(), Result: uint64(rng.Int63())}, 0); ok {
 					inflight = append(inflight, r)
 				}
 			case 2: // commit oldest
