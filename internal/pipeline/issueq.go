@@ -106,24 +106,31 @@ func (q *issueQueue) wakeSleepers(p int, at uint64) {
 	}
 }
 
-// due returns to cand every entry whose timer has come by cycle now.
+// due returns to cand every entry whose timer has come by cycle now. A
+// jump over idle cycles crosses only empty buckets (nextEvent stops it at
+// the first busy one), so stepping q.now through them costs a bit test
+// each.
 //
 //reno:hotpath
 func (q *issueQueue) due(now uint64) {
-	n := min(now-q.now, wheelSize)
-	for c := now - n + 1; c <= now; c++ {
-		i := int(c & (wheelSize - 1))
-		if q.busy[i>>6]&(1<<uint(i&63)) == 0 {
-			continue
-		}
-		q.busy[i>>6] &^= 1 << uint(i&63)
-		b := q.wheel[i*q.words : (i+1)*q.words]
-		for k, w := range b {
-			q.cand[k] |= w
-			b[k] = 0
+	for q.now < now {
+		q.now++
+		if c := int(q.now & (wheelSize - 1)); q.busy[c>>6]&(1<<uint(c&63)) != 0 {
+			q.fire(c)
 		}
 	}
-	q.now = now
+}
+
+// fire moves wheel bucket c into cand.
+//
+//reno:hotpath
+func (q *issueQueue) fire(c int) {
+	q.busy[c>>6] &^= 1 << uint(c&63)
+	b := q.wheel[c*q.words : (c+1)*q.words]
+	for k, w := range b {
+		q.cand[k] |= w
+		b[k] = 0
+	}
 }
 
 // earliest returns the first cycle after now with an entry due (never if

@@ -34,6 +34,7 @@ const (
 type entry struct {
 	state        uint8
 	cls          isa.Class // isa.ClassOf(dyn.Inst), decoded once at fetch
+	port         uint8     // portOf(cls)
 	isLoad       bool
 	isStore      bool
 	hasSS        bool // ssConstraint is set
@@ -516,10 +517,18 @@ func (s *Sim) nextEvent() uint64 {
 	// loads blocked by a forwarding store wait on (never, the largest
 	// value, never wins).
 	t := s.iq.earliest()
-	for off := s.nextCand(0); off < s.robCount; off = s.nextCand(off + 1) {
-		if p := s.iq.blockP[s.ringIdx(off)]; p >= 0 {
-			t = min(t, s.wakeAt[p])
+	for base := 0; base < s.robCount; { // as in issueStage
+		first := s.ringIdx(base)
+		for b := s.iq.cand[first>>6] >> uint(first&63); b != 0; b &= b - 1 {
+			off := base + bits.TrailingZeros64(b)
+			if off >= s.robCount {
+				break
+			}
+			if p := s.iq.blockP[first+off-base]; p >= 0 {
+				t = min(t, s.wakeAt[p])
+			}
 		}
+		base += 64 - first&63
 	}
 	// Commit: the ROB head, in commitStage's order of checks. A head not
 	// yet issued waits on its issue, counted above.
@@ -784,7 +793,7 @@ const (
 )
 
 //reno:hotpath
-func portOf(cls isa.Class) int {
+func portOf(cls isa.Class) uint8 {
 	switch cls {
 	case isa.ClassLoad:
 		return portLoad
@@ -796,24 +805,11 @@ func portOf(cls isa.Class) int {
 	return portInt
 }
 
-// nextCand returns the offset of the oldest issue candidate at or after
-// offset off, or robCount if there is none.
-//
-//reno:hotpath
-func (s *Sim) nextCand(off int) int {
-	for off < s.robCount {
-		idx := s.ringIdx(off)
-		if b := s.iq.cand[idx>>6] >> uint(idx&63); b != 0 {
-			return min(off+bits.TrailingZeros64(b), s.robCount)
-		}
-		// The ring's length is a multiple of 64, so the next word never
-		// straddles the wrap.
-		off += 64 - idx&63
-	}
-	return s.robCount
-}
-
-// issueStage selects from the issue candidates, oldest first.
+// issueStage selects from the issue candidates, oldest first. It walks
+// the candidate bitset a word at a time from a copy of each word: during
+// the walk only the visited entry's own bit changes, and a squash ends it.
+// The ring's length is a multiple of 64, so a word never straddles the
+// wrap.
 //
 //reno:hotpath
 func (s *Sim) issueStage() {
@@ -824,57 +820,65 @@ func (s *Sim) issueStage() {
 		portLoad: s.cfg.LoadPorts, portStore: s.cfg.StorePorts,
 	}
 
-	for off := s.nextCand(0); off < s.robCount && total > 0; off = s.nextCand(off + 1) {
-		idx := s.ringIdx(off)
-		e := &s.rob[idx]
-		if e.state != stWaiting {
-			s.iq.drop(idx) // stale: the slot was reused after a squash
-			continue
-		}
-		port := portOf(e.cls)
-		if free[port] == 0 {
-			continue
-		}
-		if p, operand, ok := s.ready(e, off); !ok {
-			if operand {
-				s.iq.sleepOn(idx, p, s.wakeAt[p])
-			} else {
-				s.iq.blockP[idx] = p
+	for base := 0; base < s.robCount; {
+		first := s.ringIdx(base)
+		for b := s.iq.cand[first>>6] >> uint(first&63); b != 0; b &= b - 1 {
+			off := base + bits.TrailingZeros64(b)
+			if off >= s.robCount || total == 0 {
+				return
 			}
-			continue
-		}
-		s.iq.drop(idx)
+			idx := first + off - base
+			e := &s.rob[idx]
+			if e.state != stWaiting {
+				s.iq.drop(idx) // stale: the slot was reused after a squash
+				continue
+			}
+			port := e.port
+			if free[port] == 0 {
+				continue
+			}
+			if p, operand, ok := s.ready(e, off); !ok {
+				if operand {
+					s.iq.sleepOn(idx, p, s.wakeAt[p])
+				} else {
+					s.iq.blockP[idx] = p
+				}
+				continue
+			}
+			s.iq.drop(idx)
 
-		e.issueC = s.cycle
-		e.state = stIssued
-		e.compC = s.cycle + uint64(s.execLatency(e))
+			e.issueC = s.cycle
+			e.state = stIssued
+			e.compC = s.cycle + uint64(s.execLatency(e))
 
-		if e.isLoad {
-			s.issueLoad(e)
-		}
-		if e.isStore {
-			e.addrDone = true
-			if s.checkViolations(e, off) {
-				e.iqHeld = true
-				return // squash invalidated iteration state
+			if e.isLoad {
+				s.issueLoad(e)
 			}
-		}
-		if e.ren.HasDest {
-			w := e.compC
-			if loop := uint64(s.cfg.SchedLoop); w-e.issueC < loop {
-				w = e.issueC + loop
+			if e.isStore {
+				e.addrDone = true
+				if s.checkViolations(e, off) {
+					e.iqHeld = true
+					return // squash invalidated iteration state
+				}
 			}
-			s.wakeAt[e.ren.NewMap.P] = w
-			s.iq.wake(e.ren.NewMap.P, w)
+			if e.ren.HasDest {
+				w := e.compC
+				if loop := uint64(s.cfg.SchedLoop); w-e.issueC < loop {
+					w = e.issueC + loop
+				}
+				s.wakeAt[e.ren.NewMap.P] = w
+				s.iq.wake(e.ren.NewMap.P, w)
+			}
+			if e.mispredicted && s.blockingSeq == e.seq {
+				s.redirectUntil = e.compC + uint64(s.cfg.RedirectPenalty)
+				s.blockingSeq = never
+				s.pendingCauseKind, s.pendingCauseSeq = cpa.BoundMispredict, e.seq
+			}
+			s.iqUsed--
+			total--
+			free[port]--
 		}
-		if e.mispredicted && s.blockingSeq == e.seq {
-			s.redirectUntil = e.compC + uint64(s.cfg.RedirectPenalty)
-			s.blockingSeq = never
-			s.pendingCauseKind, s.pendingCauseSeq = cpa.BoundMispredict, e.seq
-		}
-		s.iqUsed--
-		total--
-		free[port]--
+		base += 64 - first&63
 	}
 }
 
@@ -1328,7 +1332,7 @@ func (s *Sim) fetchStage() {
 		}
 
 		cls := isa.ClassOf(d.Inst)
-		e.cls = cls
+		e.cls, e.port = cls, portOf(cls)
 		isCT := cls == isa.ClassBranch || cls == isa.ClassCall || cls == isa.ClassReturn
 		if isCT && !replayed {
 			// Replayed instructions re-fetch down a known-correct path;
