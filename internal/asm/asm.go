@@ -13,8 +13,14 @@
 //	    li   r6, 123456      # pseudo: lui+ori or addi as needed
 //	    halt
 //
+// Each opcode's operand syntax is its row of the isa opcode table; only the
+// pseudo-instructions move, li, ret and call have their own code.
+//
 // Registers are r0..r31 with aliases sp (r30), zero (r31), ra (r26),
-// gp (r29). Immediates are decimal or 0x-hex, range-checked to 16 bits.
+// gp (r29). Immediates are decimal or 0x-hex and must fit the opcode's
+// 16-bit field as the hardware widens it: -32768..32767 for sign-extended
+// immediates and displacements, 0..65535 for the zero-extended immediates
+// of andi, ori, xori and lui. The disassembler prints the latter unsigned.
 package asm
 
 import (
@@ -44,7 +50,6 @@ type patch struct {
 	addr  int    // instruction index needing the patch
 	label string // target label
 	line  int
-	rel   bool // PC-relative word offset (branches/jumps) vs absolute
 }
 
 // Assemble parses and assembles AXP32 assembly text.
@@ -94,20 +99,14 @@ func Assemble(src string) (*Program, error) {
 		if !ok {
 			return nil, &Error{pt.line, fmt.Sprintf("undefined label %q", pt.label)}
 		}
+		// The instruction still has Imm 0, so isa.Target gives the address
+		// its offset counts from.
 		in := &p.Code[pt.addr]
-		if pt.rel {
-			// Branch offsets are relative to the *next* instruction, in words.
-			off := target - (pt.addr + 1)
-			if off < -32768 || off > 32767 {
-				return nil, &Error{pt.line, fmt.Sprintf("branch to %q out of range (%d words)", pt.label, off)}
-			}
-			in.Imm = int32(off)
-		} else {
-			if target > 32767 {
-				return nil, &Error{pt.line, fmt.Sprintf("absolute address of %q out of range", pt.label)}
-			}
-			in.Imm = int32(target)
+		off := target - int(isa.Target(uint64(pt.addr), *in))
+		if off < -32768 || off > 32767 {
+			return nil, &Error{pt.line, fmt.Sprintf("branch to %q out of range (%d words)", pt.label, off)}
 		}
+		in.Imm = int32(off)
 	}
 	return p, nil
 }
@@ -159,20 +158,25 @@ func parseReg(s string) (isa.Reg, error) {
 	return 0, fmt.Errorf("bad register %q", s)
 }
 
-func parseImm(s string) (int32, error) {
+// parseImm parses a 16-bit immediate widened as ext says.
+func parseImm(s string, ext isa.Ext) (int32, error) {
 	s = strings.TrimSpace(s)
 	v, err := strconv.ParseInt(s, 0, 32)
 	if err != nil {
 		return 0, fmt.Errorf("bad immediate %q", s)
 	}
-	if v < -32768 || v > 65535 {
-		return 0, fmt.Errorf("immediate %d out of 16-bit range", v)
+	lo, hi := int64(-32768), int64(32767)
+	if ext == isa.ExtZero {
+		lo, hi = 0, 65535
+	}
+	if v < lo || v > hi {
+		return 0, fmt.Errorf("immediate %d out of 16-bit range %d..%d", v, lo, hi)
 	}
 	return int32(int16(v)), nil
 }
 
 // parseMem parses "disp(reg)" memory-operand syntax.
-func parseMem(s string) (isa.Reg, int32, error) {
+func parseMem(s string, ext isa.Ext) (isa.Reg, int32, error) {
 	s = strings.TrimSpace(s)
 	lp := strings.Index(s, "(")
 	rp := strings.LastIndex(s, ")")
@@ -181,7 +185,7 @@ func parseMem(s string) (isa.Reg, int32, error) {
 	}
 	disp := int32(0)
 	if d := strings.TrimSpace(s[:lp]); d != "" {
-		v, err := parseImm(d)
+		v, err := parseImm(d, ext)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -232,21 +236,24 @@ func parseInst(line string, addr, ln int) ([]isa.Inst, []patch, error) {
 		return nil
 	}
 
-	// Pseudo-instructions first.
+	// Pseudo-instructions: li expands to one or two instructions, the
+	// others rewrite to one real instruction with a fixed operand.
 	switch mnemonic {
 	case "move", "mov":
 		if err := needOps(2); err != nil {
 			return nil, nil, err
 		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return fail("%v", err)
+		mnemonic, ops = "addi", append(ops, "0")
+	case "ret":
+		if err := needOps(0); err != nil {
+			return nil, nil, err
 		}
-		rs, err := parseReg(ops[1])
-		if err != nil {
-			return fail("%v", err)
+		mnemonic, ops = "jr", []string{"ra"}
+	case "call":
+		if err := needOps(1); err != nil {
+			return nil, nil, err
 		}
-		return []isa.Inst{isa.Move(rd, rs)}, nil, nil
+		mnemonic, ops = "jal", []string{"ra", ops[0]}
 	case "li":
 		if err := needOps(2); err != nil {
 			return nil, nil, err
@@ -272,17 +279,6 @@ func parseInst(line string, addr, ln int) ([]isa.Inst, []patch, error) {
 			out = append(out, isa.I(isa.OpOri, rd, rd, int32(int16(lo))))
 		}
 		return out, nil, nil
-	case "ret":
-		if len(ops) != 0 {
-			return fail("ret takes no operands")
-		}
-		return []isa.Inst{{Op: isa.OpJr, Rd: isa.RZero, Rs: isa.RRA, Rt: isa.RZero}}, nil, nil
-	case "call":
-		if err := needOps(1); err != nil {
-			return nil, nil, err
-		}
-		in := isa.Inst{Op: isa.OpJal, Rd: isa.RRA, Rs: isa.RZero, Rt: isa.RZero}
-		return []isa.Inst{in}, []patch{{addr: addr, label: ops[0], line: ln, rel: true}}, nil
 	}
 
 	op, ok := opsByName[mnemonic]
@@ -290,153 +286,37 @@ func parseInst(line string, addr, ln int) ([]isa.Inst, []patch, error) {
 		return fail("unknown mnemonic %q", mnemonic)
 	}
 
-	switch isa.FormatOf(op) {
-	case isa.FmtN:
-		if len(ops) != 0 {
-			return fail("%s takes no operands", mnemonic)
-		}
-		return []isa.Inst{{Op: op, Rd: isa.RZero, Rs: isa.RZero, Rt: isa.RZero}}, nil, nil
-
-	case isa.FmtI:
-		if op == isa.OpLd {
-			if err := needOps(2); err != nil {
-				return nil, nil, err
-			}
-			rd, err := parseReg(ops[0])
-			if err != nil {
-				return fail("%v", err)
-			}
-			base, disp, err := parseMem(ops[1])
-			if err != nil {
-				return fail("%v", err)
-			}
-			return []isa.Inst{isa.Ld(rd, base, disp)}, nil, nil
-		}
-		if op == isa.OpLui {
-			if err := needOps(2); err != nil {
-				return nil, nil, err
-			}
-			rd, err := parseReg(ops[0])
-			if err != nil {
-				return fail("%v", err)
-			}
-			imm, err := parseImm(ops[1])
-			if err != nil {
-				return fail("%v", err)
-			}
-			return []isa.Inst{isa.I(op, rd, isa.RZero, imm)}, nil, nil
-		}
-		if err := needOps(3); err != nil {
-			return nil, nil, err
-		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		rs, err := parseReg(ops[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		imm, err := parseImm(ops[2])
-		if err != nil {
-			return fail("%v", err)
-		}
-		return []isa.Inst{isa.I(op, rd, rs, imm)}, nil, nil
-
-	case isa.FmtB:
-		if op == isa.OpSt {
-			if err := needOps(2); err != nil {
-				return nil, nil, err
-			}
-			rt, err := parseReg(ops[0])
-			if err != nil {
-				return fail("%v", err)
-			}
-			base, disp, err := parseMem(ops[1])
-			if err != nil {
-				return fail("%v", err)
-			}
-			return []isa.Inst{isa.St(rt, base, disp)}, nil, nil
-		}
-		if err := needOps(3); err != nil {
-			return nil, nil, err
-		}
-		rs, err := parseReg(ops[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		rt, err := parseReg(ops[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		in := isa.Branch(op, rs, rt, 0)
-		return []isa.Inst{in}, []patch{{addr: addr, label: ops[2], line: ln, rel: true}}, nil
-
-	case isa.FmtJ:
-		if op == isa.OpJal {
-			if err := needOps(2); err != nil {
-				return nil, nil, err
-			}
-			rd, err := parseReg(ops[0])
-			if err != nil {
-				return fail("%v", err)
-			}
-			in := isa.Inst{Op: op, Rd: rd, Rs: isa.RZero, Rt: isa.RZero}
-			return []isa.Inst{in}, []patch{{addr: addr, label: ops[1], line: ln, rel: true}}, nil
-		}
-		if err := needOps(1); err != nil {
-			return nil, nil, err
-		}
-		in := isa.Inst{Op: op, Rd: isa.RZero, Rs: isa.RZero, Rt: isa.RZero}
-		return []isa.Inst{in}, []patch{{addr: addr, label: ops[0], line: ln, rel: true}}, nil
-
-	case isa.FmtR:
-		switch op {
-		case isa.OpJr:
-			if err := needOps(1); err != nil {
-				return nil, nil, err
-			}
-			rs, err := parseReg(ops[0])
-			if err != nil {
-				return fail("%v", err)
-			}
-			return []isa.Inst{{Op: op, Rd: isa.RZero, Rs: rs, Rt: isa.RZero}}, nil, nil
-		case isa.OpJalr:
-			if err := needOps(2); err != nil {
-				return nil, nil, err
-			}
-			rd, err := parseReg(ops[0])
-			if err != nil {
-				return fail("%v", err)
-			}
-			rs, err := parseReg(ops[1])
-			if err != nil {
-				return fail("%v", err)
-			}
-			return []isa.Inst{{Op: op, Rd: rd, Rs: rs, Rt: isa.RZero}}, nil, nil
-		}
-		if err := needOps(3); err != nil {
-			return nil, nil, err
-		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		rs, err := parseReg(ops[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		rt, err := parseReg(ops[2])
-		if err != nil {
-			return fail("%v", err)
-		}
-		return []isa.Inst{isa.R(op, rd, rs, rt)}, nil, nil
+	info := op.Info()
+	if err := needOps(len(info.Operands)); err != nil {
+		return nil, nil, err
 	}
-	return fail("unhandled format for %q", mnemonic)
+	in := isa.Inst{Op: op, Rd: isa.RZero, Rs: isa.RZero, Rt: isa.RZero}
+	var ps []patch
+	for k, o := range info.Operands {
+		var err error
+		switch o {
+		case isa.OpndRd:
+			in.Rd, err = parseReg(ops[k])
+		case isa.OpndRs:
+			in.Rs, err = parseReg(ops[k])
+		case isa.OpndRt:
+			in.Rt, err = parseReg(ops[k])
+		case isa.OpndImm:
+			in.Imm, err = parseImm(ops[k], info.Ext)
+		case isa.OpndMem:
+			in.Rs, in.Imm, err = parseMem(ops[k], info.Ext)
+		case isa.OpndLabel:
+			ps = []patch{{addr: addr, label: ops[k], line: ln}}
+		}
+		if err != nil {
+			return fail("%v", err)
+		}
+	}
+	return []isa.Inst{in}, ps, nil
 }
 
 // Disassemble renders a program as assembly text with synthesized labels at
-// branch targets.
+// branch targets, including a target just past the last instruction.
 func Disassemble(p *Program) string {
 	targets := map[int]string{}
 	for name, addr := range p.Symbols {
@@ -444,38 +324,29 @@ func Disassemble(p *Program) string {
 	}
 	next := 0
 	for pc, in := range p.Code {
-		var t int
-		switch isa.FormatOf(in.Op) {
-		case isa.FmtB:
-			if in.Op == isa.OpSt {
-				continue
-			}
-			t = pc + 1 + int(in.Imm)
-		case isa.FmtJ:
-			t = pc + 1 + int(in.Imm)
-		default:
+		if !isa.HasTarget(in.Op) {
 			continue
 		}
-		if _, ok := targets[t]; !ok && t >= 0 && t < len(p.Code) {
+		t := int(isa.Target(uint64(pc), in))
+		if _, ok := targets[t]; !ok && t >= 0 && t <= len(p.Code) {
 			targets[t] = fmt.Sprintf("L%d", next)
 			next++
 		}
 	}
 	var b strings.Builder
-	for pc, in := range p.Code {
+	for pc := 0; pc <= len(p.Code); pc++ {
 		if name, ok := targets[pc]; ok {
 			fmt.Fprintf(&b, "%s:\n", name)
 		}
-		switch {
-		case isa.FormatOf(in.Op) == isa.FmtB && in.Op != isa.OpSt:
-			fmt.Fprintf(&b, "\t%s %s, %s, %s\n", in.Op, in.Rs, in.Rt, targets[pc+1+int(in.Imm)])
-		case in.Op == isa.OpJmp:
-			fmt.Fprintf(&b, "\t%s %s\n", in.Op, targets[pc+1+int(in.Imm)])
-		case in.Op == isa.OpJal:
-			fmt.Fprintf(&b, "\t%s %s, %s\n", in.Op, in.Rd, targets[pc+1+int(in.Imm)])
-		default:
-			fmt.Fprintf(&b, "\t%s\n", in)
+		if pc == len(p.Code) {
+			break
 		}
+		in := p.Code[pc]
+		label := ""
+		if isa.HasTarget(in.Op) {
+			label = targets[int(isa.Target(uint64(pc), in))]
+		}
+		fmt.Fprintf(&b, "\t%s\n", in.Text(label))
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -118,15 +119,22 @@ func TestAssembleErrors(t *testing.T) {
 	cases := []struct {
 		src  string
 		frag string
+		line int
 	}{
-		{"bogus r1, r2, r3", "unknown mnemonic"},
-		{"addi r1, r2", "needs 3 operands"},
-		{"addi r99, r2, 3", "bad register"},
-		{"addi r1, r2, 99999", "out of 16-bit range"},
-		{"beq r1, r2, nowhere", "undefined label"},
-		{"x: \n x: halt", "duplicate label"},
-		{"9bad: halt", "invalid label"},
-		{"ld r1, r2", "bad memory operand"},
+		{"bogus r1, r2, r3", "unknown mnemonic", 1},
+		{"addi r1, r2", "needs 3 operands", 1},
+		{"addi r99, r2, 3", "bad register", 1},
+		{"addi r1, r2, 99999", "out of 16-bit range", 1},
+		{"beq r1, r2, nowhere", "undefined label", 1},
+		{"x: \n x: halt", "duplicate label", 2},
+		{"9bad: halt", "invalid label", 1},
+		{"ld r1, r2", "bad memory operand", 1},
+		// Sign-extended immediates and displacements stop at 32767; a
+		// zero-extended immediate cannot be negative.
+		{"nop\naddi r1, zero, 40000", "out of 16-bit range -32768..32767", 2},
+		{"nop\nnop\nld r1, 40000(r2)", "out of 16-bit range -32768..32767", 3},
+		{"subi r1, r1, 65535", "out of 16-bit range -32768..32767", 1},
+		{"nop\nori r1, r1, -1", "out of 16-bit range 0..65535", 2},
 	}
 	for _, c := range cases {
 		_, err := Assemble(c.src)
@@ -137,13 +145,21 @@ func TestAssembleErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("source %q: error %q does not contain %q", c.src, err, c.frag)
 		}
+		var ae *Error
+		if !errors.As(err, &ae) || ae.Line != c.line {
+			t.Errorf("source %q: error %q not on line %d", c.src, err, c.line)
+		}
 	}
 }
 
 func TestDisassembleRoundTrip(t *testing.T) {
+	// The zero-extended immediate must print unsigned to reassemble, and
+	// the branch to the end of the image needs a label past the last
+	// instruction.
 	src := `
 	start:
 		addi r1, zero, 3
+		ori r2, r2, 0xffff
 	loop:
 		subi r1, r1, 1
 		addi r4, r4, 8
@@ -151,23 +167,28 @@ func TestDisassembleRoundTrip(t *testing.T) {
 		jal  ra, fn
 		halt
 	fn:
+		beq r1, r2, end
 		jr ra
+	end:
 	`
 	p1, err := Assemble(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := Disassemble(p1)
-	p2, err := Assemble(text)
-	if err != nil {
-		t.Fatalf("reassembling disassembly failed: %v\n%s", err, text)
-	}
-	if len(p1.Code) != len(p2.Code) {
-		t.Fatalf("length mismatch: %d vs %d", len(p1.Code), len(p2.Code))
-	}
-	for i := range p1.Code {
-		if p1.Code[i] != p2.Code[i] {
-			t.Errorf("inst %d: %v vs %v", i, p1.Code[i], p2.Code[i])
+	// Once with the program's own labels, once with synthesized ones.
+	for _, p := range []*Program{p1, {Code: p1.Code}} {
+		text := Disassemble(p)
+		p2, err := Assemble(text)
+		if err != nil {
+			t.Fatalf("reassembling disassembly failed: %v\n%s", err, text)
+		}
+		if len(p1.Code) != len(p2.Code) {
+			t.Fatalf("length mismatch: %d vs %d", len(p1.Code), len(p2.Code))
+		}
+		for i := range p1.Code {
+			if p1.Code[i] != p2.Code[i] {
+				t.Errorf("inst %d: %v vs %v", i, p1.Code[i], p2.Code[i])
+			}
 		}
 	}
 }

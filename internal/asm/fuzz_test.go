@@ -68,8 +68,8 @@ var synthLabel = regexp.MustCompile(`(?m)^\s*L\d+\s*:`)
 // FuzzAssembleRoundTrip fuzzes the full asm+isa path: assembly never
 // panics; every instruction the assembler emits must survive the isa
 // encode/decode round trip bit-exactly; and for programs whose control
-// transfers all land inside the image, Disassemble must produce source that
-// reassembles to the identical code.
+// transfers all land inside the image or just past its end, Disassemble
+// must produce source that reassembles to the identical code.
 func FuzzAssembleRoundTrip(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
@@ -88,14 +88,13 @@ func FuzzAssembleRoundTrip(f *testing.F) {
 			if got := isa.Decode(isa.Encode(in)); got != in {
 				t.Fatalf("inst %d (%v) not codec-canonical: decode(encode) = %v", pc, in, got)
 			}
-			switch isa.FormatOf(in.Op) {
-			case isa.FmtB, isa.FmtJ:
-				if in.Op == isa.OpSt {
-					continue
-				}
-				if tgt := pc + 1 + int(in.Imm); tgt < 0 || tgt >= len(p.Code) {
-					targetsInImage = false
-				}
+			if !isa.HasTarget(in.Op) {
+				continue
+			}
+			// A target just past the last instruction is in the image: the
+			// disassembler labels it.
+			if tgt := int(isa.Target(uint64(pc), in)); tgt < 0 || tgt > len(p.Code) {
+				targetsInImage = false
 			}
 		}
 

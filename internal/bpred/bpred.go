@@ -237,7 +237,7 @@ func (p *Predictor) Predict(pc uint64, in isa.Inst) (nextPC uint64) {
 	case isa.ClassBranch:
 		switch in.Op {
 		case isa.OpJmp:
-			return uint64(int64(pc) + 1 + int64(in.Imm))
+			return isa.Target(pc, in)
 		case isa.OpJr:
 			// Indirect jump: BTB or fall-through.
 			if t, ok := p.PredictTarget(pc); ok {
@@ -251,14 +251,14 @@ func (p *Predictor) Predict(pc uint64, in isa.Inst) (nextPC uint64) {
 				}
 				// Direction says taken but no target known: compute it
 				// directly for direct conditionals (decode provides it).
-				return uint64(int64(pc) + 1 + int64(in.Imm))
+				return isa.Target(pc, in)
 			}
 			return pc + 1
 		}
 	case isa.ClassCall:
 		p.PushRAS(pc + 1)
 		if in.Op == isa.OpJal {
-			return uint64(int64(pc) + 1 + int64(in.Imm))
+			return isa.Target(pc, in)
 		}
 		// jalr: indirect call.
 		if t, ok := p.PredictTarget(pc); ok {

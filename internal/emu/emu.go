@@ -231,10 +231,10 @@ func (m *Machine) Step() (Dyn, error) {
 	switch in.Op {
 	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
 		if d.Taken {
-			d.NextPC = uint64(int64(m.PC) + 1 + int64(in.Imm))
+			d.NextPC = isa.Target(m.PC, in)
 		}
 	case isa.OpJmp, isa.OpJal:
-		d.NextPC = uint64(int64(m.PC) + 1 + int64(in.Imm))
+		d.NextPC = isa.Target(m.PC, in)
 	}
 
 	m.PC = d.NextPC
@@ -282,13 +282,7 @@ func CollectTrace(code []isa.Inst, limit uint64) ([]Dyn, error) {
 		out = append(out, d)
 		return true
 	})
-	if err != nil {
-		return out, err
-	}
-	if !m.Halted && m.ICount >= limit {
-		return out, nil
-	}
-	return out, nil
+	return out, err
 }
 
 // StateHash returns a cheap digest of architectural state (registers plus

@@ -42,7 +42,8 @@ func FuzzDecodeEncodeRoundTrip(f *testing.F) {
 
 // FuzzCanonFromFields drives the codec from the instruction-field side:
 // for arbitrary field values, Canon must be reachable in one
-// encode/decode step and classification helpers must not panic.
+// encode/decode step and the table accessors and classification helpers
+// must not panic.
 func FuzzCanonFromFields(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(2), uint8(3), int32(0))
 	f.Add(uint8(7), uint8(31), uint8(0), uint8(31), int32(-1))
@@ -53,13 +54,19 @@ func FuzzCanonFromFields(f *testing.F) {
 		if c != Canon(c) {
 			t.Fatalf("Canon unstable: %+v -> %+v -> %+v", in, c, Canon(c))
 		}
-		// Exercise classifiers on the canonical form; they must be total.
-		_ = ClassOf(c)
-		_ = HasDest(c)
-		_ = IsMove(c)
-		_ = IsRegImmAdd(c)
-		_ = NumSources(c)
-		_, _ = Sources(c)
-		_ = c.String()
+		// Exercise the table accessors and classifiers on the raw and the
+		// canonical form; they must be total, even on undefined opcodes.
+		for _, i := range []Inst{in, c} {
+			_ = FormatOf(i.Op)
+			_ = i.Op.Info()
+			_ = HasTarget(i.Op)
+			_ = ClassOf(i).String()
+			_ = HasDest(i)
+			_ = IsMove(i)
+			_ = IsRegImmAdd(i)
+			_ = NumSources(i)
+			_, _ = Sources(i)
+			_ = i.String()
+		}
 	})
 }

@@ -108,22 +108,9 @@ const (
 // NumOps is the number of defined opcodes.
 const NumOps = int(numOps)
 
-var opNames = [...]string{
-	OpNop: "nop", OpAddi: "addi", OpSubi: "subi", OpAndi: "andi",
-	OpOri: "ori", OpXori: "xori", OpSlli: "slli", OpSrli: "srli",
-	OpSrai: "srai", OpLui: "lui",
-	OpAdd: "add", OpSub: "sub", OpAnd: "and", OpOr: "or", OpXor: "xor",
-	OpSll: "sll", OpSrl: "srl", OpSra: "sra", OpSlt: "slt", OpSltu: "sltu",
-	OpMul: "mul", OpDiv: "div", OpFAdd: "fadd", OpFMul: "fmul",
-	OpLd: "ld", OpSt: "st",
-	OpBeq: "beq", OpBne: "bne", OpBlt: "blt", OpBge: "bge",
-	OpJmp: "jmp", OpJal: "jal", OpJr: "jr", OpJalr: "jalr",
-	OpHalt: "halt",
-}
-
 func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
+	if int(o) < NumOps {
+		return opTable[o].Name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -145,28 +132,15 @@ const (
 	ClassHalt
 )
 
+var classNames = [...]string{
+	ClassNop: "nop", ClassIntALU: "alu", ClassIntMul: "mul", ClassFP: "fp",
+	ClassLoad: "load", ClassStore: "store", ClassBranch: "branch",
+	ClassCall: "call", ClassReturn: "return", ClassHalt: "halt",
+}
+
 func (c Class) String() string {
-	switch c {
-	case ClassNop:
-		return "nop"
-	case ClassIntALU:
-		return "alu"
-	case ClassIntMul:
-		return "mul"
-	case ClassFP:
-		return "fp"
-	case ClassLoad:
-		return "load"
-	case ClassStore:
-		return "store"
-	case ClassBranch:
-		return "branch"
-	case ClassCall:
-		return "call"
-	case ClassReturn:
-		return "return"
-	case ClassHalt:
-		return "halt"
+	if int(c) < len(classNames) {
+		return classNames[c]
 	}
 	return "?"
 }
@@ -207,68 +181,21 @@ const (
 )
 
 // FormatOf returns the encoding format for op.
-func FormatOf(op Op) Format {
-	switch op {
-	case OpNop, OpHalt:
-		return FmtN
-	case OpAddi, OpSubi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai, OpLui, OpLd:
-		return FmtI
-	case OpSt, OpBeq, OpBne, OpBlt, OpBge:
-		return FmtB
-	case OpJmp, OpJal:
-		return FmtJ
-	case OpJr, OpJalr:
-		return FmtR
-	default:
-		return FmtR
-	}
-}
+func FormatOf(op Op) Format { return info(op).Format }
 
 // ClassOf returns the coarse class of an instruction (class can depend on
 // operands: `jr ra` is a return, `jr rX` an indirect jump).
 func ClassOf(i Inst) Class {
-	switch i.Op {
-	case OpNop:
-		return ClassNop
-	case OpHalt:
-		return ClassHalt
-	case OpLd:
-		return ClassLoad
-	case OpSt:
-		return ClassStore
-	case OpMul, OpDiv:
-		return ClassIntMul
-	case OpFAdd, OpFMul:
-		return ClassFP
-	case OpBeq, OpBne, OpBlt, OpBge, OpJmp:
-		return ClassBranch
-	case OpJal, OpJalr:
-		return ClassCall
-	case OpJr:
-		if i.Rs == RRA {
-			return ClassReturn
-		}
-		return ClassBranch
-	default:
-		return ClassIntALU
+	if i.Op == OpJr && i.Rs == RRA {
+		return ClassReturn
 	}
+	return info(i.Op).Class
 }
 
 // HasDest reports whether the instruction writes a register (writes to RZero
 // do not count: they are architectural no-ops and the renamer must not
 // allocate for them).
-func HasDest(i Inst) bool {
-	switch FormatOf(i.Op) {
-	case FmtB, FmtN:
-		return false
-	case FmtJ:
-		return i.Op == OpJal && i.Rd != RZero
-	}
-	if i.Op == OpJr {
-		return false
-	}
-	return i.Rd != RZero
-}
+func HasDest(i Inst) bool { return info(i.Op).dest && i.Rd != RZero }
 
 // IsMove reports whether i is the register-move idiom: an addi with a zero
 // immediate (or an ori with zero). This is what RENO.ME eliminates.
@@ -310,26 +237,12 @@ func IsCFCandidate(i Inst) bool {
 // NumSources returns how many register sources the instruction actually
 // reads (RZero sources still count as a port read architecturally, but the
 // renamer may want to know the format).
-func NumSources(i Inst) int {
-	switch FormatOf(i.Op) {
-	case FmtN, FmtJ:
-		return 0
-	case FmtI:
-		return 1
-	case FmtB:
-		return 2 // branch operands, or a store's base + data
-	}
-	switch i.Op {
-	case OpJr, OpJalr:
-		return 1
-	}
-	return 2
-}
+func NumSources(i Inst) int { return int(info(i.Op).srcs) }
 
 // Sources returns the registers the instruction reads. Slots beyond
 // NumSources are RZero.
 func Sources(i Inst) (rs, rt Reg) {
-	switch NumSources(i) {
+	switch info(i.Op).srcs {
 	case 0:
 		return RZero, RZero
 	case 1:
@@ -338,6 +251,10 @@ func Sources(i Inst) (rs, rt Reg) {
 		return i.Rs, i.Rt
 	}
 }
+
+// Target returns the destination of the PC-relative control transfer i at
+// word address pc: the next instruction plus Imm words.
+func Target(pc uint64, i Inst) uint64 { return uint64(int64(pc) + 1 + int64(i.Imm)) }
 
 // Encode packs an instruction into a 32-bit word.
 func Encode(i Inst) Word {
@@ -400,46 +317,9 @@ func Canon(i Inst) Inst {
 	return Decode(Encode(i))
 }
 
-// String disassembles the instruction.
-func (i Inst) String() string {
-	switch FormatOf(i.Op) {
-	case FmtN:
-		return i.Op.String()
-	case FmtI:
-		if i.Op == OpLd {
-			return fmt.Sprintf("%s %s, %d(%s)", i.Op, i.Rd, i.Imm, i.Rs)
-		}
-		if i.Op == OpLui {
-			// lui takes no register source; the assembler's syntax is
-			// "lui rd, imm", so render the same form.
-			return fmt.Sprintf("%s %s, %d", i.Op, i.Rd, i.Imm)
-		}
-		if IsMove(i) && i.Op == OpAddi {
-			// Only the addi form is the assembler's move pseudo-op; an
-			// ori-encoded move must disassemble as ori so that
-			// reassembly preserves the binary image.
-			return fmt.Sprintf("move %s, %s", i.Rd, i.Rs)
-		}
-		return fmt.Sprintf("%s %s, %s, %d", i.Op, i.Rd, i.Rs, i.Imm)
-	case FmtB:
-		if i.Op == OpSt {
-			return fmt.Sprintf("%s %s, %d(%s)", i.Op, i.Rt, i.Imm, i.Rs)
-		}
-		return fmt.Sprintf("%s %s, %s, %d", i.Op, i.Rs, i.Rt, i.Imm)
-	case FmtJ:
-		if i.Op == OpJal {
-			return fmt.Sprintf("%s %s, %d", i.Op, i.Rd, i.Imm)
-		}
-		return fmt.Sprintf("%s %d", i.Op, i.Imm)
-	}
-	switch i.Op {
-	case OpJr:
-		return fmt.Sprintf("jr %s", i.Rs)
-	case OpJalr:
-		return fmt.Sprintf("jalr %s, %s", i.Rd, i.Rs)
-	}
-	return fmt.Sprintf("%s %s, %s, %s", i.Op, i.Rd, i.Rs, i.Rt)
-}
+// String disassembles the instruction, printing a PC-relative target as
+// its word offset.
+func (i Inst) String() string { return i.Text("") }
 
 // Nop is the canonical no-op instruction.
 var Nop = Inst{Op: OpNop, Rd: RZero, Rs: RZero, Rt: RZero}

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
+	"reno/internal/asm"
 	"reno/internal/emu"
 	"reno/internal/isa"
 )
@@ -268,5 +270,27 @@ func TestSuitesAreComplete(t *testing.T) {
 			t.Errorf("duplicate profile name %q", p.Name)
 		}
 		seen[p.Name] = true
+	}
+}
+
+// TestDisassemblyReassembles puts the disassembler over every form the
+// generator emits: each profile and each micro kernel must disassemble to
+// text that assembles back to the identical code.
+func TestDisassemblyReassembles(t *testing.T) {
+	profiles := AllProfiles()
+	for k := KArraySweep; k <= KMemcpy; k++ {
+		profiles = append(profiles, Micro(k, 20, 20))
+	}
+	for _, p := range profiles {
+		w := MustBuild(p)
+		text := asm.Disassemble(&asm.Program{Code: w.Code, Symbols: w.Symbols})
+		p2, err := asm.Assemble(text)
+		if err != nil {
+			t.Errorf("%s: disassembly does not reassemble: %v", p.Name, err)
+			continue
+		}
+		if !slices.Equal(p2.Code, w.Code) {
+			t.Errorf("%s: disassembly reassembles to different code", p.Name)
+		}
 	}
 }
