@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"reno/internal/asm"
 	"reno/internal/backend"
 	"reno/internal/machine"
 	"reno/internal/workload"
@@ -196,5 +197,40 @@ func TestDiagnoseLocalizesBudgetDivergence(t *testing.T) {
 	// Self-check: equal-length streams report index -1 (no divergence).
 	if d := Diagnose(cell, ra, ra); d.Index != -1 {
 		t.Errorf("identical runs: divergence index = %d, want -1", d.Index)
+	}
+}
+
+// TestStopLabels pins how an instruction budget ends a run on both
+// backends: a budget the program outlives stops with "max-insts", one it
+// reaches exactly or never reaches runs to halt with no label, and budget 0
+// means no budget at all. The two backends agree on every count and hash.
+func TestStopLabels(t *testing.T) {
+	prog, err := asm.Assemble("addi r1, zero, 1\naddi r2, r1, 2\nadd r3, r1, r2\nmove r4, r3\nhalt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := benchCell(t, "gzip", "4w", "RENO")
+	cell.Bench, cell.Code, cell.Warmup = "asm", prog.Code, 0
+	for _, c := range []struct {
+		budget, insts uint64
+		stop          string
+	}{{0, 5, ""}, {4, 4, "max-insts"}, {5, 5, "max-insts"}, {6, 5, ""}} {
+		cell.MaxInsts = c.budget
+		rep, err := Compare(context.Background(), cell, backend.Detailed, backend.Functional)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Equivalent() {
+			t.Errorf("budget %d: %s", c.budget, rep)
+		}
+		for _, r := range []*backend.Result{rep.ResA, rep.ResB} {
+			if r.Pipe.Insts != c.insts || r.Pipe.StopReason != c.stop {
+				t.Errorf("budget %d: %d insts, stop %q; want %d, %q",
+					c.budget, r.Pipe.Insts, r.Pipe.StopReason, c.insts, c.stop)
+			}
+		}
+		if rep.ResA.ArchHash != rep.ResB.ArchHash || rep.ResA.CommitHash != rep.ResB.CommitHash {
+			t.Errorf("budget %d: hashes differ across backends", c.budget)
+		}
 	}
 }

@@ -268,3 +268,24 @@ func TestLoadAsm(t *testing.T) {
 		t.Errorf("bad assembly accepted")
 	}
 }
+
+// TestBudgetStopCycles pins the detailed run's stop at the instruction
+// budget. With fetch blocked behind the last budgeted instruction, the feed
+// is not probed again, so only the commit-count stop ends these runs on
+// time; without it both run to the same later cycle.
+func TestBudgetStopCycles(t *testing.T) {
+	p, err := Load(Spec{Bench: "gsm.de", Scale: 0.2, Machine: "4w", Config: "RENO"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ budget, cycles uint64 }{{2159, 2317}, {2164, 2453}} {
+		res, err := p.Run(Options{MaxInsts: c.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cycles != c.cycles || res.Insts != c.budget || res.StopReason != "max-insts" {
+			t.Errorf("budget %d: %d cycles, %d insts, stop %q; want %d cycles, %d insts, stop \"max-insts\"",
+				c.budget, res.Cycles, res.Insts, res.StopReason, c.cycles, c.budget)
+		}
+	}
+}
