@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"reno/internal/backend"
 	"reno/internal/elim"
 	"reno/internal/emu"
 	"reno/internal/harness"
@@ -151,11 +152,13 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			var insts uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, _, err := pipeline.RunProgram(context.Background(), pipeline.FourWide(reno.Default(160)), w.Code, warm, 100_000, pipeline.RunOptions{})
+				res, err := backend.For(backend.Detailed).Run(context.Background(), backend.Request{
+					Cfg: pipeline.FourWide(reno.Default(160)), Code: w.Code, Warmup: warm, MaxInsts: 100_000,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				insts += res.Insts
+				insts += res.Pipe.Insts
 			}
 			b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "simInsts/s")
 		})

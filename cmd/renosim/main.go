@@ -8,7 +8,7 @@
 // Usage:
 //
 //	renosim -bench gzip -config RENO
-//	renosim -bench gsm.de -config ME+CF -width 6 -pregs 112 -sched 2
+//	renosim -bench gsm.de -config ME+CF -machine 6w:p112:s2
 //	renosim -bench gzip -machine 4w:p128:i2t3 -json
 //	renosim -asm prog.s -config BASE
 //	renosim -list
@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"reno/metrics"
@@ -37,12 +36,7 @@ func main() {
 	bench := flag.String("bench", "", "benchmark profile name or micro.<kernel> (see -list)")
 	asmFile := flag.String("asm", "", "assembly file to simulate instead of a benchmark")
 	config := flag.String("config", "RENO", "RENO configuration: "+strings.Join(configNames(), ", ")+", or an inline JSON spec object")
-	machineSpec := flag.String("machine", "", "machine spec (e.g. 4w:p128:s2, or an inline JSON spec object); overrides -width/-pregs/-sched/-ints/-issue")
-	width := flag.Int("width", 4, "machine width: 4 or 6")
-	pregs := flag.Int("pregs", 160, "physical register file size")
-	sched := flag.Int("sched", 1, "wakeup-select loop latency (1 or 2)")
-	intALUs := flag.Int("ints", 0, "override integer ALU count (0 = default)")
-	issueTot := flag.Int("issue", 0, "override total issue width (0 = default)")
+	machineSpec := flag.String("machine", "4w", "machine spec: a base (4w, 6w) with optional modifiers p<pregs>, i<int ALUs>t<total issue>, s<sched loop> (e.g. 6w:p112:i3t4:s2), or an inline JSON spec object")
 	backend := flag.String("backend", "", "simulation backend: detailed (default) or functional")
 	seed := flag.Int64("seed", 0, "workload seed offset (0 = canonical program)")
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
@@ -61,7 +55,7 @@ func main() {
 
 	spec := sim.Spec{
 		Bench:   *bench,
-		Machine: buildMachineSpec(*machineSpec, *width, *pregs, *sched, *intALUs, *issueTot),
+		Machine: *machineSpec,
 		Config:  *config,
 		Backend: *backend,
 		Seed:    *seed,
@@ -104,28 +98,6 @@ func main() {
 		return
 	}
 	printText(p, res)
-}
-
-// buildMachineSpec composes the registry spec string from the individual
-// sizing flags, unless an explicit -machine spec supersedes them.
-func buildMachineSpec(explicit string, width, pregs, sched, intALUs, issueTot int) string {
-	if explicit != "" {
-		return explicit
-	}
-	spec := "4w"
-	if width == 6 {
-		spec = "6w"
-	}
-	if pregs != 160 {
-		spec += ":p" + strconv.Itoa(pregs)
-	}
-	if intALUs > 0 && issueTot > 0 {
-		spec += ":i" + strconv.Itoa(intALUs) + "t" + strconv.Itoa(issueTot)
-	}
-	if sched != 1 {
-		spec += ":s" + strconv.Itoa(sched)
-	}
-	return spec
 }
 
 // printText renders the run as the classic detailed-statistics listing,

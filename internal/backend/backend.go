@@ -9,7 +9,9 @@
 //	            all. Screens cells an order of magnitude faster than
 //	            detailed.
 //
-// Both backends report the same architectural result (final state hash and
+// Both backends validate the configuration the same way and read the same
+// trace feed (pipeline.Feed: warmup, instruction budget, commit-stream
+// hash). They report the same architectural result (final state hash and
 // committed-instruction stream hash) and the same elimination counts for a
 // given cell; internal/backend/difftest proves it. Functional reports no
 // cycles or IPC.
@@ -18,11 +20,9 @@ package backend
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 
-	"reno/internal/emu"
 	"reno/internal/isa"
 	"reno/internal/pipeline"
 )
@@ -121,49 +121,15 @@ func For(k Kind) Backend {
 	}
 }
 
-// commitHasher folds committed dynamic instructions into a stream hash.
-// Per instruction it compresses the record's fields into two words with
-// independent (instruction-level parallel) multiplies, then chains them
-// with a multiply-xorshift step — order-sensitive like a polynomial hash,
-// but an order of magnitude cheaper than byte-wise FNV on this hot path.
-type commitHasher struct {
-	h uint64
-}
-
-func newCommitHasher() *commitHasher {
-	return &commitHasher{h: fnv.New64a().Sum64()}
-}
-
-// Distinct odd multipliers per field (splitmix64/xxhash-style constants) so
-// that permuting field values cannot cancel.
-const (
-	hashC1  = 0x9e3779b97f4a7c15
-	hashC2  = 0xc2b2ae3d27d4eb4f
-	hashC3  = 0x165667b19e3779f9
-	hashC4  = 0x27d4eb2f165667c5
-	hashC5  = 0xff51afd7ed558ccd
-	hashC6  = 0xc4ceb9fe1a85ec53
-	hashC7  = 0x2545f4914f6cdd1d
-	hashC8  = 0xd6e8feb86659fd93
-	hashMix = 0xbf58476d1ce4e5b9
-)
-
-//reno:hotpath
-func (c *commitHasher) add(d emu.Dyn) {
-	iw := uint64(d.Inst.Op)<<40 | uint64(d.Inst.Rd)<<32 |
-		uint64(d.Inst.Rs)<<24 | uint64(d.Inst.Rt)<<16
-	a := d.PC*hashC1 ^ d.NextPC*hashC2 ^ d.EA*hashC3 ^ iw*hashC4
-	b := d.Result*hashC5 ^ d.SrcVals[0]*hashC6 ^ d.SrcVals[1]*hashC7 ^
-		uint64(uint32(d.Inst.Imm))*hashC8
-	if d.Taken {
-		b ^= hashC1
+// feed validates req's configuration and warms up its trace feed. Every
+// backend starts here, so both reject a configuration with the same error.
+func feed(ctx context.Context, req Request) (*pipeline.Feed, error) {
+	if err := req.Cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("backend: %w", err)
 	}
-	h := c.h
-	h = (h ^ a) * hashMix
-	h ^= h >> 29
-	h = (h ^ b) * hashMix
-	h ^= h >> 29
-	c.h = h
+	f, err := pipeline.NewFeed(ctx, req.Code, req.Warmup, req.MaxInsts)
+	if err != nil {
+		return nil, fmt.Errorf("backend warmup: %w", err)
+	}
+	return f, nil
 }
-
-func (c *commitHasher) sum() uint64 { return c.h }

@@ -3,7 +3,6 @@ package backend
 import (
 	"context"
 
-	"reno/internal/emu"
 	"reno/internal/pipeline"
 )
 
@@ -14,15 +13,10 @@ type detailedBackend struct{}
 func (detailedBackend) Kind() Kind { return Detailed }
 
 func (detailedBackend) Run(ctx context.Context, req Request) (*Result, error) {
-	ch := newCommitHasher()
-	opts := req.Opts
-	prev := opts.FeedObserver
-	opts.FeedObserver = func(d emu.Dyn) {
-		ch.add(d)
-		if prev != nil {
-			prev(d)
-		}
+	f, err := feed(ctx, req)
+	if err != nil {
+		return nil, err
 	}
-	res, arch, err := pipeline.RunProgram(ctx, req.Cfg, req.Code, req.Warmup, req.MaxInsts, opts)
-	return &Result{Pipe: res, ArchHash: arch, CommitHash: ch.sum()}, err
+	res, err := pipeline.Run(ctx, req.Cfg, f, req.Opts)
+	return &Result{Pipe: res, ArchHash: f.ArchHash(), CommitHash: f.CommitHash()}, err
 }

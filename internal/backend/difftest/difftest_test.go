@@ -234,3 +234,27 @@ func TestStopLabels(t *testing.T) {
 		}
 	}
 }
+
+// TestInvalidConfigRejected: both backends validate the configuration
+// before running and reject an invalid one with the same error.
+func TestInvalidConfigRejected(t *testing.T) {
+	for name, mutate := range map[string]func(c *Cell){
+		"iq 200 > rob 128": func(c *Cell) { c.Cfg.IQSize = 200 },
+		"no sched loop":    func(c *Cell) { c.Cfg.SchedLoop = 0 },
+		"no rename width":  func(c *Cell) { c.Cfg.RenameWidth = 0 },
+	} {
+		cell := benchCell(t, "gzip", "4w", "RENO")
+		mutate(&cell)
+		var errs []string
+		for _, k := range backend.Kinds() {
+			res, err := backend.For(k).Run(context.Background(), cell.request())
+			if err == nil || res != nil {
+				t.Fatalf("%s: %s backend ran an invalid config (result %v, error %v)", name, k, res, err)
+			}
+			errs = append(errs, err.Error())
+		}
+		if errs[0] != errs[1] {
+			t.Errorf("%s: backends disagree: %q vs %q", name, errs[0], errs[1])
+		}
+	}
+}

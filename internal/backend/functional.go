@@ -5,12 +5,10 @@ import (
 	"fmt"
 
 	"reno/internal/elim"
+	"reno/internal/emu"
 	"reno/internal/pipeline"
 	"reno/internal/reno"
 )
-
-// ctxCheckInterval is how many timed steps pass between context polls.
-const ctxCheckInterval = 4096
 
 // functionalBackend executes the program on the emulator and drives the
 // elimination engine over the committed stream — no timing model at all.
@@ -20,16 +18,12 @@ type functionalBackend struct{}
 
 func (functionalBackend) Kind() Kind { return Functional }
 
-// Run is the emulator-plus-engine loop: functional warmup, then one engine
-// decision per committed instruction under the same instruction budget the
-// detailed feed applies.
+// Run is the emulator-plus-engine loop: one engine decision per
+// instruction of the same trace feed the detailed pipeline pulls from.
 func (functionalBackend) Run(ctx context.Context, req Request) (*Result, error) {
-	if err := req.Cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("backend: %w", err)
-	}
-	m, err := pipeline.Warmup(ctx, req.Code, req.Warmup)
+	f, err := feed(ctx, req)
 	if err != nil {
-		return nil, fmt.Errorf("backend warmup: %w", err)
+		return nil, err
 	}
 
 	// Fast path: a configuration with no elimination mechanism decides
@@ -40,29 +34,10 @@ func (functionalBackend) Run(ctx context.Context, req Request) (*Result, error) 
 		eng = elim.New(req.Cfg.Reno, req.Cfg.ROBSize, req.Cfg.RenameWidth)
 	}
 	var ren reno.Renamed // decision scratch: an untimed run never reads it
-	ch := newCommitHasher()
-	done := ctx.Done()
-	canceled := false
 	var insts uint64
-	for !m.Halted && !(req.MaxInsts > 0 && m.ICount >= req.Warmup+req.MaxInsts) {
-		if done != nil && m.ICount%ctxCheckInterval == 0 {
-			select {
-			case <-done:
-				canceled = true
-			default:
-			}
-			if canceled {
-				break
-			}
-		}
-		d, err := m.Step()
-		if err != nil {
-			return nil, fmt.Errorf("backend trace feed: %w", err)
-		}
-		if req.Opts.FeedObserver != nil {
-			req.Opts.FeedObserver(d)
-		}
-		ch.add(d)
+	var d emu.Dyn
+	canceled := f.Canceled()
+	for ; !canceled && f.Next(&d); canceled = f.Canceled() {
 		if eng != nil {
 			if _, err := eng.NextInto(&d, &ren); err != nil {
 				return nil, err
@@ -70,11 +45,14 @@ func (functionalBackend) Run(ctx context.Context, req Request) (*Result, error) 
 		}
 		insts++
 	}
+	if err := f.Err(); err != nil {
+		return nil, fmt.Errorf("backend trace feed: %w", err)
+	}
 	var stop string
 	switch {
 	case canceled:
 		stop = "canceled"
-	case req.MaxInsts > 0 && m.ICount >= req.Warmup+req.MaxInsts:
+	case f.Spent():
 		stop = "max-insts"
 	}
 
@@ -90,7 +68,7 @@ func (functionalBackend) Run(ctx context.Context, req Request) (*Result, error) 
 		r.ReexecFails = r.Reno.ReexecFails
 	}
 	r.Derive()
-	res := &Result{Pipe: r, ArchHash: m.StateHash(), CommitHash: ch.sum()}
+	res := &Result{Pipe: r, ArchHash: f.ArchHash(), CommitHash: f.CommitHash()}
 	if canceled {
 		return res, ctx.Err()
 	}

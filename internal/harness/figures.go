@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"reno/internal/backend"
 	"reno/internal/cpa"
 	"reno/internal/emu"
 	"reno/internal/isa"
@@ -121,8 +122,13 @@ func runCPA(ctx context.Context, cfg pipeline.Config, code []isa.Inst, warm uint
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
-	res, _, err := pipeline.RunProgram(ctx, cfg, code, warm, opts.MaxInsts, pipeline.RunOptions{CPAChunk: 50_000})
-	return res, err
+	res, err := backend.For(backend.Detailed).Run(ctx, backend.Request{
+		Cfg: cfg, Code: code, Warmup: warm, MaxInsts: opts.MaxInsts, Opts: pipeline.RunOptions{CPAChunk: 50_000},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res.Pipe, nil
 }
 
 // Fig10 regenerates Figure 10: the division of labor between RENO.CF and

@@ -284,8 +284,8 @@ func ResolveMachine(raw json.RawMessage, rc reno.Config) (pipeline.Config, strin
 		return pipeline.Config{}, "", err
 	}
 	// Execution knobs are owned by the sweep (the grid's max_insts; warmup
-	// comes from the workload), so a spec that sets them would be silently
-	// ignored downstream — reject instead.
+	// comes from the workload), not by the machine. Say where the budget
+	// belongs rather than report an unknown field.
 	for _, k := range []string{"max_insts", "skip_insts"} {
 		if _, ok := fields[k]; ok {
 			return pipeline.Config{}, "", fmt.Errorf("inline machine spec: %q is a per-run execution knob, not a machine property; set the grid's max_insts instead", k)

@@ -78,13 +78,6 @@ type Config struct {
 	BranchLat int `json:"branch_lat"`
 
 	Reno reno.Config `json:"reno"`
-
-	// MaxInsts bounds the simulated instruction count (0 = run to halt).
-	//lint:ignore confighygiene 0 means run to halt; every uint64 value is a legal bound
-	MaxInsts uint64 `json:"max_insts,omitempty"`
-	// SkipInsts fast-forwards functionally before timing starts (warmup).
-	//lint:ignore confighygiene 0 means no warmup skip; every uint64 value is legal
-	SkipInsts uint64 `json:"skip_insts,omitempty"`
 }
 
 // Validate reports the first structural problem that would make the

@@ -84,7 +84,7 @@ type Result struct {
 	Config Config
 
 	// StopReason records why the simulation ended: "" (instruction stream
-	// drained), "max-insts" (Config.MaxInsts reached), "cycle-budget"
+	// drained), "max-insts" (the feed's budget committed), "cycle-budget"
 	// (RunOptions.MaxCycles reached), or "canceled" (context done; the
 	// result is a partial snapshot).
 	StopReason string
@@ -194,6 +194,7 @@ type Sim struct {
 	writerSeq []uint64 // per preg: seq of the producing instruction
 
 	committed    uint64
+	budget       uint64 // the feed's timed-instruction budget (0 = none); see Run
 	lastCommitC  uint64
 	portFreeAt   uint64 // store-retirement port booking (stores)
 	reexecFreeAt uint64 // integrated-load re-execution booking (load-port bandwidth)
@@ -333,13 +334,6 @@ type RunOptions struct {
 	// CPAChunk attaches the critical-path analyzer with this chunk size
 	// before timing begins (0 = no analysis).
 	CPAChunk int
-
-	// FeedObserver, when non-nil, receives every dynamic instruction fed
-	// into the timing model, in program order, exactly once (squash
-	// replays are not re-delivered): the committed instruction stream.
-	// The differential backend harness hashes it for cross-fidelity
-	// equivalence checks. Observation never perturbs simulation outcomes.
-	FeedObserver func(emu.Dyn)
 }
 
 // IntervalStats is the progress snapshot handed to a RunOptions.Observer:
@@ -370,7 +364,7 @@ type IntervalStats struct {
 // within microseconds of simulated work.
 const ctxCheckInterval = 1024
 
-// RunContext simulates until the stream drains, Config.MaxInsts commit, the
+// RunContext simulates until the stream drains, the budget commits, the
 // cycle budget is exhausted, or ctx is done. On cancellation it returns the
 // partial result accumulated so far together with ctx's error, so callers
 // always get the statistics the cycles they paid for produced; all other
@@ -390,14 +384,16 @@ func (s *Sim) RunContext(ctx context.Context, opts RunOptions) (*Result, error) 
 	}
 	for {
 		if s.src.exhausted() && s.robCount == 0 && s.fqLen == 0 {
-			// A trace feed bounded by MaxInsts drains here rather than at
-			// the commit check below; label the stop all the same.
-			if s.cfg.MaxInsts > 0 && s.committed >= s.cfg.MaxInsts {
+			// A feed bounded by its budget drains here rather than at the
+			// commit check below; label the stop all the same.
+			if s.budget > 0 && s.committed >= s.budget {
 				s.res.StopReason = "max-insts"
 			}
 			break
 		}
-		if s.cfg.MaxInsts > 0 && s.committed >= s.cfg.MaxInsts {
+		// Fetch blocked behind the last budgeted instruction never probes
+		// the feed again, so the feed alone cannot end the run on time.
+		if s.budget > 0 && s.committed >= s.budget {
 			s.res.StopReason = "max-insts"
 			break
 		}

@@ -7,8 +7,21 @@ import (
 	"testing"
 
 	"reno/internal/asm"
+	"reno/internal/isa"
 	"reno/internal/reno"
 )
+
+// runProgram times code on cfg as the detailed backend does: a Feed warms
+// up and budgets the run, and Run times it. It also returns the final
+// architectural state hash.
+func runProgram(ctx context.Context, cfg Config, code []isa.Inst, warmup, budget uint64, opts RunOptions) (*Result, uint64, error) {
+	f, err := NewFeed(ctx, code, warmup, budget)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := Run(ctx, cfg, f, opts)
+	return res, f.ArchHash(), err
+}
 
 func mustRun(t *testing.T, cfg Config, src string) (*Result, uint64) {
 	t.Helper()
@@ -16,7 +29,7 @@ func mustRun(t *testing.T, cfg Config, src string) (*Result, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, hash, err := RunProgram(context.Background(), cfg, p.Code, 0, 0, RunOptions{})
+	res, hash, err := runProgram(context.Background(), cfg, p.Code, 0, 0, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +373,7 @@ func TestCPABreakdownSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := RunProgram(context.Background(), FourWide(reno.Baseline(160)), p.Code, 0, 0, RunOptions{CPAChunk: 256})
+	res, _, err := runProgram(context.Background(), FourWide(reno.Baseline(160)), p.Code, 0, 0, RunOptions{CPAChunk: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +395,7 @@ func TestWarmupSkipsTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := RunProgram(context.Background(), FourWide(reno.Baseline(160)), p.Code, 5, 0, RunOptions{})
+	res, _, err := runProgram(context.Background(), FourWide(reno.Baseline(160)), p.Code, 5, 0, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +409,7 @@ func TestMaxInstsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := RunProgram(context.Background(), FourWide(reno.Baseline(160)), p.Code, 0, 100, RunOptions{})
+	res, _, err := runProgram(context.Background(), FourWide(reno.Baseline(160)), p.Code, 0, 100, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,29 +37,31 @@ func assembleLong(t *testing.T) *asm.Program {
 }
 
 // TestRunContextMatchesRun: driving a Sim with RunContext over the
-// emulator's stream times the program exactly as RunProgram does.
+// emulator's stream, with the budget set on the Sim, times the program
+// exactly as Run over a Feed does.
 func TestRunContextMatchesRun(t *testing.T) {
 	p := assembleLong(t)
 	cfg := FourWide(reno.Default(160))
-	a, ha, err := RunProgram(context.Background(), cfg, p.Code, 0, 50_000, RunOptions{})
+	const budget = 50_000
+	a, ha, err := runProgram(context.Background(), cfg, p.Code, 0, budget, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := emu.New(p.Code)
-	cfg.MaxInsts = 50_000
 	s := New(cfg, func() (emu.Dyn, bool) {
-		if m.Halted || m.ICount >= cfg.MaxInsts {
+		if m.Halted || m.ICount >= budget {
 			return emu.Dyn{}, false
 		}
 		d, err := m.Step()
 		return d, err == nil
 	})
+	s.budget = budget
 	b, err := s.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Cycles != b.Cycles || a.Insts != b.Insts || ha != m.StateHash() {
-		t.Errorf("RunContext diverged from RunProgram: %d/%d vs %d/%d", b.Cycles, b.Insts, a.Cycles, a.Insts)
+		t.Errorf("RunContext diverged from Run: %d/%d vs %d/%d", b.Cycles, b.Insts, a.Cycles, a.Insts)
 	}
 	if a.StopReason != "max-insts" || b.StopReason != "max-insts" {
 		t.Errorf("stop reasons %q/%q, want max-insts", a.StopReason, b.StopReason)
@@ -74,7 +76,7 @@ func TestRunContextCancelReturnsPartial(t *testing.T) {
 	cfg := FourWide(reno.Baseline(160))
 
 	calls := 0
-	res, _, err := RunProgram(ctx, cfg, p.Code, 0, 0, RunOptions{
+	res, _, err := runProgram(ctx, cfg, p.Code, 0, 0, RunOptions{
 		ObserveEvery: 5_000,
 		Observer: func(st IntervalStats) {
 			calls++
@@ -109,7 +111,7 @@ func TestRunContextCancelDuringWarmup(t *testing.T) {
 	p := assembleLong(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, _, err := RunProgram(ctx, FourWide(reno.Baseline(160)), p.Code, 50_000, 0, RunOptions{})
+	res, _, err := runProgram(ctx, FourWide(reno.Baseline(160)), p.Code, 50_000, 0, RunOptions{})
 	if err == nil {
 		t.Fatal("pre-canceled warmup ran")
 	}
@@ -122,7 +124,7 @@ func TestRunContextCancelDuringWarmup(t *testing.T) {
 // with a complete summary of the cycles that ran.
 func TestRunContextCycleBudget(t *testing.T) {
 	p := assembleLong(t)
-	res, _, err := RunProgram(context.Background(), FourWide(reno.Baseline(160)), p.Code, 0, 0,
+	res, _, err := runProgram(context.Background(), FourWide(reno.Baseline(160)), p.Code, 0, 0,
 		RunOptions{MaxCycles: 2_000})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +148,7 @@ func TestObserverIntervals(t *testing.T) {
 	cfg := FourWide(reno.Default(160))
 
 	var snaps []IntervalStats
-	res, _, err := RunProgram(context.Background(), cfg, p.Code, 0, 40_000, RunOptions{
+	res, _, err := runProgram(context.Background(), cfg, p.Code, 0, 40_000, RunOptions{
 		ObserveEvery: 10_000,
 		Observer:     func(st IntervalStats) { snaps = append(snaps, st) },
 	})
@@ -176,7 +178,7 @@ func TestObserverIntervals(t *testing.T) {
 		t.Errorf("last snapshot (%d insts) beyond the final result (%d)", last.Insts, res.Insts)
 	}
 
-	quiet, _, err := RunProgram(context.Background(), cfg, p.Code, 0, 40_000, RunOptions{})
+	quiet, _, err := runProgram(context.Background(), cfg, p.Code, 0, 40_000, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,16 +235,13 @@ func newMissSim(t *testing.T) *Sim {
 // warm on.
 func newSim(t *testing.T, cfg Config, code []isa.Inst, warm uint64) *Sim {
 	t.Helper()
-	m, err := Warmup(context.Background(), code, warm)
+	f, err := NewFeed(context.Background(), code, warm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(cfg, func() (emu.Dyn, bool) {
-		if m.Halted {
-			return emu.Dyn{}, false
-		}
-		d, err := m.Step()
-		return d, err == nil
+	return New(cfg, func() (d emu.Dyn, ok bool) {
+		ok = f.Next(&d)
+		return d, ok
 	})
 }
 

@@ -9,7 +9,6 @@ import (
 	"reno/internal/backend"
 	"reno/internal/machine"
 	"reno/internal/pipeline"
-	"reno/internal/reno"
 	"reno/internal/workload"
 )
 
@@ -42,6 +41,15 @@ func Specs(names ...string) []Spec {
 
 // Inline reports whether the spec is an inline object.
 func (s Spec) Inline() bool { return s.Raw != nil }
+
+// raw returns the spec's JSON form, as the machine registry resolves it.
+func (s Spec) raw() json.RawMessage {
+	if s.Inline() {
+		return s.Raw
+	}
+	b, _ := json.Marshal(s.Name) // a string always marshals
+	return b
+}
 
 // UnmarshalJSON accepts a JSON string or object.
 func (s *Spec) UnmarshalJSON(b []byte) error {
@@ -192,29 +200,18 @@ func NormalizeBackend(name string) (string, error) {
 	return k.String(), nil
 }
 
-// resolveReno resolves one RENO axis entry into a configuration and tag.
-func resolveReno(s Spec) (reno.Config, string, error) {
-	if s.Inline() {
-		return machine.ResolveReno(s.Raw)
-	}
-	rc, err := machine.RenoByName(s.Name)
-	return rc, s.Name, err
-}
-
-// resolveMachine resolves one machine axis entry, instantiated with rc,
-// into a validated configuration and tag.
-func resolveMachine(s Spec, rc reno.Config) (pipeline.Config, string, error) {
-	if s.Inline() {
-		return machine.ResolveMachine(s.Raw, rc)
-	}
-	cfg, err := machine.ParseMachine(s.Name, rc)
+// Resolve resolves one (machine, RENO) axis pair through the machine
+// registry into a validated configuration and the tags results are labeled
+// with. It is the one spec resolver of grids and the public sim facade.
+func Resolve(m, r Spec) (cfg pipeline.Config, machineTag, renoTag string, err error) {
+	rc, renoTag, err := machine.ResolveReno(r.raw())
 	if err != nil {
-		return pipeline.Config{}, "", err
+		return pipeline.Config{}, "", "", err
 	}
-	if err := cfg.Validate(); err != nil {
-		return pipeline.Config{}, "", fmt.Errorf("machine %q: %w", s.Name, err)
+	if cfg, machineTag, err = machine.ResolveMachine(m.raw(), rc); err != nil {
+		return pipeline.Config{}, "", "", err
 	}
-	return cfg, s.Name, nil
+	return cfg, machineTag, renoTag, nil
 }
 
 // Expand crosses the grid into one Job per (bench, machine, reno, seed), in
@@ -252,11 +249,7 @@ func (g Grid) Expand() ([]Job, error) {
 	seenTags := map[string]bool{}
 	for _, m := range machines {
 		for _, rn := range renos {
-			rc, renoTag, err := resolveReno(rn)
-			if err != nil {
-				return nil, err
-			}
-			cfg, machineTag, err := resolveMachine(m, rc)
+			cfg, machineTag, renoTag, err := Resolve(m, rn)
 			if err != nil {
 				return nil, err
 			}

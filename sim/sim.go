@@ -35,7 +35,6 @@ import (
 	"reno/internal/isa"
 	"reno/internal/machine"
 	"reno/internal/pipeline"
-	"reno/internal/reno"
 	"reno/internal/sweep"
 	"reno/internal/workload"
 	"reno/metrics"
@@ -84,32 +83,27 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// resolveConfig resolves the Machine and Config fields through the registry
-// into a validated pipeline configuration plus the two tag halves.
-func resolveConfig(spec Spec) (pipeline.Config, string, string, error) {
-	var rc reno.Config
-	var configTag string
-	var err error
-	if strings.HasPrefix(strings.TrimSpace(spec.Config), "{") {
-		rc, configTag, err = machine.ResolveReno(json.RawMessage(spec.Config))
-	} else {
-		rc, err = machine.RenoByName(spec.Config)
-		configTag = spec.Config
+// axisSpec reads a Machine or Config field as a sweep axis entry: an inline
+// spec object when it starts with "{", a name or DSL spec otherwise.
+func axisSpec(s string) sweep.Spec {
+	if strings.HasPrefix(strings.TrimSpace(s), "{") {
+		return sweep.Spec{Raw: json.RawMessage(s)}
 	}
+	return sweep.Spec{Name: s}
+}
+
+// resolve resolves spec's machine, RENO and backend axes, as grids do, into
+// a Program that has no code yet.
+func resolve(spec Spec) (*Program, error) {
+	cfg, machineTag, configTag, err := sweep.Resolve(axisSpec(spec.Machine), axisSpec(spec.Config))
 	if err != nil {
-		return pipeline.Config{}, "", "", err
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	var cfg pipeline.Config
-	var machineTag string
-	if strings.HasPrefix(strings.TrimSpace(spec.Machine), "{") {
-		cfg, machineTag, err = machine.ResolveMachine(json.RawMessage(spec.Machine), rc)
-	} else {
-		cfg, machineTag, err = machine.ResolveMachine(json.RawMessage(strconv.Quote(spec.Machine)), rc)
-	}
+	backendTag, err := sweep.NormalizeBackend(spec.Backend)
 	if err != nil {
-		return pipeline.Config{}, "", "", err
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	return cfg, machineTag, configTag, nil
+	return &Program{spec: spec, cfg: cfg, machineTag: machineTag, configTag: configTag, backendTag: backendTag}, nil
 }
 
 // Program is a loaded, resolved, runnable simulation: assembled workload
@@ -142,23 +136,19 @@ func Load(spec Spec) (*Program, error) {
 	if len(profs) != 1 {
 		return nil, fmt.Errorf("sim: %q names %d benchmarks; Load wants exactly one (use RunGrid for suites)", spec.Bench, len(profs))
 	}
-	cfg, machineTag, configTag, err := resolveConfig(spec)
+	p, err := resolve(spec)
 	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	backendTag, err := sweep.NormalizeBackend(spec.Backend)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return nil, err
 	}
 	prog, err := workload.Build(workload.Scale(sweep.SeedProfile(profs[0], spec.Seed), spec.Scale))
 	if err != nil {
 		return nil, fmt.Errorf("sim: build %s: %w", spec.Bench, err)
 	}
-	warmup, err := prog.WarmupCount()
-	if err != nil {
+	if p.warmup, err = prog.WarmupCount(); err != nil {
 		return nil, fmt.Errorf("sim: warmup %s: %w", spec.Bench, err)
 	}
-	return &Program{spec: spec, suite: profs[0].Suite, cfg: cfg, machineTag: machineTag, configTag: configTag, backendTag: backendTag, code: prog.Code, warmup: warmup}, nil
+	p.suite, p.code = profs[0].Suite, prog.Code
+	return p, nil
 }
 
 // LoadAsm assembles source text instead of generating a benchmark; the
@@ -167,19 +157,16 @@ func Load(spec Spec) (*Program, error) {
 func LoadAsm(source string, spec Spec) (*Program, error) {
 	spec = spec.withDefaults()
 	spec.Bench, spec.Seed, spec.Scale = "", 0, 0
-	cfg, machineTag, configTag, err := resolveConfig(spec)
+	p, err := resolve(spec)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := asm.Assemble(source)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	backendTag, err := sweep.NormalizeBackend(spec.Backend)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	p, err := asm.Assemble(source)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	return &Program{spec: spec, cfg: cfg, machineTag: machineTag, configTag: configTag, backendTag: backendTag, code: p.Code}, nil
+	p.code = prog.Code
+	return p, nil
 }
 
 // Spec returns the (defaulted) spec the program was loaded from.
