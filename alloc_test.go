@@ -13,15 +13,15 @@ import (
 // loopFeed replays a recorded dynamic trace cyclically, so one Sim can be
 // stepped forever for steady-state measurement without the emulator (or
 // workload completion) in the loop.
-func loopFeed(trace []emu.Dyn) func() (emu.Dyn, bool) {
+func loopFeed(trace []emu.Dyn) func(*emu.Dyn) bool {
 	i := 0
-	return func() (emu.Dyn, bool) {
-		d := trace[i]
+	return func(d *emu.Dyn) bool {
+		*d = trace[i]
 		i++
 		if i == len(trace) {
 			i = 0
 		}
-		return d, true
+		return true
 	}
 }
 

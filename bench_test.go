@@ -195,7 +195,7 @@ func BenchmarkSteadyStateCommit(b *testing.B) {
 }
 
 // BenchmarkEngineNext measures the shared elimination engine's decision
-// rate over a recorded gzip trace: every RENO rename decision the three
+// rate over a recorded gzip trace: every RENO rename decision the two
 // backends consume, with the engine's commit window, in decisions per
 // second.
 func BenchmarkEngineNext(b *testing.B) {
@@ -206,13 +206,12 @@ func BenchmarkEngineNext(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := pipeline.FourWide(reno.Default(160))
-	var ren reno.Renamed
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := elim.New(cfg.Reno, cfg.ROBSize, cfg.RenameWidth)
 		for k := range trace {
-			if _, err := eng.NextInto(&trace[k], &ren); err != nil {
+			if _, _, err := eng.Next(&trace[k]); err != nil {
 				b.Fatal(err)
 			}
 		}

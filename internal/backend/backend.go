@@ -10,7 +10,8 @@
 //	            detailed.
 //
 // Both backends validate the configuration the same way and read the same
-// trace feed (pipeline.Feed: warmup, instruction budget, commit-stream
+// trace feed (pipeline.Feed: started from the program's post-warmup
+// snapshot or after running the warmup, instruction budget, commit-stream
 // hash). They report the same architectural result (final state hash and
 // committed-instruction stream hash) and the same elimination counts for a
 // given cell; internal/backend/difftest proves it. Functional reports no
@@ -23,6 +24,7 @@ import (
 	"sort"
 	"strings"
 
+	"reno/internal/emu"
 	"reno/internal/isa"
 	"reno/internal/pipeline"
 )
@@ -83,6 +85,14 @@ type Request struct {
 	Warmup   uint64 // functional warmup instructions before timing
 	MaxInsts uint64 // timed instruction budget (0 = to completion)
 	Opts     pipeline.RunOptions
+
+	// Start, when set, is the program's post-warmup state
+	// (workload.Program.Warm; it carries its code) and replaces Code and
+	// Warmup: the run starts from a private copy of it instead of running
+	// the warmup again. It is only read, so concurrent runs may share
+	// one. When nil, the backend runs Code's first Warmup instructions
+	// itself, polling ctx. Both give the same run.
+	Start *emu.Snapshot
 }
 
 // Result is one backend run. Pipe carries the statistics at whatever
@@ -121,15 +131,19 @@ func For(k Kind) Backend {
 	}
 }
 
-// feed validates req's configuration and warms up its trace feed. Every
+// feed validates req's configuration and positions its trace feed at the
+// first timed instruction, from req.Start or by running the warmup. Every
 // backend starts here, so both reject a configuration with the same error.
 func feed(ctx context.Context, req Request) (*pipeline.Feed, error) {
 	if err := req.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
-	f, err := pipeline.NewFeed(ctx, req.Code, req.Warmup, req.MaxInsts)
+	if req.Start != nil {
+		return pipeline.NewFeed(ctx, req.Start.Machine(), req.MaxInsts), nil
+	}
+	m, err := pipeline.Warm(ctx, req.Code, req.Warmup)
 	if err != nil {
 		return nil, fmt.Errorf("backend warmup: %w", err)
 	}
-	return f, nil
+	return pipeline.NewFeed(ctx, m, req.MaxInsts), nil
 }

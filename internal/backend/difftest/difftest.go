@@ -165,17 +165,9 @@ func Diagnose(cell Cell, ra, rb *backend.Result) *Divergence {
 	}
 
 	m := emu.New(cell.Code)
-	for m.ICount < cell.Warmup+lo && !m.Halted {
-		if _, err := m.Step(); err != nil {
-			break
-		}
-	}
+	_, _ = m.Advance(nil, cell.Warmup+lo, emu.NoStop)
 	regsLo := m.Regs
-	for m.ICount < cell.Warmup+hi && !m.Halted {
-		if _, err := m.Step(); err != nil {
-			break
-		}
-	}
+	_, _ = m.Advance(nil, cell.Warmup+hi, emu.NoStop)
 
 	d := &Divergence{Index: int64(lo)}
 	for i := range m.Regs {

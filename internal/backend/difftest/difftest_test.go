@@ -258,3 +258,57 @@ func TestInvalidConfigRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotMatchesWarmup: a run that starts from its program's
+// post-warmup snapshot (Request.Start) is the run that executes the warmup
+// itself (Code+Warmup), on both backends and for every benchmark profile:
+// same instruction count, stop label, architectural and commit-stream
+// hashes, and per-kind elimination counts.
+func TestSnapshotMatchesWarmup(t *testing.T) {
+	ctx := context.Background()
+	rc, err := machine.RenoByName("RENO+FI")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := machine.ParseMachine("4w", rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range workload.AllProfiles() {
+		prog, err := workload.Build(workload.Scale(p, 0.2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := prog.WarmupCount()
+		if err != nil {
+			t.Fatal(err)
+		}
+		start, err := prog.Warm(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if start.ICount() != warm {
+			t.Fatalf("%s: snapshot at instruction %d, warmup is %d", p.Name, start.ICount(), warm)
+		}
+		for _, k := range backend.Kinds() {
+			a, err := backend.For(k).Run(ctx, backend.Request{Cfg: cfg, Start: start, MaxInsts: matrixInsts})
+			if err != nil {
+				t.Fatalf("%s %s from snapshot: %v", p.Name, k, err)
+			}
+			b, err := backend.For(k).Run(ctx, backend.Request{Cfg: cfg, Code: prog.Code, Warmup: warm, MaxInsts: matrixInsts})
+			if err != nil {
+				t.Fatalf("%s %s from warmup: %v", p.Name, k, err)
+			}
+			if a.Pipe.Insts != b.Pipe.Insts || a.Pipe.StopReason != b.Pipe.StopReason ||
+				a.ArchHash != b.ArchHash || a.CommitHash != b.CommitHash ||
+				a.Pipe.Reno.Eliminated != b.Pipe.Reno.Eliminated {
+				t.Errorf("%s %s: snapshot run %d insts %q arch %016x commit %016x elim %v; warmup run %d insts %q arch %016x commit %016x elim %v",
+					p.Name, k, a.Pipe.Insts, a.Pipe.StopReason, a.ArchHash, a.CommitHash, a.Pipe.Reno.Eliminated,
+					b.Pipe.Insts, b.Pipe.StopReason, b.ArchHash, b.CommitHash, b.Pipe.Reno.Eliminated)
+			}
+			if a.Pipe.Insts == 0 {
+				t.Errorf("%s %s: no timed instructions", p.Name, k)
+			}
+		}
+	}
+}

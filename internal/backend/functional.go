@@ -7,7 +7,6 @@ import (
 	"reno/internal/elim"
 	"reno/internal/emu"
 	"reno/internal/pipeline"
-	"reno/internal/reno"
 )
 
 // functionalBackend executes the program on the emulator and drives the
@@ -33,13 +32,12 @@ func (functionalBackend) Run(ctx context.Context, req Request) (*Result, error) 
 	if req.Cfg.Reno.AnyEnabled() {
 		eng = elim.New(req.Cfg.Reno, req.Cfg.ROBSize, req.Cfg.RenameWidth)
 	}
-	var ren reno.Renamed // decision scratch: an untimed run never reads it
 	var insts uint64
 	var d emu.Dyn
 	canceled := f.Canceled()
 	for ; !canceled && f.Next(&d); canceled = f.Canceled() {
 		if eng != nil {
-			if _, err := eng.NextInto(&d, &ren); err != nil {
+			if _, _, err := eng.Next(&d); err != nil {
 				return nil, err
 			}
 		}

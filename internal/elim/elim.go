@@ -24,7 +24,7 @@
 // passes the pipeline's and registers freed by the engine have no live
 // readers in flight. When the physical register file is exhausted the engine
 // force-commits older records until an allocation succeeds and publishes the
-// resulting commit floor (NextInto's minCommitted); the detailed pipeline
+// resulting commit floor (Next's minCommitted); the detailed pipeline
 // stalls rename until its own commit count reaches that floor, reproducing
 // the structural stall.
 //
@@ -45,8 +45,9 @@ import (
 type Engine struct {
 	opt *reno.Optimizer
 
-	width int // fixed rename group width
-	mask  uint32
+	width int    // fixed rename group width
+	slot  int    // position of the next instruction in its group
+	mask  uint32 // same-group elimination mask
 	idx   uint64 // instructions decided
 
 	// win is the decision window: a ring of at most winSize (= ROBSize)
@@ -93,19 +94,21 @@ func (e *Engine) commitOldest() {
 	e.committed++
 }
 
-// NextInto decides instruction d, writing its rename record into out. The
-// record is built in place in the engine's window and copied once, into
-// out. minCommitted is the engine's commit count after this decision: the
-// number of older instructions whose resources it may have reclaimed. A
-// timing model must commit at least that many instructions before acting
-// on the decision (the detailed pipeline's rename stall on
+// Next decides instruction d and returns its rename record: a pointer into
+// the engine's window, where the record is built in place, valid until the
+// next call. A consumer that keeps the record copies it (the detailed
+// pipeline copies it once, into the ROB entry); the functional backend
+// reads nothing. minCommitted is the engine's commit count after this
+// decision: the number of older instructions whose resources it may have
+// reclaimed. A timing model must commit at least that many instructions
+// before acting on the decision (the detailed pipeline's rename stall on
 // physical-register exhaustion). Instructions must be presented exactly
 // once each, in program order (the committed stream); timing-model replays
-// reuse the record rather than calling NextInto again.
+// reuse the record rather than calling Next again.
 //
 //reno:hotpath
-func (e *Engine) NextInto(d *emu.Dyn, out *reno.Renamed) (minCommitted uint64, err error) {
-	if e.idx%uint64(e.width) == 0 {
+func (e *Engine) Next(d *emu.Dyn) (r *reno.Renamed, minCommitted uint64, err error) {
+	if e.slot == 0 {
 		e.mask = 0 // fixed group boundary: the in-group restriction resets
 	}
 	if e.winCount == len(e.win) {
@@ -116,26 +119,25 @@ func (e *Engine) NextInto(d *emu.Dyn, out *reno.Renamed) (minCommitted uint64, e
 	if d.Inst.Op == isa.OpSt {
 		result = d.SrcVals[1] // stored data value
 	}
-	gi := reno.GroupInst{Inst: d.Inst, Result: result}
 	// The tail slot lies outside the live window, and force-commits only
 	// retire records from the head, so it stays free across retries.
 	tail := e.winHead + e.winCount
 	if tail >= len(e.win) {
 		tail -= len(e.win)
 	}
-	r := &e.win[tail]
-	ok := e.opt.RenameOneInto(gi, r, e.mask)
+	r = &e.win[tail]
+	ok := e.opt.RenameOneInto(d.Inst, result, r, e.mask)
 	misBypass := r.MisBypass
 	for !ok {
 		// Physical register file exhausted: force-commit older decisions
 		// until an allocation succeeds, publishing the commit floor.
 		if e.winCount == 0 {
 			//lint:ignore hotalloc fatal-error path, taken at most once per run
-			return 0, fmt.Errorf("elim: %d physical registers exhausted with no in-flight work at instruction %d",
+			return nil, 0, fmt.Errorf("elim: %d physical registers exhausted with no in-flight work at instruction %d",
 				e.opt.Config().PhysRegs, e.idx)
 		}
 		e.commitOldest()
-		ok = e.opt.RenameOneInto(gi, r, e.mask)
+		ok = e.opt.RenameOneInto(d.Inst, result, r, e.mask)
 		// A failed attempt keeps its verdict: the stale tuple it
 		// invalidated cannot be judged again on the retry.
 		misBypass = misBypass || r.MisBypass
@@ -144,7 +146,8 @@ func (e *Engine) NextInto(d *emu.Dyn, out *reno.Renamed) (minCommitted uint64, e
 	e.mask = reno.UpdateGroupMask(e.mask, r)
 	e.winCount++
 	e.idx++
-
-	*out = *r
-	return e.committed, nil
+	if e.slot++; e.slot == e.width {
+		e.slot = 0
+	}
+	return r, e.committed, nil
 }

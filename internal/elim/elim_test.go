@@ -8,7 +8,7 @@ import (
 	"reno/internal/reno"
 )
 
-// decision is one NextInto outcome.
+// decision is one Next outcome.
 type decision struct {
 	Ren          reno.Renamed
 	MinCommitted uint64
@@ -17,13 +17,11 @@ type decision struct {
 // next decides one hand-built dynamic instruction.
 func next(t *testing.T, e *Engine, in isa.Inst, result uint64) decision {
 	t.Helper()
-	var dec decision
-	mc, err := e.NextInto(&emu.Dyn{Inst: in, Result: result}, &dec.Ren)
+	r, mc, err := e.Next(&emu.Dyn{Inst: in, Result: result})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec.MinCommitted = mc
-	return dec
+	return decision{Ren: *r, MinCommitted: mc}
 }
 
 // primeLoad gives r1 a register and loads 8(r1) = 111, leaving a forward

@@ -101,6 +101,8 @@ var ErrNoHalt = errors.New("emu: instruction limit reached before halt")
 // ErrPCRange is returned when the PC leaves the code image.
 var ErrPCRange = errors.New("emu: PC out of code range")
 
+var errHalted = errors.New("emu: machine is halted")
+
 // Dyn is one dynamic (executed) instruction record, as consumed by the
 // timing simulator and the workload-mix analyzer.
 type Dyn struct {
@@ -113,91 +115,91 @@ type Dyn struct {
 	SrcVals [2]uint64
 }
 
-// Step executes one instruction. It returns the dynamic record for the
-// instruction, or an error if the PC is out of range.
-func (m *Machine) Step() (Dyn, error) {
+// Step executes one instruction, filling *d with its dynamic record. It
+// returns an error, leaving *d unspecified, if the machine has halted or
+// the PC is out of range. Filling a caller-owned record lets the trace
+// feed hand it to its consumer without a copy; every field is reset one by
+// one, which is cheaper here than assigning a composite literal.
+//
+//reno:hotpath
+func (m *Machine) Step(d *Dyn) error {
 	if m.Halted {
-		return Dyn{}, errors.New("emu: machine is halted")
+		return errHalted
 	}
 	if m.PC >= uint64(len(m.Code)) {
-		return Dyn{}, fmt.Errorf("%w: pc=%d len=%d", ErrPCRange, m.PC, len(m.Code))
+		//lint:ignore hotalloc fatal-error path: the feed stops at its first fault
+		return fmt.Errorf("%w: pc=%d len=%d", ErrPCRange, m.PC, len(m.Code))
 	}
 	in := m.Code[m.PC]
-	d := Dyn{PC: m.PC, Inst: in, NextPC: m.PC + 1}
+	d.PC, d.Inst, d.NextPC = m.PC, in, m.PC+1
+	d.EA, d.Taken, d.Result = 0, false, 0
 
 	rs, rt := isa.Sources(in)
 	a := m.Regs[rs]
 	b := m.Regs[rt]
 	d.SrcVals[0], d.SrcVals[1] = a, b
 
-	writeRd := func(v uint64) {
-		d.Result = v
-		if in.Rd != isa.RZero {
-			m.Regs[in.Rd] = v
-		}
-	}
-
 	switch in.Op {
 	case isa.OpNop:
 	case isa.OpHalt:
 		m.Halted = true
 	case isa.OpAddi:
-		writeRd(a + uint64(int64(in.Imm)))
+		m.writeRd(d, a+uint64(int64(in.Imm)))
 	case isa.OpSubi:
-		writeRd(a - uint64(int64(in.Imm)))
+		m.writeRd(d, a-uint64(int64(in.Imm)))
 	case isa.OpAndi:
-		writeRd(a & uint64(uint16(in.Imm)))
+		m.writeRd(d, a&uint64(uint16(in.Imm)))
 	case isa.OpOri:
-		writeRd(a | uint64(uint16(in.Imm)))
+		m.writeRd(d, a|uint64(uint16(in.Imm)))
 	case isa.OpXori:
-		writeRd(a ^ uint64(uint16(in.Imm)))
+		m.writeRd(d, a^uint64(uint16(in.Imm)))
 	case isa.OpSlli:
-		writeRd(a << (uint64(in.Imm) & 63))
+		m.writeRd(d, a<<(uint64(in.Imm)&63))
 	case isa.OpSrli:
-		writeRd(a >> (uint64(in.Imm) & 63))
+		m.writeRd(d, a>>(uint64(in.Imm)&63))
 	case isa.OpSrai:
-		writeRd(uint64(int64(a) >> (uint64(in.Imm) & 63)))
+		m.writeRd(d, uint64(int64(a)>>(uint64(in.Imm)&63)))
 	case isa.OpLui:
-		writeRd(uint64(uint16(in.Imm)) << 16)
+		m.writeRd(d, uint64(uint16(in.Imm))<<16)
 	case isa.OpAdd, isa.OpFAdd:
-		writeRd(a + b)
+		m.writeRd(d, a+b)
 	case isa.OpSub:
-		writeRd(a - b)
+		m.writeRd(d, a-b)
 	case isa.OpAnd:
-		writeRd(a & b)
+		m.writeRd(d, a&b)
 	case isa.OpOr:
-		writeRd(a | b)
+		m.writeRd(d, a|b)
 	case isa.OpXor:
-		writeRd(a ^ b)
+		m.writeRd(d, a^b)
 	case isa.OpSll:
-		writeRd(a << (b & 63))
+		m.writeRd(d, a<<(b&63))
 	case isa.OpSrl:
-		writeRd(a >> (b & 63))
+		m.writeRd(d, a>>(b&63))
 	case isa.OpSra:
-		writeRd(uint64(int64(a) >> (b & 63)))
+		m.writeRd(d, uint64(int64(a)>>(b&63)))
 	case isa.OpSlt:
 		if int64(a) < int64(b) {
-			writeRd(1)
+			m.writeRd(d, 1)
 		} else {
-			writeRd(0)
+			m.writeRd(d, 0)
 		}
 	case isa.OpSltu:
 		if a < b {
-			writeRd(1)
+			m.writeRd(d, 1)
 		} else {
-			writeRd(0)
+			m.writeRd(d, 0)
 		}
 	case isa.OpMul, isa.OpFMul:
-		writeRd(a * b)
+		m.writeRd(d, a*b)
 	case isa.OpDiv:
 		if b == 0 {
-			writeRd(0)
+			m.writeRd(d, 0)
 		} else {
-			writeRd(uint64(int64(a) / int64(b)))
+			m.writeRd(d, uint64(int64(a)/int64(b)))
 		}
 	case isa.OpLd:
 		d.EA = a + uint64(int64(in.Imm))
-		writeRd(m.Mem.Load(d.EA))
+		m.writeRd(d, m.Mem.Load(d.EA))
 	case isa.OpSt:
 		// For stores rs is the base, rt the data: Sources already ordered
 		// them (base, data).
@@ -216,16 +218,17 @@ func (m *Machine) Step() (Dyn, error) {
 		d.Taken = true
 	case isa.OpJal:
 		d.Taken = true
-		writeRd(m.PC + 1)
+		m.writeRd(d, m.PC+1)
 	case isa.OpJr:
 		d.Taken = true
 		d.NextPC = a
 	case isa.OpJalr:
 		d.Taken = true
 		d.NextPC = a
-		writeRd(m.PC + 1)
+		m.writeRd(d, m.PC+1)
 	default:
-		return Dyn{}, fmt.Errorf("emu: unimplemented opcode %v at pc %d", in.Op, m.PC)
+		//lint:ignore hotalloc fatal-error path: the feed stops at its first fault
+		return fmt.Errorf("emu: unimplemented opcode %v at pc %d", in.Op, m.PC)
 	}
 
 	switch in.Op {
@@ -239,18 +242,30 @@ func (m *Machine) Step() (Dyn, error) {
 
 	m.PC = d.NextPC
 	m.ICount++
-	return d, nil
+	return nil
+}
+
+// writeRd records v as d's result and writes it to d's destination
+// register (a write to RZero is dropped).
+//
+//reno:hotpath
+func (m *Machine) writeRd(d *Dyn, v uint64) {
+	d.Result = v
+	if d.Inst.Rd != isa.RZero {
+		m.Regs[d.Inst.Rd] = v
+	}
 }
 
 // Run executes until halt or until limit instructions have retired.
 //
 //lint:ignore ctxflow bounded synchronous step loop; cancellation happens at cycle granularity in pipeline.RunContext
 func (m *Machine) Run(limit uint64) error {
+	var d Dyn
 	for !m.Halted {
 		if m.ICount >= limit {
 			return fmt.Errorf("%w (limit %d)", ErrNoHalt, limit)
 		}
-		if _, err := m.Step(); err != nil {
+		if err := m.Step(&d); err != nil {
 			return err
 		}
 	}
@@ -260,9 +275,9 @@ func (m *Machine) Run(limit uint64) error {
 // Trace executes up to limit instructions, invoking fn for each dynamic
 // instruction. It stops at halt, at the limit, or when fn returns false.
 func (m *Machine) Trace(limit uint64, fn func(Dyn) bool) error {
+	var d Dyn
 	for !m.Halted && m.ICount < limit {
-		d, err := m.Step()
-		if err != nil {
+		if err := m.Step(&d); err != nil {
 			return err
 		}
 		if !fn(d) {
@@ -287,14 +302,16 @@ func CollectTrace(code []isa.Inst, limit uint64) ([]Dyn, error) {
 
 // StateHash returns a cheap digest of architectural state (registers plus
 // touched-memory contents) for equivalence checks between configurations.
-func (m *Machine) StateHash() uint64 {
+func (m *Machine) StateHash() uint64 { return stateHash(&m.Regs, m.Mem.pages, m.PC) }
+
+func stateHash(regs *[isa.NumLogicalRegs]uint64, pages map[uint64]*[pageWords]uint64, pc uint64) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		h ^= v
 		h *= prime
 	}
-	for r, v := range m.Regs {
+	for r, v := range regs {
 		if isa.Reg(r) == isa.RZero {
 			continue
 		}
@@ -305,7 +322,7 @@ func (m *Machine) StateHash() uint64 {
 	// combining per-page hashes commutatively.
 	var memH uint64
 	//lint:ignore determinism per-page hashes combine commutatively, so map order cannot reach the result
-	for pn, pg := range m.Mem.pages {
+	for pn, pg := range pages {
 		ph := uint64(14695981039346656037)
 		ph ^= pn
 		ph *= prime
@@ -320,6 +337,84 @@ func (m *Machine) StateHash() uint64 {
 		memH += ph
 	}
 	mix(memH)
-	mix(m.PC)
+	mix(pc)
 	return h
 }
+
+// PollInterval is how many instructions Advance retires between polls of
+// its done channel. Loops that step the emulator under a context poll at
+// the same ICount multiples, so where a run notices cancellation does not
+// depend on whether its warmup was run or restored.
+const PollInterval = 4096
+
+// NoStop is the stop PC that Advance never reaches.
+const NoStop = ^uint64(0)
+
+// Advance executes instructions until the machine halts, ICount reaches
+// limit, or the PC reaches stop (checked before each instruction). It
+// polls done whenever ICount is a multiple of PollInterval and returns
+// false as soon as done is closed; a nil done is never polled.
+func (m *Machine) Advance(done <-chan struct{}, limit, stop uint64) (ok bool, err error) {
+	var d Dyn
+	for !m.Halted && m.ICount < limit && m.PC != stop {
+		if done != nil && m.ICount%PollInterval == 0 {
+			select {
+			case <-done:
+				return false, nil
+			default:
+			}
+		}
+		if err := m.Step(&d); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// Snapshot is an immutable checkpoint of a machine's architectural state:
+// registers, PC, retired-instruction count and memory pages, together with
+// the code image. Its methods only read it, so any number of goroutines
+// may start machines from one snapshot at once.
+type Snapshot struct {
+	code   []isa.Inst
+	regs   [isa.NumLogicalRegs]uint64
+	pc     uint64
+	icount uint64
+	halted bool
+	pages  map[uint64]*[pageWords]uint64
+}
+
+// Freeze retires m into a snapshot of its current state. The snapshot
+// takes over m's memory pages instead of copying them, so m is left
+// halted with no code or memory and must not be used again.
+func (m *Machine) Freeze() *Snapshot {
+	s := &Snapshot{code: m.Code, regs: m.Regs, pc: m.PC, icount: m.ICount, halted: m.Halted, pages: m.Mem.pages}
+	*m = Machine{Halted: true}
+	return s
+}
+
+// Machine returns a new machine in the snapshot's state, with a private
+// copy of its memory (and a cold page cache).
+func (s *Snapshot) Machine() *Machine {
+	pages := make(map[uint64]*[pageWords]uint64, len(s.pages))
+	slab := make([][pageWords]uint64, len(s.pages))
+	i := 0
+	//lint:ignore determinism each page is copied to its own key; map order only picks the slab slot
+	for pn, pg := range s.pages {
+		slab[i] = *pg
+		pages[pn] = &slab[i]
+		i++
+	}
+	return &Machine{
+		Regs: s.regs, PC: s.pc, Mem: &Memory{pages: pages}, Code: s.code,
+		Halted: s.halted, ICount: s.icount,
+	}
+}
+
+// ICount returns the number of instructions retired when the snapshot was
+// taken.
+func (s *Snapshot) ICount() uint64 { return s.icount }
+
+// StateHash returns the snapshot's architectural state hash: the
+// Machine.StateHash of the machine it was taken from.
+func (s *Snapshot) StateHash() uint64 { return stateHash(&s.regs, s.pages, s.pc) }

@@ -188,11 +188,12 @@ func TestRunLimit(t *testing.T) {
 func TestPCOutOfRange(t *testing.T) {
 	m := New([]isa.Inst{isa.Addi(1, isa.RZero, 1)}) // no halt
 	m.Regs[isa.RSP] = 0
-	_, err := m.Step()
+	var d Dyn
+	err := m.Step(&d)
 	if err != nil {
 		t.Fatalf("first step: %v", err)
 	}
-	_, err = m.Step()
+	err = m.Step(&d)
 	if !errors.Is(err, ErrPCRange) {
 		t.Errorf("err = %v, want ErrPCRange", err)
 	}
@@ -283,5 +284,111 @@ func TestLuiOri(t *testing.T) {
 	`)
 	if m.Regs[1] != 0x12345678 {
 		t.Errorf("li large = %#x", m.Regs[1])
+	}
+}
+
+// snapProg stores to two pages, loops, and halts, so a snapshot taken
+// mid-run carries registers, memory and a PC inside the loop.
+const snapProg = `
+		addi r1, zero, 7
+		st   r1, 0(zero)
+		lui  r2, 1
+		st   r1, 0(r2)
+		addi r3, zero, 50
+	loop:
+		ld   r4, 0(r2)
+		add  r4, r4, r3
+		st   r4, 0(r2)
+		subi r3, r3, 1
+		bne  r3, zero, loop
+		halt
+`
+
+// TestSnapshotResumes: machines started from a snapshot continue exactly
+// as the machine it was taken from would have, each on its own copy of
+// memory, and running them leaves the snapshot unchanged.
+func TestSnapshotResumes(t *testing.T) {
+	p := asm.MustAssemble(snapProg)
+	ref := New(p.Code)
+	if err := ref.Run(1_000); err != nil {
+		t.Fatal(err)
+	}
+	m := New(p.Code)
+	if ok, err := m.Advance(nil, 20, NoStop); !ok || err != nil {
+		t.Fatalf("advance: %v %v", ok, err)
+	}
+	hash := m.StateHash()
+	s := m.Freeze()
+	if !m.Halted || m.Mem != nil || m.Code != nil {
+		t.Error("Freeze left the machine usable")
+	}
+	if s.ICount() != 20 || s.StateHash() != hash {
+		t.Fatalf("snapshot at %d insts, hash %016x; want 20, %016x", s.ICount(), s.StateHash(), hash)
+	}
+	for i := 0; i < 2; i++ {
+		c := s.Machine()
+		if c.StateHash() != hash {
+			t.Fatalf("copy %d starts at hash %016x, want %016x", i, c.StateHash(), hash)
+		}
+		if err := c.Run(1_000); err != nil {
+			t.Fatal(err)
+		}
+		if c.StateHash() != ref.StateHash() || c.ICount != ref.ICount {
+			t.Errorf("copy %d ended at %016x after %d insts, want %016x after %d",
+				i, c.StateHash(), c.ICount, ref.StateHash(), ref.ICount)
+		}
+	}
+	if s.StateHash() != hash || s.ICount() != 20 {
+		t.Error("running copies changed the snapshot")
+	}
+}
+
+// TestAdvanceStops: Advance stops at the stop PC (checked before each
+// instruction), at the instruction limit, at halt, and when done is closed
+// at a PollInterval multiple.
+func TestAdvanceStops(t *testing.T) {
+	p := asm.MustAssemble(snapProg)
+	loop := uint64(p.Symbols["loop"])
+
+	m := New(p.Code)
+	if ok, err := m.Advance(nil, NoStop, loop); !ok || err != nil || m.PC != loop || m.ICount != loop {
+		t.Errorf("stop PC: ok %v err %v pc %d icount %d, want pc %d", ok, err, m.PC, m.ICount, loop)
+	}
+	if ok, _ := m.Advance(nil, NoStop, loop); !ok || m.ICount != loop {
+		t.Error("Advance stepped past a stop PC it starts on")
+	}
+	if ok, err := m.Advance(nil, 12, NoStop); !ok || err != nil || m.ICount != 12 {
+		t.Errorf("limit: ok %v err %v icount %d, want 12", ok, err, m.ICount)
+	}
+	if ok, err := m.Advance(nil, NoStop, NoStop); !ok || err != nil || !m.Halted {
+		t.Errorf("halt: ok %v err %v halted %v", ok, err, m.Halted)
+	}
+
+	done := make(chan struct{})
+	close(done)
+	c := New(p.Code)
+	if ok, err := c.Advance(done, NoStop, NoStop); ok || err != nil || c.ICount != 0 {
+		t.Errorf("closed done: ok %v err %v icount %d, want a stop before the first instruction", ok, err, c.ICount)
+	}
+}
+
+// TestStepOverwritesRecord: Step fills every field of the record it is
+// given, so a reused record carries nothing over from the last step.
+func TestStepOverwritesRecord(t *testing.T) {
+	p := asm.MustAssemble(snapProg)
+	a, b := New(p.Code), New(p.Code)
+	dirty := Dyn{PC: 99, NextPC: 99, EA: 99, Taken: true, Result: 99, SrcVals: [2]uint64{99, 99}}
+	for !a.Halted {
+		var fresh Dyn
+		if err := a.Step(&fresh); err != nil {
+			t.Fatal(err)
+		}
+		reused := dirty
+		if err := b.Step(&reused); err != nil {
+			t.Fatal(err)
+		}
+		if fresh != reused {
+			t.Fatalf("pc %d: reused record %+v, fresh %+v", fresh.PC, reused, fresh)
+		}
 	}
 }

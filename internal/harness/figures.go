@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"reno/internal/backend"
 	"reno/internal/cpa"
@@ -70,7 +72,9 @@ func Fig8(ctx context.Context, w io.Writer, opts Options) {
 // benchmark subset under BASE, ME+CF, and full RENO. The sweep pool has no
 // critical-path analyzer, so the grid only resolves the configurations and
 // each run goes straight to the pipeline with CPA attached, under ctx and
-// opts.Timeout like a sweep run.
+// opts.Timeout like a sweep run. The runs share the worker count of a
+// sweep; each benchmark's warmup runs once, and its runs start from the
+// snapshot.
 func Fig9(ctx context.Context, w io.Writer, opts Options) {
 	specSel := []string{"crafty", "eon.k", "gap", "gzip", "parser", "perl.s", "vortex", "vpr.r"}
 	mediaSel := []string{"adpcm.de", "epic", "g721.en", "gsm.de", "jpg.de", "mesa.m", "mesa.t", "mpg2.en", "pegw.en"}
@@ -83,28 +87,46 @@ func Fig9(ctx context.Context, w io.Writer, opts Options) {
 		if err != nil {
 			panic(err)
 		}
+		warm := make([]func() (*emu.Snapshot, error), len(sel))
+		for b := range warm {
+			p := jobs[b*len(renos)].Profile
+			warm[b] = sync.OnceValues(func() (*emu.Snapshot, error) {
+				return workload.MustBuild(workload.Scale(p, opts.Scale)).Warm(ctx)
+			})
+		}
+		type cell struct {
+			res *pipeline.Result
+			err error
+		}
+		cells := make([]cell, len(jobs))
+		forEach(opts.workers(), len(jobs), func(i int) {
+			start, err := warm[i/len(renos)]()
+			if err != nil || ctx.Err() != nil {
+				return
+			}
+			cells[i].res, cells[i].err = runCPA(ctx, jobs[i].Cfg, start, opts)
+		})
+		if ctx.Err() != nil {
+			return
+		}
+
 		tb := &Table{
 			Title:   "Figure 9: critical-path breakdown (% of critical path)",
 			Columns: []string{"bench", "config", "fetch", "alu", "load", "mem", "commit"},
 		}
 		for i := 0; i < len(jobs); i += len(renos) {
 			name := jobs[i].Profile.Name
-			prog := workload.MustBuild(workload.Scale(jobs[i].Profile, opts.Scale))
-			warm, err := prog.WarmupCount()
-			if err != nil {
+			if _, err := warm[i/len(renos)](); err != nil {
 				fmt.Fprintf(w, "%s: %v\n", name, err)
 				continue
 			}
-			for _, j := range jobs[i : i+len(renos)] {
-				if ctx.Err() != nil {
-					return
-				}
-				res, err := runCPA(ctx, j.Cfg, prog.Code, warm, opts)
-				if err != nil {
-					fmt.Fprintf(w, "%s/%s: %v\n", name, j.Config, err)
+			for k, j := range jobs[i : i+len(renos)] {
+				c := cells[i+k]
+				if c.err != nil {
+					fmt.Fprintf(w, "%s/%s: %v\n", name, j.Config, c.err)
 					continue
 				}
-				p := res.CPA.Percent()
+				p := c.res.CPA.Percent()
 				tb.AddRow(name, j.Config,
 					F(p[cpa.BFetch]), F(p[cpa.BALU]), F(p[cpa.BLoad]), F(p[cpa.BMem]), F(p[cpa.BCommit]))
 			}
@@ -114,16 +136,33 @@ func Fig9(ctx context.Context, w io.Writer, opts Options) {
 	}
 }
 
-// runCPA times one Figure 9 run with the critical-path analyzer attached,
-// bounded by opts.Timeout.
-func runCPA(ctx context.Context, cfg pipeline.Config, code []isa.Inst, warm uint64, opts Options) (*pipeline.Result, error) {
+// forEach calls fn(i) for every i in [0, n) on up to workers goroutines
+// and returns once every call has.
+func forEach(workers, n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// runCPA times one Figure 9 run from its program's post-warmup snapshot
+// with the critical-path analyzer attached, bounded by opts.Timeout.
+func runCPA(ctx context.Context, cfg pipeline.Config, start *emu.Snapshot, opts Options) (*pipeline.Result, error) {
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
 	res, err := backend.For(backend.Detailed).Run(ctx, backend.Request{
-		Cfg: cfg, Code: code, Warmup: warm, MaxInsts: opts.MaxInsts, Opts: pipeline.RunOptions{CPAChunk: 50_000},
+		Cfg: cfg, Start: start, MaxInsts: opts.MaxInsts, Opts: pipeline.RunOptions{CPAChunk: 50_000},
 	})
 	if err != nil {
 		return nil, err

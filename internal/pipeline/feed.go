@@ -10,15 +10,14 @@ import (
 	"reno/internal/isa"
 )
 
-// pollInterval is how many emulator steps pass between context polls.
-const pollInterval = 4096
-
-// Feed is the trace feed between the functional emulator and a backend.
-// NewFeed runs the warmup functionally (the paper's sampling-warmup
-// methodology); Next then hands out the timed dynamic instructions in
-// program order until the program halts, the budget is spent or the
-// emulator faults, folding each into the commit-stream hash. The detailed
-// pipeline pulls from it (Run); the functional backend loops over it.
+// Feed is the trace feed between the functional emulator and a backend:
+// it owns a machine positioned at the first timed instruction, normally
+// one started from the program's post-warmup snapshot (the paper's
+// sampling-warmup methodology). Next hands out the timed dynamic
+// instructions in program order until the program halts, the budget is
+// spent or the emulator faults, folding each into the commit-stream hash.
+// The detailed pipeline pulls from it (Run); the functional backend loops
+// over it.
 type Feed struct {
 	m      *emu.Machine
 	done   <-chan struct{}
@@ -28,33 +27,38 @@ type Feed struct {
 	err    error
 }
 
-// NewFeed executes the first warmup dynamic instructions of code
-// functionally and returns a feed positioned at the first timed
-// instruction, with budget timed instructions to hand out (0 = no limit).
-// It polls ctx while warming up and returns ctx's error once it is done.
-func NewFeed(ctx context.Context, code []isa.Inst, warmup, budget uint64) (*Feed, error) {
-	f := &Feed{m: emu.New(code), done: ctx.Done(), budget: budget, end: math.MaxUint64, hash: fnv.New64a().Sum64()}
-	for f.m.ICount < warmup && !f.m.Halted {
-		if f.Canceled() {
-			return nil, ctx.Err()
-		}
-		if _, err := f.m.Step(); err != nil {
-			return nil, err
-		}
+// Warm executes the first warmup dynamic instructions of code functionally
+// on a fresh machine and returns it, ready for NewFeed. It polls ctx every
+// emu.PollInterval instructions and returns ctx's error once it is done.
+func Warm(ctx context.Context, code []isa.Inst, warmup uint64) (*emu.Machine, error) {
+	m := emu.New(code)
+	ok, err := m.Advance(ctx.Done(), warmup, emu.NoStop)
+	if err != nil {
+		return nil, err
 	}
+	if !ok {
+		return nil, ctx.Err()
+	}
+	return m, nil
+}
+
+// NewFeed returns a feed that takes over m and hands out its next budget
+// instructions (0 = no limit) as the timed region. Canceled polls ctx.
+func NewFeed(ctx context.Context, m *emu.Machine, budget uint64) *Feed {
+	f := &Feed{m: m, done: ctx.Done(), budget: budget, end: math.MaxUint64, hash: fnv.New64a().Sum64()}
 	if budget > 0 {
-		f.end = warmup + budget
+		f.end = m.ICount + budget
 	}
-	return f, nil
+	return f
 }
 
 // Canceled reports whether the feed's context is done. It polls the
-// context only once every pollInterval emulator steps and otherwise
+// context only once every emu.PollInterval emulator steps and otherwise
 // reports false, so a loop can call it per instruction.
 //
 //reno:hotpath
 func (f *Feed) Canceled() bool {
-	if f.done == nil || f.m.ICount%pollInterval != 0 {
+	if f.done == nil || f.m.ICount%emu.PollInterval != 0 {
 		return false
 	}
 	select {
@@ -65,18 +69,16 @@ func (f *Feed) Canceled() bool {
 	}
 }
 
-// Next fills *d with the next timed instruction. It returns false once the
-// program has halted, the budget is spent, or the emulator faulted (see
-// Err). Filling in place spares the functional loop a record copy per
-// instruction.
+// Next fills *d with the next timed instruction: the emulator steps
+// straight into the caller's record. It returns false once the program has
+// halted, the budget is spent, or the emulator faulted (see Err).
 //
 //reno:hotpath
 func (f *Feed) Next(d *emu.Dyn) bool {
 	if f.m.Halted || f.m.ICount >= f.end {
 		return false
 	}
-	var err error
-	if *d, err = f.m.Step(); err != nil {
+	if err := f.m.Step(d); err != nil {
 		f.err = err
 		return false
 	}
@@ -142,10 +144,7 @@ func (f *Feed) fold(d *emu.Dyn) {
 // returns the partial Result together with ctx's error, and f holds the
 // architectural state reached.
 func Run(ctx context.Context, cfg Config, f *Feed, opts RunOptions) (*Result, error) {
-	s := New(cfg, func() (d emu.Dyn, ok bool) {
-		ok = f.Next(&d)
-		return d, ok
-	})
+	s := New(cfg, f.Next)
 	s.budget = f.budget
 	res, err := s.RunContext(ctx, opts)
 	if err == nil && f.err != nil {

@@ -239,8 +239,9 @@ type Sim struct {
 }
 
 // New builds a simulator for the given configuration over the dynamic
-// instruction stream produced by next (which returns false when exhausted).
-func New(cfg Config, next func() (emu.Dyn, bool)) *Sim {
+// instruction stream produced by next, which fills the record it is given
+// with the next instruction and returns false when exhausted.
+func New(cfg Config, next func(*emu.Dyn) bool) *Sim {
 	s := &Sim{
 		cfg: cfg,
 		eng: elim.New(cfg.Reno, cfg.ROBSize, cfg.RenameWidth),
@@ -276,7 +277,7 @@ type replayRec struct {
 
 // stream feeds dynamic instructions with pushback for squash replay.
 type stream struct {
-	next   func() (emu.Dyn, bool)
+	next   func(*emu.Dyn) bool
 	replay []replayRec // stack: last element delivered first
 	done   bool
 }
@@ -295,7 +296,7 @@ func (st *stream) pull(e *entry) (replayed, ok bool) {
 	if st.done {
 		return false, false
 	}
-	e.dyn, ok = st.next()
+	ok = st.next(&e.dyn)
 	st.done = !ok
 	return false, ok
 }
@@ -1187,12 +1188,12 @@ func (s *Sim) renameStage() {
 		// Pull the elimination-engine decision — exactly once per dynamic
 		// instruction; replays arrive with renValid already set.
 		if !e.renValid {
-			mc, err := s.eng.NextInto(&e.dyn, &e.ren)
+			r, mc, err := s.eng.Next(&e.dyn)
 			if err != nil {
 				s.engErr = err
 				return
 			}
-			e.minCommitted = mc
+			e.ren, e.minCommitted = *r, mc
 			e.renValid = true
 		}
 		// The engine may have force-committed past this core's retirement

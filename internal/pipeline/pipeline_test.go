@@ -11,14 +11,15 @@ import (
 	"reno/internal/reno"
 )
 
-// runProgram times code on cfg as the detailed backend does: a Feed warms
-// up and budgets the run, and Run times it. It also returns the final
-// architectural state hash.
+// runProgram times code on cfg as the detailed backend does without a
+// snapshot: Warm runs the warmup, a Feed budgets the run, and Run times
+// it. It also returns the final architectural state hash.
 func runProgram(ctx context.Context, cfg Config, code []isa.Inst, warmup, budget uint64, opts RunOptions) (*Result, uint64, error) {
-	f, err := NewFeed(ctx, code, warmup, budget)
+	m, err := Warm(ctx, code, warmup)
 	if err != nil {
 		return nil, 0, err
 	}
+	f := NewFeed(ctx, m, budget)
 	res, err := Run(ctx, cfg, f, opts)
 	return res, f.ArchHash(), err
 }

@@ -48,12 +48,11 @@ func TestRunContextMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := emu.New(p.Code)
-	s := New(cfg, func() (emu.Dyn, bool) {
+	s := New(cfg, func(d *emu.Dyn) bool {
 		if m.Halted || m.ICount >= budget {
-			return emu.Dyn{}, false
+			return false
 		}
-		d, err := m.Step()
-		return d, err == nil
+		return m.Step(d) == nil
 	})
 	s.budget = budget
 	b, err := s.RunContext(context.Background(), RunOptions{})
@@ -235,14 +234,11 @@ func newMissSim(t *testing.T) *Sim {
 // warm on.
 func newSim(t *testing.T, cfg Config, code []isa.Inst, warm uint64) *Sim {
 	t.Helper()
-	f, err := NewFeed(context.Background(), code, warm, 0)
+	m, err := Warm(context.Background(), code, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(cfg, func() (d emu.Dyn, ok bool) {
-		ok = f.Next(&d)
-		return d, ok
-	})
+	return New(cfg, NewFeed(context.Background(), m, 0).Next)
 }
 
 // TestCycleBudgetInsideIdleStretch: a cycle budget stops the run at exactly

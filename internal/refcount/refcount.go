@@ -15,7 +15,10 @@
 // state.
 package refcount
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Table is a physical register reference count table.
 //
@@ -25,6 +28,10 @@ import "fmt"
 type Table struct {
 	counts []uint16
 	free   int // number of registers with count == 0
+
+	// freeBits has bit p set exactly when register p is free (count zero
+	// and not ZeroReg), so Alloc searches a word at a time.
+	freeBits []uint64
 
 	// allocCursor rotates the search start so allocation spreads across the
 	// file the way a circular free list would.
@@ -44,8 +51,13 @@ func New(n int) *Table {
 	if n < 2 {
 		panic(fmt.Sprintf("refcount: need at least 2 physical registers, got %d", n))
 	}
-	t := &Table{counts: make([]uint16, n)}
+	t := &Table{counts: make([]uint16, n), freeBits: make([]uint64, (n+63)/64)}
 	t.counts[ZeroReg] = 1
+	for p := 0; p < n; p++ {
+		if p != ZeroReg {
+			t.freeBits[p>>6] |= 1 << (p & 63)
+		}
+	}
 	t.free = n - 1
 	t.MaxInUse = 1
 	return t
@@ -65,26 +77,40 @@ func (t *Table) Count(p int) int { return int(t.counts[p]) }
 
 // Alloc claims a free physical register with an initial count of 1.
 // ok is false when the file is exhausted (a structural stall upstream).
+// It picks the first free register at or after the cursor, wrapping
+// around the file, and moves the cursor just past it: the order a
+// circular free list would hand registers out in.
+//
+//reno:hotpath
 func (t *Table) Alloc() (p int, ok bool) {
 	if t.free == 0 {
 		return 0, false
 	}
-	n := len(t.counts)
-	for i := 0; i < n; i++ {
-		c := (t.allocCursor + i) % n
-		if c != ZeroReg && t.counts[c] == 0 {
-			t.counts[c] = 1
-			t.free--
-			t.allocCursor = (c + 1) % n
-			t.Allocs++
-			if u := t.InUse(); u > t.MaxInUse {
-				t.MaxInUse = u
-			}
-			return c, true
+	w := t.allocCursor >> 6
+	word := t.freeBits[w] &^ (1<<(t.allocCursor&63) - 1) // bits at or after the cursor
+	for i := 0; word == 0; i++ {
+		// After wrapping, the cursor's own word is searched again in full.
+		if i == len(t.freeBits) {
+			// t.free said there was one; reaching here is a bookkeeping bug.
+			panic("refcount: free count inconsistent with table")
 		}
+		if w++; w == len(t.freeBits) {
+			w = 0
+		}
+		word = t.freeBits[w]
 	}
-	// t.free said there was one; reaching here is a bookkeeping bug.
-	panic("refcount: free count inconsistent with table")
+	c := w<<6 + bits.TrailingZeros64(word)
+	t.freeBits[w] &^= 1 << (c & 63)
+	t.counts[c] = 1
+	t.free--
+	if t.allocCursor = c + 1; t.allocCursor == len(t.counts) {
+		t.allocCursor = 0
+	}
+	t.Allocs++
+	if u := t.InUse(); u > t.MaxInUse {
+		t.MaxInUse = u
+	}
+	return c, true
 }
 
 // Inc adds a reference to p: a RENO sharing operation (a second map table
@@ -118,24 +144,32 @@ func (t *Table) Dec(p int) (freed bool) {
 	t.counts[p]--
 	if t.counts[p] == 0 {
 		t.free++
+		t.freeBits[p>>6] |= 1 << (p & 63)
 		return true
 	}
 	return false
 }
 
-// CheckInvariant verifies that free matches the count array; tests use it
-// after randomized operation sequences.
+// CheckInvariant verifies that free and the free bitmap match the count
+// array; tests use it after randomized operation sequences.
 func (t *Table) CheckInvariant() error {
 	free := 0
 	for p, c := range t.counts {
+		bit := t.freeBits[p>>6]&(1<<(p&63)) != 0
 		if p == ZeroReg {
 			if c == 0 {
 				return fmt.Errorf("refcount: zero register unpinned")
+			}
+			if bit {
+				return fmt.Errorf("refcount: zero register marked free")
 			}
 			continue
 		}
 		if c == 0 {
 			free++
+		}
+		if bit != (c == 0) {
+			return fmt.Errorf("refcount: p%d has count %d but free bit %v", p, c, bit)
 		}
 	}
 	if free != t.free {

@@ -180,14 +180,6 @@ func RENOPlusFullIntegration(n int) Config {
 	}
 }
 
-// GroupInst is one decoded instruction presented to the renamer, together
-// with the trace oracle value the optimizer uses to judge speculative load
-// bypassing (Renamed.MisBypass).
-type GroupInst struct {
-	Inst   isa.Inst
-	Result uint64 // destination value; for stores, the stored data value
-}
-
 // Renamed is the renamer's output record for one instruction. The pipeline
 // keeps it in the ROB and replays it unchanged after a squash: it carries
 // everything commit needs.
@@ -306,7 +298,9 @@ func UpdateGroupMask(mask uint32, r *Renamed) uint32 {
 }
 
 // RenameOneInto renames a single instruction against the current rename
-// state, overwriting *r with its record.
+// state, overwriting *r with its record. result is the trace oracle value
+// the optimizer judges speculative load bypassing by (Renamed.MisBypass):
+// the destination value, or for a store the stored data value.
 // elimDest is the group-dependence mask accumulated over older instructions
 // renamed in the same cycle (see UpdateGroupMask); pass 0 for the first
 // instruction of a group: an instruction depending on an older *eliminated*
@@ -318,20 +312,21 @@ func UpdateGroupMask(mask uint32, r *Renamed) uint32 {
 // is re-presented.
 //
 //reno:hotpath
-func (o *Optimizer) RenameOneInto(gi GroupInst, r *Renamed, elimDest uint32) bool {
-	in := gi.Inst
-	*r = Renamed{} // refcount.ZeroReg is 0: unused source slots carry zeroMap
-	r.Inst = in
+func (o *Optimizer) RenameOneInto(in isa.Inst, result uint64, r *Renamed, elimDest uint32) bool {
+	// Every field is written field by field, which is cheaper here than
+	// clearing the record with a composite literal first.
 	rs, rt := isa.Sources(in)
-	r.NSrc = isa.NumSources(in)
+	r.Inst, r.NSrc = in, isa.NumSources(in)
+	r.Src[0], r.Src[1] = zeroMap, zeroMap
 	if r.NSrc >= 1 {
 		r.Src[0] = o.mt.Lookup(rs)
 	}
 	if r.NSrc >= 2 {
 		r.Src[1] = o.mt.Lookup(rt)
 	}
-	r.HasDest = isa.HasDest(in)
-	r.Dest = in.Rd
+	r.HasDest, r.Dest = isa.HasDest(in), in.Rd
+	r.NewMap, r.OldMap = renamer.Mapping{}, renamer.Mapping{}
+	r.Elim, r.Kind, r.FusePenalty, r.Fused, r.Reexec, r.MisBypass = false, KindNone, 0, false, false, false
 
 	depOnElim := false
 	if r.NSrc >= 1 && rs != isa.RZero && elimDest&(1<<uint(rs)) != 0 {
@@ -343,7 +338,7 @@ func (o *Optimizer) RenameOneInto(gi GroupInst, r *Renamed, elimDest uint32) boo
 
 	// --- Elimination decision tree -------------------------------------
 	if r.HasDest && !depOnElim {
-		if o.tryEliminate(r, gi) {
+		if o.tryEliminate(r, result) {
 			o.finishRecord(r)
 			o.Stats.Renamed++
 			return true
@@ -364,9 +359,9 @@ func (o *Optimizer) RenameOneInto(gi GroupInst, r *Renamed, elimDest uint32) boo
 		}
 		r.NewMap = renamer.Mapping{P: p}
 		r.OldMap = o.mt.SetNew(r.Dest, p)
-		o.insertForwardTuple(r, gi)
+		o.insertForwardTuple(r, result)
 	}
-	o.insertReverseTuples(r, gi)
+	o.insertReverseTuples(r, result)
 	o.finishRecord(r)
 	o.Stats.Renamed++
 	return true
@@ -391,8 +386,8 @@ func (o *Optimizer) wouldEliminate(in isa.Inst) bool {
 // success, installs the shared mapping. Returns true if eliminated.
 //
 //reno:hotpath
-func (o *Optimizer) tryEliminate(r *Renamed, gi GroupInst) bool {
-	in := gi.Inst
+func (o *Optimizer) tryEliminate(r *Renamed, result uint64) bool {
+	in := r.Inst
 
 	// RENO.CF (subsumes ME when enabled: a move is an addi with imm 0).
 	if o.cfg.EnableCF && isa.IsCFCandidate(in) {
@@ -443,7 +438,7 @@ func (o *Optimizer) tryEliminate(r *Renamed, gi GroupInst) bool {
 			// Judge the bypass before using it: a tuple whose value oracle
 			// disagrees with the trace result is stale. Peek leaves the
 			// table's access statistics and LRU state to the lookup below.
-			if _, val, _, hit := o.it.Peek(isa.OpLd, in.Imm, r.Src[0], zeroMap); hit && val != gi.Result {
+			if _, val, _, hit := o.it.Peek(isa.OpLd, in.Imm, r.Src[0], zeroMap); hit && val != result {
 				o.it.InvalidateSignature(isa.OpLd, in.Imm, r.Src[0], zeroMap)
 				o.Stats.ReexecFails++
 				r.MisBypass = true
@@ -481,7 +476,7 @@ func (o *Optimizer) tryEliminate(r *Renamed, gi GroupInst) bool {
 // non-eliminated instruction is computing.
 //
 //reno:hotpath
-func (o *Optimizer) insertForwardTuple(r *Renamed, gi GroupInst) {
+func (o *Optimizer) insertForwardTuple(r *Renamed, result uint64) {
 	if !o.cfg.EnableCSERA || o.it == nil || !o.it.Covers(r.Inst) {
 		return
 	}
@@ -491,14 +486,14 @@ func (o *Optimizer) insertForwardTuple(r *Renamed, gi GroupInst) {
 			Op: isa.OpLd, Imm: r.Inst.Imm,
 			In1: r.Src[0], In2: zeroMap,
 			Out:   r.NewMap,
-			Value: gi.Result, HasValue: true,
+			Value: result, HasValue: true,
 		})
 	case isa.ClassIntALU:
 		o.it.Insert(it.Entry{
 			Op: r.Inst.Op, Imm: r.Inst.Imm,
 			In1: r.Src[0], In2: r.Src[1],
 			Out:   r.NewMap,
-			Value: gi.Result, HasValue: true,
+			Value: result, HasValue: true,
 		})
 	}
 }
@@ -509,7 +504,7 @@ func (o *Optimizer) insertForwardTuple(r *Renamed, gi GroupInst) {
 // decrement creates the tuple the matching increment will probe.
 //
 //reno:hotpath
-func (o *Optimizer) insertReverseTuples(r *Renamed, gi GroupInst) {
+func (o *Optimizer) insertReverseTuples(r *Renamed, result uint64) {
 	if !o.cfg.EnableCSERA || o.it == nil {
 		return
 	}
@@ -522,7 +517,7 @@ func (o *Optimizer) insertReverseTuples(r *Renamed, gi GroupInst) {
 			In1: r.Src[0], In2: zeroMap,
 			Out:     r.Src[1],
 			Reverse: true,
-			Value:   gi.Result, HasValue: true,
+			Value:   result, HasValue: true,
 		})
 		return
 	}
@@ -536,7 +531,7 @@ func (o *Optimizer) insertReverseTuples(r *Renamed, gi GroupInst) {
 			In1: r.NewMap, In2: zeroMap,
 			Out:     r.OldMap,
 			Reverse: true,
-			Value:   gi.Result - uint64(int64(isa.FoldedDisp(in))), HasValue: true,
+			Value:   result - uint64(int64(isa.FoldedDisp(in))), HasValue: true,
 		})
 	}
 }

@@ -10,17 +10,24 @@ import (
 	"reno/internal/renamer"
 )
 
+// groupInst is one instruction presented to the renamer with its trace
+// oracle value.
+type groupInst struct {
+	Inst   isa.Inst
+	Result uint64
+}
+
 // renameOne is RenameOneInto returning the record.
-func renameOne(o *Optimizer, gi GroupInst, elimDest uint32) (Renamed, bool) {
+func renameOne(o *Optimizer, gi groupInst, elimDest uint32) (Renamed, bool) {
 	var r Renamed
-	ok := o.RenameOneInto(gi, &r, elimDest)
+	ok := o.RenameOneInto(gi.Inst, gi.Result, &r, elimDest)
 	return r, ok
 }
 
 // rename1 pushes a single instruction through the optimizer.
 func rename1(t *testing.T, o *Optimizer, in isa.Inst, result uint64) Renamed {
 	t.Helper()
-	r, ok := renameOne(o, GroupInst{Inst: in, Result: result}, 0)
+	r, ok := renameOne(o, groupInst{Inst: in, Result: result}, 0)
 	if !ok {
 		t.Fatalf("rename of %v stalled", in)
 	}
@@ -30,7 +37,7 @@ func rename1(t *testing.T, o *Optimizer, in isa.Inst, result uint64) Renamed {
 // renameGroup renames g as one rename group (the same-group dependence
 // restriction of Section 3.2 applies across it), stopping at the first
 // instruction that finds the register file exhausted.
-func renameGroup(o *Optimizer, g []GroupInst) (out []Renamed, n int) {
+func renameGroup(o *Optimizer, g []groupInst) (out []Renamed, n int) {
 	var mask uint32
 	for _, gi := range g {
 		r, ok := renameOne(o, gi, mask)
@@ -142,7 +149,7 @@ func TestSameCycleDependentElimination(t *testing.T) {
 	o := New(MECF(64))
 	rename1(t, o, isa.R(isa.OpAdd, 1, 2, 3), 0) // r1 real
 
-	group := []GroupInst{
+	group := []groupInst{
 		{Inst: isa.Addi(2, 1, 5)}, // I0: foldable
 		{Inst: isa.Addi(4, 2, 6)}, // I1: depends on I0 -> renamed normally
 	}
@@ -178,7 +185,7 @@ func TestIndependentPairBothEliminated(t *testing.T) {
 	o := New(MECF(64))
 	rename1(t, o, isa.R(isa.OpAdd, 1, 2, 3), 0)
 	rename1(t, o, isa.R(isa.OpAdd, 5, 2, 3), 0)
-	out, n := renameGroup(o, []GroupInst{
+	out, n := renameGroup(o, []groupInst{
 		{Inst: isa.Addi(2, 1, 5)},
 		{Inst: isa.Addi(6, 5, 6)},
 	})
@@ -350,7 +357,7 @@ func TestRenameStallsWhenFileExhausted(t *testing.T) {
 	o := New(Baseline(isa.NumLogicalRegs + 3))
 	var live []Renamed
 	for i := 0; ; i++ {
-		r, ok := renameOne(o, GroupInst{Inst: isa.Addi(isa.Reg(1+i%8), isa.RZero, int32(i))}, 0)
+		r, ok := renameOne(o, groupInst{Inst: isa.Addi(isa.Reg(1+i%8), isa.RZero, int32(i))}, 0)
 		if !ok {
 			break
 		}
@@ -367,7 +374,7 @@ func TestRenameStallsWhenFileExhausted(t *testing.T) {
 	for i := range live {
 		o.Commit(&live[i])
 	}
-	if _, ok := renameOne(o, GroupInst{Inst: isa.Addi(1, isa.RZero, 9)}, 0); !ok {
+	if _, ok := renameOne(o, groupInst{Inst: isa.Addi(1, isa.RZero, 9)}, 0); !ok {
 		t.Error("rename still stalled after commits freed registers")
 	}
 }
@@ -523,7 +530,7 @@ func TestRandomizedInvariants(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			switch rng.Intn(3) {
 			case 0, 1: // rename
-				if r, ok := renameOne(o, GroupInst{Inst: randInst(), Result: uint64(rng.Int63())}, 0); ok {
+				if r, ok := renameOne(o, groupInst{Inst: randInst(), Result: uint64(rng.Int63())}, 0); ok {
 					inflight = append(inflight, r)
 				}
 			case 2: // commit oldest
@@ -534,6 +541,65 @@ func TestRandomizedInvariants(t *testing.T) {
 			}
 			if err := o.CheckInvariant(holds()); err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+		}
+	}
+}
+
+// TestRenameOneIntoOverwritesRecord: RenameOneInto writes every field of
+// the record it is given, on every path (eliminated, conventional, failed
+// for want of a register), so a reused window slot carries nothing over
+// from its last instruction. Two optimizers see the same stream; one
+// renames into fresh records, the other into records full of stale values.
+func TestRenameOneIntoOverwritesRecord(t *testing.T) {
+	stale := Renamed{
+		Inst: isa.R(isa.OpMul, 5, 6, 7), Src: [2]renamer.Mapping{{P: 9, D: 3}, {P: 8, D: 4}}, NSrc: 2,
+		HasDest: true, Dest: 3, NewMap: renamer.Mapping{P: 7, D: 1}, OldMap: renamer.Mapping{P: 6, D: 2},
+		Elim: true, Kind: KindCSEALU, FusePenalty: 1, Fused: true, Reexec: true, MisBypass: true,
+	}
+	for _, cfg := range []Config{Default(40), RENOPlusFullIntegration(40), FullIntegration(40), Baseline(40)} {
+		rng := rand.New(rand.NewSource(7))
+		a, b := New(cfg), New(cfg)
+		var inflight []Renamed
+		var mask uint32
+		for step := 0; step < 3000; step++ {
+			if step%4 == 0 {
+				mask = 0
+			}
+			rd, rs, rt := isa.Reg(1+rng.Intn(8)), isa.Reg(1+rng.Intn(8)), isa.Reg(rng.Intn(9))
+			var in isa.Inst
+			switch rng.Intn(7) {
+			case 0:
+				in = isa.Move(rd, rs)
+			case 1:
+				in = isa.Addi(rd, rt, int32(rng.Intn(1<<15))-1<<14)
+			case 2:
+				in = isa.Ld(rd, rs, int32(rng.Intn(4)*8))
+			case 3:
+				in = isa.St(rt, rs, int32(rng.Intn(4)*8))
+			case 4:
+				in = isa.R(isa.OpSll, rd, rs, rt)
+			case 5:
+				in = isa.R(isa.OpAdd, rd, rs, rt)
+			default:
+				in = isa.Branch(isa.OpBeq, rs, rt, 2)
+			}
+			result := uint64(rng.Intn(4)) // few values, so some bypasses go stale
+			var fresh Renamed
+			reused := stale
+			okA := a.RenameOneInto(in, result, &fresh, mask)
+			okB := b.RenameOneInto(in, result, &reused, mask)
+			if okA != okB || fresh != reused {
+				t.Fatalf("%+v step %d: %v %+v into a fresh record, %v %+v into a stale one", cfg, step, okA, fresh, okB, reused)
+			}
+			if okA {
+				mask = UpdateGroupMask(mask, &fresh)
+				inflight = append(inflight, fresh)
+			}
+			if len(inflight) > 0 && (!okA || rng.Intn(3) == 0) {
+				a.Commit(&inflight[0])
+				b.Commit(&inflight[0])
+				inflight = inflight[1:]
 			}
 		}
 	}

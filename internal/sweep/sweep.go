@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"reno/internal/backend"
+	"reno/internal/emu"
 	"reno/internal/pipeline"
 	"reno/internal/workload"
 	"reno/metrics"
@@ -223,11 +224,13 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// built is one workload image shared by every run of a (bench, seed) pair.
+// built is one workload image shared by every run of a (bench, seed) pair,
+// with its post-warmup snapshot: every run starts from a private copy of
+// it, so the warmup runs once per program, not once per run.
 type built struct {
-	prog *workload.Program
-	warm uint64
-	err  error
+	prog  *workload.Program
+	start *emu.Snapshot
+	err   error
 }
 
 // buildKey identifies a distinct workload build.
@@ -333,11 +336,16 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 		return cached[i]
 	}
 
-	// Build each distinct (bench, seed) workload once, before the pool
-	// starts: builds are cheap relative to simulation, and a serial
-	// prebuild keeps the build cache free of locking entirely.
+	// Build and warm up each distinct (bench, seed) workload once, before
+	// the pool starts: builds are cheap relative to simulation, and a
+	// serial prebuild keeps the build cache free of locking entirely. The
+	// warmup polls ctx; once ctx is done the prebuild stops, and every job
+	// it leaves unbuilt is reported canceled by runOne without running.
 	builds := map[string]*built{}
 	for i, j := range jobs {
+		if ctx.Err() != nil {
+			break
+		}
 		if fromCache(i) != nil {
 			continue
 		}
@@ -348,7 +356,7 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 		b := &built{}
 		b.prog, b.err = workload.Build(workload.Scale(SeedProfile(j.Profile, j.Seed), scaleOf(opts)))
 		if b.err == nil {
-			b.warm, b.err = b.prog.WarmupCount()
+			b.start, b.err = b.prog.Warm(ctx)
 		}
 		builds[k] = b
 	}
@@ -410,6 +418,13 @@ func runOne(ctx context.Context, j Job, b *built, opts Options) *Result {
 		Seed:    j.Seed,
 		Backend: j.Backend,
 	}
+	if ctx.Err() != nil {
+		// The sweep was canceled before this job started (b is nil when
+		// the cancellation stopped the prebuild before this job's build).
+		r.Err = ctx.Err().Error()
+		r.Hash = hashResult(r)
+		return r
+	}
 	if b.err != nil {
 		r.Err = b.err.Error()
 		r.buildFailed = true
@@ -425,12 +440,6 @@ func runOne(ctx context.Context, j Job, b *built, opts Options) *Result {
 		r.Hash = hashResult(r)
 		return r
 	}
-	if ctx.Err() != nil {
-		// The sweep was canceled before this job started.
-		r.Err = ctx.Err().Error()
-		r.Hash = hashResult(r)
-		return r
-	}
 	rctx := ctx
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -440,7 +449,7 @@ func runOne(ctx context.Context, j Job, b *built, opts Options) *Result {
 	//lint:ignore determinism wall time is telemetry only: WallNS is excluded from hashResult and from -stable output
 	t0 := time.Now()
 	bres, err := backend.For(kind).Run(rctx, backend.Request{
-		Cfg: j.Cfg, Code: b.prog.Code, Warmup: b.warm, MaxInsts: opts.MaxInsts,
+		Cfg: j.Cfg, Start: b.start, MaxInsts: opts.MaxInsts,
 	})
 	//lint:ignore determinism wall time is telemetry only: WallNS is excluded from hashResult and from -stable output
 	r.WallNS = time.Since(t0).Nanoseconds()

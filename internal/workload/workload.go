@@ -22,6 +22,8 @@
 package workload
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -174,23 +176,51 @@ func (w *Program) Run(limit uint64) (*emu.Machine, error) {
 // harness fast-forwards through this region functionally before attaching
 // the timing model, mirroring the paper's sampling-with-warmup methodology.
 func (w *Program) WarmupCount() (uint64, error) {
-	outer, ok := w.Symbols["outer"]
-	if !ok {
-		return 0, nil
-	}
-	m := emu.New(w.Code)
-	for !m.Halted {
-		if m.PC == uint64(outer) {
-			return m.ICount, nil
-		}
-		if m.ICount > 50_000_000 {
-			return 0, fmt.Errorf("workload %s: warmup did not terminate", w.Profile.Name)
-		}
-		if _, err := m.Step(); err != nil {
-			return 0, err
-		}
+	m, err := w.warm(nil)
+	if err != nil {
+		return 0, err
 	}
 	return m.ICount, nil
+}
+
+// Warm runs the program's warmup (see WarmupCount) and returns the state it
+// reaches as a snapshot: every timed run of the program can start from a
+// copy of it instead of running the warmup again. It polls ctx every
+// emu.PollInterval instructions and returns ctx's error once it is done.
+func (w *Program) Warm(ctx context.Context) (*emu.Snapshot, error) {
+	m, err := w.warm(ctx.Done())
+	if errors.Is(err, errCanceled) {
+		return nil, ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m.Freeze(), nil
+}
+
+// maxWarmup bounds a warmup that never reaches its loop.
+const maxWarmup = 50_000_000
+
+var errCanceled = errors.New("workload: warmup canceled")
+
+// warm steps a fresh machine to the program's "outer" label, or to its
+// halt when it has none, polling done (nil: never).
+func (w *Program) warm(done <-chan struct{}) (*emu.Machine, error) {
+	m := emu.New(w.Code)
+	outer, ok := w.Symbols["outer"]
+	if !ok {
+		return m, nil
+	}
+	ok, err := m.Advance(done, maxWarmup+1, uint64(outer))
+	switch {
+	case err != nil:
+		return nil, err
+	case !ok:
+		return nil, errCanceled
+	case !m.Halted && m.PC != uint64(outer):
+		return nil, fmt.Errorf("workload %s: warmup did not terminate", w.Profile.Name)
+	}
+	return m, nil
 }
 
 // gen carries generation state.
