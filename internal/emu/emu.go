@@ -260,14 +260,11 @@ func (m *Machine) writeRd(d *Dyn, v uint64) {
 //
 //lint:ignore ctxflow bounded synchronous step loop; cancellation happens at cycle granularity in pipeline.RunContext
 func (m *Machine) Run(limit uint64) error {
-	var d Dyn
-	for !m.Halted {
-		if m.ICount >= limit {
-			return fmt.Errorf("%w (limit %d)", ErrNoHalt, limit)
-		}
-		if err := m.Step(&d); err != nil {
-			return err
-		}
+	if _, err := m.Advance(nil, limit, NoStop); err != nil {
+		return err
+	}
+	if !m.Halted {
+		return fmt.Errorf("%w (limit %d)", ErrNoHalt, limit)
 	}
 	return nil
 }

@@ -146,6 +146,21 @@ func TestFig9HonorsTimeout(t *testing.T) {
 	}
 }
 
+// TestFig9ParallelMatchesSerial: Figure 9's runs on several workers, each
+// starting from its benchmark's shared snapshot, render the same table,
+// row for row, as one worker does.
+func TestFig9ParallelMatchesSerial(t *testing.T) {
+	var serial, parallel strings.Builder
+	Fig9(context.Background(), &serial, Options{Scale: 0.05, MaxInsts: 3_000})
+	Fig9(context.Background(), &parallel, Options{Scale: 0.05, MaxInsts: 3_000, Parallel: true, Workers: 4})
+	if serial.String() != parallel.String() {
+		t.Errorf("parallel Figure 9 differs from serial:\n--- serial\n%s\n--- parallel\n%s", serial.String(), parallel.String())
+	}
+	if n := strings.Count(serial.String(), "\n"); n < (8+9)*3 {
+		t.Errorf("serial Figure 9 has %d lines, want at least one row per run:\n%s", n, serial.String())
+	}
+}
+
 func TestSpeedupEdgeCases(t *testing.T) {
 	rs := results{}
 	for key, c := range map[string]uint64{

@@ -23,7 +23,6 @@ package workload
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -176,7 +175,7 @@ func (w *Program) Run(limit uint64) (*emu.Machine, error) {
 // harness fast-forwards through this region functionally before attaching
 // the timing model, mirroring the paper's sampling-with-warmup methodology.
 func (w *Program) WarmupCount() (uint64, error) {
-	m, err := w.warm(nil)
+	m, _, err := w.warm(nil)
 	if err != nil {
 		return 0, err
 	}
@@ -188,9 +187,9 @@ func (w *Program) WarmupCount() (uint64, error) {
 // copy of it instead of running the warmup again. It polls ctx every
 // emu.PollInterval instructions and returns ctx's error once it is done.
 func (w *Program) Warm(ctx context.Context) (*emu.Snapshot, error) {
-	m, err := w.warm(ctx.Done())
-	if errors.Is(err, errCanceled) {
-		return nil, ctx.Err()
+	m, ok, err := w.warm(ctx.Done())
+	if err == nil && !ok {
+		err = ctx.Err()
 	}
 	if err != nil {
 		return nil, err
@@ -201,26 +200,23 @@ func (w *Program) Warm(ctx context.Context) (*emu.Snapshot, error) {
 // maxWarmup bounds a warmup that never reaches its loop.
 const maxWarmup = 50_000_000
 
-var errCanceled = errors.New("workload: warmup canceled")
-
-// warm steps a fresh machine to the program's "outer" label, or to its
-// halt when it has none, polling done (nil: never).
-func (w *Program) warm(done <-chan struct{}) (*emu.Machine, error) {
+// warm steps a fresh machine to the program's "outer" label (or its halt,
+// if that comes first); a program without the label has no warmup. It
+// polls done (nil: never) and reports false if done closed first.
+func (w *Program) warm(done <-chan struct{}) (*emu.Machine, bool, error) {
 	m := emu.New(w.Code)
 	outer, ok := w.Symbols["outer"]
 	if !ok {
-		return m, nil
+		return m, true, nil
 	}
 	ok, err := m.Advance(done, maxWarmup+1, uint64(outer))
-	switch {
-	case err != nil:
-		return nil, err
-	case !ok:
-		return nil, errCanceled
-	case !m.Halted && m.PC != uint64(outer):
-		return nil, fmt.Errorf("workload %s: warmup did not terminate", w.Profile.Name)
+	if err != nil || !ok {
+		return nil, ok, err
 	}
-	return m, nil
+	if !m.Halted && m.PC != uint64(outer) {
+		return nil, false, fmt.Errorf("workload %s: warmup did not terminate", w.Profile.Name)
+	}
+	return m, true, nil
 }
 
 // gen carries generation state.
