@@ -299,16 +299,14 @@ func CollectTrace(code []isa.Inst, limit uint64) ([]Dyn, error) {
 
 // StateHash returns a cheap digest of architectural state (registers plus
 // touched-memory contents) for equivalence checks between configurations.
-func (m *Machine) StateHash() uint64 { return stateHash(&m.Regs, m.Mem.pages, m.PC) }
-
-func stateHash(regs *[isa.NumLogicalRegs]uint64, pages map[uint64]*[pageWords]uint64, pc uint64) uint64 {
+func (m *Machine) StateHash() uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		h ^= v
 		h *= prime
 	}
-	for r, v := range regs {
+	for r, v := range m.Regs {
 		if isa.Reg(r) == isa.RZero {
 			continue
 		}
@@ -319,7 +317,7 @@ func stateHash(regs *[isa.NumLogicalRegs]uint64, pages map[uint64]*[pageWords]ui
 	// combining per-page hashes commutatively.
 	var memH uint64
 	//lint:ignore determinism per-page hashes combine commutatively, so map order cannot reach the result
-	for pn, pg := range pages {
+	for pn, pg := range m.Mem.pages {
 		ph := uint64(14695981039346656037)
 		ph ^= pn
 		ph *= prime
@@ -334,7 +332,7 @@ func stateHash(regs *[isa.NumLogicalRegs]uint64, pages map[uint64]*[pageWords]ui
 		memH += ph
 	}
 	mix(memH)
-	mix(pc)
+	mix(m.PC)
 	return h
 }
 
@@ -351,6 +349,8 @@ const NoStop = ^uint64(0)
 // limit, or the PC reaches stop (checked before each instruction). It
 // polls done whenever ICount is a multiple of PollInterval and returns
 // false as soon as done is closed; a nil done is never polled.
+//
+//reno:hotpath
 func (m *Machine) Advance(done <-chan struct{}, limit, stop uint64) (ok bool, err error) {
 	var d Dyn
 	for !m.Halted && m.ICount < limit && m.PC != stop {
@@ -373,19 +373,14 @@ func (m *Machine) Advance(done <-chan struct{}, limit, stop uint64) (ok bool, er
 // the code image. Its methods only read it, so any number of goroutines
 // may start machines from one snapshot at once.
 type Snapshot struct {
-	code   []isa.Inst
-	regs   [isa.NumLogicalRegs]uint64
-	pc     uint64
-	icount uint64
-	halted bool
-	pages  map[uint64]*[pageWords]uint64
+	m Machine // never stepped: only copied and hashed
 }
 
 // Freeze retires m into a snapshot of its current state. The snapshot
 // takes over m's memory pages instead of copying them, so m is left
 // halted with no code or memory and must not be used again.
 func (m *Machine) Freeze() *Snapshot {
-	s := &Snapshot{code: m.Code, regs: m.Regs, pc: m.PC, icount: m.ICount, halted: m.Halted, pages: m.Mem.pages}
+	s := &Snapshot{m: *m}
 	*m = Machine{Halted: true}
 	return s
 }
@@ -393,25 +388,25 @@ func (m *Machine) Freeze() *Snapshot {
 // Machine returns a new machine in the snapshot's state, with a private
 // copy of its memory (and a cold page cache).
 func (s *Snapshot) Machine() *Machine {
-	pages := make(map[uint64]*[pageWords]uint64, len(s.pages))
-	slab := make([][pageWords]uint64, len(s.pages))
+	src := s.m.Mem.pages
+	pages := make(map[uint64]*[pageWords]uint64, len(src))
+	slab := make([][pageWords]uint64, len(src))
 	i := 0
 	//lint:ignore determinism each page is copied to its own key; map order only picks the slab slot
-	for pn, pg := range s.pages {
+	for pn, pg := range src {
 		slab[i] = *pg
 		pages[pn] = &slab[i]
 		i++
 	}
-	return &Machine{
-		Regs: s.regs, PC: s.pc, Mem: &Memory{pages: pages}, Code: s.code,
-		Halted: s.halted, ICount: s.icount,
-	}
+	c := s.m
+	c.Mem = &Memory{pages: pages}
+	return &c
 }
 
 // ICount returns the number of instructions retired when the snapshot was
 // taken.
-func (s *Snapshot) ICount() uint64 { return s.icount }
+func (s *Snapshot) ICount() uint64 { return s.m.ICount }
 
 // StateHash returns the snapshot's architectural state hash: the
 // Machine.StateHash of the machine it was taken from.
-func (s *Snapshot) StateHash() uint64 { return stateHash(&s.regs, s.pages, s.pc) }
+func (s *Snapshot) StateHash() uint64 { return s.m.StateHash() }

@@ -364,21 +364,17 @@ func TableMix(ctx context.Context, w io.Writer, opts Options) {
 			if ctx.Err() != nil {
 				return
 			}
-			prog := workload.MustBuild(workload.Scale(p, opts.Scale))
-			warm, err := prog.WarmupCount()
+			start, err := workload.MustBuild(workload.Scale(p, opts.Scale)).Warm(ctx)
 			if err != nil {
 				continue
 			}
 			var total, mv, ad, ld, st, br float64
-			m := emu.New(prog.Code)
-			limit := warm + opts.MaxInsts
+			m := start.Machine()
+			limit := m.ICount + opts.MaxInsts
 			if opts.MaxInsts == 0 {
 				limit = ^uint64(0)
 			}
 			_ = m.Trace(limit, func(d emu.Dyn) bool {
-				if m.ICount <= warm {
-					return true
-				}
 				total++
 				switch {
 				case isa.IsMove(d.Inst):
