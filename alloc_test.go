@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"reno/internal/elim"
 	"reno/internal/emu"
 	"reno/internal/pipeline"
 	"reno/internal/reno"
@@ -66,5 +67,43 @@ func TestSteadyStateCommitPathZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state cycle loop allocates %.2f times per 5000 cycles; want 0", avg)
+	}
+}
+
+// TestSteadyStateFunctionalZeroAllocs pins the functional backend's
+// per-instruction path: once warm, stepping gzip's timed region through
+// the trace feed and deciding each instruction in the elimination engine
+// (the paper's RENO configuration) allocates nothing.
+func TestSteadyStateFunctionalZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	prof, ok := workload.ByName("gzip")
+	if !ok {
+		t.Fatal("gzip profile missing")
+	}
+	start, err := workload.MustBuild(prof).Warm(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pipeline.FourWide(reno.Default(160))
+	f := pipeline.NewFeed(context.Background(), start.Machine(), 0)
+	eng := elim.New(cfg.Reno, cfg.ROBSize, cfg.RenameWidth)
+	var d emu.Dyn
+	var insts int
+	run := func(n int) {
+		for k := 0; k < n; k++ {
+			if !f.Next(&d) {
+				t.Fatalf("feed ended after %d instructions: %v", insts, f.Err())
+			}
+			insts++
+			if _, _, err := eng.Next(&d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(10_000) // past the engine's and the memory's high-water marks
+	if avg := testing.AllocsPerRun(20, func() { run(1_000) }); avg != 0 {
+		t.Errorf("steady-state feed and engine allocate %.2f times per 1000 instructions; want 0", avg)
 	}
 }

@@ -225,15 +225,16 @@ func (p *Predictor) NoteRASOutcome(correct bool) {
 	}
 }
 
-// Predict produces a full next-PC prediction for the instruction at pc.
+// Predict produces a full next-PC prediction for the instruction in at pc,
+// whose class (isa.ClassOf, read from its predecoded facts) is cls.
 // It returns the predicted next PC and whether the prediction consulted a
 // structure that might be wrong (conditional direction, BTB target, or RAS).
 //
 // The pipeline calls this at fetch; unconditional direct branches with BTB
 // hits are effectively always right, returns are usually right, conditional
 // branches depend on the direction tables.
-func (p *Predictor) Predict(pc uint64, in isa.Inst) (nextPC uint64) {
-	switch isa.ClassOf(in) {
+func (p *Predictor) Predict(pc uint64, in isa.Inst, cls isa.Class) (nextPC uint64) {
+	switch cls {
 	case isa.ClassBranch:
 		switch in.Op {
 		case isa.OpJmp:

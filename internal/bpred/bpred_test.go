@@ -139,29 +139,29 @@ func TestPredictFullFlow(t *testing.T) {
 	p := New(Default())
 	// Direct jump: always exact.
 	jmp := isa.Inst{Op: isa.OpJmp, Imm: 10}
-	if got := p.Predict(100, jmp); got != 111 {
+	if got := p.Predict(100, jmp, isa.Predecode(jmp).Class()); got != 111 {
 		t.Errorf("jmp predict = %d, want 111", got)
 	}
 	// Call pushes RAS and targets directly.
 	call := isa.Inst{Op: isa.OpJal, Rd: isa.RRA, Imm: 5}
-	if got := p.Predict(200, call); got != 206 {
+	if got := p.Predict(200, call, isa.Predecode(call).Class()); got != 206 {
 		t.Errorf("jal predict = %d, want 206", got)
 	}
 	// Return pops the RAS.
 	ret := isa.Inst{Op: isa.OpJr, Rs: isa.RRA}
-	if got := p.Predict(206, ret); got != 201 {
+	if got := p.Predict(206, ret, isa.Predecode(ret).Class()); got != 201 {
 		t.Errorf("ret predict = %d, want 201", got)
 	}
 	// Untrained conditional: falls through (weakly not-taken init).
 	br := isa.Branch(isa.OpBne, 1, 2, -4)
-	if got := p.Predict(300, br); got != 301 {
+	if got := p.Predict(300, br, isa.Predecode(br).Class()); got != 301 {
 		t.Errorf("cold branch predict = %d, want 301 (fall through)", got)
 	}
 	// Train taken; now predicts the computed target even without BTB.
 	for i := 0; i < 4; i++ {
 		p.UpdateDir(300, true)
 	}
-	if got := p.Predict(300, br); got != 297 {
+	if got := p.Predict(300, br, isa.Predecode(br).Class()); got != 297 {
 		t.Errorf("trained branch predict = %d, want 297", got)
 	}
 }

@@ -108,6 +108,10 @@ func (e *Engine) commitOldest() {
 //
 //reno:hotpath
 func (e *Engine) Next(d *emu.Dyn) (r *reno.Renamed, minCommitted uint64, err error) {
+	if !d.Facts.Decoded() {
+		//lint:ignore hotalloc fatal-error path: a record built without isa.Predecode
+		return nil, 0, fmt.Errorf("elim: instruction %v at pc %d was not predecoded", d.Inst, d.PC)
+	}
 	if e.slot == 0 {
 		e.mask = 0 // fixed group boundary: the in-group restriction resets
 	}
@@ -126,7 +130,7 @@ func (e *Engine) Next(d *emu.Dyn) (r *reno.Renamed, minCommitted uint64, err err
 		tail -= len(e.win)
 	}
 	r = &e.win[tail]
-	ok := e.opt.RenameOneInto(d.Inst, result, r, e.mask)
+	ok := e.opt.RenameOneInto(&d.Inst, d.Facts, result, r, e.mask)
 	misBypass := r.MisBypass
 	for !ok {
 		// Physical register file exhausted: force-commit older decisions
@@ -137,7 +141,7 @@ func (e *Engine) Next(d *emu.Dyn) (r *reno.Renamed, minCommitted uint64, err err
 				e.opt.Config().PhysRegs, e.idx)
 		}
 		e.commitOldest()
-		ok = e.opt.RenameOneInto(d.Inst, result, r, e.mask)
+		ok = e.opt.RenameOneInto(&d.Inst, d.Facts, result, r, e.mask)
 		// A failed attempt keeps its verdict: the stale tuple it
 		// invalidated cannot be judged again on the retry.
 		misBypass = misBypass || r.MisBypass

@@ -17,7 +17,7 @@ type decision struct {
 // next decides one hand-built dynamic instruction.
 func next(t *testing.T, e *Engine, in isa.Inst, result uint64) decision {
 	t.Helper()
-	r, mc, err := e.Next(&emu.Dyn{Inst: in, Result: result})
+	r, mc, err := e.Next(&emu.Dyn{Inst: in, Facts: isa.Predecode(in), Result: result})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,5 +85,15 @@ func TestMisBypassSurvivesForceCommit(t *testing.T) {
 	}
 	if n := e.Stats().ReexecFails; n != 1 {
 		t.Errorf("re-execution failures = %d, want 1", n)
+	}
+}
+
+// TestNextRefusesUndecoded: a hand-built record whose Facts skipped
+// isa.Predecode is an error, not a source-less instruction that writes
+// nothing.
+func TestNextRefusesUndecoded(t *testing.T) {
+	e := New(reno.Default(160), 8, 4)
+	if _, _, err := e.Next(&emu.Dyn{Inst: isa.Move(1, 2)}); err == nil {
+		t.Fatal("Next accepted a record without predecoded facts")
 	}
 }

@@ -9,6 +9,13 @@
 //     the emulator supplies the committed dynamic instruction stream with
 //     resolved addresses and branch outcomes.
 //
+// New predecodes the code image once (isa.Predecode, one isa.Facts per
+// PC). Step executes from those records, reading an instruction's sources
+// from them, and copies each into the Dyn it fills, so the engine and the
+// pipeline downstream read the same answers without asking the opcode
+// table again. Machines started from one Snapshot share the predecoded
+// slice read-only.
+//
 //reno:deterministic
 package emu
 
@@ -80,17 +87,26 @@ type Machine struct {
 	Regs [isa.NumLogicalRegs]uint64
 	PC   uint64
 	Mem  *Memory
-	Code []isa.Inst
+	Code []isa.Inst // set by New, together with facts
+
+	// facts is Code predecoded, one record per PC. Machines started from
+	// one Snapshot share it read-only.
+	facts []isa.Facts
 
 	Halted bool
 	ICount uint64 // dynamic instructions retired
 }
 
-// New creates a machine for the given code image. The stack pointer starts
-// high so that downward-growing stacks never collide with heap addresses
-// the synthetic workloads use.
+// New creates a machine for the given code image, predecoding each of its
+// instructions once. The stack pointer starts high so that
+// downward-growing stacks never collide with heap addresses the synthetic
+// workloads use.
 func New(code []isa.Inst) *Machine {
-	m := &Machine{Mem: NewMemory(), Code: code}
+	facts := make([]isa.Facts, len(code))
+	for pc, in := range code {
+		facts[pc] = isa.Predecode(in)
+	}
+	m := &Machine{Mem: NewMemory(), Code: code, facts: facts}
 	m.Regs[isa.RSP] = 1 << 30
 	return m
 }
@@ -106,12 +122,13 @@ var errHalted = errors.New("emu: machine is halted")
 // Dyn is one dynamic (executed) instruction record, as consumed by the
 // timing simulator and the workload-mix analyzer.
 type Dyn struct {
-	PC      uint64   // word address of the instruction
-	Inst    isa.Inst // decoded instruction
-	NextPC  uint64   // architectural next PC (branch outcome)
-	EA      uint64   // effective address for loads/stores
-	Taken   bool     // for control transfers
-	Result  uint64   // destination value (0 when no destination)
+	PC      uint64    // word address of the instruction
+	Inst    isa.Inst  // decoded instruction
+	NextPC  uint64    // architectural next PC (branch outcome)
+	EA      uint64    // effective address for loads/stores
+	Taken   bool      // for control transfers
+	Facts   isa.Facts // isa.Predecode(Inst); fills Taken's padding
+	Result  uint64    // destination value (0 when no destination)
 	SrcVals [2]uint64
 }
 
@@ -130,11 +147,11 @@ func (m *Machine) Step(d *Dyn) error {
 		//lint:ignore hotalloc fatal-error path: the feed stops at its first fault
 		return fmt.Errorf("%w: pc=%d len=%d", ErrPCRange, m.PC, len(m.Code))
 	}
-	in := m.Code[m.PC]
-	d.PC, d.Inst, d.NextPC = m.PC, in, m.PC+1
+	in, f := m.Code[m.PC], m.facts[m.PC]
+	d.PC, d.Inst, d.Facts, d.NextPC = m.PC, in, f, m.PC+1
 	d.EA, d.Taken, d.Result = 0, false, 0
 
-	rs, rt := isa.Sources(in)
+	rs, rt := f.Sources()
 	a := m.Regs[rs]
 	b := m.Regs[rt]
 	d.SrcVals[0], d.SrcVals[1] = a, b
@@ -370,7 +387,7 @@ func (m *Machine) Advance(done <-chan struct{}, limit, stop uint64) (ok bool, er
 
 // Snapshot is an immutable checkpoint of a machine's architectural state:
 // registers, PC, retired-instruction count and memory pages, together with
-// the code image. Its methods only read it, so any number of goroutines
+// the code image and its predecoded facts. Its methods only read it, so any number of goroutines
 // may start machines from one snapshot at once.
 type Snapshot struct {
 	m Machine // never stepped: only copied and hashed

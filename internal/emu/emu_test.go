@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"reno/internal/asm"
 	"reno/internal/isa"
@@ -377,7 +378,7 @@ func TestAdvanceStops(t *testing.T) {
 func TestStepOverwritesRecord(t *testing.T) {
 	p := asm.MustAssemble(snapProg)
 	a, b := New(p.Code), New(p.Code)
-	dirty := Dyn{PC: 99, NextPC: 99, EA: 99, Taken: true, Result: 99, SrcVals: [2]uint64{99, 99}}
+	dirty := Dyn{PC: 99, NextPC: 99, EA: 99, Taken: true, Facts: isa.Predecode(isa.Halt), Result: 99, SrcVals: [2]uint64{99, 99}}
 	for !a.Halted {
 		var fresh Dyn
 		if err := a.Step(&fresh); err != nil {
@@ -390,5 +391,13 @@ func TestStepOverwritesRecord(t *testing.T) {
 		if fresh != reused {
 			t.Fatalf("pc %d: reused record %+v, fresh %+v", fresh.PC, reused, fresh)
 		}
+	}
+}
+
+// TestDynSize: the predecoded facts fill the padding after Taken, so the
+// trace record, copied into every in-flight entry, stays 64 bytes.
+func TestDynSize(t *testing.T) {
+	if n := unsafe.Sizeof(Dyn{}); n != 64 {
+		t.Errorf("Dyn is %d bytes, want 64", n)
 	}
 }

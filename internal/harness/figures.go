@@ -377,12 +377,12 @@ func TableMix(ctx context.Context, w io.Writer, opts Options) {
 			_ = m.Trace(limit, func(d emu.Dyn) bool {
 				total++
 				switch {
-				case isa.IsMove(d.Inst):
+				case d.Facts.IsMove():
 					mv++
-				case isa.IsRegImmAdd(d.Inst):
+				case d.Facts.IsRegImmAdd():
 					ad++
 				}
-				switch isa.ClassOf(d.Inst) {
+				switch d.Facts.Class() {
 				case isa.ClassLoad:
 					ld++
 				case isa.ClassStore:

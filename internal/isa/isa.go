@@ -12,6 +12,12 @@
 // the stack pointer by software convention; the hardware treats it like any
 // other register, but the RENO.RA optimization recognizes it for reverse
 // integration-table entries.
+//
+// One opcode table (table.go) answers the ISA queries (ClassOf, HasDest,
+// Sources, IsMove, ...). The simulator asks them once per static
+// instruction: Predecode packs their answers into a Facts word, which the
+// emulator, the elimination engine and the pipeline read per dynamic
+// instruction.
 package isa
 
 import "fmt"

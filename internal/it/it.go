@@ -125,6 +125,8 @@ func (p *Policy) UnmarshalJSON(b []byte) error {
 type Table struct {
 	sets    int
 	ways    int
+	pow2    bool   // sets is a power of two: setOf masks with mask
+	mask    uint64 // sets-1 when pow2
 	entries []Entry
 	policy  Policy
 	tick    uint64
@@ -159,6 +161,9 @@ func New(totalEntries, ways int, policy Policy) *Table {
 		sets = 1
 	}
 	t := &Table{sets: sets, ways: ways, policy: policy}
+	if sets&(sets-1) == 0 {
+		t.pow2, t.mask = true, uint64(sets-1)
+	}
 	t.entries = make([]Entry, sets*ways)
 	return t
 }
@@ -182,13 +187,27 @@ func (t *Table) hash(op isa.Op, imm int32, in1 renamer.Mapping) int {
 		uint64(in1.P)*0x165667b19e3779f9 ^
 		uint64(uint32(in1.D))*0x27d4eb2f165667c5
 	h ^= h >> 29
+	return t.setOf(h)
+}
+
+// setOf maps a hash to its set, h mod sets: a mask when the set count is a
+// power of two (the paper's 512-entry 2-way table has 256 sets), a
+// division otherwise.
+//
+//reno:hotpath
+func (t *Table) setOf(h uint64) int {
+	if t.pow2 {
+		return int(h & t.mask)
+	}
 	return int(h % uint64(t.sets))
 }
 
-// Covers reports whether the policy admits tuples for this instruction
-// class (for lookups and inserts alike).
-func (t *Table) Covers(in isa.Inst) bool {
-	switch isa.ClassOf(in) {
+// Covers reports whether the policy admits tuples for instructions of
+// class cls (for lookups and inserts alike).
+//
+//reno:hotpath
+func (t *Table) Covers(cls isa.Class) bool {
+	switch cls {
 	case isa.ClassLoad, isa.ClassStore:
 		return true
 	case isa.ClassIntALU:

@@ -1,6 +1,7 @@
 package it
 
 import (
+	"math/rand"
 	"testing"
 
 	"reno/internal/isa"
@@ -158,10 +159,10 @@ func TestDuplicateSignatureRefreshes(t *testing.T) {
 func TestPolicyCovers(t *testing.T) {
 	loads := New(512, 2, PolicyLoadsOnly)
 	full := New(512, 2, PolicyFull)
-	ld := isa.Ld(1, 2, 8)
-	add := isa.R(isa.OpAdd, 1, 2, 3)
-	st := isa.St(1, 2, 8)
-	br := isa.Branch(isa.OpBeq, 1, 2, 0)
+	ld := isa.Predecode(isa.Ld(1, 2, 8)).Class()
+	add := isa.Predecode(isa.R(isa.OpAdd, 1, 2, 3)).Class()
+	st := isa.Predecode(isa.St(1, 2, 8)).Class()
+	br := isa.Predecode(isa.Branch(isa.OpBeq, 1, 2, 0)).Class()
 	if !loads.Covers(ld) || !loads.Covers(st) {
 		t.Error("loads-only policy must cover loads and stores")
 	}
@@ -183,5 +184,23 @@ func TestStatsCounting(t *testing.T) {
 	tb.Lookup(isa.OpLd, 9, m(1, 0), m(0, 0))
 	if tb.Inserts != 1 || tb.Lookups != 2 || tb.Hits != 1 {
 		t.Errorf("stats = ins%d look%d hit%d", tb.Inserts, tb.Lookups, tb.Hits)
+	}
+}
+
+// TestSetOfMatchesModulo is the set index's oracle: whether setOf masks
+// (a power-of-two set count) or divides, the chosen set is h % sets.
+func TestSetOfMatchesModulo(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, sets := range []int{1, 2, 3, 50, 256, 512} {
+		tb := New(sets*2, 2, PolicyLoadsOnly)
+		hs := []uint64{0, 1, ^uint64(0), 1 << 63}
+		for k := 0; k < 10000; k++ {
+			hs = append(hs, rng.Uint64())
+		}
+		for _, h := range hs {
+			if got, want := tb.setOf(h), int(h%uint64(sets)); got != want {
+				t.Fatalf("%d sets: setOf(%#x) = %d, want %d", sets, h, got, want)
+			}
+		}
 	}
 }

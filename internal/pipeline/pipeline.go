@@ -33,8 +33,7 @@ const (
 // that they share cache lines with ren's source mappings.
 type entry struct {
 	state        uint8
-	cls          isa.Class // isa.ClassOf(dyn.Inst), decoded once at fetch
-	port         uint8     // portOf(cls)
+	port         uint8 // portOf(dyn.Facts.Class())
 	isLoad       bool
 	isStore      bool
 	hasSS        bool // ssConstraint is set
@@ -748,7 +747,7 @@ func (s *Sim) commitStage() {
 
 //reno:hotpath
 func (s *Sim) trainBranch(e *entry) {
-	switch e.cls {
+	switch e.dyn.Facts.Class() {
 	case isa.ClassBranch:
 		switch e.dyn.Inst.Op {
 		case isa.OpJmp:
@@ -981,7 +980,7 @@ func (s *Sim) ready(e *entry, off int) (p int32, operand, ok bool) {
 //reno:hotpath
 func (s *Sim) execLatency(e *entry) int {
 	pen := e.ren.FusePenalty
-	switch e.cls {
+	switch e.dyn.Facts.Class() {
 	case isa.ClassIntMul:
 		if e.dyn.Inst.Op == isa.OpDiv {
 			return s.cfg.DivLat + pen
@@ -1175,7 +1174,7 @@ func (s *Sim) renameStage() {
 			s.blockOn(blockWaiting)
 			break
 		}
-		cls := e.cls
+		cls := e.dyn.Facts.Class()
 		if cls == isa.ClassLoad && lqLeft == 0 {
 			s.blockOn(blockLoad)
 			break
@@ -1328,14 +1327,14 @@ func (s *Sim) fetchStage() {
 			s.fqWasFull = false
 		}
 
-		cls := isa.ClassOf(d.Inst)
-		e.cls, e.port = cls, portOf(cls)
+		cls := d.Facts.Class()
+		e.port = portOf(cls)
 		isCT := cls == isa.ClassBranch || cls == isa.ClassCall || cls == isa.ClassReturn
 		if isCT && !replayed {
 			// Replayed instructions re-fetch down a known-correct path;
 			// re-predicting them would double-count mispredictions and
 			// corrupt the RAS.
-			pred := s.bp.Predict(d.PC, d.Inst)
+			pred := s.bp.Predict(d.PC, d.Inst, cls)
 			if pred != d.NextPC {
 				e.mispredicted = true
 				s.res.Mispredicts++

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"reno/internal/asm"
 	"reno/internal/isa"
@@ -416,5 +417,14 @@ func TestMaxInstsBudget(t *testing.T) {
 	}
 	if res.Insts < 100 || res.Insts > 110 {
 		t.Errorf("committed %d with a 100-instruction budget", res.Insts)
+	}
+}
+
+// TestEntrySize keeps the in-flight entry, built in place at fetch and
+// walked by every stage, from growing: the predecoded facts ride in the
+// trace record's padding and replace the class the entry used to keep.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n > 288 {
+		t.Errorf("entry is %d bytes, want at most 288", n)
 	}
 }

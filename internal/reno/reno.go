@@ -298,7 +298,10 @@ func UpdateGroupMask(mask uint32, r *Renamed) uint32 {
 }
 
 // RenameOneInto renames a single instruction against the current rename
-// state, overwriting *r with its record. result is the trace oracle value
+// state, overwriting *r with its record. f is isa.Predecode(*in), read
+// instead of the ISA queries; in is passed by pointer so that its copy
+// into *r is one word-sized move, not a reassembly of its fields. result
+// is the trace oracle value
 // the optimizer judges speculative load bypassing by (Renamed.MisBypass):
 // the destination value, or for a store the stored data value.
 // elimDest is the group-dependence mask accumulated over older instructions
@@ -312,11 +315,11 @@ func UpdateGroupMask(mask uint32, r *Renamed) uint32 {
 // is re-presented.
 //
 //reno:hotpath
-func (o *Optimizer) RenameOneInto(in isa.Inst, result uint64, r *Renamed, elimDest uint32) bool {
+func (o *Optimizer) RenameOneInto(in *isa.Inst, f isa.Facts, result uint64, r *Renamed, elimDest uint32) bool {
 	// Every field is written field by field, which is cheaper here than
 	// clearing the record with a composite literal first.
-	rs, rt := isa.Sources(in)
-	r.Inst, r.NSrc = in, isa.NumSources(in)
+	rs, rt := f.Sources()
+	r.Inst, r.NSrc = *in, f.NumSources()
 	r.Src[0], r.Src[1] = zeroMap, zeroMap
 	if r.NSrc >= 1 {
 		r.Src[0] = o.mt.Lookup(rs)
@@ -324,7 +327,7 @@ func (o *Optimizer) RenameOneInto(in isa.Inst, result uint64, r *Renamed, elimDe
 	if r.NSrc >= 2 {
 		r.Src[1] = o.mt.Lookup(rt)
 	}
-	r.HasDest, r.Dest = isa.HasDest(in), in.Rd
+	r.HasDest, r.Dest = f.HasDest(), in.Rd
 	r.NewMap, r.OldMap = renamer.Mapping{}, renamer.Mapping{}
 	r.Elim, r.Kind, r.FusePenalty, r.Fused, r.Reexec, r.MisBypass = false, KindNone, 0, false, false, false
 
@@ -338,13 +341,13 @@ func (o *Optimizer) RenameOneInto(in isa.Inst, result uint64, r *Renamed, elimDe
 
 	// --- Elimination decision tree -------------------------------------
 	if r.HasDest && !depOnElim {
-		if o.tryEliminate(r, result) {
-			o.finishRecord(r)
+		if o.tryEliminate(r, f, result) {
+			o.finishRecord(r, f)
 			o.Stats.Renamed++
 			return true
 		}
 	}
-	if r.HasDest && depOnElim && o.wouldEliminate(in) {
+	if r.HasDest && depOnElim && o.wouldEliminate(f) {
 		o.Stats.FoldCancelGroupDep++
 	}
 
@@ -359,44 +362,44 @@ func (o *Optimizer) RenameOneInto(in isa.Inst, result uint64, r *Renamed, elimDe
 		}
 		r.NewMap = renamer.Mapping{P: p}
 		r.OldMap = o.mt.SetNew(r.Dest, p)
-		o.insertForwardTuple(r, result)
+		o.insertForwardTuple(r, f, result)
 	}
-	o.insertReverseTuples(r, result)
-	o.finishRecord(r)
+	o.insertReverseTuples(r, f, result)
+	o.finishRecord(r, f)
 	o.Stats.Renamed++
 	return true
 }
 
-// wouldEliminate reports whether in is the kind of instruction the current
-// configuration could eliminate, ignoring dynamic conditions (for the
-// group-dependence cancellation statistic).
+// wouldEliminate reports whether the instruction predecoded as f is the
+// kind the current configuration could eliminate, ignoring dynamic
+// conditions (for the group-dependence cancellation statistic).
 //
 //reno:hotpath
-func (o *Optimizer) wouldEliminate(in isa.Inst) bool {
-	if o.cfg.EnableCF && isa.IsCFCandidate(in) {
+func (o *Optimizer) wouldEliminate(f isa.Facts) bool {
+	if o.cfg.EnableCF && f.IsCFCandidate() {
 		return true
 	}
-	if o.cfg.EnableME && isa.IsMove(in) {
+	if o.cfg.EnableME && f.IsMove() {
 		return true
 	}
-	return o.cfg.EnableCSERA && o.it != nil && o.it.Covers(in)
+	return o.cfg.EnableCSERA && o.it != nil && o.it.Covers(f.Class())
 }
 
 // tryEliminate attempts each RENO optimization in priority order and, on
 // success, installs the shared mapping. Returns true if eliminated.
 //
 //reno:hotpath
-func (o *Optimizer) tryEliminate(r *Renamed, result uint64) bool {
+func (o *Optimizer) tryEliminate(r *Renamed, f isa.Facts, result uint64) bool {
 	in := r.Inst
 
 	// RENO.CF (subsumes ME when enabled: a move is an addi with imm 0).
-	if o.cfg.EnableCF && isa.IsCFCandidate(in) {
+	if o.cfg.EnableCF && f.IsCFCandidate() {
 		src := r.Src[0]
-		if sum, ok := renamer.FoldDisp(src.D, isa.FoldedDisp(in)); ok {
+		if sum, ok := renamer.FoldDisp(src.D, f.FoldedDisp(in.Imm)); ok {
 			r.NewMap = renamer.Mapping{P: src.P, D: sum}
 			r.OldMap = o.mt.SetShared(r.Dest, r.NewMap)
 			r.Elim = true
-			if isa.IsMove(in) {
+			if f.IsMove() {
 				r.Kind = KindME
 			} else {
 				r.Kind = KindCF
@@ -409,8 +412,8 @@ func (o *Optimizer) tryEliminate(r *Renamed, result uint64) bool {
 	}
 
 	// Zero-source fold extension: addi rd, zero, imm -> rd = [p0:imm].
-	if o.cfg.EnableCF && o.cfg.FoldZeroSource && isa.IsRegImmAddZeroSrc(in) {
-		if sum, ok := renamer.FoldDisp(0, isa.FoldedDisp(in)); ok {
+	if o.cfg.EnableCF && o.cfg.FoldZeroSource && f.IsRegImmAddZeroSrc() {
+		if sum, ok := renamer.FoldDisp(0, f.FoldedDisp(in.Imm)); ok {
 			r.NewMap = renamer.Mapping{P: refcount.ZeroReg, D: sum}
 			r.OldMap = o.mt.SetShared(r.Dest, r.NewMap)
 			r.Elim = true
@@ -422,7 +425,7 @@ func (o *Optimizer) tryEliminate(r *Renamed, result uint64) bool {
 	}
 
 	// RENO.ME without CF.
-	if !o.cfg.EnableCF && o.cfg.EnableME && isa.IsMove(in) && r.Src[0].D == 0 {
+	if !o.cfg.EnableCF && o.cfg.EnableME && f.IsMove() && r.Src[0].D == 0 {
 		r.NewMap = renamer.Mapping{P: r.Src[0].P}
 		r.OldMap = o.mt.SetShared(r.Dest, r.NewMap)
 		r.Elim = true
@@ -432,8 +435,8 @@ func (o *Optimizer) tryEliminate(r *Renamed, result uint64) bool {
 	}
 
 	// RENO.CSE / RENO.RA via the integration table.
-	if o.cfg.EnableCSERA && o.it != nil && o.it.Covers(in) {
-		switch isa.ClassOf(in) {
+	if o.cfg.EnableCSERA && o.it != nil && o.it.Covers(f.Class()) {
+		switch f.Class() {
 		case isa.ClassLoad:
 			// Judge the bypass before using it: a tuple whose value oracle
 			// disagrees with the trace result is stale. Peek leaves the
@@ -476,11 +479,11 @@ func (o *Optimizer) tryEliminate(r *Renamed, result uint64) bool {
 // non-eliminated instruction is computing.
 //
 //reno:hotpath
-func (o *Optimizer) insertForwardTuple(r *Renamed, result uint64) {
-	if !o.cfg.EnableCSERA || o.it == nil || !o.it.Covers(r.Inst) {
+func (o *Optimizer) insertForwardTuple(r *Renamed, f isa.Facts, result uint64) {
+	if !o.cfg.EnableCSERA || o.it == nil || !o.it.Covers(f.Class()) {
 		return
 	}
-	switch isa.ClassOf(r.Inst) {
+	switch f.Class() {
 	case isa.ClassLoad:
 		o.it.Insert(it.Entry{
 			Op: isa.OpLd, Imm: r.Inst.Imm,
@@ -504,7 +507,7 @@ func (o *Optimizer) insertForwardTuple(r *Renamed, result uint64) {
 // decrement creates the tuple the matching increment will probe.
 //
 //reno:hotpath
-func (o *Optimizer) insertReverseTuples(r *Renamed, result uint64) {
+func (o *Optimizer) insertReverseTuples(r *Renamed, f isa.Facts, result uint64) {
 	if !o.cfg.EnableCSERA || o.it == nil {
 		return
 	}
@@ -525,13 +528,13 @@ func (o *Optimizer) insertReverseTuples(r *Renamed, result uint64) {
 	// bootstraps across calls when CF is not eliminating the adjustments
 	// (Figure 3 bottom, second row).
 	if o.it.PolicyOf() == it.PolicyFull && !o.cfg.EnableCF &&
-		isa.IsRegImmAdd(in) && in.Rd == isa.RSP && in.Rs == isa.RSP && r.HasDest {
+		f.IsRegImmAdd() && in.Rd == isa.RSP && in.Rs == isa.RSP && r.HasDest {
 		o.it.Insert(it.Entry{
 			Op: in.Op, Imm: -in.Imm,
 			In1: r.NewMap, In2: zeroMap,
 			Out:     r.OldMap,
 			Reverse: true,
-			Value:   result - uint64(int64(isa.FoldedDisp(in))), HasValue: true,
+			Value:   result - uint64(int64(f.FoldedDisp(in.Imm))), HasValue: true,
 		})
 	}
 }
@@ -539,7 +542,7 @@ func (o *Optimizer) insertReverseTuples(r *Renamed, result uint64) {
 // finishRecord computes the fusion cost classification.
 //
 //reno:hotpath
-func (o *Optimizer) finishRecord(r *Renamed) {
+func (o *Optimizer) finishRecord(r *Renamed, f isa.Facts) {
 	if r.Elim {
 		return // eliminated instructions do not execute
 	}
@@ -550,7 +553,7 @@ func (o *Optimizer) finishRecord(r *Renamed) {
 	}
 	r.Fused = true
 	o.Stats.FusedOps++
-	r.FusePenalty = o.fusePenalty(r.Inst, d1, d2)
+	r.FusePenalty = o.fusePenalty(r.Inst.Op, f.Class(), d1, d2)
 	if r.FusePenalty > 0 {
 		o.Stats.FusedPenalized++
 	}
@@ -568,11 +571,11 @@ func (o *Optimizer) finishRecord(r *Renamed) {
 //     "3-input adder delay cannot be hidden" ablation).
 //
 //reno:hotpath
-func (o *Optimizer) fusePenalty(in isa.Inst, d1, d2 bool) int {
+func (o *Optimizer) fusePenalty(op isa.Op, cls isa.Class, d1, d2 bool) int {
 	if o.cfg.PenalizeAllFusions {
 		return 1
 	}
-	switch isa.ClassOf(in) {
+	switch cls {
 	case isa.ClassLoad, isa.ClassStore:
 		return 0
 	case isa.ClassBranch, isa.ClassCall, isa.ClassReturn:
@@ -580,7 +583,7 @@ func (o *Optimizer) fusePenalty(in isa.Inst, d1, d2 bool) int {
 	case isa.ClassIntMul, isa.ClassFP:
 		return 1
 	}
-	switch in.Op {
+	switch op {
 	case isa.OpSll, isa.OpSrl, isa.OpSra, isa.OpSlli, isa.OpSrli, isa.OpSrai:
 		return 1
 	}

@@ -20,7 +20,7 @@ type groupInst struct {
 // renameOne is RenameOneInto returning the record.
 func renameOne(o *Optimizer, gi groupInst, elimDest uint32) (Renamed, bool) {
 	var r Renamed
-	ok := o.RenameOneInto(gi.Inst, gi.Result, &r, elimDest)
+	ok := o.RenameOneInto(&gi.Inst, isa.Predecode(gi.Inst), gi.Result, &r, elimDest)
 	return r, ok
 }
 
@@ -587,8 +587,8 @@ func TestRenameOneIntoOverwritesRecord(t *testing.T) {
 			result := uint64(rng.Intn(4)) // few values, so some bypasses go stale
 			var fresh Renamed
 			reused := stale
-			okA := a.RenameOneInto(in, result, &fresh, mask)
-			okB := b.RenameOneInto(in, result, &reused, mask)
+			okA := a.RenameOneInto(&in, isa.Predecode(in), result, &fresh, mask)
+			okB := b.RenameOneInto(&in, isa.Predecode(in), result, &reused, mask)
 			if okA != okB || fresh != reused {
 				t.Fatalf("%+v step %d: %v %+v into a fresh record, %v %+v into a stale one", cfg, step, okA, fresh, okB, reused)
 			}
