@@ -225,8 +225,8 @@ func (p *Predictor) NoteRASOutcome(correct bool) {
 	}
 }
 
-// Predict produces a full next-PC prediction for the instruction in at pc,
-// whose class (isa.ClassOf, read from its predecoded facts) is cls.
+// Predict produces a full next-PC prediction for instruction in at pc. cls
+// is in's class, isa.ClassOf as read from its predecoded facts.
 // It returns the predicted next PC and whether the prediction consulted a
 // structure that might be wrong (conditional direction, BTB target, or RAS).
 //

@@ -52,13 +52,6 @@ func TestPredecodeMatchesQueries(t *testing.T) {
 	}
 }
 
-// TestZeroFactsNotDecoded: a record that skipped Predecode says so.
-func TestZeroFactsNotDecoded(t *testing.T) {
-	if (Facts{}).Decoded() {
-		t.Fatal("zero Facts reports Decoded")
-	}
-}
-
 // FuzzPredecode checks Predecode against the queries on arbitrary
 // instructions, register fields beyond the architectural 32 included.
 func FuzzPredecode(f *testing.F) {
