@@ -301,9 +301,9 @@ func UpdateGroupMask(mask uint32, r *Renamed) uint32 {
 // state, overwriting *r with its record. f is isa.Predecode(*in), read
 // instead of the ISA queries; in is passed by pointer so that its copy
 // into *r is one word-sized move, not a reassembly of its fields. result
-// is the trace oracle value
-// the optimizer judges speculative load bypassing by (Renamed.MisBypass):
-// the destination value, or for a store the stored data value.
+// is the trace oracle value the optimizer judges speculative load
+// bypassing by (Renamed.MisBypass): the destination value, or for a store
+// the stored data value.
 // elimDest is the group-dependence mask accumulated over older instructions
 // renamed in the same cycle (see UpdateGroupMask); pass 0 for the first
 // instruction of a group: an instruction depending on an older *eliminated*
