@@ -2,6 +2,8 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"testing"
 
 	"reno/internal/elim"
@@ -9,6 +11,7 @@ import (
 	"reno/internal/pipeline"
 	"reno/internal/reno"
 	"reno/internal/workload"
+	"reno/metrics"
 )
 
 // loopFeed replays a recorded dynamic trace cyclically, so one Sim can be
@@ -105,5 +108,37 @@ func TestSteadyStateFunctionalZeroAllocs(t *testing.T) {
 	run(10_000) // past the engine's and the memory's high-water marks
 	if avg := testing.AllocsPerRun(20, func() { run(1_000) }); avg != 0 {
 		t.Errorf("steady-state feed and engine allocate %.2f times per 1000 instructions; want 0", avg)
+	}
+}
+
+// TestEnvelopeAllocsIndependentOfSetSize pins the envelope writer's cost
+// model: encoding a record allocates the same whether its set holds 5
+// metrics or 50, so a sweep envelope's allocations grow with its records
+// at most, never with its metrics.
+func TestEnvelopeAllocsIndependentOfSetSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	allocs := func(perRecord int) float64 {
+		rep := metrics.NewReport("test")
+		for i := 0; i < 20; i++ {
+			s := metrics.NewSet()
+			for j := 0; j < perRecord; j++ {
+				s.Counter(fmt.Sprintf("m.%03d", j), uint64(i*j)).Gauge(fmt.Sprintf("g.%03d", j), float64(j)/3)
+			}
+			rep.Add(metrics.Record{
+				Labels:  map[string]string{metrics.LabelBench: "gzip", metrics.LabelSeed: fmt.Sprint(i)},
+				Attrs:   map[string]string{metrics.AttrRunHash: "00deadbeef00cafe"},
+				Metrics: s,
+			})
+		}
+		return testing.AllocsPerRun(10, func() {
+			if err := rep.Encode(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(5), allocs(50); small != large {
+		t.Errorf("encoding 20 records allocates %.0f times with 5 metrics each and %.0f times with 50", small, large)
 	}
 }

@@ -22,9 +22,12 @@ const DefaultCacheEntries = 65536
 // cached: failures, timeouts, and cancellations carry wall-clock-dependent
 // partial state that must not be replayed as truth.
 //
-// Results are deep-copied on both insert and lookup, so the cache never
-// aliases its entries with callers: a job (or client) that mutates a served
-// result cannot corrupt what later jobs are served.
+// Results are copied on both insert and lookup (sweep.Result.Clone), so
+// the cache never aliases mutable state with callers: a job (or client)
+// that mutates a served result cannot corrupt what later jobs are served.
+// The one shared part is a store-decoded result's metric set, which is
+// read-only — emission copies it before layering the wall-clock metrics
+// on — so a hit does not copy a metric set.
 //
 // The cache is bounded LRU; the bound follows one convention everywhere
 // (NewCacheSize, Config.CacheEntries, the -cache flag): < 0 = unbounded,
@@ -90,7 +93,7 @@ func (c *Cache) Lookup(key string) *sweep.Result {
 // Get is Lookup under the ResultStore interface name.
 func (c *Cache) Get(key string) *sweep.Result { return c.Lookup(key) }
 
-// Put stores a deep copy of a completed successful run under its key,
+// Put stores a copy (Clone) of a completed successful run under its key,
 // evicting the least recently used entry when the bound is exceeded. Failed
 // or partial runs are ignored, as are nil results.
 func (c *Cache) Put(key string, r *sweep.Result) {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"reno/metrics"
 	"reno/sim"
 )
 
@@ -174,10 +175,7 @@ func NewHandler(svc *Service) http.Handler {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		// Encode writes the canonical envelope bytes — with stable, the
-		// exact bytes `renosweep -stable` emits for this grid.
-		rep.Encode(w)
+		writeEnvelope(w, rep)
 	})
 	mux.HandleFunc("GET /v1/sweeps/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		j, ok := svc.Job(r.PathValue("id"))
@@ -220,6 +218,30 @@ func streamEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 			return
 		}
 	}
+}
+
+// writeEnvelope streams the canonical envelope bytes — with stable, the
+// exact bytes `renosweep -stable` emits for the grid. Encode checks every
+// value before its first write, so a report it refuses is answered 500
+// with the uniform error body; once bytes are out, a write error means the
+// client went away and there is no one left to tell.
+func writeEnvelope(w http.ResponseWriter, rep *metrics.Report) {
+	w.Header().Set("Content-Type", "application/json")
+	sw := &sentWriter{w: w}
+	if err := rep.Encode(sw); err != nil && !sw.sent {
+		writeError(w, http.StatusInternalServerError, err)
+	}
+}
+
+// sentWriter records whether anything was written through it.
+type sentWriter struct {
+	w    io.Writer
+	sent bool
+}
+
+func (s *sentWriter) Write(p []byte) (int, error) {
+	s.sent = true
+	return s.w.Write(p)
 }
 
 // writeJSON emits v as an indented JSON body.

@@ -486,3 +486,22 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("GET /v1/sweeps: %d", code)
 	}
 }
+
+// TestResultsRefusedEnvelopeIs500: an envelope Encode refuses reaches the
+// client as a 500 with the uniform error body, never as an empty 200;
+// Encode checks every value before writing, so nothing else was sent.
+func TestResultsRefusedEnvelopeIs500(t *testing.T) {
+	for name, rep := range map[string]*metrics.Report{
+		"record without metrics": {Schema: metrics.SchemaV1, Records: []metrics.Record{{}}},
+		"spec that is not JSON":  {Schema: metrics.SchemaV1, Spec: json.RawMessage("{")},
+	} {
+		rec := httptest.NewRecorder()
+		writeEnvelope(rec, rep)
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body.Error == "" {
+			t.Errorf("%s: HTTP %d, body %q", name, rec.Code, rec.Body.Bytes())
+		}
+	}
+}

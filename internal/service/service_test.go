@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 
 	"reno/internal/pipeline"
 	"reno/internal/sweep"
+	"reno/metrics"
 )
 
 // mustNew builds a service or fails the test.
@@ -284,6 +286,103 @@ func TestCacheLookupAliasing(t *testing.T) {
 	}
 	if got == again {
 		t.Fatal("two lookups returned the same pointer")
+	}
+
+	// A result decoded from a disk store keeps one metric set, shared by
+	// the cache entry and every result served from it. Emitting a served
+	// result (which layers the wall-clock metrics onto a copy of that
+	// set), mutating the emitted set and mutating the served result must
+	// leave what the cache serves next unchanged.
+	ds, err := OpenDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := fakeResult("gzip")
+	live.WallNS, live.SimInstsPerSec = 12345, 6.5
+	ds.Put(key16(1), live)
+	decoded := ds.Get(key16(1))
+	if decoded == nil || !decoded.Restored() {
+		t.Fatalf("disk store did not serve a decoded result: %+v", decoded)
+	}
+	c.Put("d", decoded)
+	envelope := func(r *sweep.Result) []byte {
+		t.Helper()
+		var b bytes.Buffer
+		if err := sweep.NewReport(sweep.Grid{}, []*sweep.Result{r}).WriteJSON(&b, sweep.EmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	served := c.Lookup("d")
+	want := envelope(served)
+	if twice := envelope(served); !bytes.Equal(twice, want) {
+		t.Fatalf("emitting a decoded result twice changed its envelope:\n%s\n----\n%s", want, twice)
+	}
+	mr, err := sweep.NewReport(sweep.Grid{}, []*sweep.Result{served}).MetricsReport(sweep.EmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr.Records[0].Metrics.Counter(metrics.PipelineCycles, 0).Counter("injected", 1)
+	served.WallNS, served.Hash, served.Cycles = -1, "mutated", 0
+	if got := envelope(c.Lookup("d")); !bytes.Equal(got, want) {
+		t.Fatalf("mutating a served decoded result changed the cache:\n%s\n----\n%s", want, got)
+	}
+	if got := envelope(decoded); !bytes.Equal(got, want) {
+		t.Fatalf("mutating a served decoded result changed the inserted one:\n%s\n----\n%s", want, got)
+	}
+}
+
+// TestConcurrentCachedResubmits runs two resubmissions of one grid at the
+// same time on a service warm-loaded from a store, and emits both while
+// they share every cached metric set: under -race this is the check that
+// serving and emitting decoded results shares nothing writable. Both must
+// be served without simulating and emit the first run's envelope.
+func TestConcurrentCachedResubmits(t *testing.T) {
+	dir := t.TempDir()
+	spec := []byte(`{"benches":["gzip","gsm.de"],"renos":["BASE","RENO"],"max_insts":5000,"scale":0.2}`)
+	s1 := mustNew(t, Config{Workers: 2, StoreDir: dir})
+	want := stableBytes(t, runToDone(t, s1, spec))
+	closeNow(t, s1)
+
+	s2 := mustNew(t, Config{Workers: 2, Runners: 2, StoreDir: dir})
+	defer closeNow(t, s2)
+	var wg sync.WaitGroup
+	got := make([][]byte, 2)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			j, err := s2.Submit(spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if st := waitState(t, j, StateDone); st.CacheHits != st.Runs {
+				t.Errorf("resubmit %d: %d of %d cells from the cache", i, st.CacheHits, st.Runs)
+			}
+			for _, stable := range []bool{false, true} {
+				rep, err := j.Results(stable)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var buf bytes.Buffer
+				if err := rep.Encode(&buf); err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = buf.Bytes()
+			}
+		}(i)
+	}
+	wg.Wait()
+	if n := s2.Simulated(); n != 0 {
+		t.Errorf("warm service simulated %d runs, want 0", n)
+	}
+	for i, b := range got {
+		if !bytes.Equal(b, want) {
+			t.Errorf("resubmit %d emitted different stable bytes:\n%s\n----\n%s", i, want, b)
+		}
 	}
 }
 

@@ -112,7 +112,7 @@ func EncodeResult(key string, r *Result) ([]byte, error) {
 		set = r.Pipeline.Metrics()
 		stop = r.Pipeline.StopReason
 	case r.restored != nil:
-		set = cloneSet(r.restored)
+		set = r.restored
 		stop = r.restoredStop
 	default:
 		return nil, fmt.Errorf("encode result %s: partial result has no pipeline metrics", r.Key())
@@ -210,11 +210,14 @@ func (r *Result) Complete() bool {
 	return r != nil && r.Err == "" && (r.Pipeline != nil || r.restored != nil)
 }
 
-// Clone returns a deep copy of r: mutating the copy (or anything derived
-// from it) never changes the original. The result cache clones on both
-// insert and lookup so a cached result can be handed to concurrent jobs
-// without aliasing. The CPA analyzer pointer, when present, is shared —
-// sweep runs never attach one, and post-run it is read-only.
+// Clone returns a copy of r that its holder may mutate freely: mutating
+// the copy's fields or its Pipeline never changes the original. Two parts
+// are shared, because nothing ever writes them after the run: the CPA
+// analyzer pointer (sweep runs never attach one) and a decoded result's
+// metric set, which emission copies before it adds the wall-clock metrics
+// and which no exported method hands out. The result cache clones on both
+// insert and lookup, so a cached result serves concurrent jobs without
+// copying its metric set on every hit.
 func (r *Result) Clone() *Result {
 	if r == nil {
 		return nil
@@ -224,13 +227,11 @@ func (r *Result) Clone() *Result {
 		p := *r.Pipeline
 		c.Pipeline = &p
 	}
-	if r.restored != nil {
-		c.restored = cloneSet(r.restored)
-	}
 	return &c
 }
 
-// cloneSet deep-copies a metric set through the public constructors.
+// cloneSet copies a metric set through the public constructors. The source
+// is name-sorted, so every insertion appends.
 func cloneSet(s *metrics.Set) *metrics.Set {
 	out := metrics.NewSet()
 	for _, m := range s.All() {

@@ -2,8 +2,11 @@ package sweep
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+
+	"reno/metrics"
 )
 
 // liveResult simulates one small run and returns it with its run key.
@@ -143,7 +146,7 @@ func TestEncodeResultRejectsIncomplete(t *testing.T) {
 // TestResultClone: a clone is deep — mutating it (scalars and pipeline
 // state alike) leaves the original untouched.
 func TestResultClone(t *testing.T) {
-	_, live := liveResult(t)
+	key, live := liveResult(t)
 	c := live.Clone()
 	c.IPC = -1
 	c.Hash = "mutated"
@@ -154,5 +157,44 @@ func TestResultClone(t *testing.T) {
 	}
 	if (*Result)(nil).Clone() != nil {
 		t.Error("nil clone is not nil")
+	}
+
+	// A decoded result's clone shares its metric set instead of copying it.
+	// Emitting the clone twice (each emission layers the wall-clock metrics
+	// onto a copy), mutating the emitted sets and mutating the clone leave
+	// the original's set and envelope unchanged.
+	enc, err := EncodeResult(key, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dec, err := DecodeResult(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envelope := func(r *Result) []byte {
+		var b bytes.Buffer
+		if err := NewReport(Grid{}, []*Result{r}).WriteJSON(&b, EmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	before, want := dec.restored.All(), envelope(dec)
+	dc := dec.Clone()
+	if dc.restored != dec.restored {
+		t.Error("Clone copied the decoded metric set; it is shared read-only")
+	}
+	for i := 0; i < 2; i++ {
+		rec := dc.record(EmitOptions{})
+		if _, ok := rec.Metrics.Lookup(metrics.RunWallNS); !ok {
+			t.Fatalf("emission %d has no %s", i, metrics.RunWallNS)
+		}
+		rec.Metrics.Counter(metrics.PipelineCycles, 0).Counter("injected", 1)
+	}
+	dc.WallNS, dc.Hash = -1, "mutated"
+	if !slices.Equal(dec.restored.All(), before) {
+		t.Fatal("emitting or mutating a clone changed the decoded metric set")
+	}
+	if got := envelope(dec); !bytes.Equal(got, want) {
+		t.Fatalf("emitting or mutating a clone changed the original's envelope:\n%s\n----\n%s", want, got)
 	}
 }

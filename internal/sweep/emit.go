@@ -128,8 +128,9 @@ func (r *Result) record(opts EmitOptions) metrics.Record {
 		}
 	case r.restored != nil:
 		// Decoded from a persistent store: the full metric set was
-		// captured at encode time. Clone before the wall-clock metrics
-		// are layered on below — the restored set is shared.
+		// captured at encode time. Copy it before the wall-clock metrics
+		// are layered on below: the restored set is shared by every
+		// clone of this result (Clone).
 		set = cloneSet(r.restored)
 		if r.restoredStop != "" {
 			attrs[metrics.AttrStopReason] = r.restoredStop

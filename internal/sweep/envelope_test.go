@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -214,6 +215,38 @@ func TestStoreRecordsPinned(t *testing.T) {
 		}
 		if !r.Restored() || !r.Complete() {
 			t.Errorf("%s: decoded result restored=%v complete=%v", f, r.Restored(), r.Complete())
+		}
+	}
+}
+
+// BenchmarkEnvelopeEncode emits the stable envelope of a 714-cell sweep
+// whose results were all decoded from store records, the /results path of
+// a warm resubmission, and reports the bytes and allocations it costs.
+func BenchmarkEnvelopeEncode(b *testing.B) {
+	files, err := filepath.Glob(filepath.Join("testdata", "store", "*.json"))
+	if err != nil || len(files) == 0 {
+		b.Fatalf("no pinned store records: %v", err)
+	}
+	var records [][]byte
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		records = append(records, data)
+	}
+	results := make([]*Result, 714)
+	for i := range results {
+		if _, results[i], err = DecodeResult(records[i%len(records)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rep := NewReport(Grid{Benches: []string{"all"}}, results)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rep.WriteJSON(io.Discard, EmitOptions{Deterministic: true}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

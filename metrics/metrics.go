@@ -28,8 +28,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // Kind classifies a metric's type.
@@ -101,17 +102,12 @@ type metricJSON struct {
 // counters as exact unsigned integers, gauges and ratios as Go's shortest
 // round-tripping float rendering.
 func (m Metric) MarshalJSON() ([]byte, error) {
-	var v string
-	switch m.Kind {
-	case Counter:
-		v = strconv.FormatUint(m.Count, 10)
-	default:
-		if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) {
-			return nil, fmt.Errorf("metric %q: non-finite %s value has no JSON form", m.Name, m.Kind)
-		}
-		v = strconv.FormatFloat(m.Value, 'g', -1, 64)
+	if err := checkMetric(m); err != nil {
+		return nil, err
 	}
-	return json.Marshal(metricJSON{Name: m.Name, Kind: m.Kind.String(), Value: json.RawMessage(v)})
+	w := writer{}
+	w.metric(m)
+	return w.buf, nil
 }
 
 // UnmarshalJSON decodes a metric, parsing the value by declared kind so a
@@ -156,24 +152,41 @@ func (m *Metric) UnmarshalJSON(data []byte) error {
 // use. Adding a name that already exists replaces the previous metric, so
 // builders can layer refinements without duplicate-checking.
 type Set struct {
-	idx  map[string]int
+	// list is kept sorted by name, the canonical order: lookups
+	// binary-search it, encoding walks it, and adding names in order
+	// appends.
 	list []Metric
 }
 
 // NewSet returns an empty set.
 func NewSet() *Set { return &Set{} }
 
+// metrics returns the sorted list (nil for a nil set).
+func (s *Set) metrics() []Metric {
+	if s == nil {
+		return nil
+	}
+	return s.list
+}
+
+// search returns the index of name in the sorted list, or the index at
+// which it would be inserted, and whether it is present.
+func (s *Set) search(name string) (int, bool) {
+	return slices.BinarySearchFunc(s.list, name, func(m Metric, name string) int { return strings.Compare(m.Name, name) })
+}
+
 // add inserts or replaces a metric.
 func (s *Set) add(m Metric) *Set {
-	if s.idx == nil {
-		s.idx = map[string]int{}
-	}
-	if i, ok := s.idx[m.Name]; ok {
-		s.list[i] = m
+	if n := len(s.list); n == 0 || s.list[n-1].Name < m.Name {
+		s.list = append(s.list, m)
 		return s
 	}
-	s.idx[m.Name] = len(s.list)
-	s.list = append(s.list, m)
+	i, ok := s.search(m.Name)
+	if ok {
+		s.list[i] = m
+	} else {
+		s.list = slices.Insert(s.list, i, m)
+	}
 	return s
 }
 
@@ -202,23 +215,17 @@ func (s *Set) Ratio(name string, v float64) *Set {
 }
 
 // Len returns the number of metrics in the set.
-func (s *Set) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.list)
-}
+func (s *Set) Len() int { return len(s.metrics()) }
 
 // Lookup returns the named metric.
 func (s *Set) Lookup(name string) (Metric, bool) {
-	if s == nil || s.idx == nil {
+	if s == nil {
 		return Metric{}, false
 	}
-	i, ok := s.idx[name]
-	if !ok {
-		return Metric{}, false
+	if i, ok := s.search(name); ok {
+		return s.list[i], true
 	}
-	return s.list[i], true
+	return Metric{}, false
 }
 
 // Count returns the named counter's value (0, false when absent or not a
@@ -244,37 +251,24 @@ func (s *Set) Value(name string) (float64, bool) {
 // All returns the metrics in canonical (name-sorted) order. The returned
 // slice is a copy.
 func (s *Set) All() []Metric {
-	if s == nil {
-		return nil
-	}
-	out := append([]Metric(nil), s.list...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return append([]Metric(nil), s.metrics()...)
 }
 
 // Equal reports whether two sets carry exactly the same metrics (names,
 // kinds, and values), regardless of insertion order.
 func (s *Set) Equal(t *Set) bool {
-	if s.Len() != t.Len() {
-		return false
-	}
-	a, b := s.All(), t.All()
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(s.metrics(), t.metrics())
 }
 
 // MarshalJSON encodes the set as a name-sorted array of metrics — the
 // canonical order that makes equal sets byte-identical.
 func (s *Set) MarshalJSON() ([]byte, error) {
-	all := s.All()
-	if all == nil {
-		all = []Metric{}
+	if err := checkSet(s); err != nil {
+		return nil, err
 	}
-	return json.Marshal(all)
+	w := writer{}
+	w.set(s)
+	return w.buf, nil
 }
 
 // UnmarshalJSON decodes a metric array, rejecting duplicate names (two
@@ -284,13 +278,14 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &list); err != nil {
 		return err
 	}
-	out := Set{}
-	for _, m := range list {
-		if _, dup := out.Lookup(m.Name); dup {
-			return fmt.Errorf("duplicate metric %q", m.Name)
+	// Canonical documents are already sorted, which the sort detects in
+	// one pass.
+	slices.SortFunc(list, func(a, b Metric) int { return strings.Compare(a.Name, b.Name) })
+	for i := 1; i < len(list); i++ {
+		if list[i].Name == list[i-1].Name {
+			return fmt.Errorf("duplicate metric %q", list[i].Name)
 		}
-		out.add(m)
 	}
-	*s = out
+	*s = Set{list: list}
 	return nil
 }

@@ -154,15 +154,31 @@ func TestDecodeRejections(t *testing.T) {
 }
 
 // TestEncodeRejectsNonFiniteMetric: a hand-built Metric that bypassed the
-// Set constructors still cannot produce an invalid document.
+// Set constructors still cannot produce an invalid document, and the
+// refusal comes before any byte reaches the writer, wherever in the
+// document the bad value sits.
 func TestEncodeRejectsNonFiniteMetric(t *testing.T) {
-	s := NewSet()
-	s.add(Metric{Name: "bad", Kind: Gauge, Value: math.NaN()})
-	rep := NewReport("test")
-	rep.Add(Record{Metrics: s})
-	var buf bytes.Buffer
-	err := rep.Encode(&buf)
-	if err == nil || !strings.Contains(err.Error(), "non-finite") {
-		t.Fatalf("expected non-finite encode error, got %v", err)
+	bad := NewSet()
+	bad.add(Metric{Name: "bad", Kind: Gauge, Value: math.NaN()})
+	inf := NewSet()
+	inf.add(Metric{Name: "inf", Kind: Ratio, Value: math.Inf(-1)})
+	lastRecord := NewReport("test")
+	lastRecord.Add(Record{Metrics: fullSet()})
+	lastRecord.Add(Record{Metrics: bad})
+	summary := NewReport("test")
+	summary.Summary = inf
+	summary.Add(Record{Metrics: fullSet()})
+	for name, rep := range map[string]*Report{"last record": lastRecord, "summary": summary} {
+		var buf bytes.Buffer
+		err := rep.Encode(&buf)
+		if err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("%s: expected non-finite encode error, got %v", name, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: refused encode wrote %d bytes", name, buf.Len())
+		}
+	}
+	if _, err := bad.MarshalJSON(); err == nil {
+		t.Error("Set.MarshalJSON accepted a NaN gauge")
 	}
 }

@@ -94,17 +94,33 @@ func (r *Report) Validate() error {
 
 // Encode writes the envelope as canonical indented JSON. Output is
 // deterministic for deterministic content: maps encode key-sorted and
-// metric sets name-sorted.
+// metric sets name-sorted. The document is streamed to w in chunks of a few
+// tens of kilobytes; every value is checked before the first byte is
+// written, so an error other than w's own leaves w untouched.
 func (r *Report) Encode(w io.Writer) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
+	if err := checkSet(r.Summary); err != nil {
+		return fmt.Errorf("metrics report: summary: %w", err)
+	}
+	for i, rec := range r.Records {
+		if err := checkSet(rec.Metrics); err != nil {
+			return fmt.Errorf("metrics report: record %d: %w", i, err)
+		}
+	}
+	spec, err := specJSON(r.Spec)
+	if err != nil {
+		return fmt.Errorf("metrics report: spec: %w", err)
+	}
 	if r.Records == nil {
 		r.Records = []Record{}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	out := writer{buf: make([]byte, 0, flushAt+flushAt/4), dst: w, indent: true}
+	out.report(r, spec)
+	out.buf = append(out.buf, '\n')
+	out.flush(true)
+	return out.err
 }
 
 // Decode parses and validates a v1 envelope. It rejects unknown schemas and
