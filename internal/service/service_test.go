@@ -333,10 +333,10 @@ func TestCacheLookupAliasing(t *testing.T) {
 }
 
 // TestConcurrentCachedResubmits runs two resubmissions of one grid at the
-// same time on a service warm-loaded from a store, and emits both while
-// they share every cached metric set: under -race this is the check that
-// serving and emitting decoded results shares nothing writable. Both must
-// be served without simulating and emit the first run's envelope.
+// same time on a service warm-loaded from a store, then emits both at once
+// while they share every cached metric set: under -race this is the check
+// that serving and emitting decoded results shares nothing writable. Both
+// must be served without simulating and emit the first run's envelope.
 func TestConcurrentCachedResubmits(t *testing.T) {
 	dir := t.TempDir()
 	spec := []byte(`{"benches":["gzip","gsm.de"],"renos":["BASE","RENO"],"max_insts":5000,"scale":0.2}`)
@@ -346,20 +346,31 @@ func TestConcurrentCachedResubmits(t *testing.T) {
 
 	s2 := mustNew(t, Config{Workers: 2, Runners: 2, StoreDir: dir})
 	defer closeNow(t, s2)
+	jobs := make([]*Job, 2)
+	for i := range jobs {
+		j, err := s2.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	for i, j := range jobs {
+		if st := waitState(t, j, StateDone); st.CacheHits != st.Runs {
+			t.Errorf("resubmit %d: %d of %d cells from the cache", i, st.CacheHits, st.Runs)
+		}
+	}
+	if n := s2.Simulated(); n != 0 {
+		t.Errorf("warm service simulated %d runs, want 0", n)
+	}
+
 	var wg sync.WaitGroup
-	got := make([][]byte, 2)
-	for i := range got {
+	got := make([][]byte, len(jobs))
+	for i, j := range jobs {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, j *Job) {
 			defer wg.Done()
-			j, err := s2.Submit(spec)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if st := waitState(t, j, StateDone); st.CacheHits != st.Runs {
-				t.Errorf("resubmit %d: %d of %d cells from the cache", i, st.CacheHits, st.Runs)
-			}
+			// The wall-clock envelope first, then the stable one kept
+			// for comparison.
 			for _, stable := range []bool{false, true} {
 				rep, err := j.Results(stable)
 				if err != nil {
@@ -373,12 +384,9 @@ func TestConcurrentCachedResubmits(t *testing.T) {
 				}
 				got[i] = buf.Bytes()
 			}
-		}(i)
+		}(i, j)
 	}
 	wg.Wait()
-	if n := s2.Simulated(); n != 0 {
-		t.Errorf("warm service simulated %d runs, want 0", n)
-	}
 	for i, b := range got {
 		if !bytes.Equal(b, want) {
 			t.Errorf("resubmit %d emitted different stable bytes:\n%s\n----\n%s", i, want, b)

@@ -77,14 +77,15 @@ func (w *writer) elem(i int) {
 	w.newline()
 }
 
-// key writes an object key (a literal needing no escaping) and its colon.
-func (w *writer) key(k string) {
-	w.buf = append(w.buf, '"')
-	w.buf = append(w.buf, k...)
-	w.buf = append(w.buf, '"', ':')
+// field starts field *n of the enclosing object, keyed k, and counts it.
+func (w *writer) field(n *int, k string) {
+	w.elem(*n)
+	w.str(k)
+	w.buf = append(w.buf, ':')
 	if w.indent {
 		w.buf = append(w.buf, ' ')
 	}
+	*n++
 }
 
 // str writes s as a JSON string. Printable ASCII other than the quote, the
@@ -106,21 +107,19 @@ func (w *writer) str(s string) {
 
 // metric writes one metric object; its value must be finite (checkSet).
 func (w *writer) metric(m Metric) {
+	n := 0
 	w.open('{')
-	w.elem(0)
-	w.key("name")
+	w.field(&n, "name")
 	w.str(m.Name)
-	w.elem(1)
-	w.key("kind")
+	w.field(&n, "kind")
 	w.str(m.Kind.String())
-	w.elem(2)
-	w.key("value")
+	w.field(&n, "value")
 	if m.Kind == Counter {
 		w.buf = strconv.AppendUint(w.buf, m.Count, 10)
 	} else {
 		w.buf = strconv.AppendFloat(w.buf, m.Value, 'g', -1, 64)
 	}
-	w.close('}', 3)
+	w.close('}', n)
 }
 
 // set writes a metric array in the set's (name-sorted) order; a nil set
@@ -143,72 +142,58 @@ func (w *writer) stringMap(m map[string]string) {
 		w.keys = append(w.keys, k)
 	}
 	slices.Sort(w.keys)
+	n := 0
 	w.open('{')
-	for i, k := range w.keys {
-		w.elem(i)
-		w.str(k)
-		w.buf = append(w.buf, ':')
-		if w.indent {
-			w.buf = append(w.buf, ' ')
-		}
+	for _, k := range w.keys {
+		w.field(&n, k)
 		w.str(m[k])
 	}
-	w.close('}', len(w.keys))
+	w.close('}', n)
 }
 
 // record writes one envelope record: labels and attrs when non-empty (their
 // omitempty tags), then the metric set.
 func (w *writer) record(r Record) {
-	w.open('{')
 	n := 0
+	w.open('{')
 	if len(r.Labels) > 0 {
-		w.elem(n)
-		w.key("labels")
+		w.field(&n, "labels")
 		w.stringMap(r.Labels)
-		n++
 	}
 	if len(r.Attrs) > 0 {
-		w.elem(n)
-		w.key("attrs")
+		w.field(&n, "attrs")
 		w.stringMap(r.Attrs)
-		n++
 	}
-	w.elem(n)
-	w.key("metrics")
+	w.field(&n, "metrics")
 	w.set(r.Metrics)
-	w.close('}', n+1)
+	w.close('}', n)
 }
 
 // report writes the whole envelope, fields in Report's declaration order
 // and optional ones only when set. spec is the embedded spec already in
 // its final form (specJSON).
 func (w *writer) report(r *Report, spec []byte) {
-	w.open('{')
 	n := 0
-	field := func(k string) {
-		w.elem(n)
-		w.key(k)
-		n++
-	}
-	field("schema")
+	w.open('{')
+	w.field(&n, "schema")
 	w.str(r.Schema)
 	if r.Tool != "" {
-		field("tool")
+		w.field(&n, "tool")
 		w.str(r.Tool)
 	}
 	if len(r.Meta) > 0 {
-		field("meta")
+		w.field(&n, "meta")
 		w.stringMap(r.Meta)
 	}
 	if len(spec) > 0 {
-		field("spec")
+		w.field(&n, "spec")
 		w.buf = append(w.buf, spec...)
 	}
 	if r.Summary != nil {
-		field("summary")
+		w.field(&n, "summary")
 		w.set(r.Summary)
 	}
-	field("records")
+	w.field(&n, "records")
 	w.open('[')
 	for i, rec := range r.Records {
 		w.elem(i)

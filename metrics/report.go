@@ -116,6 +116,8 @@ func (r *Report) Encode(w io.Writer) error {
 	if r.Records == nil {
 		r.Records = []Record{}
 	}
+	// The buffer flushes once it passes flushAt, so the headroom above it
+	// holds the record that crosses the mark without regrowing.
 	out := writer{buf: make([]byte, 0, flushAt+flushAt/4), dst: w, indent: true}
 	out.report(r, spec)
 	out.buf = append(out.buf, '\n')
