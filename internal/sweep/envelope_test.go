@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -18,7 +19,7 @@ import (
 // that went through the persistent codec, and of reno.result/v1 store
 // records. A deliberate format change regenerates them with
 //
-//	UPDATE_GOLDEN=1 go test -run 'TestEnvelopePinned|TestStoreRecordsPinned' ./internal/sweep/
+//	UPDATE_GOLDEN=1 go test -run 'TestEnvelopePinned|TestStoreRecordsPinned|TestRunKeysPinned' ./internal/sweep/
 
 // pinnedGrids are the grids whose stable envelopes are pinned: the
 // versioned grid file with inline machine and RENO specs (detailed
@@ -151,6 +152,47 @@ func TestEnvelopePinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRunKeysPinned pins the run key of every cell of the pinned grids, as
+// Job.Key computes it and as RunContext hands it to Lookup and Progress.
+// The keys are store addresses: a changed key orphans every stored result.
+func TestRunKeysPinned(t *testing.T) {
+	grids := pinnedGrids(t)
+	names := make([]string, 0, len(grids))
+	for name := range grids {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var buf bytes.Buffer
+	for _, name := range names {
+		g := grids[name]
+		jobs, err := g.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := g.Options()
+		var looked []string // Lookup is called once per job, in job order
+		opts.Lookup = func(key string, j Job) *Result {
+			looked = append(looked, key)
+			return &Result{Bench: j.Profile.Name}
+		}
+		progressed := make([]string, len(jobs))
+		opts.Progress = func(ri RunInfo) { progressed[ri.Index] = ri.Key }
+		RunContext(context.Background(), jobs, opts)
+		if len(looked) != len(jobs) {
+			t.Fatalf("%s: Lookup called %d times for %d jobs", name, len(looked), len(jobs))
+		}
+		for i, j := range jobs {
+			key := j.Key(opts)
+			if looked[i] != key || progressed[i] != key {
+				t.Errorf("%s %s: Job.Key %s, Lookup saw %s, Progress saw %s",
+					name, j.Profile.Name+"/"+j.Tag(), key, looked[i], progressed[i])
+			}
+			fmt.Fprintf(&buf, "%s %s/%s %s\n", strings.TrimSuffix(name, ".golden"), j.Profile.Name, j.Tag(), key)
+		}
+	}
+	pinBytes(t, "run_keys.golden", buf.Bytes())
 }
 
 // TestStoreRecordsPinned replays store records written by an earlier build:
