@@ -74,9 +74,11 @@ func TestSteadyStateCommitPathZeroAllocs(t *testing.T) {
 }
 
 // TestSteadyStateFunctionalZeroAllocs pins the functional backend's
-// per-instruction path: once warm, stepping gzip's timed region through
-// the trace feed and deciding each instruction in the elimination engine
-// (the paper's RENO configuration) allocates nothing.
+// per-instruction path: once warm, filling chunks of gzip's timed region
+// from the trace feed and having a group of engines decide each chunk in
+// turn, as the backend does for every configuration that shares a stream
+// (here the paper's RENO configuration on 4w and 6w, and full
+// integration), allocates nothing.
 func TestSteadyStateFunctionalZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
@@ -89,25 +91,36 @@ func TestSteadyStateFunctionalZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pipeline.FourWide(reno.Default(160))
+	var engines []*elim.Engine
+	for _, cfg := range []pipeline.Config{
+		pipeline.FourWide(reno.Default(160)),
+		pipeline.SixWide(reno.Default(0)),
+		pipeline.FourWide(reno.FullIntegration(160)),
+	} {
+		engines = append(engines, elim.New(cfg.Reno, cfg.ROBSize, cfg.RenameWidth))
+	}
 	f := pipeline.NewFeed(context.Background(), start.Machine(), 0)
-	eng := elim.New(cfg.Reno, cfg.ROBSize, cfg.RenameWidth)
-	var d emu.Dyn
+	chunk := make([]emu.Dyn, 256)
 	var insts int
-	run := func(n int) {
-		for k := 0; k < n; k++ {
-			if !f.Next(&d) {
+	run := func(chunks int) {
+		for c := 0; c < chunks; c++ {
+			n, canceled := f.Fill(chunk)
+			insts += n
+			if canceled || n < len(chunk) {
 				t.Fatalf("feed ended after %d instructions: %v", insts, f.Err())
 			}
-			insts++
-			if _, _, err := eng.Next(&d); err != nil {
-				t.Fatal(err)
+			for _, eng := range engines {
+				for k := range chunk {
+					if _, _, err := eng.Next(&chunk[k]); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 		}
 	}
-	run(10_000) // past the engine's and the memory's high-water marks
-	if avg := testing.AllocsPerRun(20, func() { run(1_000) }); avg != 0 {
-		t.Errorf("steady-state feed and engine allocate %.2f times per 1000 instructions; want 0", avg)
+	run(40) // past the engines' and the memory's high-water marks
+	if avg := testing.AllocsPerRun(20, func() { run(4) }); avg != 0 {
+		t.Errorf("steady-state feed and engine group allocate %.2f times per %d instructions; want 0", avg, 4*len(chunk))
 	}
 }
 

@@ -15,7 +15,8 @@
 // hash). They report the same architectural result (final state hash and
 // committed-instruction stream hash) and the same elimination counts for a
 // given cell; internal/backend/difftest proves it. Functional reports no
-// cycles or IPC.
+// cycles or IPC, and runs several configurations that share a program
+// start and budget over one feed (RunGroup).
 package backend
 
 import (
@@ -131,13 +132,18 @@ func For(k Kind) Backend {
 	}
 }
 
-// feed validates req's configuration and positions its trace feed at the
-// first timed instruction, from req.Start or by running the warmup. Every
-// backend starts here, so both reject a configuration with the same error.
-func feed(ctx context.Context, req Request) (*pipeline.Feed, error) {
-	if err := req.Cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("backend: %w", err)
+// validate is the configuration check every backend runs first, so both
+// reject a configuration with the same error.
+func validate(cfg pipeline.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("backend: %w", err)
 	}
+	return nil
+}
+
+// feed positions req's trace feed at the first timed instruction, from
+// req.Start or by running the warmup.
+func feed(ctx context.Context, req Request) (*pipeline.Feed, error) {
 	if req.Start != nil {
 		return pipeline.NewFeed(ctx, req.Start.Machine(), req.MaxInsts), nil
 	}

@@ -13,6 +13,9 @@ type detailedBackend struct{}
 func (detailedBackend) Kind() Kind { return Detailed }
 
 func (detailedBackend) Run(ctx context.Context, req Request) (*Result, error) {
+	if err := validate(req.Cfg); err != nil {
+		return nil, err
+	}
 	f, err := feed(ctx, req)
 	if err != nil {
 		return nil, err

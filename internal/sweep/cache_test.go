@@ -126,51 +126,59 @@ func TestLookupSeamServesFromCache(t *testing.T) {
 	}
 }
 
-// TestPartiallyCachedSweep mixes hits and misses: only the misses
-// simulate, hits are served verbatim, and the combined results emit
-// byte-identically to an uncached sweep of the same grid.
+// TestPartiallyCachedSweep mixes hits and misses on both backends: only
+// the misses simulate, hits are served verbatim, and the combined results
+// emit byte-identically to an uncached sweep of the same grid. On the
+// functional backend each program's group then holds only its misses.
 func TestPartiallyCachedSweep(t *testing.T) {
-	jobs := cacheGrid(t)
-	opts := Options{Workers: 2, Scale: 0.3, MaxInsts: 20000}
-
-	cache := map[string]*Result{}
-	opts.Progress = func(ri RunInfo) { cache[ri.Key] = ri.Result }
-	cold := RunContext(context.Background(), jobs, opts)
-
-	// Evict every other entry, then rerun with the thinned cache.
-	evicted := 0
-	for i, j := range jobs {
-		if i%2 == 1 {
-			delete(cache, j.Key(opts))
-			evicted++
-		}
-	}
-	hits, misses := 0, 0
-	warm := RunContext(context.Background(), jobs, Options{
-		Workers: 2, Scale: 0.3, MaxInsts: 20000,
-		Lookup: func(key string, j Job) *Result { return cache[key] },
-		Progress: func(ri RunInfo) {
-			if ri.Cached {
-				hits++
-			} else {
-				misses++
+	for name, be := range map[string]string{"detailed": "", "functional": "functional"} {
+		t.Run(name, func(t *testing.T) {
+			jobs := cacheGrid(t)
+			for i := range jobs {
+				jobs[i].Backend = be
 			}
-		},
-	})
-	if misses != evicted || hits != len(jobs)-evicted {
-		t.Fatalf("got %d hits / %d misses, want %d / %d", hits, misses, len(jobs)-evicted, evicted)
-	}
+			opts := Options{Workers: 2, Scale: 0.3, MaxInsts: 20000}
 
-	g := Grid{Benches: []string{"gzip", "gsm.de"}, MachineConfigs: Specs("4w"),
-		RenoConfigs: Specs("BASE", "RENO"), Scale: 0.3, MaxInsts: 20000}
-	var a, b bytes.Buffer
-	if err := NewReport(g, cold).WriteJSON(&a, EmitOptions{Deterministic: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewReport(g, warm).WriteJSON(&b, EmitOptions{Deterministic: true}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("stable emission differs between uncached and partially cached sweeps")
+			cache := map[string]*Result{}
+			opts.Progress = func(ri RunInfo) { cache[ri.Key] = ri.Result }
+			cold := RunContext(context.Background(), jobs, opts)
+
+			// Evict every other entry, then rerun with the thinned cache.
+			evicted := 0
+			for i, j := range jobs {
+				if i%2 == 1 {
+					delete(cache, j.Key(opts))
+					evicted++
+				}
+			}
+			hits, misses := 0, 0
+			warm := RunContext(context.Background(), jobs, Options{
+				Workers: 2, Scale: 0.3, MaxInsts: 20000,
+				Lookup: func(key string, j Job) *Result { return cache[key] },
+				Progress: func(ri RunInfo) {
+					if ri.Cached {
+						hits++
+					} else {
+						misses++
+					}
+				},
+			})
+			if misses != evicted || hits != len(jobs)-evicted {
+				t.Fatalf("got %d hits / %d misses, want %d / %d", hits, misses, len(jobs)-evicted, evicted)
+			}
+
+			g := Grid{Benches: []string{"gzip", "gsm.de"}, MachineConfigs: Specs("4w"),
+				RenoConfigs: Specs("BASE", "RENO"), Scale: 0.3, MaxInsts: 20000, Backend: be}
+			var a, b bytes.Buffer
+			if err := NewReport(g, cold).WriteJSON(&a, EmitOptions{Deterministic: true}); err != nil {
+				t.Fatal(err)
+			}
+			if err := NewReport(g, warm).WriteJSON(&b, EmitOptions{Deterministic: true}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Error("stable emission differs between uncached and partially cached sweeps")
+			}
+		})
 	}
 }

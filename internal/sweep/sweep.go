@@ -3,9 +3,10 @@
 //
 // A Grid names benchmarks, machine configurations, RENO configurations, and
 // seeds; Expand crosses them into Jobs; Run executes the jobs on a fixed
-// number of workers (default runtime.GOMAXPROCS) pulling batches of job
-// indices from a channel, so a ten-thousand-run sweep costs tens of
-// goroutines, not ten thousand. Every run is seeded deterministically from
+// number of workers (default runtime.GOMAXPROCS) pulling units of work from
+// a channel, so a ten-thousand-run sweep costs tens of goroutines, not ten
+// thousand. A unit is a batch of contiguous jobs, or a group of functional
+// jobs of one program that share one trace feed. Every run is seeded deterministically from
 // its (benchmark, seed) pair, timed individually, and summarized by a stable
 // FNV-1a hash over its architectural and performance outcome — the hash is
 // independent of worker count and wall-clock, so two sweeps of the same grid
@@ -79,6 +80,12 @@ func (j Job) Tag() string {
 // distinct Names — the profile's generator parameters are identified by
 // name, not hashed field-by-field.
 func (j Job) Key(opts Options) string {
+	cfg, err := json.Marshal(j.Cfg)
+	return j.key(opts, cfg, err)
+}
+
+// key is Key over j.Cfg's canonical JSON form cfg, or its marshal error.
+func (j Job) key(opts Options, cfg []byte, cfgErr error) string {
 	h := fnv.New64a()
 	write := func(parts ...string) {
 		for _, p := range parts {
@@ -98,10 +105,10 @@ func (j Job) Key(opts Options) string {
 		// fields legitimately differ).
 		write("backend", j.Backend)
 	}
-	if cfg, err := json.Marshal(j.Cfg); err == nil {
+	if cfgErr == nil {
 		h.Write(cfg)
 	} else {
-		write("cfg-error", err.Error())
+		write("cfg-error", cfgErr.Error())
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -201,7 +208,8 @@ type Options struct {
 	// Timeout bounds each run's wall-clock time (0 = none). A run that
 	// exceeds it is recorded as failed with its partial statistics;
 	// because the cutoff is wall-clock, timed-out runs are not
-	// deterministic across machines.
+	// deterministic across machines. A functional group's members share
+	// one budget of Timeout times their count.
 	Timeout time.Duration
 	// Progress, when non-nil, is called once per completed run, serialized
 	// by the pool (no locking needed in the callback).
@@ -300,12 +308,15 @@ func NewErrorResult(j Job, msg string) *Result {
 	return r
 }
 
-// RunContext executes jobs on the bounded pool under ctx. When ctx is
-// canceled, in-flight simulations stop promptly and record their partial
-// statistics with Err set; jobs not yet started are marked canceled without
-// running. RunContext always waits for its workers to exit before
-// returning, so no goroutines outlive the call, and every slot in the
-// returned slice is non-nil.
+// RunContext executes jobs on the bounded pool under ctx. The uncached
+// functional jobs of each (bench, seed) program run as one group over one
+// trace feed (backend.RunGroup), split into parts when there are fewer
+// groups than twice the worker count; each still gets the Result it would
+// get alone. When ctx is canceled, in-flight simulations stop promptly and
+// record their partial statistics with Err set; jobs not yet started are
+// marked canceled without running. RunContext always waits for its
+// workers to exit before returning, so no goroutines outlive the call, and
+// every slot in the returned slice is non-nil.
 func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 	results := make([]*Result, len(jobs))
 	if len(jobs) == 0 {
@@ -318,8 +329,20 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 	var keys []string
 	if opts.Progress != nil || opts.Lookup != nil {
 		keys = make([]string, len(jobs))
+		// Cells share resolved configurations (one per machine × RENO
+		// pair), so each distinct one is marshaled once.
+		type canonical struct {
+			cfg []byte
+			err error
+		}
+		resolved := map[pipeline.Config]canonical{}
 		for i, j := range jobs {
-			keys[i] = j.Key(opts)
+			c, ok := resolved[j.Cfg]
+			if !ok {
+				c.cfg, c.err = json.Marshal(j.Cfg)
+				resolved[j.Cfg] = c
+			}
+			keys[i] = j.key(opts, c.cfg, c.err)
 		}
 	}
 	var cached []*Result
@@ -340,7 +363,7 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 	// the pool starts: builds are cheap relative to simulation, and a
 	// serial prebuild keeps the build cache free of locking entirely. The
 	// warmup polls ctx; once ctx is done the prebuild stops, and every job
-	// it leaves unbuilt is reported canceled by runOne without running.
+	// it leaves unbuilt is reported canceled without running (skip).
 	builds := map[string]*built{}
 	for i, j := range jobs {
 		if ctx.Err() != nil {
@@ -361,38 +384,89 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 		builds[k] = b
 	}
 
-	// Dispatch batches of contiguous job indices: a fixed worker count and
-	// coarse batches keep goroutine and channel traffic bounded even for
-	// sweeps with thousands of runs.
-	workers := min(opts.workers(), len(jobs))
-	batch := max(1, len(jobs)/(workers*8))
-	type span struct{ lo, hi int }
-	spans := make(chan span, (len(jobs)+batch-1)/batch)
-	for lo := 0; lo < len(jobs); lo += batch {
-		spans <- span{lo, min(lo+batch, len(jobs))}
+	// Uncached functional cells of one (bench, seed) program decide the
+	// same instruction stream, so each such set runs as one group over one
+	// trace feed (runGroup). Every other cell, detailed or served from
+	// cache, runs on its own.
+	var singles []int
+	var groups [][]int
+	slot := map[string]int{}
+	for i, j := range jobs {
+		if kind, err := backend.ParseKind(j.Backend); err != nil || kind != backend.Functional || fromCache(i) != nil {
+			singles = append(singles, i)
+			continue
+		}
+		k := buildKey(j.Profile, j.Seed)
+		g, ok := slot[k]
+		if !ok {
+			g = len(groups)
+			slot[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
 	}
-	close(spans)
+
+	// A unit of pool work is a group, or part of one, or a batch of
+	// contiguous singles: a fixed worker count and coarse batches keep
+	// goroutine and channel traffic bounded even for sweeps with thousands
+	// of runs. With fewer than two groups per worker, groups are split into
+	// parts so that no worker idles while another drains a long group.
+	workers := min(opts.workers(), len(jobs))
+	parts := 1
+	if len(groups) > 0 && len(groups) < 2*workers {
+		parts = (2*workers + len(groups) - 1) / len(groups)
+	}
+	batch := max(1, len(singles)/(workers*8))
+	type unit struct {
+		group  []int // job indices sharing one trace feed; nil for a batch
+		lo, hi int   // the batch singles[lo:hi]
+	}
+	var units []unit
+	for _, g := range groups {
+		p := min(parts, len(g))
+		for k := 0; k < p; k++ {
+			units = append(units, unit{group: g[k*len(g)/p : (k+1)*len(g)/p]})
+		}
+	}
+	for lo := 0; lo < len(singles); lo += batch {
+		units = append(units, unit{lo: lo, hi: min(lo+batch, len(singles))})
+	}
+	work := make(chan unit, len(units))
+	for _, u := range units {
+		work <- u
+	}
+	close(work)
 
 	var mu sync.Mutex // guards done counter + Progress serialization
 	done := 0
+	finish := func(i int, r *Result, hit bool) {
+		results[i] = r
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		if opts.Progress != nil {
+			opts.Progress(RunInfo{Done: done, Total: len(jobs), Index: i, Key: keys[i], Cached: hit, Result: r})
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for sp := range spans {
-				for i := sp.lo; i < sp.hi; i++ {
+			for u := range work {
+				if u.group != nil {
+					j := jobs[u.group[0]]
+					for k, r := range runGroup(ctx, jobs, u.group, builds[buildKey(j.Profile, j.Seed)], opts) {
+						finish(u.group[k], r, false)
+					}
+					continue
+				}
+				for _, i := range singles[u.lo:u.hi] {
 					r, hit := fromCache(i), true
 					if r == nil {
 						r, hit = runOne(ctx, jobs[i], builds[buildKey(jobs[i].Profile, jobs[i].Seed)], opts), false
 					}
-					results[i] = r
-					mu.Lock()
-					done++
-					if opts.Progress != nil {
-						opts.Progress(RunInfo{Done: done, Total: len(jobs), Index: i, Key: keys[i], Cached: hit, Result: r})
-					}
-					mu.Unlock()
+					finish(i, r, hit)
 				}
 			}
 		}()
@@ -408,9 +482,9 @@ func scaleOf(o Options) float64 {
 	return o.Scale
 }
 
-// runOne executes a single job and fills in its Result.
-func runOne(ctx context.Context, j Job, b *built, opts Options) *Result {
-	r := &Result{
+// newResult returns j's record with only its identity filled in.
+func newResult(j Job) *Result {
+	return &Result{
 		Bench:   j.Profile.Name,
 		Suite:   j.Profile.Suite,
 		Machine: j.Machine,
@@ -418,17 +492,37 @@ func runOne(ctx context.Context, j Job, b *built, opts Options) *Result {
 		Seed:    j.Seed,
 		Backend: j.Backend,
 	}
-	if ctx.Err() != nil {
-		// The sweep was canceled before this job started (b is nil when
-		// the cancellation stopped the prebuild before this job's build).
+}
+
+// skip records r as a run that never started and reports true when the
+// sweep was canceled before the run started (b is nil when the
+// cancellation stopped the prebuild before this run's build) or its
+// workload failed to build.
+func skip(ctx context.Context, r *Result, b *built) bool {
+	switch {
+	case ctx.Err() != nil:
 		r.Err = ctx.Err().Error()
-		r.Hash = hashResult(r)
-		return r
+	case b.err != nil:
+		r.Err, r.buildFailed = b.err.Error(), true
+	default:
+		return false
 	}
-	if b.err != nil {
-		r.Err = b.err.Error()
-		r.buildFailed = true
-		r.Hash = hashResult(r)
+	r.Hash = hashResult(r)
+	return true
+}
+
+// withTimeout bounds ctx by d when d is positive.
+func withTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	if d > 0 {
+		return context.WithTimeout(ctx, d)
+	}
+	return ctx, func() {}
+}
+
+// runOne executes a single job and fills in its Result.
+func runOne(ctx context.Context, j Job, b *built, opts Options) *Result {
+	r := newResult(j)
+	if skip(ctx, r, b) {
 		return r
 	}
 	kind, err := backend.ParseKind(j.Backend)
@@ -440,19 +534,52 @@ func runOne(ctx context.Context, j Job, b *built, opts Options) *Result {
 		r.Hash = hashResult(r)
 		return r
 	}
-	rctx := ctx
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		rctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		defer cancel()
-	}
+	rctx, cancel := withTimeout(ctx, opts.Timeout)
+	defer cancel()
 	//lint:ignore determinism wall time is telemetry only: WallNS is excluded from hashResult and from -stable output
 	t0 := time.Now()
 	bres, err := backend.For(kind).Run(rctx, backend.Request{
 		Cfg: j.Cfg, Start: b.start, MaxInsts: opts.MaxInsts,
 	})
 	//lint:ignore determinism wall time is telemetry only: WallNS is excluded from hashResult and from -stable output
-	r.WallNS = time.Since(t0).Nanoseconds()
+	record(r, bres, err, time.Since(t0).Nanoseconds())
+	return r
+}
+
+// runGroup executes the functional jobs idx, which share one (bench, seed)
+// program, over one trace feed (backend.RunGroup) and returns their
+// Results in idx order: each is the Result runOne returns for its job
+// alone. The group's Timeout is opts.Timeout per member, and its wall time
+// is split evenly among the members.
+func runGroup(ctx context.Context, jobs []Job, idx []int, b *built, opts Options) []*Result {
+	out := make([]*Result, len(idx))
+	cfgs := make([]pipeline.Config, len(idx))
+	for k, i := range idx {
+		out[k], cfgs[k] = newResult(jobs[i]), jobs[i].Cfg
+	}
+	if skip(ctx, out[0], b) {
+		for _, r := range out[1:] {
+			r.Err, r.buildFailed = out[0].Err, out[0].buildFailed
+			r.Hash = hashResult(r)
+		}
+		return out
+	}
+	rctx, cancel := withTimeout(ctx, opts.Timeout*time.Duration(len(idx)))
+	defer cancel()
+	//lint:ignore determinism wall time is telemetry only: WallNS is excluded from hashResult and from -stable output
+	t0 := time.Now()
+	bres, errs := backend.RunGroup(rctx, backend.Request{Start: b.start, MaxInsts: opts.MaxInsts}, cfgs)
+	//lint:ignore determinism wall time is telemetry only: WallNS is excluded from hashResult and from -stable output
+	wall := time.Since(t0).Nanoseconds() / int64(len(idx))
+	for k, r := range out {
+		record(r, bres[k], errs[k], wall)
+	}
+	return out
+}
+
+// record fills r from its backend run, which took wallNS of wall time.
+func record(r *Result, bres *backend.Result, err error, wallNS int64) {
+	r.WallNS = wallNS
 	var res *pipeline.Result
 	var archHash uint64
 	if bres != nil {
@@ -470,7 +597,7 @@ func runOne(ctx context.Context, j Job, b *built, opts Options) *Result {
 			r.IPC = res.IPC
 		}
 		r.Hash = hashResult(r)
-		return r
+		return
 	}
 	r.Pipeline = res
 	r.Cycles = res.Cycles
@@ -488,7 +615,6 @@ func runOne(ctx context.Context, j Job, b *built, opts Options) *Result {
 		r.SimInstsPerSec = float64(res.Insts) / (float64(r.WallNS) / 1e9)
 	}
 	r.Hash = hashResult(r)
-	return r
 }
 
 // hashResult computes the stable per-run hash: FNV-1a 64 over a canonical

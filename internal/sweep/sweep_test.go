@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"reno/internal/machine"
 )
 
 // tinyGrid is a small but real multi-axis grid used across the tests.
@@ -328,5 +330,63 @@ func TestEmitDeterministic(t *testing.T) {
 	}
 	if strings.Contains(ja, `"wall_ns": 1`) {
 		t.Error("deterministic JSON retains wall-clock data")
+	}
+}
+
+// TestFunctionalGroupsMatchSingleRuns: a functional grid runs each
+// program's cells as groups over one trace feed, split by the pool width;
+// at every width each cell's record equals the one it gets swept alone.
+func TestFunctionalGroupsMatchSingleRuns(t *testing.T) {
+	g := Grid{
+		Benches:        []string{"gzip", "gsm.de"},
+		MachineConfigs: Specs("4w", "6w"),
+		RenoConfigs:    Specs(machine.RenoNames()...),
+		Seeds:          []int64{0, 1},
+		Backend:        "functional",
+		Scale:          0.2,
+		MaxInsts:       15_000,
+	}
+	jobs, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := g.Options()
+	alone := make([]*Result, len(jobs))
+	for i, j := range jobs {
+		alone[i] = RunContext(context.Background(), []Job{j}, opts)[0]
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		opts.Workers = workers
+		for i, r := range RunContext(context.Background(), jobs, opts) {
+			want := alone[i]
+			if r.Err != "" || r.Hash != want.Hash || r.ArchHash != want.ArchHash || !r.Pipeline.Metrics().Equal(want.Pipeline.Metrics()) {
+				t.Errorf("workers=%d %s: grouped run (hash %s, err %q) differs from its run alone (hash %s, err %q)",
+					workers, r.Key(), r.Hash, r.Err, want.Hash, want.Err)
+			}
+		}
+	}
+}
+
+// TestFunctionalGroupTimeout: an unmeetable per-run budget times a
+// functional group out mid-run, and every member gets the same partial
+// record, as if each had run alone to the same instruction.
+func TestFunctionalGroupTimeout(t *testing.T) {
+	g := Grid{
+		Benches:     []string{"gzip"},
+		RenoConfigs: Specs(machine.RenoNames()...),
+		Backend:     "functional",
+	}
+	jobs, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := Run(jobs, Options{Workers: 1, Timeout: time.Nanosecond})
+	for _, r := range results {
+		if !strings.Contains(r.Err, "deadline") || r.ArchHash != "" {
+			t.Errorf("%s: err %q arch %q, want a timed-out record without an architectural hash", r.Key(), r.Err, r.ArchHash)
+		}
+		if r.Insts != results[0].Insts {
+			t.Errorf("%s stopped after %d instructions, %s after %d", r.Key(), r.Insts, results[0].Key(), results[0].Insts)
+		}
 	}
 }

@@ -32,6 +32,7 @@ import (
 
 	"reno/internal/asm"
 	"reno/internal/backend"
+	"reno/internal/emu"
 	"reno/internal/isa"
 	"reno/internal/machine"
 	"reno/internal/pipeline"
@@ -107,8 +108,9 @@ func resolve(spec Spec) (*Program, error) {
 }
 
 // Program is a loaded, resolved, runnable simulation: assembled workload
-// code plus a validated machine configuration. A Program is immutable and
-// reusable; each Run simulates it from scratch.
+// code, its post-warmup state and a validated machine configuration. A
+// Program is immutable and reusable; each Run simulates its timed region
+// from scratch.
 type Program struct {
 	spec       Spec
 	suite      string // benchmark suite (labels + run-key identity)
@@ -117,11 +119,12 @@ type Program struct {
 	configTag  string
 	backendTag string // normalized backend ("" = detailed), run-key identity
 	code       []isa.Inst
-	warmup     uint64
+	start      *emu.Snapshot // post-warmup state every Run starts a copy of
 }
 
 // Load resolves a Spec into a Program: the benchmark is generated and
-// assembled at the requested seed and scale, and the machine and RENO specs
+// assembled at the requested seed and scale and run through its functional
+// warmup, and the machine and RENO specs
 // resolve through the registry with full validation, so a bad spec fails
 // here with a field-level error, never mid-run.
 func Load(spec Spec) (*Program, error) {
@@ -144,7 +147,8 @@ func Load(spec Spec) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: build %s: %w", spec.Bench, err)
 	}
-	if p.warmup, err = prog.WarmupCount(); err != nil {
+	//lint:ignore ctxflow Load takes no context: the warmup it runs is bounded by the workload's warmup limit
+	if p.start, err = prog.Warm(context.Background()); err != nil {
 		return nil, fmt.Errorf("sim: warmup %s: %w", spec.Bench, err)
 	}
 	p.suite, p.code = profs[0].Suite, prog.Code
@@ -165,7 +169,7 @@ func LoadAsm(source string, spec Spec) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	p.code = prog.Code
+	p.code, p.start = prog.Code, emu.New(prog.Code).Freeze()
 	return p, nil
 }
 
@@ -352,11 +356,11 @@ func (p *Program) Run(opts Options) (*Result, error) {
 	return p.RunContext(context.Background(), opts)
 }
 
-// RunContext simulates under a context. On cancellation mid-timing it
-// returns the partial Result accumulated so far (StopReason "canceled")
+// RunContext simulates under a context. Load already ran the program's
+// functional warmup, so ctx bounds only the timed region. On cancellation
+// it returns the partial Result accumulated so far (StopReason "canceled")
 // together with ctx's error — callers always get the statistics the cycles
-// they paid for produced; cancellation during functional warmup returns a
-// nil Result. All other stops return a nil error.
+// they paid for produced. All other stops return a nil error.
 func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error) {
 	ropts := pipeline.RunOptions{
 		MaxCycles:    opts.MaxCycles,
@@ -373,7 +377,7 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 		return nil, fmt.Errorf("sim: %w", kerr)
 	}
 	bres, err := backend.For(kind).Run(ctx, backend.Request{
-		Cfg: p.cfg, Code: p.code, Warmup: p.warmup, MaxInsts: opts.MaxInsts, Opts: ropts,
+		Cfg: p.cfg, Start: p.start, MaxInsts: opts.MaxInsts, Opts: ropts,
 	})
 	if bres == nil || bres.Pipe == nil {
 		return nil, fmt.Errorf("sim %s: %w", p.Tag(), err)

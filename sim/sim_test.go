@@ -3,9 +3,13 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"reno/internal/backend"
+	"reno/internal/sweep"
+	"reno/internal/workload"
 	"reno/metrics"
 )
 
@@ -195,9 +199,8 @@ func TestObserverSemantics(t *testing.T) {
 	}
 }
 
-// TestCancellationSemantics: canceling mid-run returns the partial result
-// with StopReason "canceled" and ctx's error; canceling before warmup
-// completes returns no result at all.
+// TestCancellationSemantics: canceling mid-run, or before the run starts,
+// returns the partial result with StopReason "canceled" and ctx's error.
 func TestCancellationSemantics(t *testing.T) {
 	p, err := Load(Spec{Bench: "gzip"})
 	if err != nil {
@@ -230,11 +233,11 @@ func TestCancellationSemantics(t *testing.T) {
 		t.Errorf("record attrs %+v lack stop_reason", rec.Attrs)
 	}
 
-	// Already-canceled context: cancellation lands during warmup, so
-	// there is no partial timing result to return.
+	// Already-canceled context: Load ran the warmup, so the cancellation
+	// lands in the timed region like any other and returns its result.
 	done, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if res, err := p.RunContext(done, Options{}); err == nil || res != nil {
+	if res, err := p.RunContext(done, Options{}); !errors.Is(err, context.Canceled) || res == nil || res.StopReason != "canceled" {
 		t.Errorf("pre-canceled run returned (%v, %v)", res, err)
 	}
 }
@@ -286,6 +289,48 @@ func TestBudgetStopCycles(t *testing.T) {
 		if res.Cycles != c.cycles || res.Insts != c.budget || res.StopReason != "max-insts" {
 			t.Errorf("budget %d: %d cycles, %d insts, stop %q; want %d cycles, %d insts, stop \"max-insts\"",
 				c.budget, res.Cycles, res.Insts, res.StopReason, c.cycles, c.budget)
+		}
+	}
+}
+
+// TestLoadedProgramMatchesWarmupRun: a loaded Program starts every run from
+// the snapshot Load kept, and that gives the run a request naming the code
+// and its warmup count gives, on both backends, again on a second Run.
+func TestLoadedProgramMatchesWarmupRun(t *testing.T) {
+	for _, be := range []string{"detailed", "functional"} {
+		spec := Spec{Bench: "gzip", Machine: "4w", Config: "RENO", Seed: 1, Scale: 0.2, Backend: be}
+		p, err := Load(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, _ := workload.ByName("gzip")
+		prog, err := workload.Build(workload.Scale(sweep.SeedProfile(prof, spec.Seed), spec.Scale))
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := prog.WarmupCount()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind, err := backend.ParseKind(be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := backend.For(kind).Run(context.Background(), backend.Request{
+			Cfg: p.cfg, Code: prog.Code, Warmup: warm, MaxInsts: 20000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 1; run <= 2; run++ {
+			got, err := p.Run(Options{MaxInsts: 20000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.ArchHash != want.ArchHash || got.StopReason != want.Pipe.StopReason || !got.Metrics().Equal(want.Pipe.Metrics()) {
+				t.Errorf("%s run %d: loaded program gave arch %016x stop %q, warmup run arch %016x stop %q (metrics equal: %v)",
+					be, run, got.ArchHash, got.StopReason, want.ArchHash, want.Pipe.StopReason, got.Metrics().Equal(want.Pipe.Metrics()))
+			}
 		}
 	}
 }
