@@ -6,11 +6,12 @@
 // number of workers (default runtime.GOMAXPROCS) pulling units of work from
 // a channel, so a ten-thousand-run sweep costs tens of goroutines, not ten
 // thousand. A unit is a batch of contiguous jobs, or a group of functional
-// jobs of one program that share one trace feed. Every run is seeded deterministically from
-// its (benchmark, seed) pair, timed individually, and summarized by a stable
-// FNV-1a hash over its architectural and performance outcome — the hash is
-// independent of worker count and wall-clock, so two sweeps of the same grid
-// can be diffed run-by-run regardless of how they were scheduled.
+// jobs of one program that share one trace feed. Every run is seeded
+// deterministically from its (benchmark, seed) pair, timed individually,
+// and summarized by a stable FNV-1a hash over its architectural and
+// performance outcome — the hash is independent of worker count and
+// wall-clock, so two sweeps of the same grid can be diffed run-by-run
+// regardless of how they were scheduled.
 //
 // The harness package's figure generators run on top of this pool; the
 // renosweep command exposes it directly.
@@ -295,15 +296,8 @@ func RunIndices(ctx context.Context, jobs []Job, indices []int, opts Options) []
 // sweep, a scheduler-level failure). The cluster coordinator uses it to
 // settle cells whose sweep was canceled or whose retries were exhausted.
 func NewErrorResult(j Job, msg string) *Result {
-	r := &Result{
-		Bench:   j.Profile.Name,
-		Suite:   j.Profile.Suite,
-		Machine: j.Machine,
-		Config:  j.Config,
-		Seed:    j.Seed,
-		Backend: j.Backend,
-		Err:     msg,
-	}
+	r := newResult(j)
+	r.Err = msg
 	r.Hash = hashResult(r)
 	return r
 }
@@ -410,7 +404,10 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 	// contiguous singles: a fixed worker count and coarse batches keep
 	// goroutine and channel traffic bounded even for sweeps with thousands
 	// of runs. With fewer than two groups per worker, groups are split into
-	// parts so that no worker idles while another drains a long group.
+	// parts so that no worker idles while another drains a long group. A
+	// part takes every p-th member, not a contiguous run: grids list
+	// configurations from the cheapest (BASE needs no engine) to the
+	// costliest, and striding gives every part a similar mix.
 	workers := min(opts.workers(), len(jobs))
 	parts := 1
 	if len(groups) > 0 && len(groups) < 2*workers {
@@ -418,18 +415,22 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 	}
 	batch := max(1, len(singles)/(workers*8))
 	type unit struct {
-		group  []int // job indices sharing one trace feed; nil for a batch
-		lo, hi int   // the batch singles[lo:hi]
+		idx   []int // job indices
+		group bool  // idx share one trace feed; otherwise each runs alone
 	}
 	var units []unit
 	for _, g := range groups {
 		p := min(parts, len(g))
 		for k := 0; k < p; k++ {
-			units = append(units, unit{group: g[k*len(g)/p : (k+1)*len(g)/p]})
+			var part []int
+			for m := k; m < len(g); m += p {
+				part = append(part, g[m])
+			}
+			units = append(units, unit{part, true})
 		}
 	}
 	for lo := 0; lo < len(singles); lo += batch {
-		units = append(units, unit{lo: lo, hi: min(lo+batch, len(singles))})
+		units = append(units, unit{singles[lo:min(lo+batch, len(singles))], false})
 	}
 	work := make(chan unit, len(units))
 	for _, u := range units {
@@ -454,14 +455,14 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 		go func() {
 			defer wg.Done()
 			for u := range work {
-				if u.group != nil {
-					j := jobs[u.group[0]]
-					for k, r := range runGroup(ctx, jobs, u.group, builds[buildKey(j.Profile, j.Seed)], opts) {
-						finish(u.group[k], r, false)
+				if u.group {
+					j := jobs[u.idx[0]]
+					for k, r := range runGroup(ctx, jobs, u.idx, builds[buildKey(j.Profile, j.Seed)], opts) {
+						finish(u.idx[k], r, false)
 					}
 					continue
 				}
-				for _, i := range singles[u.lo:u.hi] {
+				for _, i := range u.idx {
 					r, hit := fromCache(i), true
 					if r == nil {
 						r, hit = runOne(ctx, jobs[i], builds[buildKey(jobs[i].Profile, jobs[i].Seed)], opts), false
