@@ -104,10 +104,11 @@ func TestSteadyStateFunctionalZeroAllocs(t *testing.T) {
 	var insts int
 	run := func(chunks int) {
 		for c := 0; c < chunks; c++ {
-			n, canceled := f.Fill(chunk)
-			insts += n
-			if canceled || n < len(chunk) {
-				t.Fatalf("feed ended after %d instructions: %v", insts, f.Err())
+			for k := range chunk {
+				if !f.Next(&chunk[k]) {
+					t.Fatalf("feed ended after %d instructions: %v", insts, f.Err())
+				}
+				insts++
 			}
 			for _, eng := range engines {
 				for k := range chunk {

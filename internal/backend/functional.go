@@ -99,18 +99,25 @@ func RunGroup(ctx context.Context, req Request, cfgs []pipeline.Config) ([]*Resu
 }
 
 // drive fills chunk from f until the feed ends or its context is done,
-// and has the group's engines decide each chunk (decide). It returns the
-// number of instructions the feed handed out and whether its context
-// stopped it.
+// and has the group's engines decide each chunk (decide). It polls the
+// context before each record, as a run that decides each record as the
+// feed hands it out would, so both stop at the same instruction. It
+// returns the number of instructions the feed handed out and whether its
+// context stopped it.
 //
 //reno:hotpath
 func drive(f *pipeline.Feed, engines []*elim.Engine, errs []error, chunk []emu.Dyn) (insts uint64, canceled bool) {
 	for {
-		n, stop := f.Fill(chunk)
+		n := 0
+		for ; n < len(chunk); n++ {
+			if canceled = f.Canceled(); canceled || !f.Next(&chunk[n]) {
+				break
+			}
+		}
 		decide(engines, errs, chunk[:n])
 		insts += uint64(n)
-		if stop || n < len(chunk) {
-			return insts, stop
+		if canceled || n < len(chunk) {
+			return insts, canceled
 		}
 	}
 }

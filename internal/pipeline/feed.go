@@ -16,9 +16,8 @@ import (
 // sampling-warmup methodology). Next hands out the timed dynamic
 // instructions in program order until the program halts, the budget is
 // spent or the emulator faults, folding each into the commit-stream hash.
-// The detailed pipeline pulls from it one record at a time (Run); the
-// functional backend fills chunks of records from it (Fill) and hands each
-// chunk to every configuration that shares the stream.
+// The detailed pipeline pulls from it (Run); the functional backend fills
+// chunks of records from it for every configuration sharing the stream.
 type Feed struct {
 	m      *emu.Machine
 	done   <-chan struct{}
@@ -85,26 +84,6 @@ func (f *Feed) Next(d *emu.Dyn) bool {
 	}
 	f.fold(d)
 	return true
-}
-
-// Fill steps the feed into buf, one timed instruction per record, until
-// buf is full, the feed ends (see Next) or its context is done. It returns
-// the number of records filled and whether the context stopped it. It
-// polls like a loop that calls Canceled before each Next, so a run drained
-// a chunk at a time stops at the instruction a run drained one record at a
-// time would.
-//
-//reno:hotpath
-func (f *Feed) Fill(buf []emu.Dyn) (n int, canceled bool) {
-	for ; n < len(buf); n++ {
-		if f.Canceled() {
-			return n, true
-		}
-		if !f.Next(&buf[n]) {
-			return n, false
-		}
-	}
-	return n, false
 }
 
 // Spent reports whether the feed stopped because its budget ran out.
