@@ -117,16 +117,16 @@ type Program struct {
 	cfg        pipeline.Config
 	machineTag string
 	configTag  string
-	backendTag string // normalized backend ("" = detailed), run-key identity
-	code       []isa.Inst
+	backendTag string        // normalized backend ("" = detailed), run-key identity
+	code       []isa.Inst    // LoadAsm's program (its run-key identity)
 	start      *emu.Snapshot // post-warmup state every Run starts a copy of
 }
 
 // Load resolves a Spec into a Program: the benchmark is generated and
 // assembled at the requested seed and scale and run through its functional
-// warmup, and the machine and RENO specs
-// resolve through the registry with full validation, so a bad spec fails
-// here with a field-level error, never mid-run.
+// warmup, and the machine and RENO specs resolve through the registry with
+// full validation, so a bad spec fails here with a field-level error,
+// never mid-run.
 func Load(spec Spec) (*Program, error) {
 	spec = spec.withDefaults()
 	if spec.Bench == "" {
@@ -151,7 +151,7 @@ func Load(spec Spec) (*Program, error) {
 	if p.start, err = prog.Warm(context.Background()); err != nil {
 		return nil, fmt.Errorf("sim: warmup %s: %w", spec.Bench, err)
 	}
-	p.suite, p.code = profs[0].Suite, prog.Code
+	p.suite = profs[0].Suite
 	return p, nil
 }
 
