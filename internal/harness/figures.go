@@ -15,6 +15,7 @@ import (
 	"reno/internal/pipeline"
 	"reno/internal/sweep"
 	"reno/internal/workload"
+	"reno/metrics"
 )
 
 // Fig8 regenerates Figure 8: per-benchmark instruction elimination rates
@@ -211,13 +212,18 @@ func Fig10(ctx context.Context, w io.Writer, opts Options) {
 
 	// E9: IT bandwidth accounting. The paper: the loads-only repartition
 	// cuts IT size by 50% and accesses by ~56% versus full integration.
+	itAccesses := func(r *sweep.Result) uint64 {
+		lookups, _ := r.Metrics.Count(metrics.ITLookups)
+		inserts, _ := r.Metrics.Count(metrics.ITInserts)
+		return lookups + inserts
+	}
 	var renoAcc, fiAcc uint64
 	for _, b := range all {
 		if r := rs.get(b.Name, "4w/RENO"); r != nil {
-			renoAcc += r.Pipeline.ITLookups + r.Pipeline.ITInserts
+			renoAcc += itAccesses(r)
 		}
 		if r := rs.get(b.Name, "4w/RENO+FI"); r != nil {
-			fiAcc += r.Pipeline.ITLookups + r.Pipeline.ITInserts
+			fiAcc += itAccesses(r)
 		}
 	}
 	if fiAcc > 0 {

@@ -25,14 +25,14 @@ const DefaultCacheEntries = 65536
 // Results are copied on both insert and lookup (sweep.Result.Clone), so
 // the cache never aliases mutable state with callers: a job (or client)
 // that mutates a served result cannot corrupt what later jobs are served.
-// The one shared part is a store-decoded result's metric set, which is
-// read-only — emission copies it before layering the wall-clock metrics
-// on — so a hit does not copy a metric set.
+// The one shared part is the result's metric set, which is read-only —
+// emission copies it before layering the wall-clock metrics on — so a hit
+// does not copy a metric set.
 //
 // The cache is bounded LRU; the bound follows one convention everywhere
 // (NewCacheSize, Config.CacheEntries, the -cache flag): < 0 = unbounded,
 // 0 = DefaultCacheEntries, > 0 = that many entries. Each entry pins its
-// run's full pipeline result, and a long-lived daemon sweeping
+// run's full metric set, and a long-lived daemon sweeping
 // ever-distinct grids must not grow without limit. Eviction is always
 // safe — it only costs re-simulation on the next submission.
 type Cache struct {

@@ -164,7 +164,7 @@ func TestCacheOnlyKeepsCompleteRuns(t *testing.T) {
 	c := NewCache()
 	c.Put("k1", nil)
 	c.Put("k2", &sweep.Result{Err: "boom"})
-	c.Put("k3", &sweep.Result{}) // no Pipeline: partial
+	c.Put("k3", &sweep.Result{}) // no metric set: partial
 	if c.Len() != 0 {
 		t.Fatalf("cache kept %d incomplete runs", c.Len())
 	}
@@ -181,7 +181,7 @@ func TestCacheOnlyKeepsCompleteRuns(t *testing.T) {
 // and lookups refresh recency.
 func TestCacheLRUEviction(t *testing.T) {
 	ok := func(key string) *sweep.Result {
-		return &sweep.Result{Bench: key, Pipeline: &pipeline.Result{}}
+		return &sweep.Result{Bench: key, Metrics: (&pipeline.Result{}).Metrics()}
 	}
 	c := NewCacheSize(2)
 	c.Put("a", ok("a"))
@@ -217,7 +217,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // any bound.)
 func TestCacheBoundConvention(t *testing.T) {
 	ok := func(key string) *sweep.Result {
-		return &sweep.Result{Bench: key, Pipeline: &pipeline.Result{}}
+		return &sweep.Result{Bench: key, Metrics: (&pipeline.Result{}).Metrics()}
 	}
 	cases := []struct {
 		name    string
@@ -262,26 +262,24 @@ func TestCacheLookupAliasing(t *testing.T) {
 	c := NewCache()
 	orig := &sweep.Result{
 		Bench: "gzip", Config: "RENO", IPC: 1.5, Hash: "h0",
-		Pipeline: &pipeline.Result{Cycles: 1000, IPC: 1.5, StopReason: "max-insts"},
+		Metrics: (&pipeline.Result{Cycles: 1000, IPC: 1.5}).Metrics(),
 	}
 	c.Put("k", orig)
 
 	// Mutating the inserted result after Put must not reach the cache.
 	orig.IPC = -1
-	orig.Pipeline.Cycles = 0
 
 	got := c.Lookup("k")
-	if got == nil || got.IPC != 1.5 || got.Pipeline.Cycles != 1000 {
+	if got == nil || got.IPC != 1.5 {
 		t.Fatalf("cache aliased the inserted result: %+v", got)
 	}
 
 	// Mutating a looked-up result must not reach the cache either.
 	got.IPC = -2
 	got.Hash = "mutated"
-	got.Pipeline.StopReason = "mutated"
 
 	again := c.Lookup("k")
-	if again.IPC != 1.5 || again.Hash != "h0" || again.Pipeline.StopReason != "max-insts" {
+	if again.IPC != 1.5 || again.Hash != "h0" {
 		t.Fatalf("cache aliased the emitted result: %+v", again)
 	}
 	if got == again {
@@ -301,7 +299,7 @@ func TestCacheLookupAliasing(t *testing.T) {
 	live.WallNS, live.SimInstsPerSec = 12345, 6.5
 	ds.Put(key16(1), live)
 	decoded := ds.Get(key16(1))
-	if decoded == nil || !decoded.Restored() {
+	if decoded == nil || decoded == live || !decoded.Complete() {
 		t.Fatalf("disk store did not serve a decoded result: %+v", decoded)
 	}
 	c.Put("d", decoded)
@@ -390,6 +388,36 @@ func TestConcurrentCachedResubmits(t *testing.T) {
 	for i, b := range got {
 		if !bytes.Equal(b, want) {
 			t.Errorf("resubmit %d emitted different stable bytes:\n%s\n----\n%s", i, want, b)
+		}
+	}
+}
+
+// TestCachedResubmitEventsInJobOrder: a fully cached resubmission streams
+// its run events in job order, every one cached, and simulates nothing.
+func TestCachedResubmitEventsInJobOrder(t *testing.T) {
+	spec := []byte(`{"benches":["gzip","gsm.de"],"machines":["4w","6w"],"renos":["BASE","RENO"],"max_insts":5000,"scale":0.2}`)
+	s := mustNew(t, Config{Workers: 4})
+	defer closeNow(t, s)
+	runToDone(t, s, spec)
+	j := runToDone(t, s, spec)
+	if n := s.Simulated(); n != uint64(j.Runs()) {
+		t.Fatalf("service simulated %d runs, want %d (the first submission only)", n, j.Runs())
+	}
+	opts := j.grid.Options()
+	evs, _, _, _ := j.Events(0)
+	var runs []Event
+	for _, ev := range evs {
+		if ev.Type == "run" {
+			runs = append(runs, ev)
+		}
+	}
+	if len(runs) != len(j.jobs) {
+		t.Fatalf("%d run events, want %d", len(runs), len(j.jobs))
+	}
+	for i, ev := range runs {
+		if ev.RunKey != j.jobs[i].Key(opts) || ev.Done != i+1 || !ev.Cached {
+			t.Errorf("run event %d: key %s done %d cached %v, want job %d's key %s, done %d, cached",
+				i, ev.RunKey, ev.Done, ev.Cached, i, j.jobs[i].Key(opts), i+1)
 		}
 	}
 }

@@ -18,7 +18,7 @@ func fakeResult(bench string) *sweep.Result {
 		Bench: bench, Config: "RENO",
 		Cycles: 100, Insts: 50, IPC: 0.5,
 		ArchHash: "00000000000000aa", Hash: "00000000000000bb",
-		Pipeline: &pipeline.Result{Cycles: 100, Insts: 50, IPC: 0.5},
+		Metrics: (&pipeline.Result{Cycles: 100, Insts: 50, IPC: 0.5}).Metrics(),
 	}
 }
 
@@ -43,7 +43,7 @@ func TestDiskStorePutGet(t *testing.T) {
 		t.Fatalf("store has %d entries, want 2", s.Len())
 	}
 	got := s.Get(key16(1))
-	if got == nil || got.Bench != "gzip" || !got.Restored() {
+	if got == nil || got.Bench != "gzip" || !got.Complete() {
 		t.Fatalf("Get returned %+v", got)
 	}
 	if s.Get(key16(9)) != nil {

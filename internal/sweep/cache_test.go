@@ -182,3 +182,45 @@ func TestPartiallyCachedSweep(t *testing.T) {
 		})
 	}
 }
+
+// TestCachedResubmitSettlesInJobOrder: a fully cached resubmission is
+// settled before the pool, serially: Progress sees every run as cached,
+// in job order, and no workload is built or warmed.
+func TestCachedResubmitSettlesInJobOrder(t *testing.T) {
+	jobs, err := Grid{
+		Benches:        []string{"gzip", "gsm.de"},
+		MachineConfigs: Specs("4w", "6w"),
+		RenoConfigs:    Specs("BASE", "RENO"),
+	}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Workers: 4, Scale: 0.3, MaxInsts: 20000}
+	cache := map[string]*Result{}
+	opts.Progress = func(ri RunInfo) { cache[ri.Key] = ri.Result }
+	RunContext(context.Background(), jobs, opts)
+
+	// A context that never closes, counting its Done calls: every warmup
+	// (and every simulation) asks for it.
+	ctx := &lateCancel{Context: context.Background(), n: -1, done: make(chan struct{})}
+	var order []int
+	opts.Lookup = func(key string, _ Job) *Result { return cache[key] }
+	opts.Progress = func(ri RunInfo) {
+		if !ri.Cached || ri.Done != len(order)+1 {
+			t.Errorf("run %d: cached %v, done %d after %d runs", ri.Index, ri.Cached, ri.Done, len(order))
+		}
+		order = append(order, ri.Index)
+	}
+	RunContext(ctx, jobs, opts)
+	if len(order) != len(jobs) {
+		t.Fatalf("Progress saw %d runs, want %d", len(order), len(jobs))
+	}
+	for i, idx := range order {
+		if idx != i {
+			t.Fatalf("Progress order %v, want job order", order)
+		}
+	}
+	if ctx.calls != 0 {
+		t.Errorf("the sweep asked for Done %d times; a fully cached sweep warms and runs nothing", ctx.calls)
+	}
+}

@@ -105,16 +105,7 @@ func EncodeResult(key string, r *Result) ([]byte, error) {
 	if r.Err != "" {
 		return nil, fmt.Errorf("encode result %s: failed runs are not persistable (%s)", r.Key(), r.Err)
 	}
-	var set *metrics.Set
-	stop := ""
-	switch {
-	case r.Pipeline != nil:
-		set = r.Pipeline.Metrics()
-		stop = r.Pipeline.StopReason
-	case r.restored != nil:
-		set = r.restored
-		stop = r.restoredStop
-	default:
+	if r.Metrics == nil {
 		return nil, fmt.Errorf("encode result %s: partial result has no pipeline metrics", r.Key())
 	}
 	payload, err := json.Marshal(resultPayload{
@@ -125,7 +116,7 @@ func EncodeResult(key string, r *Result) ([]byte, error) {
 		BranchAccuracy: r.BranchAccuracy,
 		ArchHash:       r.ArchHash, Hash: r.Hash,
 		WallNS: r.WallNS, SimInstsPerSec: r.SimInstsPerSec,
-		StopReason: stop, Metrics: set,
+		StopReason: r.stopReason, Metrics: r.Metrics,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("encode result %s: %w", r.Key(), err)
@@ -192,57 +183,29 @@ func DecodeResult(data []byte) (key string, r *Result, err error) {
 		BranchAccuracy: p.BranchAccuracy,
 		ArchHash:       p.ArchHash, Hash: p.Hash,
 		WallNS: p.WallNS, SimInstsPerSec: p.SimInstsPerSec,
-		archHash:     archHash,
-		restored:     p.Metrics,
-		restoredStop: p.StopReason,
+		Metrics:    p.Metrics,
+		stopReason: p.StopReason,
+		archHash:   archHash,
 	}
 	return f.Key, res, nil
 }
 
-// Restored reports whether the result was decoded from a persistent store
-// (no live pipeline state, but the full metric set was captured at encode
-// time, so emission and auditing behave identically).
-func (r *Result) Restored() bool { return r.restored != nil }
-
 // Complete reports whether the result is a finished, successful run — the
 // only kind a result cache may serve in place of re-simulating.
 func (r *Result) Complete() bool {
-	return r != nil && r.Err == "" && (r.Pipeline != nil || r.restored != nil)
+	return r != nil && r.Err == "" && r.Metrics != nil
 }
 
 // Clone returns a copy of r that its holder may mutate freely: mutating
-// the copy's fields or its Pipeline never changes the original. Two parts
-// are shared, because nothing ever writes them after the run: the CPA
-// analyzer pointer (sweep runs never attach one) and a decoded result's
-// metric set, which emission copies before it adds the wall-clock metrics
-// and which no exported method hands out. The result cache clones on both
-// insert and lookup, so a cached result serves concurrent jobs without
-// copying its metric set on every hit.
+// the copy's fields never changes the original. The copy shares the
+// metric set, which nothing writes after the run (emission copies it
+// before it adds the wall-clock metrics), so a result cache that clones
+// on both insert and lookup serves concurrent jobs without copying a set
+// on every hit.
 func (r *Result) Clone() *Result {
 	if r == nil {
 		return nil
 	}
 	c := *r
-	if r.Pipeline != nil {
-		p := *r.Pipeline
-		c.Pipeline = &p
-	}
 	return &c
-}
-
-// cloneSet copies a metric set through the public constructors. The source
-// is name-sorted, so every insertion appends.
-func cloneSet(s *metrics.Set) *metrics.Set {
-	out := metrics.NewSet()
-	for _, m := range s.All() {
-		switch m.Kind {
-		case metrics.Counter:
-			out.Counter(m.Name, m.Count)
-		case metrics.Ratio:
-			out.Ratio(m.Name, m.Value)
-		default:
-			out.Gauge(m.Name, m.Value)
-		}
-	}
-	return out
 }

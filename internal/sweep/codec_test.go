@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func liveResult(t *testing.T) (string, *Result) {
 	opts := grid.Options()
 	results := Run(jobs, opts)
 	r := results[0]
-	if r.Err != "" || r.Pipeline == nil {
+	if r.Err != "" || r.Metrics == nil {
 		t.Fatalf("live run failed: %+v", r)
 	}
 	return jobs[0].Key(opts), r
@@ -31,9 +32,9 @@ func liveResult(t *testing.T) (string, *Result) {
 
 // TestResultCodecRoundTrip pins the tentpole property of the persistent
 // store format: a live-simulated result encodes, decodes, and re-encodes
-// byte-identically, and the decoded result emits an envelope record
-// byte-identical to the live one — so a store hit is observationally
-// equivalent to re-simulating.
+// byte-identically, the decoded result equals the live one, and it emits
+// an envelope record byte-identical to the live one — so a store hit is
+// observationally equivalent to re-simulating.
 func TestResultCodecRoundTrip(t *testing.T) {
 	key, live := liveResult(t)
 
@@ -48,8 +49,8 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	if gotKey != key {
 		t.Fatalf("decoded key %s, want %s", gotKey, key)
 	}
-	if !restored.Restored() || !restored.Complete() {
-		t.Fatalf("decoded result: restored=%v complete=%v", restored.Restored(), restored.Complete())
+	if !restored.Complete() {
+		t.Fatalf("decoded result is not complete: %+v", restored)
 	}
 
 	// Re-encode: byte-identical.
@@ -61,15 +62,10 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		t.Fatalf("re-encoded record differs from the original:\n%s\n----\n%s", enc, enc2)
 	}
 
-	// Scalar record equality (the CSV/event surface).
-	if restored.Hash != live.Hash || restored.ArchHash != live.ArchHash ||
-		restored.Cycles != live.Cycles || restored.Insts != live.Insts ||
-		restored.IPC != live.IPC || restored.ElimTotal != live.ElimTotal ||
-		restored.Bench != live.Bench || restored.Tag() != live.Tag() {
-		t.Fatalf("decoded scalars differ:\nlive:    %+v\nrestored: %+v", live, restored)
-	}
-	if restored.archHash != live.archHash {
-		t.Fatalf("decoded arch hash %x, want %x (Audit would skip restored results)", restored.archHash, live.archHash)
+	// A finished run has one form: the decoded result is the live one,
+	// field for field (metric set, stop reason and arch hash included).
+	if !reflect.DeepEqual(restored, live) {
+		t.Fatalf("decoded result differs from the live one:\nlive:     %+v\nrestored: %+v", live, restored)
 	}
 
 	// Envelope-record equality, the property /results depends on: a report
@@ -143,34 +139,24 @@ func TestEncodeResultRejectsIncomplete(t *testing.T) {
 	}
 }
 
-// TestResultClone: a clone is deep — mutating it (scalars and pipeline
-// state alike) leaves the original untouched.
+// TestResultClone: mutating a clone's fields leaves the original
+// untouched.
 func TestResultClone(t *testing.T) {
-	key, live := liveResult(t)
+	_, live := liveResult(t)
 	c := live.Clone()
 	c.IPC = -1
 	c.Hash = "mutated"
-	c.Pipeline.Cycles = 0
-	c.Pipeline.StopReason = "mutated"
-	if live.IPC == -1 || live.Hash == "mutated" || live.Pipeline.Cycles == 0 || live.Pipeline.StopReason == "mutated" {
+	if live.IPC == -1 || live.Hash == "mutated" {
 		t.Fatalf("mutating the clone changed the original: %+v", live)
 	}
 	if (*Result)(nil).Clone() != nil {
 		t.Error("nil clone is not nil")
 	}
 
-	// A decoded result's clone shares its metric set instead of copying it.
-	// Emitting the clone twice (each emission layers the wall-clock metrics
-	// onto a copy), mutating the emitted sets and mutating the clone leave
-	// the original's set and envelope unchanged.
-	enc, err := EncodeResult(key, live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, dec, err := DecodeResult(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A clone shares its metric set instead of copying it. Emitting the
+	// clone twice (each emission layers the wall-clock metrics onto a
+	// copy), mutating the emitted sets and mutating the clone leave the
+	// original's set and envelope unchanged.
 	envelope := func(r *Result) []byte {
 		var b bytes.Buffer
 		if err := NewReport(Grid{}, []*Result{r}).WriteJSON(&b, EmitOptions{}); err != nil {
@@ -178,23 +164,23 @@ func TestResultClone(t *testing.T) {
 		}
 		return b.Bytes()
 	}
-	before, want := dec.restored.All(), envelope(dec)
-	dc := dec.Clone()
-	if dc.restored != dec.restored {
-		t.Error("Clone copied the decoded metric set; it is shared read-only")
+	before, want := live.Metrics.All(), envelope(live)
+	c = live.Clone()
+	if c.Metrics != live.Metrics {
+		t.Error("Clone copied the metric set; it is shared read-only")
 	}
 	for i := 0; i < 2; i++ {
-		rec := dc.record(EmitOptions{})
+		rec := c.record(EmitOptions{})
 		if _, ok := rec.Metrics.Lookup(metrics.RunWallNS); !ok {
 			t.Fatalf("emission %d has no %s", i, metrics.RunWallNS)
 		}
 		rec.Metrics.Counter(metrics.PipelineCycles, 0).Counter("injected", 1)
 	}
-	dc.WallNS, dc.Hash = -1, "mutated"
-	if !slices.Equal(dec.restored.All(), before) {
-		t.Fatal("emitting or mutating a clone changed the decoded metric set")
+	c.WallNS, c.Hash = -1, "mutated"
+	if !slices.Equal(live.Metrics.All(), before) {
+		t.Fatal("emitting or mutating a clone changed the original metric set")
 	}
-	if got := envelope(dec); !bytes.Equal(got, want) {
+	if got := envelope(live); !bytes.Equal(got, want) {
 		t.Fatalf("emitting or mutating a clone changed the original's envelope:\n%s\n----\n%s", want, got)
 	}
 }

@@ -120,22 +120,14 @@ func (r *Result) record(opts EmitOptions) metrics.Record {
 	}
 
 	var set *metrics.Set
-	switch {
-	case r.Pipeline != nil:
-		set = r.Pipeline.Metrics()
-		if r.Pipeline.StopReason != "" {
-			attrs[metrics.AttrStopReason] = r.Pipeline.StopReason
+	if r.Metrics != nil {
+		// Copy the run's set before the wall-clock metrics are layered on
+		// below: it is shared by every clone of this result (Clone).
+		set = r.Metrics.Clone()
+		if r.stopReason != "" {
+			attrs[metrics.AttrStopReason] = r.stopReason
 		}
-	case r.restored != nil:
-		// Decoded from a persistent store: the full metric set was
-		// captured at encode time. Copy it before the wall-clock metrics
-		// are layered on below: the restored set is shared by every
-		// clone of this result (Clone).
-		set = cloneSet(r.restored)
-		if r.restoredStop != "" {
-			attrs[metrics.AttrStopReason] = r.restoredStop
-		}
-	default:
+	} else {
 		// The run failed (or was canceled before completing): emit the
 		// partial headline counters the pool recorded.
 		set = metrics.NewSet().

@@ -5,13 +5,13 @@
 // seeds; Expand crosses them into Jobs; Run executes the jobs on a fixed
 // number of workers (default runtime.GOMAXPROCS) pulling units of work from
 // a channel, so a ten-thousand-run sweep costs tens of goroutines, not ten
-// thousand. A unit is a batch of contiguous jobs, or a group of functional
-// jobs of one program that share one trace feed. Every run is seeded
-// deterministically from its (benchmark, seed) pair, timed individually,
-// and summarized by a stable FNV-1a hash over its architectural and
-// performance outcome — the hash is independent of worker count and
-// wall-clock, so two sweeps of the same grid can be diffed run-by-run
-// regardless of how they were scheduled.
+// thousand. A unit is the uncached jobs of one program on one backend, or
+// a stride part of them; a functional unit shares one trace feed. Every
+// run is seeded deterministically from its (benchmark, seed) pair, timed
+// individually, and summarized by a stable FNV-1a hash over its
+// architectural and performance outcome — the hash is independent of
+// worker count and wall-clock, so two sweeps of the same grid can be
+// diffed run-by-run regardless of how they were scheduled.
 //
 // The harness package's figure generators run on top of this pool; the
 // renosweep command exposes it directly.
@@ -23,6 +23,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"runtime"
 	"strconv"
@@ -88,14 +89,8 @@ func (j Job) Key(opts Options) string {
 // key is Key over j.Cfg's canonical JSON form cfg, or its marshal error.
 func (j Job) key(opts Options, cfg []byte, cfgErr error) string {
 	h := fnv.New64a()
-	write := func(parts ...string) {
-		for _, p := range parts {
-			h.Write([]byte(p))
-			h.Write([]byte{0})
-		}
-	}
-	write(j.Profile.Name, j.Profile.Suite, j.Machine, j.Config)
-	write(strconv.FormatInt(j.Seed, 10),
+	writeFields(h, j.Profile.Name, j.Profile.Suite, j.Machine, j.Config)
+	writeFields(h, strconv.FormatInt(j.Seed, 10),
 		strconv.FormatFloat(scaleOf(opts), 'g', -1, 64),
 		strconv.FormatUint(opts.MaxInsts, 10))
 	if j.Backend != "" {
@@ -104,20 +99,30 @@ func (j Job) key(opts Options, cfg []byte, cfgErr error) string {
 		// persistent stores stay valid — while runs of the same cell at
 		// different fidelities can never serve each other (their timing
 		// fields legitimately differ).
-		write("backend", j.Backend)
+		writeFields(h, "backend", j.Backend)
 	}
 	if cfgErr == nil {
 		h.Write(cfg)
 	} else {
-		write("cfg-error", cfgErr.Error())
+		writeFields(h, "cfg-error", cfgErr.Error())
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// writeFields writes each part to h followed by a NUL separator: the field
+// encoding of both run keys and run hashes.
+func writeFields(h hash.Hash, parts ...string) {
+	for _, p := range parts {
+		h.Write([]byte(p))
+		h.Write([]byte{0})
+	}
+}
+
 // Result is one completed run. The scalar fields form the stable
 // machine-readable record (serialized through the reno.metrics/v1 envelope
-// and the CSV view; see emit.go); Pipeline retains the full simulator
-// result for in-process consumers (tables, audits) and richer emission.
+// and the CSV view; see emit.go); Metrics is the finished run's full
+// metric set, whether the run was simulated in this process or decoded
+// from a persistent store (codec.go).
 type Result struct {
 	Bench   string
 	Suite   string
@@ -153,17 +158,16 @@ type Result struct {
 
 	Err string
 
-	Pipeline *pipeline.Result
-	archHash uint64
+	// Metrics is the run's full metric set (pipeline.Result.Metrics), nil
+	// for a failed or partial run. It is shared by every Clone and never
+	// written after the run; emission copies it.
+	Metrics *metrics.Set
+	// stopReason is pipeline.Result.StopReason of a finished run.
+	stopReason string
+	archHash   uint64
 	// buildFailed marks Err as a workload construction failure (the
 	// program never ran) rather than a simulation error.
 	buildFailed bool
-	// restored carries the full pipeline metric set (and stop reason)
-	// captured when the result was encoded for a persistent store
-	// (codec.go). A decoded result has no live Pipeline, but emits the
-	// identical envelope record through this set instead.
-	restored     *metrics.Set
-	restoredStop string
 }
 
 // BuildFailed reports whether the run's workload could not even be built.
@@ -221,8 +225,9 @@ type Options struct {
 	// must only return results recorded under the same key (same
 	// benchmark, seed, scale, budget, and resolved configuration): the
 	// pool trusts the hit and re-verifies nothing. Lookup is called
-	// serially during sweep setup, so it needs no internal locking against
-	// the pool.
+	// serially during sweep setup, in job order, and each hit is settled
+	// (Progress included) before the next job is looked up, so it needs no
+	// internal locking against the pool.
 	Lookup func(key string, j Job) *Result
 }
 
@@ -302,24 +307,24 @@ func NewErrorResult(j Job, msg string) *Result {
 	return r
 }
 
-// RunContext executes jobs on the bounded pool under ctx. The uncached
-// functional jobs of each (bench, seed) program run as one group over one
-// trace feed (backend.RunGroup), split into parts when there are fewer
-// groups than twice the worker count; each still gets the Result it would
-// get alone. When ctx is canceled, in-flight simulations stop promptly and
-// record their partial statistics with Err set; jobs not yet started are
-// marked canceled without running. RunContext always waits for its
-// workers to exit before returning, so no goroutines outlive the call, and
-// every slot in the returned slice is non-nil.
+// RunContext executes jobs on the bounded pool under ctx. Cache hits
+// (Options.Lookup) are settled first, serially and in job order, before
+// any workload is built. Every other job runs in its program's unit: the
+// uncached jobs of one (bench, seed, backend), split into stride parts
+// when there are fewer such groups than twice the worker count. A
+// functional unit runs over one trace feed (backend.RunGroup), a detailed
+// one member by member on one worker; either way each job gets the Result
+// it would get alone. When ctx is canceled, in-flight simulations stop
+// promptly and record their partial statistics with Err set; jobs not yet
+// started are marked canceled without running. RunContext always waits
+// for its workers to exit before returning, so no goroutines outlive the
+// call, and every slot in the returned slice is non-nil.
 func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 	results := make([]*Result, len(jobs))
 	if len(jobs) == 0 {
 		return results
 	}
 
-	// Resolve cache keys and hits up front, serially: hooks see each key
-	// exactly once, and fully cached (bench, seed) groups skip the
-	// workload build below entirely.
 	var keys []string
 	if opts.Progress != nil || opts.Lookup != nil {
 		keys = make([]string, len(jobs))
@@ -339,18 +344,39 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 			keys[i] = j.key(opts, c.cfg, c.err)
 		}
 	}
-	var cached []*Result
-	if opts.Lookup != nil {
-		cached = make([]*Result, len(jobs))
-		for i, j := range jobs {
-			cached[i] = opts.Lookup(keys[i], j)
+	var mu sync.Mutex // guards done counter + Progress serialization
+	done := 0
+	finish := func(i int, r *Result, hit bool) {
+		results[i] = r
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		if opts.Progress != nil {
+			opts.Progress(RunInfo{Done: done, Total: len(jobs), Index: i, Key: keys[i], Cached: hit, Result: r})
 		}
 	}
-	fromCache := func(i int) *Result {
-		if cached == nil {
-			return nil
+
+	// Settle cache hits serially, in job order; group every other job by
+	// its program and backend. A (bench, seed, backend) group's cells share
+	// one post-warmup snapshot, and functional ones one instruction stream.
+	type groupKey struct{ build, backend string }
+	var groups [][]int
+	slot := map[groupKey]int{}
+	for i, j := range jobs {
+		if opts.Lookup != nil {
+			if r := opts.Lookup(keys[i], j); r != nil {
+				finish(i, r, true)
+				continue
+			}
 		}
-		return cached[i]
+		k := groupKey{buildKey(j.Profile, j.Seed), j.Backend}
+		g, ok := slot[k]
+		if !ok {
+			g = len(groups)
+			slot[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
 	}
 
 	// Build and warm up each distinct (bench, seed) workload once, before
@@ -359,13 +385,11 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 	// warmup polls ctx; once ctx is done the prebuild stops, and every job
 	// it leaves unbuilt is reported canceled without running (skip).
 	builds := map[string]*built{}
-	for i, j := range jobs {
+	for _, g := range groups {
 		if ctx.Err() != nil {
 			break
 		}
-		if fromCache(i) != nil {
-			continue
-		}
+		j := jobs[g[0]]
 		k := buildKey(j.Profile, j.Seed)
 		if _, ok := builds[k]; ok {
 			continue
@@ -378,47 +402,20 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 		builds[k] = b
 	}
 
-	// Uncached functional cells of one (bench, seed) program decide the
-	// same instruction stream, so each such set runs as one group over one
-	// trace feed (runGroup). Every other cell, detailed or served from
-	// cache, runs on its own.
-	var singles []int
-	var groups [][]int
-	slot := map[string]int{}
-	for i, j := range jobs {
-		if kind, err := backend.ParseKind(j.Backend); err != nil || kind != backend.Functional || fromCache(i) != nil {
-			singles = append(singles, i)
-			continue
-		}
-		k := buildKey(j.Profile, j.Seed)
-		g, ok := slot[k]
-		if !ok {
-			g = len(groups)
-			slot[k] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-	}
-
-	// A unit of pool work is a group, or part of one, or a batch of
-	// contiguous singles: a fixed worker count and coarse batches keep
-	// goroutine and channel traffic bounded even for sweeps with thousands
-	// of runs. With fewer than two groups per worker, groups are split into
-	// parts so that no worker idles while another drains a long group. A
-	// part takes every p-th member, not a contiguous run: grids list
-	// configurations from the cheapest (BASE needs no engine) to the
-	// costliest, and striding gives every part a similar mix.
-	workers := min(opts.workers(), len(jobs))
+	// A unit of pool work is a group or a part of one: a fixed worker
+	// count and coarse units keep goroutine and channel traffic bounded
+	// even for sweeps with thousands of runs. With fewer than two groups
+	// per worker, groups are split into parts so that no worker idles
+	// while another drains a long group. A part takes every p-th member,
+	// not a contiguous run: grids list configurations from the cheapest
+	// (BASE needs no engine) to the costliest, and striding gives every
+	// part a similar mix.
+	workers := min(opts.workers(), len(jobs)-done)
 	parts := 1
 	if len(groups) > 0 && len(groups) < 2*workers {
 		parts = (2*workers + len(groups) - 1) / len(groups)
 	}
-	batch := max(1, len(singles)/(workers*8))
-	type unit struct {
-		idx   []int // job indices
-		group bool  // idx share one trace feed; otherwise each runs alone
-	}
-	var units []unit
+	work := make(chan []int, len(groups)*parts)
 	for _, g := range groups {
 		p := min(parts, len(g))
 		for k := 0; k < p; k++ {
@@ -426,49 +423,19 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 			for m := k; m < len(g); m += p {
 				part = append(part, g[m])
 			}
-			units = append(units, unit{part, true})
+			work <- part
 		}
-	}
-	for lo := 0; lo < len(singles); lo += batch {
-		units = append(units, unit{singles[lo:min(lo+batch, len(singles))], false})
-	}
-	work := make(chan unit, len(units))
-	for _, u := range units {
-		work <- u
 	}
 	close(work)
 
-	var mu sync.Mutex // guards done counter + Progress serialization
-	done := 0
-	finish := func(i int, r *Result, hit bool) {
-		results[i] = r
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		if opts.Progress != nil {
-			opts.Progress(RunInfo{Done: done, Total: len(jobs), Index: i, Key: keys[i], Cached: hit, Result: r})
-		}
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for u := range work {
-				if u.group {
-					j := jobs[u.idx[0]]
-					for k, r := range runGroup(ctx, jobs, u.idx, builds[buildKey(j.Profile, j.Seed)], opts) {
-						finish(u.idx[k], r, false)
-					}
-					continue
-				}
-				for _, i := range u.idx {
-					r, hit := fromCache(i), true
-					if r == nil {
-						r, hit = runOne(ctx, jobs[i], builds[buildKey(jobs[i].Profile, jobs[i].Seed)], opts), false
-					}
-					finish(i, r, hit)
-				}
+			for idx := range work {
+				j := jobs[idx[0]]
+				runGroup(ctx, jobs, idx, builds[buildKey(j.Profile, j.Seed)], opts, func(i int, r *Result) { finish(i, r, false) })
 			}
 		}()
 	}
@@ -547,12 +514,19 @@ func runOne(ctx context.Context, j Job, b *built, opts Options) *Result {
 	return r
 }
 
-// runGroup executes the functional jobs idx, which share one (bench, seed)
-// program, over one trace feed (backend.RunGroup) and returns their
-// Results in idx order: each is the Result runOne returns for its job
-// alone. The group's Timeout is opts.Timeout per member, and its wall time
-// is split evenly among the members.
-func runGroup(ctx context.Context, jobs []Job, idx []int, b *built, opts Options) []*Result {
+// runGroup executes the jobs idx, which share one (bench, seed) program
+// and one backend, and hands each job's Result to finish: the Result
+// runOne returns for the job alone. A functional group runs over one trace
+// feed (backend.RunGroup), with a Timeout of opts.Timeout per member and
+// its wall time split evenly among the members; any other group runs
+// member by member.
+func runGroup(ctx context.Context, jobs []Job, idx []int, b *built, opts Options, finish func(i int, r *Result)) {
+	if kind, err := backend.ParseKind(jobs[idx[0]].Backend); err != nil || kind != backend.Functional {
+		for _, i := range idx {
+			finish(i, runOne(ctx, jobs[i], b, opts))
+		}
+		return
+	}
 	out := make([]*Result, len(idx))
 	cfgs := make([]pipeline.Config, len(idx))
 	for k, i := range idx {
@@ -563,19 +537,21 @@ func runGroup(ctx context.Context, jobs []Job, idx []int, b *built, opts Options
 			r.Err, r.buildFailed = out[0].Err, out[0].buildFailed
 			r.Hash = hashResult(r)
 		}
-		return out
+	} else {
+		rctx, cancel := withTimeout(ctx, opts.Timeout*time.Duration(len(idx)))
+		defer cancel()
+		//lint:ignore determinism wall time is telemetry only: WallNS is excluded from hashResult and from -stable output
+		t0 := time.Now()
+		bres, errs := backend.RunGroup(rctx, backend.Request{Start: b.start, MaxInsts: opts.MaxInsts}, cfgs)
+		//lint:ignore determinism wall time is telemetry only: WallNS is excluded from hashResult and from -stable output
+		wall := time.Since(t0).Nanoseconds() / int64(len(idx))
+		for k, r := range out {
+			record(r, bres[k], errs[k], wall)
+		}
 	}
-	rctx, cancel := withTimeout(ctx, opts.Timeout*time.Duration(len(idx)))
-	defer cancel()
-	//lint:ignore determinism wall time is telemetry only: WallNS is excluded from hashResult and from -stable output
-	t0 := time.Now()
-	bres, errs := backend.RunGroup(rctx, backend.Request{Start: b.start, MaxInsts: opts.MaxInsts}, cfgs)
-	//lint:ignore determinism wall time is telemetry only: WallNS is excluded from hashResult and from -stable output
-	wall := time.Since(t0).Nanoseconds() / int64(len(idx))
 	for k, r := range out {
-		record(r, bres[k], errs[k], wall)
+		finish(idx[k], r)
 	}
-	return out
 }
 
 // record fills r from its backend run, which took wallNS of wall time.
@@ -600,7 +576,8 @@ func record(r *Result, bres *backend.Result, err error, wallNS int64) {
 		r.Hash = hashResult(r)
 		return
 	}
-	r.Pipeline = res
+	r.Metrics = res.Metrics()
+	r.stopReason = res.StopReason
 	r.Cycles = res.Cycles
 	r.Insts = res.Insts
 	r.IPC = res.IPC
@@ -623,21 +600,15 @@ func record(r *Result, bres *backend.Result, err error, wallNS int64) {
 // excluded, so the hash is invariant under worker count and machine load.
 func hashResult(r *Result) string {
 	h := fnv.New64a()
-	write := func(parts ...string) {
-		for _, p := range parts {
-			h.Write([]byte(p))
-			h.Write([]byte{0})
-		}
-	}
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	write(r.Bench, r.Suite, r.Machine, r.Config, strconv.FormatInt(r.Seed, 10))
-	write(strconv.FormatUint(r.Cycles, 10), strconv.FormatUint(r.Insts, 10), f(r.IPC))
-	write(f(r.ElimME), f(r.ElimCF), f(r.ElimLoads), f(r.ElimALU), f(r.ElimTotal))
-	write(f(r.BranchAccuracy), r.ArchHash, r.Err)
+	writeFields(h, r.Bench, r.Suite, r.Machine, r.Config, strconv.FormatInt(r.Seed, 10))
+	writeFields(h, strconv.FormatUint(r.Cycles, 10), strconv.FormatUint(r.Insts, 10), f(r.IPC))
+	writeFields(h, f(r.ElimME), f(r.ElimCF), f(r.ElimLoads), f(r.ElimALU), f(r.ElimTotal))
+	writeFields(h, f(r.BranchAccuracy), r.ArchHash, r.Err)
 	if r.Backend != "" {
 		// Conditional for the same reason Job.Key's backend fold is:
 		// detailed runs hash identically to their pre-backend form.
-		write("backend", r.Backend)
+		writeFields(h, "backend", r.Backend)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -359,7 +359,7 @@ func TestFunctionalGroupsMatchSingleRuns(t *testing.T) {
 		opts.Workers = workers
 		for i, r := range RunContext(context.Background(), jobs, opts) {
 			want := alone[i]
-			if r.Err != "" || r.Hash != want.Hash || r.ArchHash != want.ArchHash || !r.Pipeline.Metrics().Equal(want.Pipeline.Metrics()) {
+			if r.Err != "" || r.Hash != want.Hash || r.ArchHash != want.ArchHash || !r.Metrics.Equal(want.Metrics) {
 				t.Errorf("workers=%d %s: grouped run (hash %s, err %q) differs from its run alone (hash %s, err %q)",
 					workers, r.Key(), r.Hash, r.Err, want.Hash, want.Err)
 			}

@@ -56,7 +56,7 @@ func TestCanceledPrebuild(t *testing.T) {
 			if r == nil {
 				t.Fatalf("%s: slot %d nil", name, i)
 			}
-			if r.Err != context.Canceled.Error() || r.Insts != 0 || r.WallNS != 0 || r.Pipeline != nil || r.BuildFailed() {
+			if r.Err != context.Canceled.Error() || r.Insts != 0 || r.WallNS != 0 || r.Metrics != nil || r.BuildFailed() {
 				t.Errorf("%s: %s: err %q, %d insts, wall %d ns, build failed %v; want a canceled job that never ran",
 					name, r.Key(), r.Err, r.Insts, r.WallNS, r.BuildFailed())
 			}

@@ -254,6 +254,12 @@ func (s *Set) All() []Metric {
 	return append([]Metric(nil), s.metrics()...)
 }
 
+// Clone returns a copy of s that shares nothing with it, allocated at its
+// exact size (an empty set for nil).
+func (s *Set) Clone() *Set {
+	return &Set{list: slices.Clone(s.metrics())}
+}
+
 // Equal reports whether two sets carry exactly the same metrics (names,
 // kinds, and values), regardless of insertion order.
 func (s *Set) Equal(t *Set) bool {
