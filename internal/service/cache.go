@@ -75,10 +75,10 @@ func (c *Cache) Bound() int {
 	return c.max
 }
 
-// Lookup returns a copy of the cached result for key (nil on miss) and
-// counts the outcome. The returned result is the caller's own: mutating it
-// never affects the cache.
-func (c *Cache) Lookup(key string) *sweep.Result {
+// Get returns a copy of the cached result for key (nil on miss) and counts
+// the outcome. The returned result is the caller's own: mutating it never
+// affects the cache.
+func (c *Cache) Get(key string) *sweep.Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
@@ -89,9 +89,6 @@ func (c *Cache) Lookup(key string) *sweep.Result {
 	c.misses++
 	return nil
 }
-
-// Get is Lookup under the ResultStore interface name.
-func (c *Cache) Get(key string) *sweep.Result { return c.Lookup(key) }
 
 // Put stores a copy (Clone) of a completed successful run under its key,
 // evicting the least recently used entry when the bound is exceeded. Failed

@@ -168,7 +168,7 @@ func TestCacheOnlyKeepsCompleteRuns(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("cache kept %d incomplete runs", c.Len())
 	}
-	if c.Lookup("k2") != nil {
+	if c.Get("k2") != nil {
 		t.Error("lookup returned an uncached failure")
 	}
 	hits, misses := c.Stats()
@@ -186,17 +186,17 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := NewCacheSize(2)
 	c.Put("a", ok("a"))
 	c.Put("b", ok("b"))
-	if c.Lookup("a") == nil { // refresh "a": "b" is now the LRU victim
+	if c.Get("a") == nil { // refresh "a": "b" is now the LRU victim
 		t.Fatal("warm entry missing")
 	}
 	c.Put("c", ok("c"))
 	if c.Len() != 2 || c.Evictions() != 1 {
 		t.Fatalf("len %d evictions %d, want 2 and 1", c.Len(), c.Evictions())
 	}
-	if c.Lookup("b") != nil {
+	if c.Get("b") != nil {
 		t.Error("LRU entry survived eviction")
 	}
-	if c.Lookup("a") == nil || c.Lookup("c") == nil {
+	if c.Get("a") == nil || c.Get("c") == nil {
 		t.Error("recently used entries were evicted")
 	}
 	// Re-putting an existing key refreshes in place, never evicts.
@@ -204,7 +204,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	if c.Len() != 2 || c.Evictions() != 1 {
 		t.Errorf("refresh changed len/evictions: %d/%d", c.Len(), c.Evictions())
 	}
-	if got := c.Lookup("a"); got == nil || got.Bench != "a2" {
+	if got := c.Get("a"); got == nil || got.Bench != "a2" {
 		t.Error("refresh did not replace the entry")
 	}
 }
@@ -269,7 +269,7 @@ func TestCacheLookupAliasing(t *testing.T) {
 	// Mutating the inserted result after Put must not reach the cache.
 	orig.IPC = -1
 
-	got := c.Lookup("k")
+	got := c.Get("k")
 	if got == nil || got.IPC != 1.5 {
 		t.Fatalf("cache aliased the inserted result: %+v", got)
 	}
@@ -278,7 +278,7 @@ func TestCacheLookupAliasing(t *testing.T) {
 	got.IPC = -2
 	got.Hash = "mutated"
 
-	again := c.Lookup("k")
+	again := c.Get("k")
 	if again.IPC != 1.5 || again.Hash != "h0" {
 		t.Fatalf("cache aliased the emitted result: %+v", again)
 	}
@@ -311,7 +311,7 @@ func TestCacheLookupAliasing(t *testing.T) {
 		}
 		return b.Bytes()
 	}
-	served := c.Lookup("d")
+	served := c.Get("d")
 	want := envelope(served)
 	if twice := envelope(served); !bytes.Equal(twice, want) {
 		t.Fatalf("emitting a decoded result twice changed its envelope:\n%s\n----\n%s", want, twice)
@@ -322,7 +322,7 @@ func TestCacheLookupAliasing(t *testing.T) {
 	}
 	mr.Records[0].Metrics.Counter(metrics.PipelineCycles, 0).Counter("injected", 1)
 	served.WallNS, served.Hash, served.Cycles = -1, "mutated", 0
-	if got := envelope(c.Lookup("d")); !bytes.Equal(got, want) {
+	if got := envelope(c.Get("d")); !bytes.Equal(got, want) {
 		t.Fatalf("mutating a served decoded result changed the cache:\n%s\n----\n%s", want, got)
 	}
 	if got := envelope(decoded); !bytes.Equal(got, want) {

@@ -160,15 +160,6 @@ func MustBuild(p Profile) *Program {
 	return w
 }
 
-// Run executes the workload functionally and returns the machine.
-//
-//lint:ignore ctxflow bounded synchronous emulation; cancellation happens at cycle granularity in pipeline.RunContext
-func (w *Program) Run(limit uint64) (*emu.Machine, error) {
-	m := emu.New(w.Code)
-	err := m.Run(limit)
-	return m, err
-}
-
 // WarmupCount returns the number of dynamic instructions in the program's
 // initialization prologue (data and linked-list setup), i.e., the count
 // executed before control first reaches the main measurement loop. The

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"io"
-	"strings"
 	"time"
 
 	"reno/internal/sweep"
@@ -70,16 +69,11 @@ func ParseGrid(data []byte) (*Grid, error) {
 	}, nil
 }
 
-// specs wraps axis strings as sweep entries, treating "{"-prefixed entries
-// as inline spec objects.
+// specs wraps axis strings as sweep entries (axisSpec).
 func specs(entries []string) []sweep.Spec {
 	out := make([]sweep.Spec, len(entries))
 	for i, e := range entries {
-		if strings.HasPrefix(strings.TrimSpace(e), "{") {
-			out[i].Raw = []byte(e)
-		} else {
-			out[i].Name = e
-		}
+		out[i] = axisSpec(e)
 	}
 	return out
 }
