@@ -1,18 +1,20 @@
 // Command renobench regenerates the tables and figures of the RENO paper's
 // evaluation (Section 4). Each figure prints as a text table whose rows and
-// series correspond to the paper's bars.
+// series correspond to the paper's bars, under a "==== <title> ===="
+// header and followed by its "(<title> in <duration>)" timing line.
 //
 // Usage:
 //
+//	renobench -fig mix          # Section 4.2 instruction-mix table
 //	renobench -fig 8            # Figure 8: eliminations + speedups
 //	renobench -fig 9            # Figure 9: critical-path breakdowns
 //	renobench -fig 10           # Figure 10: CF vs CSE+RA division of labor
 //	renobench -fig 11           # Figure 11: register-file and width downsizing
 //	renobench -fig 12           # Figure 12: 2-cycle scheduling loop
-//	renobench -fig mix          # Section 4.2 instruction-mix table
 //	renobench -fig cf-latency   # Section 3.3 fusion-latency ablation
-//	renobench -fig all          # everything
+//	renobench -fig all          # everything, in the order above
 //
+// The keys and their order are harness.Figures; an unknown key exits 2.
 // -scale and -max trade runtime for measurement length.
 //
 // The simulator's own speed is measured by the repository benchmark
@@ -25,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -32,7 +35,11 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 8, 9, 10, 11, 12, mix, cf-latency, all")
+	var keys []string
+	for _, f := range harness.Figures {
+		keys = append(keys, f.Key)
+	}
+	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(keys, ", ")+", all")
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	maxInsts := flag.Uint64("max", 300_000, "timed instructions per run (0 = to completion)")
 	serial := flag.Bool("serial", false, "disable parallel simulation")
@@ -46,44 +53,19 @@ func main() {
 	opts := harness.Options{Scale: *scale, MaxInsts: *maxInsts, Parallel: !*serial, Workers: *workers, Timeout: *timeout}
 	w := os.Stdout
 
-	run := func(name string, f func()) {
+	did := false
+	for _, f := range harness.Figures {
+		if *fig != "all" && *fig != f.Key {
+			continue
+		}
+		did = true
 		if ctx.Err() != nil {
-			return
+			break
 		}
 		t0 := time.Now()
-		fmt.Fprintf(w, "==== %s ====\n", name)
-		f()
-		fmt.Fprintf(w, "(%s in %s)\n\n", name, time.Since(t0).Truncate(time.Millisecond))
-	}
-
-	did := false
-	want := func(k string) bool {
-		if *fig == "all" || *fig == k {
-			did = true
-			return true
-		}
-		return false
-	}
-	if want("mix") {
-		run("Instruction mix (Section 4.2)", func() { harness.TableMix(ctx, w, opts) })
-	}
-	if want("8") {
-		run("Figure 8", func() { harness.Fig8(ctx, w, opts) })
-	}
-	if want("9") {
-		run("Figure 9", func() { harness.Fig9(ctx, w, opts) })
-	}
-	if want("10") {
-		run("Figure 10", func() { harness.Fig10(ctx, w, opts) })
-	}
-	if want("11") {
-		run("Figure 11", func() { harness.Fig11(ctx, w, opts) })
-	}
-	if want("12") {
-		run("Figure 12", func() { harness.Fig12(ctx, w, opts) })
-	}
-	if want("cf-latency") {
-		run("CF fusion-latency ablation (Section 3.3)", func() { harness.CFLatencyAblation(ctx, w, opts) })
+		fmt.Fprintf(w, "==== %s ====\n", f.Title)
+		f.Run(ctx, w, opts)
+		fmt.Fprintf(w, "(%s in %s)\n\n", f.Title, time.Since(t0).Truncate(time.Millisecond))
 	}
 	if !did {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,21 +19,34 @@ import (
 	"reno/metrics"
 )
 
+// Figure is one table or figure of the paper's evaluation.
+type Figure struct {
+	Key   string // renobench's -fig value
+	Title string // section header
+	Run   func(ctx context.Context, w io.Writer, opts Options)
+}
+
+// Figures lists every table and figure in the order renobench prints them.
+var Figures = []Figure{
+	{"mix", "Instruction mix (Section 4.2)", TableMix},
+	{"8", "Figure 8", Fig8},
+	{"9", "Figure 9", Fig9},
+	{"10", "Figure 10", Fig10},
+	{"11", "Figure 11", Fig11},
+	{"12", "Figure 12", Fig12},
+	{"cf-latency", "CF fusion-latency ablation (Section 3.3)", CFLatencyAblation},
+}
+
 // Fig8 regenerates Figure 8: per-benchmark instruction elimination rates
 // (ME / CF / RA+CSE stacks) and speedups, on 4- and 6-wide machines.
 func Fig8(ctx context.Context, w io.Writer, opts Options) {
-	spec, media := Suites()
-
 	rs := runGrid(ctx, w, sweep.Grid{
 		Benches:        []string{"all"},
 		MachineConfigs: sweep.Specs("4w", "6w"),
 		RenoConfigs:    sweep.Specs("BASE", "RENO"),
 	}, opts)
 
-	for _, suite := range []struct {
-		name  string
-		profs []workload.Profile
-	}{{"SPECint", spec}, {"MediaBench", media}} {
+	for _, suite := range suites {
 		elim := &Table{
 			Title:   fmt.Sprintf("Figure 8 (top, %s): %% dynamic instructions eliminated or folded", suite.name),
 			Columns: []string{"bench", "ME(4)", "CF(4)", "RA+CSE(4)", "tot(4)", "tot(6)"},
@@ -73,68 +87,86 @@ func Fig8(ctx context.Context, w io.Writer, opts Options) {
 // benchmark subset under BASE, ME+CF, and full RENO. The sweep pool has no
 // critical-path analyzer, so the grid only resolves the configurations and
 // each run goes straight to the pipeline with CPA attached, under ctx and
-// opts.Timeout like a sweep run. The runs share the worker count of a
-// sweep; each benchmark's warmup runs once, and its runs start from the
-// snapshot.
+// opts.Timeout like a sweep run. The runs go through warmEach: each
+// benchmark's warmup runs once, and its runs start from the snapshot.
 func Fig9(ctx context.Context, w io.Writer, opts Options) {
-	specSel := []string{"crafty", "eon.k", "gap", "gzip", "parser", "perl.s", "vortex", "vpr.r"}
-	mediaSel := []string{"adpcm.de", "epic", "g721.en", "gsm.de", "jpg.de", "mesa.m", "mesa.t", "mpg2.en", "pegw.en"}
+	sels := [][]string{
+		{"crafty", "eon.k", "gap", "gzip", "parser", "perl.s", "vortex", "vpr.r"},
+		{"adpcm.de", "epic", "g721.en", "gsm.de", "jpg.de", "mesa.m", "mesa.t", "mpg2.en", "pegw.en"},
+	}
 	renos := sweep.Specs("BASE", "ME+CF", "RENO")
 
-	for _, sel := range [][]string{specSel, mediaSel} {
-		// Expansion is bench-major: each benchmark's runs are len(renos)
-		// consecutive jobs on the default "4w" machine.
-		jobs, err := sweep.Grid{Benches: sel, RenoConfigs: renos}.Expand()
-		if err != nil {
-			panic(err)
-		}
-		warm := make([]func() (*emu.Snapshot, error), len(sel))
-		for b := range warm {
-			p := jobs[b*len(renos)].Profile
-			warm[b] = sync.OnceValues(func() (*emu.Snapshot, error) {
-				return workload.MustBuild(workload.Scale(p, opts.Scale)).Warm(ctx)
-			})
-		}
-		type cell struct {
-			res *pipeline.Result
-			err error
-		}
-		cells := make([]cell, len(jobs))
-		forEach(opts.workers(), len(jobs), func(i int) {
-			start, err := warm[i/len(renos)]()
-			if err != nil || ctx.Err() != nil {
-				return
-			}
-			cells[i].res, cells[i].err = runCPA(ctx, jobs[i].Cfg, start, opts)
-		})
-		if ctx.Err() != nil {
-			return
-		}
+	// Expansion is bench-major: each benchmark's runs are len(renos)
+	// consecutive jobs on the default "4w" machine.
+	jobs, err := sweep.Grid{Benches: append(sels[0], sels[1]...), RenoConfigs: renos}.Expand()
+	if err != nil {
+		panic(err)
+	}
+	profs := make([]workload.Profile, len(jobs)/len(renos))
+	for b := range profs {
+		profs[b] = jobs[b*len(renos)].Profile
+	}
+	type cell struct {
+		res *pipeline.Result
+		err error
+	}
+	cells := make([]cell, len(jobs))
+	warmErrs := warmEach(ctx, profs, len(renos), opts, func(i int, start *emu.Snapshot) {
+		cells[i].res, cells[i].err = runCPA(ctx, jobs[i].Cfg, start, opts)
+	})
+	if ctx.Err() != nil {
+		return
+	}
 
+	b := 0 // index into profs
+	for _, sel := range sels {
 		tb := &Table{
 			Title:   "Figure 9: critical-path breakdown (% of critical path)",
 			Columns: []string{"bench", "config", "fetch", "alu", "load", "mem", "commit"},
 		}
-		for i := 0; i < len(jobs); i += len(renos) {
-			name := jobs[i].Profile.Name
-			if _, err := warm[i/len(renos)](); err != nil {
+		for end := b + len(sel); b < end; b++ {
+			name := profs[b].Name
+			if err := warmErrs[b]; err != nil {
 				fmt.Fprintf(w, "%s: %v\n", name, err)
 				continue
 			}
-			for k, j := range jobs[i : i+len(renos)] {
-				c := cells[i+k]
-				if c.err != nil {
-					fmt.Fprintf(w, "%s/%s: %v\n", name, j.Config, c.err)
+			for i := b * len(renos); i < (b+1)*len(renos); i++ {
+				if err := cells[i].err; err != nil {
+					fmt.Fprintf(w, "%s/%s: %v\n", name, jobs[i].Config, err)
 					continue
 				}
-				p := c.res.CPA.Percent()
-				tb.AddRow(name, j.Config,
+				p := cells[i].res.CPA.Percent()
+				tb.AddRow(name, jobs[i].Config,
 					F(p[cpa.BFetch]), F(p[cpa.BALU]), F(p[cpa.BLoad]), F(p[cpa.BMem]), F(p[cpa.BCommit]))
 			}
 		}
 		tb.Fprint(w)
 		fmt.Fprintln(w)
 	}
+}
+
+// warmEach builds and warms each of profs once, at opts.Scale, and calls
+// run(i, start) for every i in [0, len(profs)*per) on forEach at the pool
+// width, where start is the post-warmup snapshot of benchmark i/per. It
+// returns each benchmark's warmup error; a benchmark whose warmup failed,
+// or a run once ctx is done, gets no call.
+func warmEach(ctx context.Context, profs []workload.Profile, per int, opts Options, run func(i int, start *emu.Snapshot)) []error {
+	warm := make([]func() (*emu.Snapshot, error), len(profs))
+	for b, p := range profs {
+		warm[b] = sync.OnceValues(func() (*emu.Snapshot, error) {
+			return workload.MustBuild(workload.Scale(p, opts.Scale)).Warm(ctx)
+		})
+	}
+	forEach(opts.workers(), len(profs)*per, func(i int) {
+		if start, err := warm[i/per](); err == nil && ctx.Err() == nil {
+			run(i, start)
+		}
+	})
+	errs := make([]error, len(profs))
+	for b := range warm {
+		_, errs[b] = warm[b]()
+	}
+	return errs
 }
 
 // forEach calls fn(i) for every i in [0, n) on up to workers goroutines
@@ -176,19 +208,13 @@ func runCPA(ctx context.Context, cfg pipeline.Config, start *emu.Snapshot, opts 
 // alone, loads-only integration alone — plus the E9 table-bandwidth
 // accounting (Section 2.4's 50%/56% claims).
 func Fig10(ctx context.Context, w io.Writer, opts Options) {
-	spec, media := Suites()
-	all := append(append([]workload.Profile{}, spec...), media...)
-
 	rs := runGrid(ctx, w, sweep.Grid{
 		Benches:        []string{"all"},
 		MachineConfigs: sweep.Specs("4w"),
 		RenoConfigs:    sweep.Specs("BASE", "RENO", "RENO+FI", "FullInteg", "LoadsInteg"),
 	}, opts)
 
-	for _, suite := range []struct {
-		name  string
-		profs []workload.Profile
-	}{{"SPECint", spec}, {"MediaBench", media}} {
+	for _, suite := range suites {
 		tb := &Table{
 			Title:   fmt.Sprintf("Figure 10 (%s): %% speedup over baseline", suite.name),
 			Columns: []string{"bench", "RENO", "RENO+FullInteg", "FullInteg", "LoadsInteg"},
@@ -218,12 +244,14 @@ func Fig10(ctx context.Context, w io.Writer, opts Options) {
 		return lookups + inserts
 	}
 	var renoAcc, fiAcc uint64
-	for _, b := range all {
-		if r := rs.get(b.Name, "4w/RENO"); r != nil {
-			renoAcc += itAccesses(r)
-		}
-		if r := rs.get(b.Name, "4w/RENO+FI"); r != nil {
-			fiAcc += itAccesses(r)
+	for _, suite := range suites {
+		for _, b := range suite.profs {
+			if r := rs.get(b.Name, "4w/RENO"); r != nil {
+				renoAcc += itAccesses(r)
+			}
+			if r := rs.get(b.Name, "4w/RENO+FI"); r != nil {
+				fiAcc += itAccesses(r)
+			}
 		}
 	}
 	if fiAcc > 0 {
@@ -238,173 +266,124 @@ var renoAxis = []struct{ label, cfg string }{
 	{"BASE", "BASE"}, {"CF+ME", "ME+CF"}, {"RA+CSE", "RENO"},
 }
 
-// renoAxisHeaders builds a table header row from the axis labels.
-func renoAxisHeaders(first string) []string {
-	cols := []string{first}
-	for _, c := range renoAxis {
-		cols = append(cols, c.label)
+// relFigure declares a relative-performance figure: one row per machine,
+// one column per renoAxis configuration, and in each cell the suite mean of
+// the run's performance relative to the base run (100 = parity). The rows'
+// machines, in order, are the machine axis of the figure's sweep grid.
+type relFigure struct {
+	title  string // table title, with a %s for the suite name
+	header string // first column header
+	base   string // tag (machine/config) of the 100 baseline
+	rows   []struct{ label, machine string }
+}
+
+// render runs the figure's grid over every benchmark and prints one table
+// per suite.
+func (f relFigure) render(ctx context.Context, w io.Writer, opts Options) {
+	machines := make([]string, len(f.rows))
+	for i, r := range f.rows {
+		machines[i] = r.machine
 	}
-	return cols
+	cols := []string{f.header}
+	var cfgs []string
+	for _, c := range renoAxis {
+		cols, cfgs = append(cols, c.label), append(cfgs, c.cfg)
+	}
+	rs := runGrid(ctx, w, sweep.Grid{
+		Benches:        []string{"all"},
+		MachineConfigs: sweep.Specs(machines...),
+		RenoConfigs:    sweep.Specs(cfgs...),
+	}, opts)
+
+	for _, suite := range suites {
+		tb := &Table{Title: fmt.Sprintf(f.title, suite.name), Columns: cols}
+		for _, r := range f.rows {
+			row := []string{r.label}
+			for _, c := range renoAxis {
+				var vals []float64
+				for _, b := range suite.profs {
+					vals = append(vals, rs.relPerf(b.Name, f.base, r.machine+"/"+c.cfg))
+				}
+				row = append(row, F(MeanPct(vals)))
+			}
+			tb.AddRow(row...)
+		}
+		tb.Fprint(w)
+		fmt.Fprintln(w)
+	}
 }
 
 // Fig11 regenerates Figure 11: RENO compensating for reduced physical
 // register files (top) and reduced issue width (bottom). Values are
 // performance relative to the full-size RENO-less baseline (=100).
 func Fig11(ctx context.Context, w io.Writer, opts Options) {
-	spec, media := Suites()
-
-	// Top: register file sweep ("4w" is the 160-preg default).
-	pregMachines := map[int]string{96: "4w:p96", 112: "4w:p112", 128: "4w:p128", 160: "4w"}
-	rs := runGrid(ctx, w, sweep.Grid{
-		Benches:        []string{"all"},
-		MachineConfigs: sweep.Specs("4w:p96", "4w:p112", "4w:p128", "4w"),
-		RenoConfigs:    sweep.Specs("BASE", "ME+CF", "RENO"),
-	}, opts)
-
-	for _, suite := range []struct {
-		name  string
-		profs []workload.Profile
-	}{{"SPECint", spec}, {"MediaBench", media}} {
-		tb := &Table{
-			Title:   fmt.Sprintf("Figure 11 top (%s): relative performance (100 = 160-preg RENO-less baseline)", suite.name),
-			Columns: renoAxisHeaders("pregs"),
-		}
-		for _, n := range []int{96, 112, 128, 160} {
-			row := []string{fmt.Sprint(n)}
-			for _, c := range renoAxis {
-				var vals []float64
-				for _, b := range suite.profs {
-					vals = append(vals, rs.relPerf(b.Name, "4w/BASE", pregMachines[n]+"/"+c.cfg))
-				}
-				row = append(row, F(MeanPct(vals)))
-			}
-			tb.AddRow(row...)
-		}
-		tb.Fprint(w)
-		fmt.Fprintln(w)
-	}
-
-	// Bottom: issue width sweep.
-	widths := []string{"i2t2", "i2t3", "i3t4"}
-	rs = runGrid(ctx, w, sweep.Grid{
-		Benches:        []string{"all"},
-		MachineConfigs: sweep.Specs("4w:i2t2", "4w:i2t3", "4w:i3t4"),
-		RenoConfigs:    sweep.Specs("BASE", "ME+CF", "RENO"),
-	}, opts)
-
-	for _, suite := range []struct {
-		name  string
-		profs []workload.Profile
-	}{{"SPECint", spec}, {"MediaBench", media}} {
-		tb := &Table{
-			Title:   fmt.Sprintf("Figure 11 bottom (%s): relative performance (100 = i3t4 RENO-less baseline)", suite.name),
-			Columns: renoAxisHeaders("issue"),
-		}
-		for _, wd := range widths {
-			row := []string{wd}
-			for _, c := range renoAxis {
-				var vals []float64
-				for _, b := range suite.profs {
-					vals = append(vals, rs.relPerf(b.Name, "4w:i3t4/BASE", "4w:"+wd+"/"+c.cfg))
-				}
-				row = append(row, F(MeanPct(vals)))
-			}
-			tb.AddRow(row...)
-		}
-		tb.Fprint(w)
-		fmt.Fprintln(w)
-	}
+	// "4w" is the 160-preg default.
+	relFigure{
+		title:  "Figure 11 top (%s): relative performance (100 = 160-preg RENO-less baseline)",
+		header: "pregs",
+		base:   "4w/BASE",
+		rows:   []struct{ label, machine string }{{"96", "4w:p96"}, {"112", "4w:p112"}, {"128", "4w:p128"}, {"160", "4w"}},
+	}.render(ctx, w, opts)
+	relFigure{
+		title:  "Figure 11 bottom (%s): relative performance (100 = i3t4 RENO-less baseline)",
+		header: "issue",
+		base:   "4w:i3t4/BASE",
+		rows:   []struct{ label, machine string }{{"i2t2", "4w:i2t2"}, {"i2t3", "4w:i2t3"}, {"i3t4", "4w:i3t4"}},
+	}.render(ctx, w, opts)
 }
 
 // Fig12 regenerates Figure 12: tolerating a 2-cycle wakeup-select
 // scheduling loop. Values relative to the 1-cycle RENO-less baseline.
 func Fig12(ctx context.Context, w io.Writer, opts Options) {
-	spec, media := Suites()
-
 	// "4w" has the 1-cycle wakeup-select loop; "4w:s2" stretches it to 2.
-	loopMachines := map[int]string{1: "4w", 2: "4w:s2"}
-	rs := runGrid(ctx, w, sweep.Grid{
-		Benches:        []string{"all"},
-		MachineConfigs: sweep.Specs("4w", "4w:s2"),
-		RenoConfigs:    sweep.Specs("BASE", "ME+CF", "RENO"),
-	}, opts)
-
-	for _, suite := range []struct {
-		name  string
-		profs []workload.Profile
-	}{{"SPECint", spec}, {"MediaBench", media}} {
-		tb := &Table{
-			Title:   fmt.Sprintf("Figure 12 (%s): relative performance (100 = 1-cycle-loop RENO-less baseline)", suite.name),
-			Columns: renoAxisHeaders("schedloop"),
-		}
-		for _, loop := range []int{1, 2} {
-			row := []string{fmt.Sprintf("%dc", loop)}
-			for _, c := range renoAxis {
-				var vals []float64
-				for _, b := range suite.profs {
-					vals = append(vals, rs.relPerf(b.Name, "4w/BASE", loopMachines[loop]+"/"+c.cfg))
-				}
-				row = append(row, F(MeanPct(vals)))
-			}
-			tb.AddRow(row...)
-		}
-		tb.Fprint(w)
-		fmt.Fprintln(w)
-	}
+	relFigure{
+		title:  "Figure 12 (%s): relative performance (100 = 1-cycle-loop RENO-less baseline)",
+		header: "schedloop",
+		base:   "4w/BASE",
+		rows:   []struct{ label, machine string }{{"1c", "4w"}, {"2c", "4w:s2"}},
+	}.render(ctx, w, opts)
 }
 
 // TableMix regenerates the Section 1/4.2 instruction-mix statistics: the
-// dynamic fraction of register moves and register-immediate additions.
+// dynamic fraction of register moves and register-immediate additions in
+// each benchmark's timed region. Every benchmark is warmed once through
+// warmEach; a warmup or emulator fault prints as a "<bench>: <err>" line
+// in place of the benchmark's row.
 func TableMix(ctx context.Context, w io.Writer, opts Options) {
-	spec, media := Suites()
-	for _, suite := range []struct {
-		name  string
-		profs []workload.Profile
-	}{{"SPECint", spec}, {"MediaBench", media}} {
+	var profs []workload.Profile
+	for _, suite := range suites {
+		profs = append(profs, suite.profs...)
+	}
+	mixes := make([]mix, len(profs))
+	errs := make([]error, len(profs))
+	warmErrs := warmEach(ctx, profs, 1, opts, func(i int, start *emu.Snapshot) {
+		mixes[i], errs[i] = countMix(ctx, start, opts.MaxInsts)
+	})
+	if ctx.Err() != nil {
+		return
+	}
+
+	b := 0 // index into profs
+	for _, suite := range suites {
 		tb := &Table{
 			Title:   fmt.Sprintf("Instruction mix (%s): %% of dynamic instructions", suite.name),
 			Columns: []string{"bench", "moves", "reg-imm add", "loads", "stores", "branches"},
 		}
 		var mvs, ads []float64
-		for _, p := range suite.profs {
-			if ctx.Err() != nil {
-				return
-			}
-			start, err := workload.MustBuild(workload.Scale(p, opts.Scale)).Warm(ctx)
-			if err != nil {
+		for end := b + len(suite.profs); b < end; b++ {
+			m := mixes[b]
+			if err := cmp.Or(warmErrs[b], errs[b]); err != nil {
+				fmt.Fprintf(w, "%s: %v\n", profs[b].Name, err)
 				continue
 			}
-			var total, mv, ad, ld, st, br float64
-			m := start.Machine()
-			limit := m.ICount + opts.MaxInsts
-			if opts.MaxInsts == 0 {
-				limit = ^uint64(0)
-			}
-			_ = m.Trace(limit, func(d emu.Dyn) bool {
-				total++
-				switch {
-				case d.Facts.IsMove():
-					mv++
-				case d.Facts.IsRegImmAdd():
-					ad++
-				}
-				switch d.Facts.Class() {
-				case isa.ClassLoad:
-					ld++
-				case isa.ClassStore:
-					st++
-				case isa.ClassBranch:
-					br++
-				}
-				return true
-			})
-			if total == 0 {
+			if m.total == 0 {
 				continue
 			}
-			tb.AddRow(p.Name, F(100*mv/total), F(100*ad/total),
-				F(100*ld/total), F(100*st/total), F(100*br/total))
-			mvs = append(mvs, 100*mv/total)
-			ads = append(ads, 100*ad/total)
+			pct := func(n float64) float64 { return 100 * n / m.total }
+			tb.AddRow(profs[b].Name, F(pct(m.moves)), F(pct(m.adds)),
+				F(pct(m.loads)), F(pct(m.stores)), F(pct(m.branches)))
+			mvs = append(mvs, pct(m.moves))
+			ads = append(ads, pct(m.adds))
 		}
 		tb.AddRow("amean", F(MeanPct(mvs)), F(MeanPct(ads)), "", "", "")
 		tb.Fprint(w)
@@ -412,12 +391,44 @@ func TableMix(ctx context.Context, w io.Writer, opts Options) {
 	}
 }
 
+// mix counts one timed region's dynamic instructions by kind.
+type mix struct{ total, moves, adds, loads, stores, branches float64 }
+
+// countMix counts the instructions a pipeline.Feed hands out from start
+// under the run budget maxInsts, as a timed run would see them. It returns
+// ctx's error once ctx is done and the emulator's fault if one ends the
+// region early.
+func countMix(ctx context.Context, start *emu.Snapshot, maxInsts uint64) (mix, error) {
+	var m mix
+	var d emu.Dyn
+	f := pipeline.NewFeed(ctx, start.Machine(), maxInsts)
+	for f.Next(&d) {
+		if f.Canceled() {
+			return m, ctx.Err()
+		}
+		m.total++
+		switch {
+		case d.Facts.IsMove():
+			m.moves++
+		case d.Facts.IsRegImmAdd():
+			m.adds++
+		}
+		switch d.Facts.Class() {
+		case isa.ClassLoad:
+			m.loads++
+		case isa.ClassStore:
+			m.stores++
+		case isa.ClassBranch:
+			m.branches++
+		}
+	}
+	return m, f.Err()
+}
+
 // CFLatencyAblation regenerates the Section 3.3 claim: if every fused
 // operation costs an extra cycle, RENO.CF keeps most of its advantage
 // (the paper: it loses only 20-25% of its relative gain, 1-2% absolute).
 func CFLatencyAblation(ctx context.Context, w io.Writer, opts Options) {
-	spec, media := Suites()
-
 	// The inline spec is ME+CF with every fused operation charged an extra
 	// cycle; its tag is the registry's base#hash form.
 	g := sweep.Grid{
@@ -438,10 +449,7 @@ func CFLatencyAblation(ctx context.Context, w io.Writer, opts Options) {
 		Title:   "CF fusion-latency ablation (Section 3.3): % speedup over baseline",
 		Columns: []string{"suite", "CF free fusion", "CF all-fusions+1", "retained"},
 	}
-	for _, suite := range []struct {
-		name  string
-		profs []workload.Profile
-	}{{"SPECint", spec}, {"MediaBench", media}} {
+	for _, suite := range suites {
 		var f, s []float64
 		for _, b := range suite.profs {
 			f = append(f, rs.speedup(b.Name, "4w/BASE", "4w/ME+CF"))

@@ -112,10 +112,12 @@ func (rs results) relPerf(bench, base, config string) float64 {
 	return 100 * float64(b.Cycles) / float64(c.Cycles)
 }
 
-// Suites returns the benchmark lists used by every figure.
-func Suites() (spec, media []workload.Profile) {
-	return workload.SPECint(), workload.MediaBench()
-}
+// suites lists the two benchmark suites every figure reports, in print
+// order.
+var suites = []struct {
+	name  string
+	profs []workload.Profile
+}{{"SPECint", workload.SPECint()}, {"MediaBench", workload.MediaBench()}}
 
 // MeanPct is the arithmetic mean ignoring NaNs (the paper's amean).
 func MeanPct(vals []float64) float64 {

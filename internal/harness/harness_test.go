@@ -2,12 +2,16 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"reno/internal/emu"
+	"reno/internal/isa"
 	"reno/internal/machine"
 	"reno/internal/sweep"
 	"reno/internal/workload"
@@ -63,7 +67,6 @@ func TestArchitecturalEquivalenceAcrossConfigs(t *testing.T) {
 func TestEliminationRatesInPaperBands(t *testing.T) {
 	// Figure 8 headline: RENO eliminates or folds ~22% of dynamic
 	// instructions in both suites (we accept 15-32% per-suite averages).
-	spec, media := Suites()
 	check := func(suite string, profs []workload.Profile) {
 		var names []string
 		for _, p := range profs[:6] { // subset for test runtime
@@ -86,13 +89,13 @@ func TestEliminationRatesInPaperBands(t *testing.T) {
 			t.Errorf("%s elimination average %.1f%%, want ~22%% (band 15-34)", suite, avg)
 		}
 	}
-	check("SPECint", spec)
-	check("MediaBench", media)
+	for _, suite := range suites {
+		check(suite.name, suite.profs)
+	}
 }
 
 func TestRenoBeatsBaselineOnAverage(t *testing.T) {
 	// Figure 8 bottom: positive average speedups on both suites.
-	spec, media := Suites()
 	avgSpeedup := func(suite string, profs []workload.Profile) float64 {
 		rs := runGrid(context.Background(), io.Discard, sweep.Grid{Benches: []string{suite}}, tinyOpts())
 		var sps []float64
@@ -101,37 +104,42 @@ func TestRenoBeatsBaselineOnAverage(t *testing.T) {
 		}
 		return MeanPct(sps)
 	}
-	if sp := avgSpeedup("SPECint", spec); sp <= 0 {
+	if sp := avgSpeedup("SPECint", suites[0].profs); sp <= 0 {
 		t.Errorf("SPECint average speedup %.1f%%, want positive (paper: 8%%)", sp)
 	}
-	if sp := avgSpeedup("MediaBench", media); sp <= 3 {
+	if sp := avgSpeedup("MediaBench", suites[1].profs); sp <= 3 {
 		t.Errorf("MediaBench average speedup %.1f%%, want clearly positive (paper: 13%%)", sp)
 	}
 }
 
-func TestFiguresRenderWithoutError(t *testing.T) {
-	// Smoke: every figure generator runs end to end at tiny scale and
-	// produces non-empty tabular output.
-	opts := Options{Scale: 0.05, MaxInsts: 5_000, Parallel: true}
-	var b strings.Builder
-	Fig9IfShort := func() {
-		// Fig 9 runs serially per benchmark; keep it tiny.
-		Fig9(context.Background(), &b, Options{Scale: 0.05, MaxInsts: 3_000, Parallel: false})
+// TestFigureListOrder: renobench's figure list holds the pinned
+// generators (TestFiguresPinned) in the pinned order, under their section
+// titles, with distinct keys.
+func TestFigureListOrder(t *testing.T) {
+	if len(Figures) != len(paperOrder) {
+		t.Fatalf("%d figures, want %d", len(Figures), len(paperOrder))
 	}
-	TableMix(context.Background(), &b, opts)
-	Fig8(context.Background(), &b, opts)
-	Fig10(context.Background(), &b, opts)
-	Fig12(context.Background(), &b, opts)
-	CFLatencyAblation(context.Background(), &b, opts)
-	Fig9IfShort()
-	out := b.String()
-	for _, frag := range []string{"Figure 8", "Figure 9", "Figure 10", "Figure 12", "amean"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("figure output missing %q", frag)
+	keys := map[string]bool{"all": true}
+	for i, f := range Figures {
+		want := paperOrder[i]
+		if f.Title != want.title || reflect.ValueOf(f.Run).Pointer() != reflect.ValueOf(want.run).Pointer() {
+			t.Errorf("figure %d is %q, want %q", i, f.Title, want.title)
 		}
+		if keys[f.Key] {
+			t.Errorf("figure %d: duplicate key %q", i, f.Key)
+		}
+		keys[f.Key] = true
 	}
-	if strings.Contains(out, "WARNING") {
-		t.Errorf("figure output carries audit warnings:\n%s", out)
+}
+
+// TestMixReportsEmulatorFault: a program that runs off the end of its code
+// yields the emulator's fault, which TableMix prints in place of a row of
+// partial counts.
+func TestMixReportsEmulatorFault(t *testing.T) {
+	start := emu.New([]isa.Inst{{Op: isa.OpAddi, Rd: 1, Rs: 1, Imm: 1}}).Freeze()
+	m, err := countMix(context.Background(), start, 0)
+	if !errors.Is(err, emu.ErrPCRange) {
+		t.Fatalf("countMix = %+v, %v; want %v", m, err, emu.ErrPCRange)
 	}
 }
 
@@ -143,21 +151,6 @@ func TestFig9HonorsTimeout(t *testing.T) {
 	const runs = (8 + 9) * 3 // benchmarks x {BASE, ME+CF, RENO}
 	if n := strings.Count(b.String(), context.DeadlineExceeded.Error()); n != runs {
 		t.Errorf("%d runs reported the deadline, want %d:\n%s", n, runs, b.String())
-	}
-}
-
-// TestFig9ParallelMatchesSerial: Figure 9's runs on several workers, each
-// starting from its benchmark's shared snapshot, render the same table,
-// row for row, as one worker does.
-func TestFig9ParallelMatchesSerial(t *testing.T) {
-	var serial, parallel strings.Builder
-	Fig9(context.Background(), &serial, Options{Scale: 0.05, MaxInsts: 3_000})
-	Fig9(context.Background(), &parallel, Options{Scale: 0.05, MaxInsts: 3_000, Parallel: true, Workers: 4})
-	if serial.String() != parallel.String() {
-		t.Errorf("parallel Figure 9 differs from serial:\n--- serial\n%s\n--- parallel\n%s", serial.String(), parallel.String())
-	}
-	if n := strings.Count(serial.String(), "\n"); n < (8+9)*3 {
-		t.Errorf("serial Figure 9 has %d lines, want at least one row per run:\n%s", n, serial.String())
 	}
 }
 
