@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -130,5 +133,51 @@ func TestRunKeyAsm(t *testing.T) {
 	}
 	if pa.RunKey(sim.Options{}) == pb.RunKey(sim.Options{}) {
 		t.Error("different assembly shares a key")
+	}
+}
+
+// TestRunKeysPinned pins the bytes of Program.RunKey for one benchmark spec
+// on both backends, plain and CPA-attached, and for one assembly program.
+// The key is a stable cache address: a changed key orphans every cached
+// result. A deliberate change regenerates the pin with
+//
+//	UPDATE_GOLDEN=1 go test -run TestRunKeysPinned ./sim/
+func TestRunKeysPinned(t *testing.T) {
+	var buf bytes.Buffer
+	for _, be := range []string{"detailed", "functional"} {
+		p, err := sim.Load(sim.Spec{Bench: "gzip", Machine: "4w", Config: "RENO", Scale: 0.3, Backend: be})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cpa := range []int{0, 5_000, 50_000} {
+			fmt.Fprintf(&buf, "gzip 4w/RENO scale=0.3 max=20000 backend=%s cpa=%d %s\n",
+				be, cpa, p.RunKey(sim.Options{MaxInsts: 20_000, CPAChunk: cpa}))
+		}
+	}
+	pa, err := sim.LoadAsm("start:\n\taddi r1, r1, 1\n\thalt\n", sim.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&buf, "asm 4w/RENO %s\n", pa.RunKey(sim.Options{}))
+
+	golden := filepath.Join("testdata", "run_keys.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s", golden)
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create the pin)", err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Errorf("run keys changed; a changed key orphans every cached result.\n"+
+			"If intentional, regenerate the pin with UPDATE_GOLDEN=1 and call the change out in review.\n"+
+			"pinned:\n%s\ncurrent:\n%s", want, got)
 	}
 }
