@@ -41,7 +41,7 @@ func main() {
 	seed := flag.Int64("seed", 0, "workload seed offset (0 = canonical program)")
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	maxInsts := flag.Uint64("max", 300_000, "timed instruction budget (0 = to completion)")
-	withCPA := flag.Bool("cpa", false, "attach the critical-path analyzer")
+	withCPA := flag.Bool("cpa", false, "attach the critical-path analyzer (detailed backend only)")
 	jsonOut := flag.Bool("json", false, "emit the result as a reno.metrics/v1 envelope on stdout")
 	list := flag.Bool("list", false, "list benchmark profiles, machine specs, and RENO configs, then exit")
 	flag.Parse()

@@ -15,8 +15,9 @@
 // hash). They report the same architectural result (final state hash and
 // committed-instruction stream hash) and the same elimination counts for a
 // given cell; internal/backend/difftest proves it. Functional reports no
-// cycles or IPC, and runs several configurations that share a program
-// start and budget over one feed (RunGroup).
+// cycles or IPC, refuses critical-path analysis, and runs several
+// configurations that share a program start and budget over one feed
+// (RunGroup).
 package backend
 
 import (
@@ -85,7 +86,7 @@ type Request struct {
 	Code     []isa.Inst
 	Warmup   uint64 // functional warmup instructions before timing
 	MaxInsts uint64 // timed instruction budget (0 = to completion)
-	Opts     pipeline.RunOptions
+	CPAChunk int    // critical-path analysis chunk size (0 = off; detailed only)
 
 	// Start, when set, is the program's post-warmup state
 	// (workload.Program.Warm; it carries its code) and replaces Code and

@@ -17,8 +17,12 @@ type functionalBackend struct{}
 
 func (functionalBackend) Kind() Kind { return Functional }
 
-// Run is RunGroup with one member.
+// Run is RunGroup with one member. It refuses critical-path analysis,
+// which needs the cycles only the detailed backend models.
 func (functionalBackend) Run(ctx context.Context, req Request) (*Result, error) {
+	if req.CPAChunk > 0 {
+		return nil, fmt.Errorf("backend: critical-path analysis needs the %s backend, not %s", Detailed, Functional)
+	}
 	res, errs := RunGroup(ctx, req, []pipeline.Config{req.Cfg})
 	return res[0], errs[0]
 }
@@ -30,7 +34,7 @@ const chunkLen = 256
 
 // RunGroup runs one functional cell per configuration in cfgs over a
 // single trace feed of the program and budget that req names (its Cfg and
-// Opts are not read): the emulator steps and hashes the stream once, and
+// CPAChunk are not read): the emulator steps and hashes the stream once, and
 // each configuration's elimination engine decides every record of it. A
 // configuration's decisions depend only on the stream and on itself
 // (internal/elim), so member i's result and error are exactly what Run

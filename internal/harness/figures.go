@@ -195,7 +195,7 @@ func runCPA(ctx context.Context, cfg pipeline.Config, start *emu.Snapshot, opts 
 		defer cancel()
 	}
 	res, err := backend.For(backend.Detailed).Run(ctx, backend.Request{
-		Cfg: cfg, Start: start, MaxInsts: opts.MaxInsts, Opts: pipeline.RunOptions{CPAChunk: 50_000},
+		Cfg: cfg, Start: start, MaxInsts: opts.MaxInsts, CPAChunk: 50_000,
 	})
 	if err != nil {
 		return nil, err

@@ -312,51 +312,16 @@ func (st *stream) push(e *entry) {
 func (st *stream) exhausted() bool { return st.done && len(st.replay) == 0 }
 
 // RunOptions controls one RunContext simulation beyond the machine
-// configuration: execution bounds and progress observation. The zero value
-// reproduces Run's run-to-completion contract exactly.
+// configuration. The zero value runs to completion without analysis.
 type RunOptions struct {
 	// MaxCycles stops the simulation once this many cycles have elapsed
 	// (0 = no cycle budget). The result is a complete summary of the
 	// cycles that did run, with StopReason "cycle-budget".
 	MaxCycles uint64
 
-	// ObserveEvery invokes Observer each time this many further
-	// instructions have committed (0 = never). Observation is passive: it
-	// never perturbs simulation outcomes, so observed and unobserved runs
-	// of the same program are cycle-identical.
-	ObserveEvery uint64
-
-	// Observer receives interval snapshots. It is called synchronously on
-	// the simulation goroutine; a slow observer slows the run, nothing
-	// else.
-	Observer func(IntervalStats)
-
 	// CPAChunk attaches the critical-path analyzer with this chunk size
 	// before timing begins (0 = no analysis).
 	CPAChunk int
-}
-
-// IntervalStats is the progress snapshot handed to a RunOptions.Observer:
-// cumulative counters plus rates over the interval since the previous
-// callback (IPC, elimination rate, occupancy averages).
-type IntervalStats struct {
-	Cycles uint64 // cumulative elapsed cycles
-	Insts  uint64 // cumulative committed instructions
-	IPC    float64
-
-	IntervalCycles uint64
-	IntervalInsts  uint64
-	IntervalIPC    float64
-
-	// ElimPct is the cumulative eliminated share of committed
-	// instructions (percent); IntervalElimPct covers this interval only.
-	ElimPct         float64
-	IntervalElimPct float64
-
-	// IQOcc and PregsInUse are interval averages of issue-queue occupancy
-	// and allocated physical registers.
-	IQOcc      float64
-	PregsInUse float64
 }
 
 // ctxCheckInterval is how many cycles pass between context polls: rare
@@ -377,11 +342,6 @@ func (s *Sim) RunContext(ctx context.Context, opts RunOptions) (*Result, error) 
 	}
 	s.res.StopReason = "" // a resumed run reports its own stop
 	done := ctx.Done()
-	var prev obsBase // observer baseline (zero = start of timing)
-	nextObserve := uint64(0)
-	if opts.Observer != nil && opts.ObserveEvery > 0 {
-		nextObserve = opts.ObserveEvery
-	}
 	for {
 		if s.src.exhausted() && s.robCount == 0 && s.fqLen == 0 {
 			// A feed bounded by its budget drains here rather than at the
@@ -422,12 +382,6 @@ func (s *Sim) RunContext(ctx context.Context, opts RunOptions) (*Result, error) 
 		s.cycle++
 		if s.mark().sameCounts(before) {
 			s.skipIdle(before, opts.MaxCycles)
-		}
-		if nextObserve > 0 && s.committed >= nextObserve {
-			prev = s.observe(opts.Observer, prev)
-			for nextObserve <= s.committed {
-				nextObserve += opts.ObserveEvery
-			}
 		}
 		// Hang detection is amortized to one multiply per ctxCheckInterval
 		// cycles: a genuine livelock still trips within a rounding error of
@@ -555,45 +509,6 @@ func (s *Sim) nextEvent() uint64 {
 		t = min(t, s.redirectUntil)
 	}
 	return t
-}
-
-// obsBase is the raw-counter snapshot an interval is measured against.
-type obsBase struct {
-	cycles, insts, elim, iqSum, pregSum uint64
-}
-
-// observe emits one interval snapshot and returns the new baseline.
-func (s *Sim) observe(fn func(IntervalStats), prev obsBase) obsBase {
-	var elim uint64
-	for _, n := range s.elimCommit {
-		elim += n
-	}
-	cur := obsBase{
-		cycles: s.cycle, insts: s.committed, elim: elim,
-		iqSum: s.iqOccSum, pregSum: s.pregSum,
-	}
-	st := IntervalStats{
-		Cycles:         cur.cycles,
-		Insts:          cur.insts,
-		IntervalCycles: cur.cycles - prev.cycles,
-		IntervalInsts:  cur.insts - prev.insts,
-	}
-	if st.Cycles > 0 {
-		st.IPC = float64(st.Insts) / float64(st.Cycles)
-	}
-	if st.IntervalCycles > 0 {
-		st.IntervalIPC = float64(st.IntervalInsts) / float64(st.IntervalCycles)
-		st.IQOcc = float64(cur.iqSum-prev.iqSum) / float64(st.IntervalCycles)
-		st.PregsInUse = float64(cur.pregSum-prev.pregSum) / float64(st.IntervalCycles)
-	}
-	if st.Insts > 0 {
-		st.ElimPct = 100 * float64(cur.elim) / float64(st.Insts)
-	}
-	if st.IntervalInsts > 0 {
-		st.IntervalElimPct = 100 * float64(cur.elim-prev.elim) / float64(st.IntervalInsts)
-	}
-	fn(st)
-	return cur
 }
 
 func (s *Sim) finish() *Result {

@@ -67,23 +67,31 @@ func TestRunContextMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelReturnsPartial: a canceled run hands back the cycles
-// it already simulated, promptly, with the context's error.
+// cancelAfter runs s to the cycle budget slice, cancels ctx, and resumes
+// s under it. It returns the resumed run's result, the cycle and
+// instruction counts the slice ended at, and the resumed run's error.
+func cancelAfter(t *testing.T, s *Sim, slice uint64) (res *Result, atCycle, atInsts uint64, err error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	first, err := s.RunContext(ctx, RunOptions{MaxCycles: slice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.StopReason != "cycle-budget" {
+		t.Fatalf("slice stopped with %q, want cycle-budget", first.StopReason)
+	}
+	atCycle, atInsts = first.Cycles, first.Insts
+	cancel()
+	res, err = s.RunContext(ctx, RunOptions{})
+	return res, atCycle, atInsts, err
+}
+
+// TestRunContextCancelReturnsPartial: a run resumed under a canceled
+// context hands back the cycles it already simulated, promptly (within
+// ctxCheckInterval cycles of the resume point), with the context's error.
 func TestRunContextCancelReturnsPartial(t *testing.T) {
 	p := assembleLong(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cfg := FourWide(reno.Baseline(160))
-
-	calls := 0
-	res, _, err := runProgram(ctx, cfg, p.Code, 0, 0, RunOptions{
-		ObserveEvery: 5_000,
-		Observer: func(st IntervalStats) {
-			calls++
-			if calls == 2 {
-				cancel()
-			}
-		},
-	})
+	res, at, insts, err := cancelAfter(t, newSim(t, FourWide(reno.Baseline(160)), p.Code, 0), 5_000)
 	if err == nil {
 		t.Fatal("canceled run returned no error")
 	}
@@ -93,8 +101,9 @@ func TestRunContextCancelReturnsPartial(t *testing.T) {
 	if res == nil {
 		t.Fatal("canceled run returned no partial result")
 	}
-	if res.Insts < 5_000 || res.Insts > 5_000+3*uint64(ctxCheckInterval)*uint64(cfg.CommitWidth)+10_000 {
-		t.Errorf("partial result reflects %d insts; cancellation was not prompt", res.Insts)
+	if res.Cycles < at || res.Cycles-at > ctxCheckInterval || insts == 0 || res.Insts < insts {
+		t.Errorf("resumed at cycle %d (%d insts), stopped at %d (%d insts); cancellation was not prompt",
+			at, insts, res.Cycles, res.Insts)
 	}
 	if res.StopReason != "canceled" {
 		t.Errorf("stop reason %q, want canceled", res.StopReason)
@@ -136,54 +145,6 @@ func TestRunContextCycleBudget(t *testing.T) {
 	}
 	if res.Insts == 0 || res.IPC <= 0 {
 		t.Errorf("budgeted run carries no stats: %+v insts=%d", res.IPC, res.Insts)
-	}
-}
-
-// TestObserverIntervals: the observer fires on the commit interval with
-// consistent cumulative and interval counters, and observation does not
-// perturb the simulation.
-func TestObserverIntervals(t *testing.T) {
-	p := assembleLong(t)
-	cfg := FourWide(reno.Default(160))
-
-	var snaps []IntervalStats
-	res, _, err := runProgram(context.Background(), cfg, p.Code, 0, 40_000, RunOptions{
-		ObserveEvery: 10_000,
-		Observer:     func(st IntervalStats) { snaps = append(snaps, st) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) < 3 {
-		t.Fatalf("observer fired %d times over 40k insts at a 10k interval", len(snaps))
-	}
-	var prev IntervalStats
-	for i, st := range snaps {
-		if st.Insts < prev.Insts || st.Cycles <= prev.Cycles {
-			t.Errorf("snapshot %d not monotonic: %+v after %+v", i, st, prev)
-		}
-		if st.IntervalInsts != st.Insts-prev.Insts || st.IntervalCycles != st.Cycles-prev.Cycles {
-			t.Errorf("snapshot %d interval counters inconsistent: %+v (prev %+v)", i, st, prev)
-		}
-		if st.IntervalIPC <= 0 || st.IPC <= 0 {
-			t.Errorf("snapshot %d has no rates: %+v", i, st)
-		}
-		if st.ElimPct < 0 || st.ElimPct > 100 {
-			t.Errorf("snapshot %d elimination rate out of range: %+v", i, st)
-		}
-		prev = st
-	}
-	if last := snaps[len(snaps)-1]; last.Insts > res.Insts {
-		t.Errorf("last snapshot (%d insts) beyond the final result (%d)", last.Insts, res.Insts)
-	}
-
-	quiet, _, err := runProgram(context.Background(), cfg, p.Code, 0, 40_000, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if quiet.Cycles != res.Cycles || quiet.Insts != res.Insts {
-		t.Errorf("observation perturbed the run: %d/%d vs %d/%d",
-			res.Cycles, res.Insts, quiet.Cycles, quiet.Insts)
 	}
 }
 
@@ -289,22 +250,12 @@ func TestSplitRunMatchesOneRun(t *testing.T) {
 	}
 }
 
-// TestCancelDuringStall: a context canceled while the pipeline waits on a
-// miss stops the run within ctxCheckInterval cycles, although the stall's
-// idle cycles are jumped over rather than stepped.
+// TestCancelDuringStall: a run resumed under a canceled context while the
+// pipeline waits on a miss stops within ctxCheckInterval cycles, although
+// the stall's idle cycles are jumped over rather than stepped. Cycle 20001
+// lies in one of missChain's idle stretches (TestCycleBudgetInsideIdleStretch).
 func TestCancelDuringStall(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var at uint64
-	res, err := newMissSim(t).RunContext(ctx, RunOptions{
-		ObserveEvery: 5_000,
-		Observer: func(st IntervalStats) {
-			if at == 0 {
-				at = st.Cycles
-				cancel()
-			}
-		},
-	})
+	res, at, _, err := cancelAfter(t, newMissSim(t), 20_001)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}

@@ -171,8 +171,7 @@ func DecodeResult(data []byte) (key string, r *Result, err error) {
 	if p.Hash == "" || p.Metrics.Len() == 0 {
 		return "", nil, fmt.Errorf("decode result %s: incomplete record (run hash and metrics are required)", f.Key)
 	}
-	archHash, err := strconv.ParseUint(p.ArchHash, 16, 64)
-	if err != nil {
+	if _, err := strconv.ParseUint(p.ArchHash, 16, 64); err != nil {
 		return "", nil, fmt.Errorf("decode result %s: arch hash %q: %w", f.Key, p.ArchHash, err)
 	}
 	res := &Result{
@@ -185,7 +184,6 @@ func DecodeResult(data []byte) (key string, r *Result, err error) {
 		WallNS: p.WallNS, SimInstsPerSec: p.SimInstsPerSec,
 		Metrics:    p.Metrics,
 		stopReason: p.StopReason,
-		archHash:   archHash,
 	}
 	return f.Key, res, nil
 }

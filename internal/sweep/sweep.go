@@ -164,7 +164,6 @@ type Result struct {
 	Metrics *metrics.Set
 	// stopReason is pipeline.Result.StopReason of a finished run.
 	stopReason string
-	archHash   uint64
 	// buildFailed marks Err as a workload construction failure (the
 	// program never ran) rather than a simulation error.
 	buildFailed bool
@@ -182,9 +181,6 @@ func (r *Result) Key() string { return r.Bench + "/" + r.Tag() }
 func (r *Result) Tag() string {
 	return Job{Machine: r.Machine, Config: r.Config, Seed: r.Seed}.Tag()
 }
-
-// ArchHashU64 returns the raw architectural state hash.
-func (r *Result) ArchHashU64() uint64 { return r.archHash }
 
 // RunInfo describes one completed run to the Progress hook: pool progress
 // counters, the run's position and stable cache key, whether it was served
@@ -587,7 +583,6 @@ func record(r *Result, bres *backend.Result, err error, wallNS int64) {
 	r.ElimALU = res.ElimALU
 	r.ElimTotal = res.ElimTotal
 	r.BranchAccuracy = res.BranchAccuracy
-	r.archHash = archHash
 	r.ArchHash = fmt.Sprintf("%016x", archHash)
 	if r.WallNS > 0 {
 		r.SimInstsPerSec = float64(res.Insts) / (float64(r.WallNS) / 1e9)
@@ -636,7 +631,7 @@ func Audit(results []*Result) []string {
 			first[k] = r
 			continue
 		}
-		if r.archHash != ref.archHash {
+		if r.ArchHash != ref.ArchHash {
 			warnings = append(warnings, fmt.Sprintf(
 				"%s: architectural state differs between %s and %s", r.Bench, ref.Tag(), r.Tag()))
 		}

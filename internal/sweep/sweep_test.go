@@ -3,7 +3,9 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -123,7 +125,11 @@ func TestAuditCatchesDivergence(t *testing.T) {
 	if warns := Audit(results); len(warns) != 0 {
 		t.Fatalf("clean sweep audited dirty: %v", warns)
 	}
-	results[1].archHash++
+	h, err := strconv.ParseUint(results[1].ArchHash, 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results[1].ArchHash = fmt.Sprintf("%016x", h+1)
 	warns := Audit(results)
 	if len(warns) == 0 {
 		t.Fatal("audit missed a corrupted architectural hash")

@@ -75,7 +75,6 @@ func TestRunKeyIdentity(t *testing.T) {
 		{"seed", sim.Spec{Bench: "gzip", Machine: "4w", Config: "RENO", Scale: 0.3, Seed: 1}, opts},
 		{"scale", sim.Spec{Bench: "gzip", Machine: "4w", Config: "RENO", Scale: 0.5}, opts},
 		{"budget", base, sim.Options{MaxInsts: 10000}},
-		{"cycle budget", base, sim.Options{MaxInsts: 20000, MaxCycles: 1000}},
 		{"cpa attachment", base, sim.Options{MaxInsts: 20000, CPAChunk: 50000}},
 	}
 	ref := load(base).RunKey(opts)
@@ -84,13 +83,6 @@ func TestRunKeyIdentity(t *testing.T) {
 			t.Errorf("%s change did not change the key", v.name)
 		}
 	}
-	// Observation is passive and must not split the key.
-	observed := load(base).RunKey(sim.Options{MaxInsts: 20000,
-		ObserveEvery: 500, Observer: sim.ObserverFunc(func(sim.Interval) {})})
-	if observed != ref {
-		t.Error("passive observation changed the key")
-	}
-
 	// The key must agree with what RunGrid reports for the same cell, so
 	// embedders can pre-compute cache addresses for grid runs.
 	g := &sim.Grid{Benches: []string{"gzip"}, Machines: []string{"4w"},

@@ -1,7 +1,7 @@
 // Package sim is the public embedding API of the RENO simulator: resolve a
 // declarative Spec through the machine registry, Load it into a runnable
-// Program, and Run it (optionally under a context, with a streaming
-// Observer) to obtain a Result expressed in the unified reno/metrics model.
+// Program, and Run it (optionally under a context) to obtain a Result
+// expressed in the unified reno/metrics model.
 // Grids of runs execute on the bounded sweep worker pool through RunGrid.
 //
 // A minimal embedding:
@@ -194,14 +194,13 @@ func (p *Program) Backend() string {
 // RunKey returns the run's stable cache identity under opts: an FNV-1a 64
 // hash (rendered %016x) over everything that determines the run's
 // deterministic outcome — the workload identity (bench, seed, scale), the
-// run bounds (MaxInsts, MaxCycles), CPA attachment (which adds cpa.*
-// metrics to the result), and the fully resolved machine configuration.
-// Observation settings are excluded: observers are passive, so observed
-// and unobserved runs share a key, as the same outcome. Two programs with
-// equal keys produce byte-identical stable result records, so the key
-// addresses result caches: with zero MaxCycles and CPAChunk it is exactly
-// the key the renoserve daemon caches grid cells under, and sweep progress
-// callbacks surface per run as Progress.RunKey. Assembly programs
+// instruction budget (MaxInsts), CPA attachment (which adds cpa.* metrics
+// to the result), the backend, and the fully resolved machine
+// configuration. Two programs with equal keys produce byte-identical stable
+// result records, so the key addresses result caches: with zero CPAChunk it
+// is exactly the key the renoserve daemon caches grid cells under, and
+// sweep progress callbacks surface per run as Progress.RunKey. The key
+// bytes are pinned (testdata/run_keys.golden). Assembly programs
 // (LoadAsm) have no generating spec, so their assembled code is hashed in
 // place of a benchmark name. Unlike the per-run result hash, RunKey is
 // known before the run executes.
@@ -227,11 +226,12 @@ func (p *Program) RunKey(opts Options) string {
 		Backend: p.backendTag,
 	}
 	key := j.Key(sweep.Options{Scale: p.spec.Scale, MaxInsts: opts.MaxInsts})
-	if opts.MaxCycles != 0 || opts.CPAChunk != 0 {
-		// Fold in the options grids cannot express, leaving the common
-		// (zero) case byte-identical to the grid-cell key.
+	if opts.CPAChunk != 0 {
+		// Fold in the option grids cannot express, leaving the common
+		// (zero) case byte-identical to the grid-cell key. The "mc=0"
+		// field is a retired cycle budget, kept so keys stay unchanged.
 		h := fnv.New64a()
-		fmt.Fprintf(h, "%s|mc=%d|cpa=%d", key, opts.MaxCycles, opts.CPAChunk)
+		fmt.Fprintf(h, "%s|mc=0|cpa=%d", key, opts.CPAChunk)
 		key = fmt.Sprintf("%016x", h.Sum64())
 	}
 	return key
@@ -260,26 +260,15 @@ type MachineInfo struct {
 }
 
 // Options bounds and instruments one run. The zero value runs to
-// completion, unobserved.
+// completion without analysis.
 type Options struct {
 	// MaxInsts stops timing after this many committed instructions
 	// (0 = run until the program halts).
 	MaxInsts uint64
-	// MaxCycles stops the simulation after this many cycles (0 = none);
-	// the result reports StopReason "cycle-budget".
-	MaxCycles uint64
-	// ObserveEvery streams an Interval to Observer each time this many
-	// further instructions commit (0 = never). Observation is passive:
-	// observed and unobserved runs of the same program are
-	// cycle-identical. Only the detailed backend simulates cycles, so
-	// MaxCycles, observation, and CPA attachment are silently inert on the
-	// functional backend.
-	ObserveEvery uint64
-	// Observer receives interval snapshots, synchronously on the
-	// simulating goroutine.
-	Observer Observer
 	// CPAChunk attaches the critical-path analyzer with this chunk size
-	// (0 = off); the result then carries the cpa.* metrics.
+	// (0 = off); the result then carries the cpa.* metrics. The analysis
+	// reads the cycles only the detailed backend models, so a functional
+	// program's Run refuses it with an error.
 	CPAChunk int
 }
 
@@ -294,7 +283,7 @@ type Result struct {
 	backendTag string // normalized backend ("" = detailed; labels)
 
 	// StopReason records why the simulation ended: "" (program drained),
-	// "max-insts", "cycle-budget", or "canceled" (partial result).
+	// "max-insts", or "canceled" (partial result).
 	StopReason string
 
 	Cycles uint64
@@ -362,22 +351,13 @@ func (p *Program) Run(opts Options) (*Result, error) {
 // together with ctx's error — callers always get the statistics the cycles
 // they paid for produced. All other stops return a nil error.
 func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error) {
-	ropts := pipeline.RunOptions{
-		MaxCycles:    opts.MaxCycles,
-		ObserveEvery: opts.ObserveEvery,
-		CPAChunk:     opts.CPAChunk,
-	}
-	if opts.Observer != nil && opts.ObserveEvery > 0 {
-		ob := opts.Observer
-		ropts.Observer = func(is pipeline.IntervalStats) { ob.ObserveInterval(Interval(is)) }
-	}
 	kind, kerr := backend.ParseKind(p.backendTag)
 	if kerr != nil {
 		// Unreachable through Load/LoadAsm, which validate the spec.
 		return nil, fmt.Errorf("sim: %w", kerr)
 	}
 	bres, err := backend.For(kind).Run(ctx, backend.Request{
-		Cfg: p.cfg, Start: p.start, MaxInsts: opts.MaxInsts, Opts: ropts,
+		Cfg: p.cfg, Start: p.start, MaxInsts: opts.MaxInsts, CPAChunk: opts.CPAChunk,
 	})
 	if bres == nil || bres.Pipe == nil {
 		return nil, fmt.Errorf("sim %s: %w", p.Tag(), err)

@@ -143,102 +143,43 @@ func TestRunProducesUnifiedResult(t *testing.T) {
 	}
 }
 
-// TestObserverSemantics pins the facade streaming contract: intervals
-// arrive at the configured cadence with consistent cumulative counters, and
-// observation does not perturb the simulation.
-func TestObserverSemantics(t *testing.T) {
-	load := func() *Program {
-		p, err := Load(Spec{Bench: "gzip", Scale: 0.3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	const every, budget = 5_000, 40_000
-	var ivs []Interval
-	res, err := load().Run(Options{
-		MaxInsts:     budget,
-		ObserveEvery: every,
-		Observer:     ObserverFunc(func(iv Interval) { ivs = append(ivs, iv) }),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ivs) == 0 {
-		t.Fatal("observer never called")
-	}
-	var prev Interval
-	for i, iv := range ivs {
-		if iv.Insts < prev.Insts || iv.Cycles <= prev.Cycles {
-			t.Errorf("interval %d not monotonic: %+v after %+v", i, iv, prev)
-		}
-		// Commit retires up to CommitWidth instructions per cycle, so an
-		// interval can overshoot its boundary by a few and the next one
-		// shorten by the same amount.
-		if delta := iv.Insts - prev.Insts; delta+8 < every {
-			t.Errorf("interval %d fired after only %d insts (every=%d)", i, delta, every)
-		}
-		if iv.IntervalInsts != iv.Insts-prev.Insts || iv.IntervalCycles != iv.Cycles-prev.Cycles {
-			t.Errorf("interval %d deltas inconsistent: %+v", i, iv)
-		}
-		prev = iv
-	}
-	last := ivs[len(ivs)-1]
-	if last.Insts > res.Insts {
-		t.Errorf("last interval (%d insts) beyond final result (%d)", last.Insts, res.Insts)
-	}
-
-	// Observation is passive: an unobserved run is cycle-identical.
-	plain, err := load().Run(Options{MaxInsts: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Cycles != res.Cycles || plain.ArchHash != res.ArchHash {
-		t.Errorf("observation perturbed the run: %d/%016x vs %d/%016x",
-			res.Cycles, res.ArchHash, plain.Cycles, plain.ArchHash)
-	}
-}
-
-// TestCancellationSemantics: canceling mid-run, or before the run starts,
-// returns the partial result with StopReason "canceled" and ctx's error.
+// TestCancellationSemantics: a run under a canceled context returns the
+// partial result with StopReason "canceled", recorded as the stop_reason
+// attribute, and ctx's error. Load already ran the warmup, so the
+// cancellation lands in the timed region like any other. Mid-run
+// cancellation is pinned by the pipeline's resumed-run tests.
 func TestCancellationSemantics(t *testing.T) {
 	p, err := Load(Spec{Bench: "gzip"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	var fired int
-	res, err := p.RunContext(ctx, Options{
-		ObserveEvery: 2_000,
-		Observer: ObserverFunc(func(Interval) {
-			fired++
-			if fired == 2 {
-				cancel()
-			}
-		}),
-	})
-	if err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
+	cancel()
+	res, err := p.RunContext(ctx, Options{})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
-	if res == nil {
-		t.Fatal("cancellation mid-timing must return the partial result")
-	}
-	if res.StopReason != "canceled" {
-		t.Errorf("StopReason %q, want canceled", res.StopReason)
-	}
-	if res.Insts == 0 {
-		t.Errorf("partial result carries no progress")
+	if res == nil || res.StopReason != "canceled" {
+		t.Fatalf("pre-canceled run returned (%+v, %v), want a canceled partial result", res, err)
 	}
 	if rec := res.Record(); rec.Attr(metrics.AttrStopReason) != "canceled" {
 		t.Errorf("record attrs %+v lack stop_reason", rec.Attrs)
 	}
+}
 
-	// Already-canceled context: Load ran the warmup, so the cancellation
-	// lands in the timed region like any other and returns its result.
-	done, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	if res, err := p.RunContext(done, Options{}); !errors.Is(err, context.Canceled) || res == nil || res.StopReason != "canceled" {
-		t.Errorf("pre-canceled run returned (%v, %v)", res, err)
+// TestFunctionalRefusesCPA: critical-path analysis needs cycles, so a
+// functional program's Run refuses a CPAChunk instead of ignoring it.
+func TestFunctionalRefusesCPA(t *testing.T) {
+	p, err := Load(Spec{Bench: "gzip", Backend: "functional"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run(Options{CPAChunk: 5_000})
+	if err == nil || !strings.Contains(err.Error(), "detailed") {
+		t.Fatalf("functional run with CPAChunk returned (%v, %v), want an error naming the detailed backend", res, err)
+	}
+	if res != nil {
+		t.Errorf("refused run returned a result: %+v", res)
 	}
 }
 
