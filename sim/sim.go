@@ -199,11 +199,10 @@ func (p *Program) Backend() string {
 // configuration. Two programs with equal keys produce byte-identical stable
 // result records, so the key addresses result caches: with zero CPAChunk it
 // is exactly the key the renoserve daemon caches grid cells under, and
-// sweep progress callbacks surface per run as Progress.RunKey. The key
-// bytes are pinned (testdata/run_keys.golden). Assembly programs
-// (LoadAsm) have no generating spec, so their assembled code is hashed in
-// place of a benchmark name. Unlike the per-run result hash, RunKey is
-// known before the run executes.
+// sweep progress callbacks surface per run as Progress.RunKey. Assembly
+// programs (LoadAsm) have no generating spec, so their assembled code is
+// hashed in place of a benchmark name. Unlike the per-run result hash,
+// RunKey is known before the run executes.
 //
 //lint:ignore ctxflow RunKey derives the cache key and executes nothing; there is no work to cancel
 func (p *Program) RunKey(opts Options) string {
