@@ -204,3 +204,221 @@ func TestSetOfMatchesModulo(t *testing.T) {
 		}
 	}
 }
+
+// refTable is the integration table's reference model: the same sets, set
+// index, refresh-in-place and LRU victim choice, with a reclaim clearing
+// every tuple that names the register by a whole-table scan (the eager
+// semantics a lazy hardware integration test must reproduce).
+type refTable struct {
+	index   *Table // supplies set bounds and the hash only
+	entries []Entry
+	tick    uint64
+}
+
+func newRefTable(index *Table) *refTable {
+	return &refTable{index: index, entries: make([]Entry, index.Size())}
+}
+
+func (r *refTable) find(op isa.Op, imm int32, in1, in2 renamer.Mapping) *Entry {
+	lo, hi := r.index.setBounds(r.index.hash(op, imm, in1))
+	for i := lo; i < hi; i++ {
+		e := &r.entries[i]
+		if e.Valid && e.Op == op && e.Imm == imm && e.In1 == in1 && e.In2 == in2 {
+			return e
+		}
+	}
+	return nil
+}
+
+func (r *refTable) lookup(op isa.Op, imm int32, in1, in2 renamer.Mapping) (renamer.Mapping, uint64, bool, bool) {
+	e := r.find(op, imm, in1, in2)
+	if e == nil {
+		return renamer.Mapping{}, 0, false, false
+	}
+	r.tick++
+	e.age = r.tick
+	return e.Out, e.Value, e.Reverse, true
+}
+
+func (r *refTable) peek(op isa.Op, imm int32, in1, in2 renamer.Mapping) (renamer.Mapping, uint64, bool, bool) {
+	if e := r.find(op, imm, in1, in2); e != nil {
+		return e.Out, e.Value, e.Reverse, true
+	}
+	return renamer.Mapping{}, 0, false, false
+}
+
+func (r *refTable) insert(e Entry) {
+	r.tick++
+	e.Valid, e.age = true, r.tick
+	if old := r.find(e.Op, e.Imm, e.In1, e.In2); old != nil {
+		*old = e
+		return
+	}
+	lo, hi := r.index.setBounds(r.index.hash(e.Op, e.Imm, e.In1))
+	victim := lo
+	for i := lo; i < hi; i++ {
+		if !r.entries[i].Valid {
+			victim = i
+			break
+		}
+		if r.entries[i].age < r.entries[victim].age {
+			victim = i
+		}
+	}
+	r.entries[victim] = e
+}
+
+func (r *refTable) reclaim(p int) {
+	for i := range r.entries {
+		e := &r.entries[i]
+		if e.In1.P == p || e.In2.P == p || e.Out.P == p {
+			e.Valid = false
+		}
+	}
+}
+
+func (r *refTable) invalidateSignature(op isa.Op, imm int32, in1, in2 renamer.Mapping) {
+	if e := r.find(op, imm, in1, in2); e != nil {
+		e.Valid = false
+	}
+}
+
+func (r *refTable) occupancy() int {
+	n := 0
+	for i := range r.entries {
+		if r.entries[i].Valid {
+			n++
+		}
+	}
+	return n
+}
+
+// Fuzz-step encoding: one step is four bytes, kind then a, b, c. The
+// signature space is small on purpose (8 physical registers, 8 immediates,
+// two displacements, two opcodes) so refreshes, conflicts and reclaims of
+// a live register are common.
+const (
+	stepInsert = iota
+	stepLookup
+	stepPeek
+	stepReclaim
+	stepInvalidateSignature
+	stepKinds
+
+	fuzzRegs = 8
+)
+
+// fuzzGeometries are the table shapes a fuzz input's first byte selects:
+// 1, 2, 3 and 256 sets.
+var fuzzGeometries = [][2]int{{4, 4}, {4, 2}, {6, 2}, {512, 2}}
+
+// stepSignature decodes a: bit 0 the opcode, bits 1-3 the immediate, bit
+// 4 the first input's displacement, bits 5-7 the second input's register
+// (0 is the zero register); and b's low three bits: the first input's
+// register.
+func stepSignature(a, b byte) (isa.Op, int32, renamer.Mapping, renamer.Mapping) {
+	op := isa.OpLd
+	if a&1 != 0 {
+		op = isa.OpAdd
+	}
+	return op, int32(a>>1&7) * 8, m(int(b&7), int32(a>>4&1)*4), m(int(a>>5), 0)
+}
+
+// FuzzTableMatchesReference drives the table and the eager reference
+// through the same inserts, lookups, peeks, signature invalidations and
+// register reclaims, and requires them to agree on every probe result
+// and, after every step, on occupancy and the access counters.
+func FuzzTableMatchesReference(f *testing.F) {
+	step := func(kind int, a, b, c byte) []byte { return []byte{byte(kind), a, b, c} }
+	rng := rand.New(rand.NewSource(7))
+	for g := range fuzzGeometries {
+		seed := []byte{byte(g)}
+		for k := 0; k < 300; k++ {
+			kind := rng.Intn(10)
+			if kind >= stepKinds {
+				kind = stepInsert // inserts dominate, so the table fills
+			}
+			seed = append(seed, step(kind, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))...)
+		}
+		f.Add(seed)
+	}
+	// Refreshing a duplicate signature: the new output replaces the old,
+	// so reclaiming the old output register leaves the tuple alive and
+	// reclaiming the new one kills it.
+	for g := range fuzzGeometries {
+		f.Add(append([]byte{byte(g)},
+			append(step(stepInsert, 0x02, 0x11, 1),
+				append(step(stepInsert, 0x02, 0x21, 2),
+					append(step(stepLookup, 0x02, 0x01, 0),
+						append(step(stepReclaim, 0, 2, 0),
+							append(step(stepLookup, 0x02, 0x01, 0),
+								append(step(stepReclaim, 0, 4, 0),
+									step(stepLookup, 0x02, 0x01, 0)...)...)...)...)...)...)...))
+	}
+	// More than 64 live tuples naming register 5 between two reclaims of
+	// it (every output is p5), on the 256-set table; then probes of each.
+	many := []byte{3}
+	manySig := func(k int) (a, b byte) { return byte(k), byte(k*3&7 | 5<<3) }
+	for k := 0; k < 128; k++ {
+		a, b := manySig(k)
+		many = append(many, step(stepInsert, a, b, byte(k))...)
+	}
+	for round := 0; round < 2; round++ {
+		for k := 0; k < 128; k += 3 {
+			a, b := manySig(k)
+			many = append(many, step(stepLookup, a, b, 0)...)
+		}
+		many = append(many, step(stepReclaim, 0, 5, 0)...)
+	}
+	f.Add(many)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		geo := fuzzGeometries[int(data[0])%len(fuzzGeometries)]
+		tb := New(geo[0], geo[1], PolicyFull)
+		ref := newRefTable(tb)
+		var lookups, hits, inserts uint64
+		for k, s := 1, 0; k+4 <= len(data); k, s = k+4, s+1 {
+			kind, a, b, c := int(data[k])%stepKinds, data[k+1], data[k+2], data[k+3]
+			op, imm, in1, in2 := stepSignature(a, b)
+			switch kind {
+			case stepInsert:
+				e := Entry{Op: op, Imm: imm, In1: in1, In2: in2, Out: m(int(b>>3&7), int32(c&1)*4),
+					Reverse: b&0x40 != 0, Value: uint64(c), HasValue: true}
+				tb.Insert(e)
+				ref.insert(e)
+				inserts++
+			case stepLookup:
+				out, val, rev, hit := tb.LookupRev(op, imm, in1, in2)
+				wout, wval, wrev, whit := ref.lookup(op, imm, in1, in2)
+				if out != wout || val != wval || rev != wrev || hit != whit {
+					t.Fatalf("step %d: lookup = %v,%d,%v,%v; reference %v,%d,%v,%v", s, out, val, rev, hit, wout, wval, wrev, whit)
+				}
+				lookups++
+				if hit {
+					hits++
+				}
+			case stepPeek:
+				out, val, rev, hit := tb.Peek(op, imm, in1, in2)
+				wout, wval, wrev, whit := ref.peek(op, imm, in1, in2)
+				if out != wout || val != wval || rev != wrev || hit != whit {
+					t.Fatalf("step %d: peek = %v,%d,%v,%v; reference %v,%d,%v,%v", s, out, val, rev, hit, wout, wval, wrev, whit)
+				}
+			case stepReclaim:
+				tb.InvalidatePhys(int(b & 7))
+				ref.reclaim(int(b & 7))
+			case stepInvalidateSignature:
+				tb.InvalidateSignature(op, imm, in1, in2)
+				ref.invalidateSignature(op, imm, in1, in2)
+			}
+			if got, want := tb.Occupancy(), ref.occupancy(); got != want {
+				t.Fatalf("step %d (kind %d): occupancy %d, reference %d", s, kind, got, want)
+			}
+			if tb.Lookups != lookups || tb.Hits != hits || tb.Inserts != inserts {
+				t.Fatalf("step %d: counters look%d hit%d ins%d, want %d %d %d", s, tb.Lookups, tb.Hits, tb.Inserts, lookups, hits, inserts)
+			}
+		}
+	})
+}
