@@ -125,6 +125,44 @@ func TestSteadyStateFunctionalZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestEngineAllocsIndependentOfRunLength pins the elimination engine's
+// cost model: everything an engine allocates is sized when it is built,
+// so a fresh engine deciding the first 1,000 records of gzip's region
+// allocates as often as one deciding the whole region. A per-register
+// structure grown on first use fails it, since a longer run touches more
+// registers.
+func TestEngineAllocsIndependentOfRunLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	prof, ok := workload.ByName("gzip")
+	if !ok {
+		t.Fatal("gzip profile missing")
+	}
+	trace, err := emu.CollectTrace(workload.MustBuild(workload.Scale(prof, 0.2)).Code, 200_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const short = 1_000
+	if len(trace) <= short {
+		t.Fatalf("gzip region is %d records; want more than %d", len(trace), short)
+	}
+	cfg := pipeline.FourWide(reno.Default(160))
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			eng := elim.New(cfg.Reno, cfg.ROBSize, cfg.RenameWidth)
+			for k := range trace[:n] {
+				if _, _, err := eng.Next(&trace[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	if few, all := allocs(short), allocs(len(trace)); few != all {
+		t.Errorf("an engine allocates %.0f times deciding %d records and %.0f times deciding all %d", few, short, all, len(trace))
+	}
+}
+
 // TestEnvelopeAllocsIndependentOfSetSize pins the envelope writer's cost
 // model: encoding a record allocates the same whether its set holds 5
 // metrics or 50, so a sweep envelope's allocations grow with its records

@@ -21,6 +21,14 @@
 // pointer decrements similarly create reverse addi entries so bypassing can
 // bootstrap across calls when RENO.CF is not present to fold them.
 //
+// A tuple dies when a register it names is reclaimed: a recycled register
+// no longer holds the value the tuple describes. Hardware performs this
+// lazily, in the integration test itself, and so does the table: it keeps
+// a reclaim generation per physical register, each tuple records the
+// generations of the three registers it names, and a probe passes over a
+// tuple whose generations are no longer current. A reclaim is one counter
+// increment, with no search for the tuples it kills.
+//
 // Eliminated loads are speculative (memory may have been written in
 // between) and re-execute at retirement; ALU integrations are exact by name
 // equivalence and need no verification. To let the trace-driven simulator
@@ -58,7 +66,8 @@ type Entry struct {
 	Value    uint64
 	HasValue bool
 
-	age uint64 // for LRU within a set
+	age uint64    // for LRU within a set
+	gen [3]uint64 // reclaim generations of In1.P, In2.P, Out.P at insert
 }
 
 // Policy selects which instruction classes the IT serves.
@@ -119,9 +128,7 @@ func (p *Policy) UnmarshalJSON(b []byte) error {
 }
 
 // Table is the set-associative integration table. Entries are stored flat
-// (set-major, sets×ways): one allocation, and the whole-table scans of
-// InvalidatePhys — run on every physical-register reclaim — walk contiguous
-// memory.
+// (set-major, sets×ways): one allocation.
 type Table struct {
 	sets    int
 	ways    int
@@ -131,31 +138,22 @@ type Table struct {
 	policy  Policy
 	tick    uint64
 
-	// phys indexes entry slots by the physical registers they mention:
-	// phys[p] holds candidate slot indices for tuples whose In1/In2/Out is
-	// p. InvalidatePhys — run on every physical-register reclaim, the
-	// hottest table operation by an order of magnitude — walks the
-	// candidate list instead of the whole table. Entries are registered at
-	// insert and never unregistered (overwritten slots go stale in the
-	// list); each candidate is validated against the live entry before
-	// invalidation, so the index is semantically invisible. Lists are
-	// fixed-capacity (allocated once, reused after clearing) to keep the
-	// steady-state rename loop allocation-free; a register that
-	// accumulates more candidates than the cap between reclaims is marked
-	// overflowed and falls back to a whole-table scan on its next reclaim.
-	phys     [][]int32
-	physOver []bool
+	// gen counts the reclaims of each physical register. A reclaim needs
+	// a committed instruction, so a uint64 does not wrap in any run, and
+	// a tuple whose recorded generations all still match names no
+	// register reclaimed since its insert.
+	gen []uint64
 
 	// Stats (E9: size/bandwidth accounting).
-	Lookups  uint64
-	Hits     uint64
-	Inserts  uint64
-	Invalids uint64
+	Lookups uint64
+	Hits    uint64
+	Inserts uint64
 }
 
-// New builds an IT with the given total entries and associativity. The
-// paper's configuration is 512 entries, 2-way.
-func New(totalEntries, ways int, policy Policy) *Table {
+// New builds an IT with the given total entries and associativity over a
+// file of physRegs physical registers. The paper's configuration is 512
+// entries, 2-way.
+func New(totalEntries, ways, physRegs int, policy Policy) *Table {
 	sets := totalEntries / ways
 	if sets < 1 {
 		sets = 1
@@ -165,6 +163,7 @@ func New(totalEntries, ways int, policy Policy) *Table {
 		t.pow2, t.mask = true, uint64(sets-1)
 	}
 	t.entries = make([]Entry, sets*ways)
+	t.gen = make([]uint64, physRegs)
 	return t
 }
 
@@ -217,171 +216,106 @@ func (t *Table) Covers(cls isa.Class) bool {
 	}
 }
 
-// Lookup probes for a tuple matching the renamed operation. It counts one
-// IT access. On a hit the matched output mapping and the entry's value
-// oracle are returned.
-func (t *Table) Lookup(op isa.Op, imm int32, in1, in2 renamer.Mapping) (out renamer.Mapping, value uint64, hit bool) {
-	out, value, _, hit = t.LookupRev(op, imm, in1, in2)
-	return out, value, hit
+// live reports whether e holds a tuple: inserted, not invalidated by
+// signature, and naming no register reclaimed since its insert.
+//
+//reno:hotpath
+func (t *Table) live(e *Entry) bool {
+	return e.Valid && e.gen[0] == t.gen[e.In1.P] && e.gen[1] == t.gen[e.In2.P] && e.gen[2] == t.gen[e.Out.P]
 }
 
-// LookupRev is Lookup plus the reverse-tuple flag, so callers can classify
-// a hit as CSE (forward) versus speculative memory bypassing (reverse).
-func (t *Table) LookupRev(op isa.Op, imm int32, in1, in2 renamer.Mapping) (out renamer.Mapping, value uint64, reverse, hit bool) {
-	t.Lookups++
+// probe returns the live tuple with the given signature, or nil, and the
+// set the signature indexes.
+//
+//reno:hotpath
+func (t *Table) probe(op isa.Op, imm int32, in1, in2 renamer.Mapping) (hit *Entry, set []Entry) {
 	lo, hi := t.setBounds(t.hash(op, imm, in1))
-	for i := lo; i < hi; i++ {
-		e := &t.entries[i]
-		if e.Valid && e.Op == op && e.Imm == imm && e.In1 == in1 && e.In2 == in2 {
-			t.Hits++
-			t.tick++
-			e.age = t.tick
-			return e.Out, e.Value, e.Reverse, true
+	set = t.entries[lo:hi]
+	for i := range set {
+		e := &set[i]
+		if e.Op == op && e.Imm == imm && e.In1 == in1 && e.In2 == in2 && t.live(e) {
+			return e, set
 		}
 	}
-	return renamer.Mapping{}, 0, false, false
+	return nil, set
 }
 
-// Peek probes for a tuple like LookupRev but without side effects: no
+// Lookup probes for a tuple matching the renamed operation. It counts one
+// IT access. On a hit the matched output mapping, the entry's value oracle
+// and its reverse-tuple flag are returned, so callers can classify a hit
+// as CSE (forward) versus speculative memory bypassing (reverse).
+func (t *Table) Lookup(op isa.Op, imm int32, in1, in2 renamer.Mapping) (out renamer.Mapping, value uint64, reverse, hit bool) {
+	t.Lookups++
+	e, _ := t.probe(op, imm, in1, in2)
+	if e == nil {
+		return renamer.Mapping{}, 0, false, false
+	}
+	t.Hits++
+	t.tick++
+	e.age = t.tick
+	return e.Out, e.Value, e.Reverse, true
+}
+
+// Peek probes for a tuple like Lookup but without side effects: no
 // access/hit statistics and no LRU refresh. The shared elimination engine
 // uses it to pre-adjudicate speculative load bypassing (will this load's
 // integration promise the right value?) without perturbing the table state
 // that the real rename-time lookup will observe and account.
 func (t *Table) Peek(op isa.Op, imm int32, in1, in2 renamer.Mapping) (out renamer.Mapping, value uint64, reverse, hit bool) {
-	lo, hi := t.setBounds(t.hash(op, imm, in1))
-	for i := lo; i < hi; i++ {
-		e := &t.entries[i]
-		if e.Valid && e.Op == op && e.Imm == imm && e.In1 == in1 && e.In2 == in2 {
-			return e.Out, e.Value, e.Reverse, true
-		}
+	if e, _ := t.probe(op, imm, in1, in2); e != nil {
+		return e.Out, e.Value, e.Reverse, true
 	}
 	return renamer.Mapping{}, 0, false, false
 }
 
-// Insert installs a tuple, evicting LRU within the set. Duplicate tuples
-// (same signature) are refreshed in place.
+// Insert installs a tuple. A live tuple with the same signature is
+// refreshed in place; otherwise the tuple takes the set's first way that
+// holds no live tuple, or else its least recently used way.
 func (t *Table) Insert(e Entry) {
 	t.Inserts++
-	lo, hi := t.setBounds(t.hash(e.Op, e.Imm, e.In1))
 	t.tick++
-	e.Valid = true
-	e.age = t.tick
-	// Refresh an existing identical signature.
-	for i := lo; i < hi; i++ {
-		old := &t.entries[i]
-		if old.Valid && old.Op == e.Op && old.Imm == e.Imm && old.In1 == e.In1 && old.In2 == e.In2 {
-			*old = e
-			t.register(i, e.Out.P) // inputs match the old tuple's, already indexed
-			return
+	e.Valid, e.age = true, t.tick
+	e.gen = [3]uint64{t.gen[e.In1.P], t.gen[e.In2.P], t.gen[e.Out.P]}
+	slot, set := t.probe(e.Op, e.Imm, e.In1, e.In2)
+	if slot == nil {
+		slot = &set[0]
+		for i := range set {
+			if !t.live(&set[i]) {
+				slot = &set[i]
+				break
+			}
+			if set[i].age < slot.age {
+				slot = &set[i]
+			}
 		}
 	}
-	victim, oldest := lo, ^uint64(0)
-	for i := lo; i < hi; i++ {
-		if !t.entries[i].Valid {
-			victim = i
-			break
-		}
-		if t.entries[i].age < oldest {
-			victim, oldest = i, t.entries[i].age
-		}
-	}
-	t.entries[victim] = e
-	t.register(victim, e.In1.P)
-	t.register(victim, e.In2.P)
-	t.register(victim, e.Out.P)
+	*slot = e
 }
 
-// physIndexCap bounds each register's candidate list. Between two reclaims
-// of the same physical register only a handful of tuples can come to
-// mention it; overflow past the cap is rare and costs one whole-table scan.
-const physIndexCap = 64
-
-// register records that slot i holds a tuple mentioning physical register p.
-//
-//reno:hotpath
-func (t *Table) register(i int, p int) {
-	if p < 0 {
-		return
-	}
-	for p >= len(t.phys) {
-		t.phys = append(t.phys, nil)
-		t.physOver = append(t.physOver, false)
-	}
-	if t.physOver[p] {
-		return
-	}
-	l := t.phys[p]
-	if l == nil {
-		//lint:ignore hotalloc once per physical register; kept in t.phys thereafter
-		l = make([]int32, 0, physIndexCap)
-	}
-	if n := len(l); n > 0 && l[n-1] == int32(i) {
-		return // same slot registered for another field of this tuple
-	}
-	if len(l) == physIndexCap {
-		t.physOver[p] = true
-		return
-	}
-	t.phys[p] = append(l, int32(i))
-}
-
-// InvalidatePhys removes every tuple that mentions physical register p as
+// InvalidatePhys retires every tuple that mentions physical register p as
 // an input or output. Called when p is reclaimed (its count reaches zero):
 // a recycled register no longer holds the value the tuple describes.
 //
-// Hardware implementations perform this lazily via the integration test;
-// the eager invalidation here is behaviourally equivalent and simpler to
-// audit. The phys index narrows the walk to candidate slots; stale
-// candidates (overwritten since registration) fail the mention check and
-// are skipped, so the result is identical to a whole-table scan.
+// Hardware implementations perform this lazily via the integration test,
+// and so does the table: the reclaim advances p's generation, and live
+// passes over every tuple that recorded an older one.
 //
 //reno:hotpath
-func (t *Table) InvalidatePhys(p int) {
-	if p < 0 || p >= len(t.phys) {
-		return // p was never mentioned by any inserted tuple
-	}
-	if t.physOver[p] {
-		// Candidate list overflowed since p's last reclaim: scan the
-		// whole table once, then resume indexed operation.
-		for i := range t.entries {
-			e := &t.entries[i]
-			if e.Valid && (e.In1.P == p || e.In2.P == p || e.Out.P == p) {
-				e.Valid = false
-				t.Invalids++
-			}
-		}
-		t.physOver[p] = false
-		t.phys[p] = t.phys[p][:0]
-		return
-	}
-	for _, i := range t.phys[p] {
-		e := &t.entries[i]
-		if e.Valid && (e.In1.P == p || e.In2.P == p || e.Out.P == p) {
-			e.Valid = false
-			t.Invalids++
-		}
-	}
-	t.phys[p] = t.phys[p][:0]
-}
+func (t *Table) InvalidatePhys(p int) { t.gen[p]++ }
 
 // InvalidateSignature removes a specific tuple (used when load re-execution
 // detects a stale bypass so the same entry does not mis-integrate again).
 func (t *Table) InvalidateSignature(op isa.Op, imm int32, in1, in2 renamer.Mapping) {
-	lo, hi := t.setBounds(t.hash(op, imm, in1))
-	for i := lo; i < hi; i++ {
-		e := &t.entries[i]
-		if e.Valid && e.Op == op && e.Imm == imm && e.In1 == in1 && e.In2 == in2 {
-			e.Valid = false
-			t.Invalids++
-		}
+	if e, _ := t.probe(op, imm, in1, in2); e != nil {
+		e.Valid = false
 	}
 }
 
-// Occupancy returns the number of valid entries (tests and stats).
+// Occupancy returns the number of live entries (tests and stats).
 func (t *Table) Occupancy() int {
 	n := 0
 	for i := range t.entries {
-		if t.entries[i].Valid {
+		if t.live(&t.entries[i]) {
 			n++
 		}
 	}

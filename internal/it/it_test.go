@@ -10,20 +10,23 @@ import (
 
 func m(p int, d int32) renamer.Mapping { return renamer.Mapping{P: p, D: d} }
 
+// testRegs sizes the register file of the hand-written tests' tables.
+const testRegs = 128
+
 func TestInsertLookupHit(t *testing.T) {
-	tb := New(512, 2, PolicyLoadsOnly)
+	tb := New(512, 2, testRegs, PolicyLoadsOnly)
 	tb.Insert(Entry{
 		Op: isa.OpLd, Imm: 8, In1: m(1, 0), In2: m(0, 0),
 		Out: m(3, 0), Value: 77, HasValue: true,
 	})
-	out, val, hit := tb.Lookup(isa.OpLd, 8, m(1, 0), m(0, 0))
+	out, val, _, hit := tb.Lookup(isa.OpLd, 8, m(1, 0), m(0, 0))
 	if !hit || out != m(3, 0) || val != 77 {
 		t.Errorf("lookup = %v,%d,%v", out, val, hit)
 	}
 }
 
 func TestLookupMissOnDifferentSignature(t *testing.T) {
-	tb := New(512, 2, PolicyLoadsOnly)
+	tb := New(512, 2, testRegs, PolicyLoadsOnly)
 	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(3, 0)})
 	cases := []struct {
 		op   isa.Op
@@ -36,7 +39,7 @@ func TestLookupMissOnDifferentSignature(t *testing.T) {
 		{isa.OpLd, 8, m(1, 4), "different input displacement"},
 	}
 	for _, c := range cases {
-		if _, _, hit := tb.Lookup(c.op, c.imm, c.in1, m(0, 0)); hit {
+		if _, _, _, hit := tb.Lookup(c.op, c.imm, c.in1, m(0, 0)); hit {
 			t.Errorf("%s: unexpected hit", c.desc)
 		}
 	}
@@ -46,23 +49,23 @@ func TestLookupMissOnDifferentSignature(t *testing.T) {
 // integrates against the first; after r1 is overwritten the third load's
 // signature no longer matches.
 func TestFigure3CSE(t *testing.T) {
-	tb := New(512, 2, PolicyLoadsOnly)
+	tb := New(512, 2, testRegs, PolicyLoadsOnly)
 	p1, p3, p6 := 1, 3, 6
 
 	// load r3, 8(r1) with r1->[p1]: non-redundant, creates <load/8, p1 -> p3>.
-	if _, _, hit := tb.Lookup(isa.OpLd, 8, m(p1, 0), m(0, 0)); hit {
+	if _, _, _, hit := tb.Lookup(isa.OpLd, 8, m(p1, 0), m(0, 0)); hit {
 		t.Fatal("cold lookup hit")
 	}
 	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(p1, 0), In2: m(0, 0), Out: m(p3, 0)})
 
 	// load r4, 8(r1): redundant -> r4 shares p3.
-	out, _, hit := tb.Lookup(isa.OpLd, 8, m(p1, 0), m(0, 0))
+	out, _, _, hit := tb.Lookup(isa.OpLd, 8, m(p1, 0), m(0, 0))
 	if !hit || out.P != p3 {
 		t.Fatalf("second load should integrate to p3, got %v/%v", out, hit)
 	}
 
 	// add overwrites r1 -> p6; the third load reads [p6] and must miss.
-	if _, _, hit := tb.Lookup(isa.OpLd, 8, m(p6, 0), m(0, 0)); hit {
+	if _, _, _, hit := tb.Lookup(isa.OpLd, 8, m(p6, 0), m(0, 0)); hit {
 		t.Error("third load integrated despite overwritten input register")
 	}
 }
@@ -70,7 +73,7 @@ func TestFigure3CSE(t *testing.T) {
 // TestFigure3RA reproduces Figure 3 (bottom): a stack store creates the
 // reverse entry its matching load integrates against.
 func TestFigure3RA(t *testing.T) {
-	tb := New(512, 2, PolicyFull)
+	tb := New(512, 2, testRegs, PolicyFull)
 	p2, p8 := 2, 8
 
 	// store r2, 8(sp) with sp->[p8], r2->[p2]: reverse entry
@@ -81,7 +84,7 @@ func TestFigure3RA(t *testing.T) {
 	})
 
 	// load r2, 8(sp) with sp back to [p8]: integrates to p2.
-	out, val, rev, hit := tb.LookupRev(isa.OpLd, 8, m(p8, 0), m(0, 0))
+	out, val, rev, hit := tb.Lookup(isa.OpLd, 8, m(p8, 0), m(0, 0))
 	if !hit || out.P != p2 || !rev || val != 42 {
 		t.Errorf("bypass lookup = %v,%d,rev=%v,hit=%v", out, val, rev, hit)
 	}
@@ -91,48 +94,48 @@ func TestFigure3RA(t *testing.T) {
 // the signature, two loads reading [p1:4] match even though the addi that
 // created the displacement was itself eliminated.
 func TestFigure5CFInteraction(t *testing.T) {
-	tb := New(512, 2, PolicyLoadsOnly)
+	tb := New(512, 2, testRegs, PolicyLoadsOnly)
 	p1, p2 := 1, 2
 	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(p1, 4), In2: m(0, 0), Out: m(p2, 0)})
-	out, _, hit := tb.Lookup(isa.OpLd, 8, m(p1, 4), m(0, 0))
+	out, _, _, hit := tb.Lookup(isa.OpLd, 8, m(p1, 4), m(0, 0))
 	if !hit || out.P != p2 {
 		t.Errorf("displaced-signature integration failed: %v/%v", out, hit)
 	}
 	// A different displacement on the same register must miss.
-	if _, _, hit := tb.Lookup(isa.OpLd, 8, m(p1, 8), m(0, 0)); hit {
+	if _, _, _, hit := tb.Lookup(isa.OpLd, 8, m(p1, 8), m(0, 0)); hit {
 		t.Error("mismatched displacement integrated")
 	}
 }
 
 func TestInvalidatePhys(t *testing.T) {
-	tb := New(512, 2, PolicyFull)
+	tb := New(512, 2, testRegs, PolicyFull)
 	tb.Insert(Entry{Op: isa.OpLd, Imm: 0, In1: m(1, 0), Out: m(3, 0)})
 	tb.Insert(Entry{Op: isa.OpAdd, In1: m(3, 0), In2: m(2, 0), Out: m(4, 0)})
 	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(5, 0), Out: m(6, 0)})
 
 	tb.InvalidatePhys(3) // frees p3: kills both entries touching it
-	if _, _, hit := tb.Lookup(isa.OpLd, 0, m(1, 0), m(0, 0)); hit {
+	if _, _, _, hit := tb.Lookup(isa.OpLd, 0, m(1, 0), m(0, 0)); hit {
 		t.Error("entry with freed output register survived")
 	}
-	if _, _, hit := tb.Lookup(isa.OpAdd, 0, m(3, 0), m(2, 0)); hit {
+	if _, _, _, hit := tb.Lookup(isa.OpAdd, 0, m(3, 0), m(2, 0)); hit {
 		t.Error("entry with freed input register survived")
 	}
-	if _, _, hit := tb.Lookup(isa.OpLd, 8, m(5, 0), m(0, 0)); !hit {
+	if _, _, _, hit := tb.Lookup(isa.OpLd, 8, m(5, 0), m(0, 0)); !hit {
 		t.Error("unrelated entry invalidated")
 	}
 }
 
 func TestInvalidateSignature(t *testing.T) {
-	tb := New(512, 2, PolicyLoadsOnly)
+	tb := New(512, 2, testRegs, PolicyLoadsOnly)
 	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), In2: m(0, 0), Out: m(3, 0)})
 	tb.InvalidateSignature(isa.OpLd, 8, m(1, 0), m(0, 0))
-	if _, _, hit := tb.Lookup(isa.OpLd, 8, m(1, 0), m(0, 0)); hit {
+	if _, _, _, hit := tb.Lookup(isa.OpLd, 8, m(1, 0), m(0, 0)); hit {
 		t.Error("invalidated signature still hits")
 	}
 }
 
 func TestSetConflictEviction(t *testing.T) {
-	tb := New(4, 2, PolicyLoadsOnly) // 2 sets x 2 ways: tiny on purpose
+	tb := New(4, 2, testRegs, PolicyLoadsOnly) // 2 sets x 2 ways: tiny on purpose
 	inserted := 0
 	for p := 1; p <= 16; p++ {
 		tb.Insert(Entry{Op: isa.OpLd, Imm: 0, In1: m(p, 0), Out: m(p+100, 0)})
@@ -144,10 +147,10 @@ func TestSetConflictEviction(t *testing.T) {
 }
 
 func TestDuplicateSignatureRefreshes(t *testing.T) {
-	tb := New(512, 2, PolicyLoadsOnly)
+	tb := New(512, 2, testRegs, PolicyLoadsOnly)
 	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(3, 0), Value: 1, HasValue: true})
 	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(9, 0), Value: 2, HasValue: true})
-	out, val, hit := tb.Lookup(isa.OpLd, 8, m(1, 0), m(0, 0))
+	out, val, _, hit := tb.Lookup(isa.OpLd, 8, m(1, 0), m(0, 0))
 	if !hit || out.P != 9 || val != 2 {
 		t.Errorf("refresh lookup = %v,%d,%v", out, val, hit)
 	}
@@ -157,8 +160,8 @@ func TestDuplicateSignatureRefreshes(t *testing.T) {
 }
 
 func TestPolicyCovers(t *testing.T) {
-	loads := New(512, 2, PolicyLoadsOnly)
-	full := New(512, 2, PolicyFull)
+	loads := New(512, 2, testRegs, PolicyLoadsOnly)
+	full := New(512, 2, testRegs, PolicyFull)
 	ld := isa.Predecode(isa.Ld(1, 2, 8)).Class()
 	add := isa.Predecode(isa.R(isa.OpAdd, 1, 2, 3)).Class()
 	st := isa.Predecode(isa.St(1, 2, 8)).Class()
@@ -178,7 +181,7 @@ func TestPolicyCovers(t *testing.T) {
 }
 
 func TestStatsCounting(t *testing.T) {
-	tb := New(512, 2, PolicyLoadsOnly)
+	tb := New(512, 2, testRegs, PolicyLoadsOnly)
 	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(3, 0)})
 	tb.Lookup(isa.OpLd, 8, m(1, 0), m(0, 0))
 	tb.Lookup(isa.OpLd, 9, m(1, 0), m(0, 0))
@@ -192,7 +195,7 @@ func TestStatsCounting(t *testing.T) {
 func TestSetOfMatchesModulo(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, sets := range []int{1, 2, 3, 50, 256, 512} {
-		tb := New(sets*2, 2, PolicyLoadsOnly)
+		tb := New(sets*2, 2, testRegs, PolicyLoadsOnly)
 		hs := []uint64{0, 1, ^uint64(0), 1 << 63}
 		for k := 0; k < 10000; k++ {
 			hs = append(hs, rng.Uint64())
@@ -377,7 +380,7 @@ func FuzzTableMatchesReference(f *testing.F) {
 			return
 		}
 		geo := fuzzGeometries[int(data[0])%len(fuzzGeometries)]
-		tb := New(geo[0], geo[1], PolicyFull)
+		tb := New(geo[0], geo[1], fuzzRegs, PolicyFull)
 		ref := newRefTable(tb)
 		var lookups, hits, inserts uint64
 		for k, s := 1, 0; k+4 <= len(data); k, s = k+4, s+1 {
@@ -391,7 +394,7 @@ func FuzzTableMatchesReference(f *testing.F) {
 				ref.insert(e)
 				inserts++
 			case stepLookup:
-				out, val, rev, hit := tb.LookupRev(op, imm, in1, in2)
+				out, val, rev, hit := tb.Lookup(op, imm, in1, in2)
 				wout, wval, wrev, whit := ref.lookup(op, imm, in1, in2)
 				if out != wout || val != wval || rev != wrev || hit != whit {
 					t.Fatalf("step %d: lookup = %v,%d,%v,%v; reference %v,%d,%v,%v", s, out, val, rev, hit, wout, wval, wrev, whit)

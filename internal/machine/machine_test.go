@@ -279,6 +279,7 @@ func TestResolveReno(t *testing.T) {
 		{`{"base": "TURBO"}`, "unknown RENO config"},
 		{`{"base": "RENO", "it_entry": 64}`, "unknown field"},
 		{`{"base": "RENO", "it_entries": 100, "it_ways": 3}`, "multiple of"},
+		{`{"base": "ME+CF", "enable_cse_ra": true, "it_ways": 1}`, "it_ways (1) is set without it_entries"},
 		{`{"base": "RENO", "it_policy": "sideways"}`, "policy"},
 		{`[1]`, "must be a string or an object"},
 	} {

@@ -124,6 +124,9 @@ func (c Config) Validate() error {
 	if c.ITPolicy != it.PolicyLoadsOnly && c.ITPolicy != it.PolicyFull {
 		return fmt.Errorf("it_policy %d is not a known policy (want %q or %q)", int(c.ITPolicy), it.PolicyLoadsOnly, it.PolicyFull)
 	}
+	if c.EnableCSERA && c.ITEntries == 0 && c.ITWays != 0 {
+		return fmt.Errorf("it_ways (%d) is set without it_entries: give both, or neither for the default 512-entry 2-way table", c.ITWays)
+	}
 	if c.EnableCSERA && c.ITEntries != 0 {
 		if c.ITWays < 1 {
 			return fmt.Errorf("it_ways must be >= 1 when it_entries is set, got %d", c.ITWays)
@@ -264,7 +267,7 @@ func New(cfg Config) *Optimizer {
 		if entries == 0 {
 			entries, ways = 512, 2
 		}
-		o.it = it.New(entries, ways, cfg.ITPolicy)
+		o.it = it.New(entries, ways, cfg.PhysRegs, cfg.ITPolicy)
 	}
 	return o
 }
@@ -446,7 +449,7 @@ func (o *Optimizer) tryEliminate(r *Renamed, f isa.Facts, result uint64) bool {
 				o.Stats.ReexecFails++
 				r.MisBypass = true
 			}
-			outM, _, reverse, hit := o.it.LookupRev(isa.OpLd, in.Imm, r.Src[0], zeroMap)
+			outM, _, reverse, hit := o.it.Lookup(isa.OpLd, in.Imm, r.Src[0], zeroMap)
 			if hit {
 				r.NewMap = outM
 				r.OldMap = o.mt.SetShared(r.Dest, outM)
@@ -461,7 +464,7 @@ func (o *Optimizer) tryEliminate(r *Renamed, f isa.Facts, result uint64) bool {
 				return true
 			}
 		case isa.ClassIntALU:
-			outM, _, hit := o.it.Lookup(in.Op, in.Imm, r.Src[0], r.Src[1])
+			outM, _, _, hit := o.it.Lookup(in.Op, in.Imm, r.Src[0], r.Src[1])
 			if hit {
 				r.NewMap = outM
 				r.OldMap = o.mt.SetShared(r.Dest, outM)
