@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"reno/internal/backend"
 	"reno/internal/elim"
 	"reno/internal/emu"
 	"reno/internal/pipeline"
@@ -160,6 +163,44 @@ func TestEngineAllocsIndependentOfRunLength(t *testing.T) {
 	}
 	if few, all := allocs(short), allocs(len(trace)); few != all {
 		t.Errorf("an engine allocates %.0f times deciding %d records and %.0f times deciding all %d", few, short, all, len(trace))
+	}
+}
+
+// TestDetailedRunRecyclesState pins that a detailed run reuses the
+// simulator state a finished run left instead of building its own: the
+// caches, predictors, engine, buffers and the critical-path window. Of two
+// identical runs of gzip with the analyzer attached, the second allocates
+// at most a tenth of the bytes the first, which starts with no finished
+// run to reuse, allocates. Garbage collection, which may empty the pool,
+// is off while they run.
+func TestDetailedRunRecyclesState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items on purpose")
+	}
+	prof, ok := workload.ByName("gzip")
+	if !ok {
+		t.Fatal("gzip profile missing")
+	}
+	start, err := workload.MustBuild(workload.Scale(prof, 0.2)).Warm(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := backend.Request{Cfg: pipeline.FourWide(reno.Default(160)), Start: start, CPAChunk: 50_000}
+	runtime.GC() // twice: a pool survives one collection
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocated := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := backend.For(backend.Detailed).Run(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, second := allocated(), allocated()
+	if second > first/10 {
+		t.Errorf("a detailed run allocates %d bytes from nothing and %d after a finished one; want at most a tenth", first, second)
 	}
 }
 

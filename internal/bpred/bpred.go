@@ -58,24 +58,35 @@ func New(cfg Config) *Predictor {
 	p.bimodal = make([]uint8, 1<<cfg.BimodalBits)
 	p.gshare = make([]uint8, 1<<cfg.GshareBits)
 	p.chooser = make([]uint8, 1<<cfg.ChooserBits)
-	for i := range p.bimodal {
-		p.bimodal[i] = 1 // weakly not-taken
-	}
-	for i := range p.gshare {
-		p.gshare[i] = 1
-	}
-	for i := range p.chooser {
-		p.chooser[i] = 1
-	}
 	p.btbSets = cfg.BTBEntries / cfg.BTBWays
 	p.btbTags = make([]uint64, cfg.BTBEntries)
 	p.btbTgts = make([]uint64, cfg.BTBEntries)
 	p.btbLRU = make([]uint8, cfg.BTBEntries)
+	p.ras = make([]uint64, cfg.RASEntries)
+	p.Reset()
+	return p
+}
+
+// Reset clears all learned state and statistics: every counter weakly
+// not-taken, every BTB entry invalid, the history and the RAS empty, as
+// New builds them.
+func (p *Predictor) Reset() {
+	for _, t := range [][]uint8{p.bimodal, p.gshare, p.chooser} {
+		for i := range t {
+			t[i] = 1 // weakly not-taken
+		}
+	}
+	p.history = 0
 	for i := range p.btbTags {
 		p.btbTags[i] = ^uint64(0)
 	}
-	p.ras = make([]uint64, cfg.RASEntries)
-	return p
+	clear(p.btbTgts)
+	clear(p.btbLRU)
+	clear(p.ras)
+	p.rasTop = 0
+	p.DirLookups, p.DirHits = 0, 0
+	p.BTBLookups, p.BTBHits = 0, 0
+	p.RASPushes, p.RASCorrect, p.RASPops = 0, 0, 0
 }
 
 // btbSet returns the way-slice bounds of pc's BTB set.

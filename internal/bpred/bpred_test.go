@@ -1,10 +1,51 @@
 package bpred
 
 import (
+	"reflect"
 	"testing"
 
+	"reno/internal/emu"
 	"reno/internal/isa"
+	"reno/internal/workload"
 )
+
+// TestResetMatchesNew: a predictor trained on the control transfers of a
+// region of gzip, as the pipeline predicts and trains them, once reset
+// equals a newly built one in every field, unexported state included.
+func TestResetMatchesNew(t *testing.T) {
+	prof, _ := workload.ByName("gzip")
+	trace, err := emu.CollectTrace(workload.MustBuild(workload.Scale(prof, 0.2)).Code, 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(Default())
+	for _, d := range trace {
+		cls := d.Facts.Class()
+		if cls != isa.ClassBranch && cls != isa.ClassCall && cls != isa.ClassReturn {
+			continue
+		}
+		p.Predict(d.PC, d.Inst, cls)
+		switch {
+		case cls == isa.ClassBranch && d.Inst.Op != isa.OpJmp && d.Inst.Op != isa.OpJr:
+			p.UpdateDir(d.PC, d.Taken)
+			if d.Taken {
+				p.UpdateTarget(d.PC, d.NextPC)
+			}
+		case cls == isa.ClassReturn:
+			p.NoteRASOutcome(true)
+		case d.Taken:
+			p.UpdateTarget(d.PC, d.NextPC)
+		}
+	}
+	fresh := New(Default())
+	if p.DirLookups == 0 || p.RASPops == 0 || reflect.DeepEqual(p, fresh) {
+		t.Fatal("the region left the predictor as built")
+	}
+	p.Reset()
+	if !reflect.DeepEqual(p, fresh) {
+		t.Error("a reset predictor differs from a newly built one")
+	}
+}
 
 func TestBimodalLearnsBias(t *testing.T) {
 	p := New(Default())

@@ -18,9 +18,11 @@ type Config struct {
 	HitLat     int // cycles
 }
 
-// Hierarchy wires L1I, L1D, L2, and memory together.
+// Hierarchy wires L1I, L1D, L2, and memory together. The caches are held
+// by value, so a hierarchy and the counters every access updates are one
+// allocation.
 type Hierarchy struct {
-	L1I, L1D, L2 *Cache
+	L1I, L1D, L2 Cache
 
 	MemLat int // main memory access latency
 
@@ -42,9 +44,9 @@ type Hierarchy struct {
 // DefaultHierarchy returns the paper's memory system.
 func DefaultHierarchy() *Hierarchy {
 	h := &Hierarchy{
-		L1I:    New(Config{SizeBytes: 16 << 10, Ways: 2, BlockBytes: 32, HitLat: 1}),
-		L1D:    New(Config{SizeBytes: 32 << 10, Ways: 2, BlockBytes: 32, HitLat: 2}),
-		L2:     New(Config{SizeBytes: 512 << 10, Ways: 4, BlockBytes: 64, HitLat: 10}),
+		L1I:    *New(Config{SizeBytes: 16 << 10, Ways: 2, BlockBytes: 32, HitLat: 1}),
+		L1D:    *New(Config{SizeBytes: 32 << 10, Ways: 2, BlockBytes: 32, HitLat: 2}),
+		L2:     *New(Config{SizeBytes: 512 << 10, Ways: 4, BlockBytes: 64, HitLat: 10}),
 		MemLat: 100,
 		// 64B line over a 16B bus at quarter core clock: 4 beats x 4 cycles.
 		BusCyclesPerBlock: 16,
@@ -57,13 +59,13 @@ func DefaultHierarchy() *Hierarchy {
 // AccessI performs an instruction fetch of the block containing byte
 // address addr at time now, returning the data-ready cycle.
 func (h *Hierarchy) AccessI(addr uint64, now uint64) uint64 {
-	return h.access(h.L1I, addr, now, false)
+	return h.access(&h.L1I, addr, now, false)
 }
 
 // AccessD performs a data access at time now, returning the data-ready
 // cycle. Stores also probe the hierarchy (write-allocate).
 func (h *Hierarchy) AccessD(addr uint64, now uint64, isStore bool) uint64 {
-	return h.access(h.L1D, addr, now, isStore)
+	return h.access(&h.L1D, addr, now, isStore)
 }
 
 func (h *Hierarchy) access(l1 *Cache, addr uint64, now uint64, isStore bool) uint64 {
@@ -105,15 +107,14 @@ func (h *Hierarchy) access(l1 *Cache, addr uint64, now uint64, isStore bool) uin
 	return done
 }
 
-// Reset clears all cache state and statistics.
+// Reset clears all cache state and statistics, leaving h as
+// DefaultHierarchy builds it.
 func (h *Hierarchy) Reset() {
 	h.L1I.Reset()
 	h.L1D.Reset()
 	h.L2.Reset()
 	h.busFreeAt = 0
-	for i := range h.mshrFree {
-		h.mshrFree[i] = 0
-	}
+	clear(h.mshrFree)
 	h.MemAccesses, h.BusWaits, h.MSHRWaits = 0, 0, 0
 }
 
@@ -140,9 +141,7 @@ func New(cfg Config) *Cache {
 	c := &Cache{cfg: cfg, sets: sets}
 	c.tags = make([]uint64, sets*cfg.Ways)
 	c.age = make([]uint32, sets*cfg.Ways)
-	for i := range c.tags {
-		c.tags[i] = ^uint64(0)
-	}
+	c.Reset()
 	return c
 }
 
@@ -205,12 +204,12 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// Reset clears the cache.
+// Reset clears the cache: every way invalid, as New builds it.
 func (c *Cache) Reset() {
 	for i := range c.tags {
 		c.tags[i] = ^uint64(0)
-		c.age[i] = 0
 	}
+	clear(c.age)
 	c.tick = 0
 	c.Accesses, c.Misses = 0, 0
 }

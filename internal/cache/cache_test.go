@@ -1,8 +1,13 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"reno/internal/emu"
+	"reno/internal/isa"
+	"reno/internal/workload"
 )
 
 func TestCacheHitAfterFill(t *testing.T) {
@@ -133,15 +138,30 @@ func TestHierarchyMSHRBound(t *testing.T) {
 	}
 }
 
+// TestHierarchyReset: a hierarchy that has served the fetches and data
+// accesses of a region of gzip, once reset, equals a newly built one in
+// every field, unexported state included.
 func TestHierarchyReset(t *testing.T) {
-	h := DefaultHierarchy()
-	h.AccessD(0x123, 0, false)
-	h.Reset()
-	if h.L1D.Accesses != 0 || h.MemAccesses != 0 {
-		t.Error("reset did not clear stats")
+	prof, _ := workload.ByName("gzip")
+	trace, err := emu.CollectTrace(workload.MustBuild(workload.Scale(prof, 0.2)).Code, 20_000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if h.L1D.Contains(0x123) {
-		t.Error("reset did not clear contents")
+	h := DefaultHierarchy()
+	var now uint64
+	for _, d := range trace {
+		now = h.AccessI(d.PC*4, now)
+		if cls := d.Facts.Class(); cls == isa.ClassLoad || cls == isa.ClassStore {
+			now = h.AccessD(d.EA*8, now, cls == isa.ClassStore)
+		}
+	}
+	fresh := DefaultHierarchy()
+	if h.MemAccesses == 0 || reflect.DeepEqual(h, fresh) {
+		t.Fatal("the region left the hierarchy as built")
+	}
+	h.Reset()
+	if !reflect.DeepEqual(h, fresh) {
+		t.Error("a reset hierarchy differs from a newly built one")
 	}
 }
 

@@ -117,10 +117,30 @@ type Analyzer struct {
 
 // New creates an analyzer with the given chunk size (the paper uses 1M).
 func New(chunkSize int) *Analyzer {
+	a := &Analyzer{}
+	a.Reset(chunkSize)
+	return a
+}
+
+// Reset clears a's records and totals and sets its chunk size, leaving it
+// as New builds it. The record window keeps its memory when it can hold a
+// chunk, so one analyzer serves run after run without reallocating it.
+func (a *Analyzer) Reset(chunkSize int) {
 	if chunkSize < 2 {
 		chunkSize = 2
 	}
-	return &Analyzer{ChunkSize: chunkSize, window: make([]Record, 0, chunkSize)}
+	w := a.window[:0]
+	if cap(w) < chunkSize {
+		w = make([]Record, 0, chunkSize)
+	}
+	*a = Analyzer{ChunkSize: chunkSize, window: w}
+}
+
+// Totals returns a new analyzer holding a's chunk size and totals
+// (Breakdown, Chunks, PathLen) but no records: it shares no memory with a,
+// so it outlives a's reuse, and it is small.
+func (a *Analyzer) Totals() *Analyzer {
+	return &Analyzer{ChunkSize: a.ChunkSize, Breakdown: a.Breakdown, Chunks: a.Chunks, PathLen: a.PathLen}
 }
 
 // Add appends one retired-instruction record; when the chunk fills it is

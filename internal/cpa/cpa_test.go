@@ -1,6 +1,13 @@
 package cpa
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"reno/internal/emu"
+	"reno/internal/isa"
+	"reno/internal/workload"
+)
 
 // chain builds a window of n records forming a pure serial dataflow chain:
 // each instruction waits on its predecessor's completion, with lat cycles
@@ -167,5 +174,55 @@ func TestBucketStrings(t *testing.T) {
 		if b.String() != s {
 			t.Errorf("bucket %d = %q, want %q", b, b.String(), s)
 		}
+	}
+}
+
+// TestResetKeepsWindow: an analyzer fed a serial chain through a region
+// of gzip (loads charged to the load bucket, everything else to the ALU),
+// with half a chunk still buffered, once reset equals a newly built one in
+// every field and keeps its window's array; a larger chunk size gets a
+// larger one. Totals copies the totals and none of the records.
+func TestResetKeepsWindow(t *testing.T) {
+	prof, _ := workload.ByName("gzip")
+	trace, err := emu.CollectTrace(workload.MustBuild(workload.Scale(prof, 0.2)).Code, 2_500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(1_000)
+	var c uint64
+	for i, d := range trace {
+		r := Record{
+			Seq: uint64(i), FetchC: c, IssueC: c + 1, CompC: c + 2, CommitC: c + 3,
+			ExecBucket: BALU, IssueBound: BoundProducer, IssueBoundSeq: uint64(i) - 1,
+			FetchBound: BoundPrevFetch, CommitBound: BoundCompletion,
+		}
+		if d.Facts.Class() == isa.ClassLoad {
+			r.ExecBucket, r.CompC = BLoad, c+4
+		}
+		a.Add(r)
+		c = r.CompC
+	}
+	if a.Chunks != 2 || len(a.window) != 500 {
+		t.Fatalf("test setup: %d chunks, %d records buffered; want 2 and 500", a.Chunks, len(a.window))
+	}
+	totals := a.Totals()
+	if totals.window != nil || totals.ChunkSize != a.ChunkSize || totals.Breakdown != a.Breakdown ||
+		totals.Chunks != a.Chunks || totals.PathLen != a.PathLen {
+		t.Errorf("Totals() = %+v, want the totals of %+v and no records", totals, a)
+	}
+	arr := &a.window[:1][0]
+	a.Reset(1_000)
+	if !reflect.DeepEqual(a, New(1_000)) {
+		t.Error("a reset analyzer differs from a newly built one")
+	}
+	if &a.window[:1][0] != arr {
+		t.Error("Reset reallocated a window large enough for the chunk")
+	}
+	if totals.Chunks != 2 || totals.PathLen == 0 {
+		t.Errorf("Reset changed the totals copied out before it: %+v", totals)
+	}
+	a.Reset(4_000)
+	if !reflect.DeepEqual(a, New(4_000)) || cap(a.window) < 4_000 {
+		t.Errorf("an analyzer reset to a larger chunk holds %d records, want room for 4000", cap(a.window))
 	}
 }

@@ -35,6 +35,7 @@ package elim
 
 import (
 	"fmt"
+	"slices"
 
 	"reno/internal/emu"
 	"reno/internal/isa"
@@ -42,8 +43,10 @@ import (
 )
 
 // Engine makes all RENO elimination decisions for one simulated program.
+// It holds its optimizer by value: one allocation for the state every
+// decision updates.
 type Engine struct {
-	opt *reno.Optimizer
+	opt reno.Optimizer
 
 	width int    // fixed rename group width
 	slot  int    // position of the next instruction in its group
@@ -62,18 +65,28 @@ type Engine struct {
 // window and renameWidth fixes the group alignment; both must match the
 // timing model consuming the decisions for cross-backend equivalence.
 func New(cfg reno.Config, robSize, renameWidth int) *Engine {
+	e := &Engine{}
+	e.Reset(cfg, robSize, renameWidth)
+	return e
+}
+
+// Reset readies e for a new program run, leaving it as New builds it for
+// the same arguments. The optimizer is reset in place (see
+// reno.Optimizer.Reset) and the decision window keeps its memory when it
+// can hold robSize records, so a recycled engine allocates only what it
+// lacks or has outgrown.
+func (e *Engine) Reset(cfg reno.Config, robSize, renameWidth int) {
 	if robSize < 1 || renameWidth < 1 {
 		panic(fmt.Sprintf("elim: invalid window %d / width %d", robSize, renameWidth))
 	}
-	return &Engine{
-		opt:   reno.New(cfg),
-		width: renameWidth,
-		win:   make([]reno.Renamed, robSize),
-	}
+	e.opt.Reset(cfg)
+	win := slices.Grow(e.win[:0], robSize)[:robSize]
+	clear(win)
+	*e = Engine{opt: e.opt, width: renameWidth, win: win}
 }
 
 // Optimizer exposes the underlying RENO optimizer (stats, IT, refcounts).
-func (e *Engine) Optimizer() *reno.Optimizer { return e.opt }
+func (e *Engine) Optimizer() *reno.Optimizer { return &e.opt }
 
 // Stats returns the optimizer's rename-time statistics. Over a fully
 // committed stream these equal the per-backend commit tallies exactly.

@@ -1,11 +1,13 @@
 package elim
 
 import (
+	"reflect"
 	"testing"
 
 	"reno/internal/emu"
 	"reno/internal/isa"
 	"reno/internal/reno"
+	"reno/internal/workload"
 )
 
 // decision is one Next outcome.
@@ -95,5 +97,80 @@ func TestNextRefusesUndecoded(t *testing.T) {
 	e := New(reno.Default(160), 8, 4)
 	if _, _, err := e.Next(&emu.Dyn{Inst: isa.Move(1, 2)}); err == nil {
 		t.Fatal("Next accepted a record without predecoded facts")
+	}
+}
+
+// gzipRegion returns the dynamic instructions of gzip at scale 0.2.
+func gzipRegion(t *testing.T) []emu.Dyn {
+	t.Helper()
+	prof, _ := workload.ByName("gzip")
+	trace, err := emu.CollectTrace(workload.MustBuild(workload.Scale(prof, 0.2)).Code, 200_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace
+}
+
+// windowHolds counts the in-flight holds of e's decision window: each
+// record with a destination holds the register its displaced mapping
+// names until the engine commits it.
+func windowHolds(e *Engine) map[int]int {
+	h := map[int]int{}
+	for k := 0; k < e.winCount; k++ {
+		if r := &e.win[(e.winHead+k)%len(e.win)]; r.HasDest {
+			h[r.OldMap.P]++
+		}
+	}
+	return h
+}
+
+// decideChecked decides trace on e, checking the optimizer's reference
+// counts against its map table and the window's holds every 1,000
+// decisions.
+func decideChecked(t *testing.T, e *Engine, trace []emu.Dyn) {
+	t.Helper()
+	for k := range trace {
+		if _, _, err := e.Next(&trace[k]); err != nil {
+			t.Fatal(err)
+		}
+		if (k+1)%1_000 == 0 {
+			if err := e.Optimizer().CheckInvariant(windowHolds(e)); err != nil {
+				t.Fatalf("after %d decisions: %v", k+1, err)
+			}
+		}
+	}
+}
+
+// TestResetMatchesNew: an engine that has decided gzip's region, reset
+// to each shape in turn, equals a newly built engine of that shape in
+// every field, unexported state included: the optimizer, its
+// reference-count, map and integration tables, and the window. The shapes
+// grow, shrink and grow again: integration off and back on, the register
+// file down to 96 and the window up to 256, which outgrows every array
+// the earlier shapes left. Throughout every region, on the fresh engine
+// and on each reset one, the reference counts agree with the map table
+// and the window's holds.
+func TestResetMatchesNew(t *testing.T) {
+	trace := gzipRegion(t)
+	shapes := []struct {
+		cfg        reno.Config
+		rob, width int
+	}{
+		{reno.Default(160), 128, 4},
+		{reno.Baseline(160), 128, 6},
+		{reno.RENOPlusFullIntegration(96), 128, 4},
+		{reno.MECF(160), 128, 4},
+		{reno.Default(224), 256, 4},
+		{reno.Default(160), 128, 4},
+	}
+	e := New(shapes[0].cfg, shapes[0].rob, shapes[0].width)
+	for i, sh := range shapes {
+		if i > 0 {
+			e.Reset(sh.cfg, sh.rob, sh.width)
+			if !reflect.DeepEqual(e, New(sh.cfg, sh.rob, sh.width)) {
+				t.Fatalf("shape %d: a reset engine differs from a newly built one", i)
+			}
+		}
+		decideChecked(t, e, trace)
 	}
 }

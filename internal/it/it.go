@@ -40,6 +40,7 @@ package it
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"reno/internal/isa"
 	"reno/internal/renamer"
@@ -48,23 +49,20 @@ import (
 // Entry is one IT tuple.
 type Entry struct {
 	Valid bool
-	Op    isa.Op
-	Imm   int32
-	In1   renamer.Mapping
-	In2   renamer.Mapping
-	Out   renamer.Mapping
-
 	// Reverse marks a tuple created by a store (or stack-pointer
 	// decrement) for its anticipated counterpart, rather than by the
 	// instruction whose signature it matches (Section 2.2).
 	Reverse bool
+	Op      isa.Op
+	Imm     int32
+	In1     renamer.Mapping
+	In2     renamer.Mapping
+	Out     renamer.Mapping
 
 	// Value is the 64-bit value this tuple's output register (plus
 	// displacement) holds; used to adjudicate speculative load integration
-	// at retirement. HasValue is false for tuples created before the value
-	// was known (never the case in this simulator, but kept explicit).
-	Value    uint64
-	HasValue bool
+	// at retirement.
+	Value uint64
 
 	age uint64    // for LRU within a set
 	gen [3]uint64 // reclaim generations of In1.P, In2.P, Out.P at insert
@@ -158,13 +156,27 @@ func New(totalEntries, ways, physRegs int, policy Policy) *Table {
 	if sets < 1 {
 		sets = 1
 	}
-	t := &Table{sets: sets, ways: ways, policy: policy}
+	t := &Table{}
+	t.Reset(totalEntries, ways, physRegs, policy)
+	return t
+}
+
+// Reset empties t and gives it the geometry and policy New builds for the
+// same arguments, with every counter zeroed. It keeps t's entry and
+// generation arrays when they are large enough.
+func (t *Table) Reset(totalEntries, ways, physRegs int, policy Policy) {
+	sets := totalEntries / ways
+	if sets < 1 {
+		sets = 1
+	}
+	entries := slices.Grow(t.entries[:0], sets*ways)[:sets*ways]
+	gen := slices.Grow(t.gen[:0], physRegs)[:physRegs]
+	clear(entries)
+	clear(gen)
+	*t = Table{sets: sets, ways: ways, policy: policy, entries: entries, gen: gen}
 	if sets&(sets-1) == 0 {
 		t.pow2, t.mask = true, uint64(sets-1)
 	}
-	t.entries = make([]Entry, sets*ways)
-	t.gen = make([]uint64, physRegs)
-	return t
 }
 
 // setBounds returns the way-slice bounds of a set.

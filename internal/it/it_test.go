@@ -3,6 +3,7 @@ package it
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"reno/internal/isa"
 	"reno/internal/renamer"
@@ -17,7 +18,7 @@ func TestInsertLookupHit(t *testing.T) {
 	tb := New(512, 2, testRegs, PolicyLoadsOnly)
 	tb.Insert(Entry{
 		Op: isa.OpLd, Imm: 8, In1: m(1, 0), In2: m(0, 0),
-		Out: m(3, 0), Value: 77, HasValue: true,
+		Out: m(3, 0), Value: 77,
 	})
 	out, val, _, hit := tb.Lookup(isa.OpLd, 8, m(1, 0), m(0, 0))
 	if !hit || out != m(3, 0) || val != 77 {
@@ -80,7 +81,7 @@ func TestFigure3RA(t *testing.T) {
 	// <load/8, p8 -> p2>.
 	tb.Insert(Entry{
 		Op: isa.OpLd, Imm: 8, In1: m(p8, 0), In2: m(0, 0),
-		Out: m(p2, 0), Reverse: true, Value: 42, HasValue: true,
+		Out: m(p2, 0), Reverse: true, Value: 42,
 	})
 
 	// load r2, 8(sp) with sp back to [p8]: integrates to p2.
@@ -148,14 +149,22 @@ func TestSetConflictEviction(t *testing.T) {
 
 func TestDuplicateSignatureRefreshes(t *testing.T) {
 	tb := New(512, 2, testRegs, PolicyLoadsOnly)
-	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(3, 0), Value: 1, HasValue: true})
-	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(9, 0), Value: 2, HasValue: true})
+	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(3, 0), Value: 1})
+	tb.Insert(Entry{Op: isa.OpLd, Imm: 8, In1: m(1, 0), Out: m(9, 0), Value: 2})
 	out, val, _, hit := tb.Lookup(isa.OpLd, 8, m(1, 0), m(0, 0))
 	if !hit || out.P != 9 || val != 2 {
 		t.Errorf("refresh lookup = %v,%d,%v", out, val, hit)
 	}
 	if tb.Occupancy() != 1 {
 		t.Errorf("duplicate signature occupies %d entries", tb.Occupancy())
+	}
+}
+
+// TestEntrySize keeps the tuple, most of what an engine allocates, at 96
+// bytes: the two flags share the opcode's word, so no field pads.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n != 96 {
+		t.Errorf("Entry is %d bytes, want 96", n)
 	}
 }
 
@@ -389,7 +398,7 @@ func FuzzTableMatchesReference(f *testing.F) {
 			switch kind {
 			case stepInsert:
 				e := Entry{Op: op, Imm: imm, In1: in1, In2: in2, Out: m(int(b>>3&7), int32(c&1)*4),
-					Reverse: b&0x40 != 0, Value: uint64(c), HasValue: true}
+					Reverse: b&0x40 != 0, Value: uint64(c)}
 				tb.Insert(e)
 				ref.insert(e)
 				inserts++

@@ -15,6 +15,14 @@
 // cache, 1 decode, 2 rename, 1 dispatch, 1 schedule, 2 register read,
 // 1 execute, 1 complete, 1 retire.
 //
+// Run recycles simulator state: it takes a Sim from a package pool,
+// resets it for the run's configuration (the caches, predictors, engine,
+// buffers and critical-path window keep their memory when the sizes fit)
+// and returns it to the pool when the run ends. The Result it returns is
+// a copy that holds no simulator memory; its CPA analyzer keeps the
+// totals but not the record window. New plus RunContext builds fresh
+// state and never recycles it.
+//
 //reno:deterministic
 package pipeline
 

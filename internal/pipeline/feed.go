@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync"
 
 	"reno/internal/emu"
 	"reno/internal/isa"
@@ -139,16 +140,41 @@ func (f *Feed) fold(d *emu.Dyn) {
 	f.hash = h
 }
 
+// sims holds finished runs' simulators for Run to reset and reuse, so a
+// sweep of runs allocates its caches, predictors, engine and buffers
+// about once per worker rather than once per run.
+var sims sync.Pool
+
 // Run times f's instructions on the detailed pipeline of cfg under ctx and
 // opts, stopping once the feed's budget has committed. On cancellation it
 // returns the partial Result together with ctx's error, and f holds the
 // architectural state reached.
+//
+// Run takes a simulator from a pool, resets it for cfg and returns it to
+// the pool when the run ends. The Result shares no memory with it: a
+// critical-path analyzer in Result.CPA holds the run's totals but not its
+// record window.
 func Run(ctx context.Context, cfg Config, f *Feed, opts RunOptions) (*Result, error) {
-	s := New(cfg, f.Next)
+	s, _ := sims.Get().(*Sim)
+	if s == nil {
+		s = new(Sim)
+	}
+	res, err := s.run(ctx, cfg, f, opts)
+	sims.Put(s)
+	return res, err
+}
+
+// run is Run on the simulator s, whatever it simulated before.
+func (s *Sim) run(ctx context.Context, cfg Config, f *Feed, opts RunOptions) (*Result, error) {
+	s.reset(cfg, f.Next)
 	s.budget = f.budget
 	res, err := s.RunContext(ctx, opts)
+	s.src.next = nil // the feed, and the machine it holds, stay the caller's
 	if err == nil && f.err != nil {
 		return nil, fmt.Errorf("pipeline trace feed: %w", f.err)
+	}
+	if res != nil {
+		res = res.detached()
 	}
 	return res, err
 }

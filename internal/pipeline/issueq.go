@@ -42,15 +42,18 @@ type issueQueue struct {
 // two above most operand latencies, memory misses included.
 const wheelSize = 256
 
-func newIssueQueue(ring, pregs int) issueQueue {
+// reset empties q and sizes it for a ring of ring entries and pregs
+// physical registers, keeping each array's memory when it is large
+// enough.
+func (q *issueQueue) reset(ring, pregs int) {
 	w := (ring + 63) / 64
-	return issueQueue{
+	*q = issueQueue{
 		words:  w,
-		cand:   make([]uint64, w),
-		sleep:  make([]uint64, w*pregs),
-		wheel:  make([]uint64, w*wheelSize),
-		sleepy: make([]uint64, (pregs+63)/64),
-		blockP: make([]int32, ring),
+		cand:   zeroed(q.cand, w),
+		sleep:  zeroed(q.sleep, w*pregs),
+		wheel:  zeroed(q.wheel, w*wheelSize),
+		sleepy: zeroed(q.sleepy, (pregs+63)/64),
+		blockP: zeroed(q.blockP, ring),
 	}
 }
 

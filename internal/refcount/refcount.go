@@ -18,6 +18,7 @@ package refcount
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Table is a physical register reference count table.
@@ -48,19 +49,32 @@ const ZeroReg = 0
 // New creates a table for n physical registers. Register ZeroReg starts
 // with count 1 (pinned); all others are free.
 func New(n int) *Table {
+	t := &Table{}
+	t.Reset(n)
+	return t
+}
+
+// Reset sizes t for n physical registers and frees every one of them but
+// the pinned ZeroReg, with the statistics zeroed: t is then as New(n)
+// builds it. It keeps t's arrays when they are large enough.
+func (t *Table) Reset(n int) {
 	if n < 2 {
 		panic(fmt.Sprintf("refcount: need at least 2 physical registers, got %d", n))
 	}
-	t := &Table{counts: make([]uint16, n), freeBits: make([]uint64, (n+63)/64)}
+	// Both arrays change on every allocation and reclaim; whole cache
+	// lines keep them off the lines other objects use.
+	words := (n + 63) / 64
+	counts := slices.Grow(t.counts[:0], (n+31)&^31)[:n]
+	freeBits := slices.Grow(t.freeBits[:0], (words+7)&^7)[:words]
+	clear(counts)
+	clear(freeBits)
+	*t = Table{counts: counts, freeBits: freeBits, free: n - 1, MaxInUse: 1}
 	t.counts[ZeroReg] = 1
 	for p := 0; p < n; p++ {
 		if p != ZeroReg {
 			t.freeBits[p>>6] |= 1 << (p & 63)
 		}
 	}
-	t.free = n - 1
-	t.MaxInUse = 1
-	return t
 }
 
 // Size returns the number of physical registers.

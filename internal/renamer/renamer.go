@@ -76,11 +76,18 @@ type MapTable struct {
 // logical register allocates its real home. (The zero register's count is
 // pinned and untracked, so the initial mappings need no increments.)
 func New(rc *refcount.Table) *MapTable {
-	t := &MapTable{rc: rc}
+	t := &MapTable{}
+	t.Reset(rc)
+	return t
+}
+
+// Reset maps every logical register back to the zero register, backed by
+// rc: t is then as New(rc) builds it.
+func (t *MapTable) Reset(rc *refcount.Table) {
+	t.rc = rc
 	for r := range t.m {
 		t.m[r] = Mapping{P: refcount.ZeroReg}
 	}
-	return t
 }
 
 // Lookup returns the current mapping of r. The zero register always reads

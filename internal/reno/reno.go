@@ -239,11 +239,15 @@ func (s *Stats) Total() uint64 {
 	return n
 }
 
-// Optimizer is the RENO rename-stage optimizer.
+// Optimizer is the RENO rename-stage optimizer. It holds its
+// reference-count and map tables by value, so the state every rename
+// updates is one allocation, shared with no other optimizer's. Its map
+// table points at its reference-count table, so an Optimizer (or an
+// elim.Engine holding one) is not copied once built.
 type Optimizer struct {
 	cfg Config
-	rc  *refcount.Table
-	mt  *renamer.MapTable
+	rc  refcount.Table
+	mt  renamer.MapTable
 	it  *it.Table
 
 	Stats Stats
@@ -255,28 +259,43 @@ type Optimizer struct {
 
 // New builds an optimizer with fresh rename state.
 func New(cfg Config) *Optimizer {
+	o := &Optimizer{}
+	o.Reset(cfg)
+	return o
+}
+
+// Reset gives o fresh rename state for cfg, leaving it as New(cfg) builds
+// it. The reference-count and map tables and, when cfg integrates, the
+// integration table are reset in place, keeping their memory when cfg's
+// sizes fit in it; a cfg without integration drops the integration
+// table.
+func (o *Optimizer) Reset(cfg Config) {
 	if cfg.PhysRegs < isa.NumLogicalRegs+1 {
 		panic(fmt.Sprintf("reno: %d physical registers cannot back %d logical",
 			cfg.PhysRegs, isa.NumLogicalRegs))
 	}
-	o := &Optimizer{cfg: cfg}
-	o.rc = refcount.New(cfg.PhysRegs)
-	o.mt = renamer.New(o.rc)
+	tab := o.it
+	o.rc.Reset(cfg.PhysRegs)
+	*o = Optimizer{cfg: cfg, rc: o.rc}
+	o.mt.Reset(&o.rc)
 	if cfg.EnableCSERA {
 		entries, ways := cfg.ITEntries, cfg.ITWays
 		if entries == 0 {
 			entries, ways = 512, 2
 		}
-		o.it = it.New(entries, ways, cfg.PhysRegs, cfg.ITPolicy)
+		if tab == nil {
+			tab = new(it.Table)
+		}
+		tab.Reset(entries, ways, cfg.PhysRegs, cfg.ITPolicy)
+		o.it = tab
 	}
-	return o
 }
 
 // Config returns the optimizer's configuration.
 func (o *Optimizer) Config() Config { return o.cfg }
 
 // RefCounts exposes the reference-count table (pipeline occupancy checks).
-func (o *Optimizer) RefCounts() *refcount.Table { return o.rc }
+func (o *Optimizer) RefCounts() *refcount.Table { return &o.rc }
 
 // IT exposes the integration table; nil when CSE/RA is disabled.
 func (o *Optimizer) IT() *it.Table { return o.it }
@@ -492,14 +511,14 @@ func (o *Optimizer) insertForwardTuple(r *Renamed, f isa.Facts, result uint64) {
 			Op: isa.OpLd, Imm: r.Inst.Imm,
 			In1: r.Src[0], In2: zeroMap,
 			Out:   r.NewMap,
-			Value: result, HasValue: true,
+			Value: result,
 		})
 	case isa.ClassIntALU:
 		o.it.Insert(it.Entry{
 			Op: r.Inst.Op, Imm: r.Inst.Imm,
 			In1: r.Src[0], In2: r.Src[1],
 			Out:   r.NewMap,
-			Value: result, HasValue: true,
+			Value: result,
 		})
 	}
 }
@@ -523,7 +542,7 @@ func (o *Optimizer) insertReverseTuples(r *Renamed, f isa.Facts, result uint64) 
 			In1: r.Src[0], In2: zeroMap,
 			Out:     r.Src[1],
 			Reverse: true,
-			Value:   result, HasValue: true,
+			Value:   result,
 		})
 		return
 	}
@@ -537,7 +556,7 @@ func (o *Optimizer) insertReverseTuples(r *Renamed, f isa.Facts, result uint64) 
 			In1: r.NewMap, In2: zeroMap,
 			Out:     r.OldMap,
 			Reverse: true,
-			Value:   result - uint64(int64(f.FoldedDisp(in.Imm))), HasValue: true,
+			Value:   result - uint64(int64(f.FoldedDisp(in.Imm))),
 		})
 	}
 }

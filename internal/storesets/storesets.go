@@ -36,12 +36,7 @@ func New(pcBits, maxSets int) *Predictor {
 		ssit: make([]uint32, 1<<pcBits),
 		lfst: make([]uint32, maxSets),
 	}
-	for i := range p.ssit {
-		p.ssit[i] = Invalid
-	}
-	for i := range p.lfst {
-		p.lfst[i] = Invalid
-	}
+	p.Reset()
 	return p
 }
 
@@ -118,7 +113,7 @@ func (p *Predictor) Squash(dead func(tag uint32) bool) {
 	}
 }
 
-// Reset clears all state.
+// Reset clears all state, leaving p as New built it.
 func (p *Predictor) Reset() {
 	for i := range p.ssit {
 		p.ssit[i] = Invalid

@@ -1,6 +1,13 @@
 package storesets
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"reno/internal/emu"
+	"reno/internal/isa"
+	"reno/internal/workload"
+)
 
 func TestColdLoadUnconstrained(t *testing.T) {
 	p := New(10, 64)
@@ -70,16 +77,37 @@ func TestSquash(t *testing.T) {
 	}
 }
 
+// TestReset: a predictor trained on the loads and stores of a region of
+// gzip (a violation whenever a load reads an address a store wrote),
+// once reset, equals a newly built one in every field, unexported
+// state included.
 func TestReset(t *testing.T) {
-	p := New(10, 64)
-	p.Violation(100, 200)
-	p.NoteStoreFetched(200, 5)
-	p.Reset()
-	if _, c := p.LookupLoad(100); c {
-		t.Error("constraint survived reset")
+	prof, _ := workload.ByName("gzip")
+	trace, err := emu.CollectTrace(workload.MustBuild(workload.Scale(prof, 0.2)).Code, 20_000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Assignments != 0 {
-		t.Error("stats survived reset")
+	p := New(12, 64)
+	storeAt := map[uint64]uint64{} // address -> PC of its last store
+	for i, d := range trace {
+		switch d.Facts.Class() {
+		case isa.ClassStore:
+			p.NoteStoreFetched(d.PC, uint32(i))
+			storeAt[d.EA] = d.PC
+		case isa.ClassLoad:
+			p.LookupLoad(d.PC)
+			if pc, ok := storeAt[d.EA]; ok {
+				p.Violation(d.PC, pc)
+			}
+		}
+	}
+	fresh := New(12, 64)
+	if p.Assignments == 0 || reflect.DeepEqual(p, fresh) {
+		t.Fatal("the region left the predictor as built")
+	}
+	p.Reset()
+	if !reflect.DeepEqual(p, fresh) {
+		t.Error("a reset predictor differs from a newly built one")
 	}
 }
 
