@@ -28,6 +28,12 @@
 // stalls rename until its own commit count reaches that floor, reproducing
 // the structural stall.
 //
+// A record, built in place in the window, stays unchanged through the next
+// ROBSize-1 Next calls, force-commits included (a commit only releases the
+// register the record displaced); the call after those rebuilds it. So the
+// pipeline's in-flight entries point at their records instead of copying
+// them: instruction k has committed before decision k+ROBSize.
+//
 // Speculative load bypassing is judged by the optimizer itself when it
 // renames the load (reno.Renamed.MisBypass). A verdict reached on an attempt
 // that then ran out of registers is kept across the force-commit retry.
@@ -108,16 +114,16 @@ func (e *Engine) commitOldest() {
 }
 
 // Next decides instruction d and returns its rename record: a pointer into
-// the engine's window, where the record is built in place, valid until the
-// next call. A consumer that keeps the record copies it (the detailed
-// pipeline copies it once, into the ROB entry); the functional backend
-// reads nothing. minCommitted is the engine's commit count after this
-// decision: the number of older instructions whose resources it may have
-// reclaimed. A timing model must commit at least that many instructions
-// before acting on the decision (the detailed pipeline's rename stall on
-// physical-register exhaustion). Instructions must be presented exactly
-// once each, in program order (the committed stream); timing-model replays
-// reuse the record rather than calling Next again.
+// the engine's window, unchanged through the next ROBSize-1 calls (see the
+// package doc). The detailed pipeline keeps the pointer in its in-flight
+// entry; the functional backend reads nothing. minCommitted is the
+// engine's commit count after this decision: the number of older
+// instructions whose resources it may have reclaimed. A timing model must
+// commit at least that many instructions before acting on the decision
+// (the detailed pipeline's rename stall on physical-register exhaustion).
+// Instructions must be presented exactly once each, in program order (the
+// committed stream); timing-model replays reuse the record rather than
+// calling Next again.
 //
 //reno:hotpath
 func (e *Engine) Next(d *emu.Dyn) (r *reno.Renamed, minCommitted uint64, err error) {

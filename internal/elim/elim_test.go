@@ -174,3 +174,39 @@ func TestResetMatchesNew(t *testing.T) {
 		decideChecked(t, e, trace)
 	}
 }
+
+// TestRecordLifetime pins Next's contract: the record a call returns
+// stays unchanged through the next ROBSize-1 calls, force-commits
+// included. Over gzip's region, with a register file of 160 and again
+// with one small enough that decisions force-commit, each of the last
+// ROBSize records still equals the copy taken when it was returned, after
+// every call.
+func TestRecordLifetime(t *testing.T) {
+	const rob = 128
+	trace := gzipRegion(t)
+	for _, regs := range []int{160, isa.NumLogicalRegs + 8} {
+		e := New(reno.Default(regs), rob, 4)
+		var recs [rob]*reno.Renamed
+		var copies [rob]reno.Renamed
+		forced := 0
+		for k := range trace {
+			r, mc, err := e.Next(&trace[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mc > uint64(max(0, k+1-rob)) {
+				forced++
+			}
+			recs[k%rob], copies[k%rob] = r, *r
+			for i := 0; i < rob && i <= k; i++ {
+				if *recs[i] != copies[i] {
+					t.Fatalf("%d registers: after decision %d, the record of decision %d changed", regs, k, k-(k-i+rob)%rob)
+				}
+			}
+		}
+		if regs < 160 && forced == 0 {
+			t.Fatalf("%d registers: no decision force-committed", regs)
+		}
+		t.Logf("%d registers: %d of %d decisions force-committed", regs, forced, len(trace))
+	}
+}

@@ -6,10 +6,11 @@
 // dynamic instruction stream (with resolved branch outcomes, addresses, and
 // values), and the pipeline times it. Branch mispredictions charge the
 // front-end redirect; memory-ordering violations and failed retirement
-// re-executions of integrated loads squash and replay in-flight work, which
-// reuses the rename decisions the elimination engine already made, so
-// rename state is never rolled back. Wrong-path instructions do not occupy
-// resources (the standard fidelity compromise of trace-driven simulation).
+// re-executions of integrated loads squash and replay in-flight work in
+// place, reusing the rename decisions the elimination engine already made,
+// so rename state is never rolled back. Wrong-path instructions do not
+// occupy resources (the standard fidelity compromise of trace-driven
+// simulation).
 //
 // Pipeline shape (13 stages, Section 4.1): 1 branch predict, 2 instruction
 // cache, 1 decode, 2 rename, 1 dispatch, 1 schedule, 2 register read,

@@ -169,7 +169,7 @@ func (s *Sim) run(ctx context.Context, cfg Config, f *Feed, opts RunOptions) (*R
 	s.reset(cfg, f.Next)
 	s.budget = f.budget
 	res, err := s.RunContext(ctx, opts)
-	s.src.next = nil // the feed, and the machine it holds, stay the caller's
+	s.next = nil // the feed, and the machine it holds, stay the caller's
 	if err == nil && f.err != nil {
 		return nil, fmt.Errorf("pipeline trace feed: %w", f.err)
 	}

@@ -31,9 +31,30 @@ const (
 	//                        eliminated instructions enter this state at rename
 )
 
-// entry is one in-flight instruction. Fields issue reads come first, so
-// that they share cache lines with ren's source mappings.
+// entry is one in-flight instruction, built in its ring slot at fetch. The
+// embedded trip is what one trip through the pipeline sets, and every
+// fetch zeroes it. The fields after it belong to the dynamic instruction
+// and survive a squash: its replay refetches the entry in place (see
+// squashFrom), so they are never copied.
 type entry struct {
+	trip
+
+	// ren is the elimination engine's decision (nil until the entry first
+	// renames), pulled exactly once per dynamic instruction and reused by
+	// its replays: a record in the engine's window, which outlives the
+	// instruction (see internal/elim). The pipeline never writes it.
+	// minCommitted is the engine's commit floor; rename stalls until this
+	// core has committed that many instructions.
+	ren          *reno.Renamed
+	minCommitted uint64
+	bypassFailed bool // see misBypass
+
+	dyn emu.Dyn
+}
+
+// trip is an entry's state from its latest fetch. Fields issue reads come
+// first.
+type trip struct {
 	state        uint8
 	port         uint8 // portOf(dyn.Facts.Class())
 	isLoad       bool
@@ -51,15 +72,7 @@ type entry struct {
 	// CPA constraint provenance.
 	fetchBound cpa.BoundKind
 	issueBound cpa.BoundKind
-
-	// Elimination-engine decision state. renValid marks that ren (and
-	// minCommitted) hold the engine's decision — pulled exactly once per
-	// dynamic instruction and carried through squash replays, so the engine
-	// is never consulted twice. A load with ren.MisBypass set models the
-	// bogus integration on its first trip through the pipeline and fails at
-	// retirement. minCommitted is the engine's commit floor; rename stalls
-	// until this core has committed that many instructions.
-	renValid bool
+	memLevel   uint8 // load: cpa.BLoad or cpa.BMem once issued
 
 	seq           uint64
 	renameC       uint64
@@ -67,18 +80,19 @@ type entry struct {
 	compC         uint64
 	issueBoundSeq uint64
 
-	ren reno.Renamed
-
-	minCommitted  uint64
 	fetchC        uint64
 	fetchBoundSeq uint64
-	dataP         int        // store data physical register
-	fwdStore      uint64     // load: seq of the forwarding store
-	ssConstraint  uint64     // load: seq of the store-set constraining store
-	memLevel      cpa.Bucket // load: BLoad or BMem
-
-	dyn emu.Dyn
+	dataP         int    // store data physical register
+	fwdStore      uint64 // load: seq of the forwarding store
+	ssConstraint  uint64 // load: seq of the store-set constraining store
 }
+
+// misBypass reports whether e is a load judged a stale bypass
+// (reno.Renamed.MisBypass) on its first trip, which models the bogus
+// integration; its replay after the failed re-execution is conventional.
+//
+//reno:hotpath
+func misBypass(e *entry) bool { return e.ren.MisBypass && !e.bypassFailed }
 
 // Result summarizes one simulation.
 type Result struct {
@@ -177,15 +191,20 @@ type Sim struct {
 	mem cache.Hierarchy
 	ss  storesets.Predictor
 
-	src     stream
+	// next fills in the next dynamic instruction; done latches the end of
+	// the stream. refetch counts the ring slots just past the fetch queue
+	// whose squashed instructions wait to be refetched in place.
+	next    func(*emu.Dyn) bool
+	done    bool
+	refetch int
 	cycle   uint64
 	seqNext uint64
 
 	// rob is one fixed ring holding the reorder buffer, robCount entries
-	// from robHead, followed directly by the fetch queue, fqLen entries.
-	// Fetch builds each entry in its ring slot and rename admits the fetch
-	// queue's head by moving the boundary, so an entry is never copied
-	// between the two. Its length is ROBSize+fqCap rounded up to a
+	// from robHead, followed directly by the fetch queue, fqLen entries,
+	// and the refetch slots. Fetch builds each entry in its ring slot and
+	// rename admits the fetch queue's head by moving the boundary, so an
+	// entry is never copied between the two. Its length is ROBSize+fqCap rounded up to a
 	// multiple of 64, the issue queue's bitset word.
 	rob      []entry
 	robHead  int
@@ -245,6 +264,9 @@ type Sim struct {
 	// file too small to make progress); RunContext surfaces it.
 	engErr error
 
+	// audit, which only tests set, runs after every cycle.
+	audit func(*Sim)
+
 	// ssDead is the store-set squash predicate, created once in New so
 	// squashes allocate no closure.
 	squashMinSeq uint64
@@ -270,15 +292,15 @@ func New(cfg Config, next func(*emu.Dyn) bool) *Sim {
 // cfg's sizes fit in it; the rest is built.
 //
 // What a cycle writes sits in cache lines of its own: s holds the
-// predictors, the hierarchy and the stream by value, the engine is one
-// allocation, and zeroed rounds arrays up to whole lines. So two pooled
+// predictors and the hierarchy by value, the engine is one allocation,
+// and zeroed rounds arrays up to whole lines. So two pooled
 // Sims running on two cores never write to one line; while small objects
 // built for two Sims lay side by side, both ran up to ~20% slower.
 func (s *Sim) reset(cfg Config, next func(*emu.Dyn) bool) {
 	old := *s
 	*s = Sim{
 		cfg: cfg, eng: old.eng, bp: old.bp, mem: old.mem, ss: old.ss,
-		src:    stream{next: next, replay: old.src.replay[:0]},
+		next:   next,
 		iq:     old.iq,
 		ssDead: old.ssDead, cpaBuf: old.cpaBuf,
 		blockingSeq: never,
@@ -317,53 +339,6 @@ func zeroed[T any](b []T, n int) []T {
 // pow2 returns the least power of two >= n.
 func pow2(n int) int { return 1 << bits.Len(uint(n-1)) }
 
-// replayRec is one replayed instruction: the dynamic record plus the
-// elimination-engine decision it already pulled, so squash replays never
-// consult the engine a second time.
-type replayRec struct {
-	dyn          emu.Dyn
-	ren          reno.Renamed
-	renValid     bool
-	minCommitted uint64
-}
-
-// stream feeds dynamic instructions with pushback for squash replay.
-type stream struct {
-	next   func(*emu.Dyn) bool
-	replay []replayRec // stack: last element delivered first
-	done   bool
-}
-
-// pull fills the next instruction into the zeroed entry e: a replay, with
-// the decision it already holds, or else the next dynamic instruction.
-//
-//reno:hotpath
-func (st *stream) pull(e *entry) (replayed, ok bool) {
-	if n := len(st.replay); n > 0 {
-		r := &st.replay[n-1]
-		e.dyn, e.ren, e.renValid, e.minCommitted = r.dyn, r.ren, r.renValid, r.minCommitted
-		st.replay = st.replay[:n-1]
-		return true, true
-	}
-	if st.done {
-		return false, false
-	}
-	ok = st.next(&e.dyn)
-	st.done = !ok
-	return false, ok
-}
-
-// push stacks e for replay; the entry pushed last replays first.
-//
-//reno:hotpath
-func (st *stream) push(e *entry) {
-	st.replay = append(st.replay, replayRec{
-		dyn: e.dyn, ren: e.ren, renValid: e.renValid, minCommitted: e.minCommitted,
-	})
-}
-
-func (st *stream) exhausted() bool { return st.done && len(st.replay) == 0 }
-
 // RunOptions controls one RunContext simulation beyond the machine
 // configuration. The zero value runs to completion without analysis.
 type RunOptions struct {
@@ -397,7 +372,7 @@ func (s *Sim) RunContext(ctx context.Context, opts RunOptions) (*Result, error) 
 	s.res.StopReason = "" // a resumed run reports its own stop
 	done := ctx.Done()
 	for {
-		if s.src.exhausted() && s.robCount == 0 && s.fqLen == 0 {
+		if s.done && s.refetch == 0 && s.robCount == 0 && s.fqLen == 0 {
 			// A feed bounded by its budget drains here rather than at the
 			// commit check below; label the stop all the same.
 			if s.budget > 0 && s.committed >= s.budget {
@@ -436,6 +411,9 @@ func (s *Sim) RunContext(ctx context.Context, opts RunOptions) (*Result, error) 
 		s.cycle++
 		if s.mark().sameCounts(before) {
 			s.skipIdle(before, opts.MaxCycles)
+		}
+		if s.audit != nil {
+			s.audit(s)
 		}
 		// Hang detection is amortized to one multiply per ctxCheckInterval
 		// cycles: a genuine livelock still trips within a rounding error of
@@ -546,7 +524,7 @@ func (s *Sim) nextEvent() uint64 {
 			t = min(t, s.wakeAt[h.dataP])
 		case h.isStore:
 			t = min(t, s.portFreeAt-uint64(s.cfg.RetireQueue)*uint64(s.cfg.StorePorts))
-		case h.ren.Reexec || h.ren.MisBypass:
+		case h.ren.Reexec || misBypass(h):
 			t = min(t, s.reexecFreeAt-uint64(s.cfg.RetireQueue)*uint64(s.cfg.LoadPorts))
 		default:
 			return s.cycle // a committable head: not an idle cycle
@@ -664,7 +642,7 @@ func (s *Sim) commitStage() {
 				return
 			}
 			s.mem.AccessD(e.dyn.EA*8, s.cycle, false)
-		} else if e.ren.MisBypass {
+		} else if misBypass(e) {
 			// Engine-adjudicated stale bypass: the first trip modeled the
 			// bogus integration; retirement re-execution now fails. Drop
 			// this load and all younger work and replay — the recorded
@@ -674,7 +652,7 @@ func (s *Sim) commitStage() {
 			}
 			s.mem.AccessD(e.dyn.EA*8, s.cycle, false)
 			s.res.ReexecFails++
-			e.ren.MisBypass = false
+			e.bypassFailed = true
 			s.squashFrom(0, e.seq)
 			return
 		}
@@ -741,7 +719,7 @@ func (s *Sim) trainBranch(e *entry) {
 //reno:hotpath
 func (s *Sim) execBucket(e *entry) cpa.Bucket {
 	if e.isLoad {
-		return e.memLevel
+		return cpa.Bucket(e.memLevel)
 	}
 	return cpa.BALU
 }
@@ -977,15 +955,15 @@ func (s *Sim) issueLoad(e *entry) {
 		e.forwarded = true
 		e.fwdStore = se.seq
 		e.compC = addrReady + 1
-		e.memLevel = cpa.BLoad
+		e.memLevel = uint8(cpa.BLoad)
 		return
 	}
 	memBefore := s.mem.MemAccesses
 	e.compC = s.mem.AccessD(e.dyn.EA*8, addrReady, false)
 	if s.mem.MemAccesses > memBefore {
-		e.memLevel = cpa.BMem
+		e.memLevel = uint8(cpa.BMem)
 	} else {
-		e.memLevel = cpa.BLoad
+		e.memLevel = uint8(cpa.BLoad)
 	}
 }
 
@@ -1013,7 +991,7 @@ func (s *Sim) olderStore(e *entry) *entry {
 func (s *Sim) checkViolations(st *entry, stOff int) bool {
 	for i := stOff + 1; i < s.robCount; i++ {
 		le := s.robPos(i)
-		if !le.isLoad || le.state != stIssued || le.ren.Elim || le.ren.MisBypass {
+		if !le.isLoad || le.state != stIssued || le.ren.Elim || misBypass(le) {
 			continue
 		}
 		if le.dyn.EA != st.dyn.EA {
@@ -1050,24 +1028,21 @@ func (s *Sim) findOlder(seq uint64, limitOff int) (int, bool) {
 // replays them through fetch with the rename decisions they already hold.
 // causeSeq identifies the resolving instruction for CPA accounting.
 //
+// The dropped entries stay in their ring slots, which are the slots fetch
+// fills next, in order, ahead of any an earlier squash left waiting; fetch
+// refetches each in place with the decision it holds. Rename state is
+// owned by the engine and never rolled back: a replay reuses its mappings.
+//
 //reno:hotpath
 func (s *Sim) squashFrom(from int, causeSeq uint64) {
-	n := s.robCount - from
-	if n <= 0 {
+	if from >= s.robCount {
 		return
 	}
 	s.res.Replays++
 	minSeq := s.robPos(from).seq
-	// Stack the dropped entries for replay, youngest first so the oldest
-	// replays first. The fetch queue behind the ROB holds even younger
-	// instructions, fetched down a path now being refetched; they replay
-	// too. Each record carries the elimination-engine decision already
-	// pulled for it (every ROB entry holds one): rename state is owned by
-	// the engine and is never rolled back — a replayed instruction reuses
-	// its original mappings.
-	for i := s.robCount + s.fqLen - 1; i >= from; i-- {
+	// Fetch-queue entries, not yet renamed, hold no resources.
+	for i := from; i < s.robCount; i++ {
 		e := s.robPos(i)
-		s.src.push(e)
 		if e.state == stWaiting || e.iqHeld {
 			s.iqUsed--
 		}
@@ -1078,6 +1053,7 @@ func (s *Sim) squashFrom(from int, causeSeq uint64) {
 			s.sqUsed--
 		}
 	}
+	s.refetch += s.robCount + s.fqLen - from
 	s.robCount, s.fqLen = from, 0
 
 	s.squashMinSeq = minSeq
@@ -1154,15 +1130,14 @@ func (s *Sim) renameStage() {
 		}
 
 		// Pull the elimination-engine decision — exactly once per dynamic
-		// instruction; replays arrive with renValid already set.
-		if !e.renValid {
+		// instruction; a replay still holds it.
+		if e.ren == nil {
 			r, mc, err := s.eng.Next(&e.dyn)
 			if err != nil {
 				s.engErr = err
 				return
 			}
-			e.ren, e.minCommitted = *r, mc
-			e.renValid = true
+			e.ren, e.minCommitted = r, mc
 		}
 		// The engine may have force-committed past this core's retirement
 		// point to free physical registers; renaming before the core
@@ -1193,7 +1168,7 @@ func (s *Sim) renameStage() {
 		e.isStore = cls == isa.ClassStore
 
 		if e.ren.HasDest && !e.ren.Elim {
-			if e.ren.MisBypass {
+			if misBypass(e) {
 				// Stand-in for the bogus integration: dependents see the
 				// (wrong) value as already available, exactly as they
 				// would have through the shared mapping.
@@ -1204,7 +1179,7 @@ func (s *Sim) renameStage() {
 			s.writerSeq[e.ren.NewMap.P] = e.seq
 		}
 
-		if e.ren.Elim || e.ren.MisBypass {
+		if e.ren.Elim || misBypass(e) {
 			// Collapsed out of the execution core: no IQ entry, no issue,
 			// no execution. Consumers wake on the shared register's
 			// original producer (wakeAt untouched): the dataflow collapse.
@@ -1262,10 +1237,20 @@ func (s *Sim) fetchStage() {
 			break
 		}
 		e := s.fqAt(s.fqLen)
-		*e = entry{}
-		replayed, ok := s.src.pull(e)
-		if !ok {
-			break
+		replayed := s.refetch > 0
+		if replayed {
+			// A squash left this slot's instruction in place.
+			s.refetch--
+			e.trip = trip{}
+		} else {
+			if s.done {
+				break
+			}
+			*e = entry{}
+			if !s.next(&e.dyn) {
+				s.done = true
+				break
+			}
 		}
 		d := &e.dyn
 		// One I$ access per new 32-byte block.

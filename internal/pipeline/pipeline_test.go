@@ -421,10 +421,11 @@ func TestMaxInstsBudget(t *testing.T) {
 }
 
 // TestEntrySize keeps the in-flight entry, built in place at fetch and
-// walked by every stage, from growing: the predecoded facts ride in the
+// walked by every stage, from growing: it points at the engine's rename
+// record instead of holding a copy, and the predecoded facts ride in the
 // trace record's padding and replace the class the entry used to keep.
 func TestEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(entry{}); n > 288 {
-		t.Errorf("entry is %d bytes, want at most 288", n)
+	if n := unsafe.Sizeof(entry{}); n > 184 {
+		t.Errorf("entry is %d bytes, want at most 184", n)
 	}
 }

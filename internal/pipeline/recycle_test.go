@@ -38,11 +38,12 @@ func recycleSeq() []recycleRun {
 // recycleBudget keeps each run short; it still spans several CPA chunks.
 const recycleBudget = 30_000
 
-// warmStarts returns post-warmup snapshots of gzip and mcf.
+// warmStarts returns post-warmup snapshots of gzip, mcf and parser.
+// Parser's runs on BASE squash on memory-order violations.
 func warmStarts(t *testing.T) []*emu.Snapshot {
 	t.Helper()
 	var starts []*emu.Snapshot
-	for _, name := range []string{"gzip", "mcf"} {
+	for _, name := range []string{"gzip", "mcf", "parser"} {
 		prof, ok := workload.ByName(name)
 		if !ok {
 			t.Fatalf("%s profile missing", name)
@@ -92,7 +93,7 @@ func sameRun(got, want *Result) string {
 // only a CPA run attaches.
 func builtState(s *Sim) Sim {
 	c := *s
-	c.src, c.ssDead, c.cpaBuf = stream{}, nil, cpa.Analyzer{}
+	c.next, c.ssDead, c.cpaBuf = nil, nil, cpa.Analyzer{}
 	return c
 }
 
@@ -101,8 +102,10 @@ func builtState(s *Sim) Sim {
 // to the state New builds and gives every run the Result a newly built
 // simulator gives it. The first run's Result, kept throughout, is
 // unchanged by each later run: it shares no memory with the simulator.
+// Some run squashes, so some reset follows a run that refetched in place.
 func TestRecycledRunsMatchFresh(t *testing.T) {
 	s := new(Sim)
+	var replays uint64
 	for _, start := range warmStarts(t) {
 		var first *Result
 		var firstCopy Result
@@ -110,13 +113,14 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 		for i, r := range recycleSeq() {
 			f := NewFeed(context.Background(), start.Machine(), recycleBudget)
 			s.reset(r.cfg, f.Next)
-			if len(s.src.replay) != 0 || !reflect.DeepEqual(builtState(s), builtState(New(r.cfg, f.Next))) {
+			if s.refetch != 0 || !reflect.DeepEqual(builtState(s), builtState(New(r.cfg, f.Next))) {
 				t.Errorf("run %d on %s: a reset simulator differs from a newly built one", i, r.cfg.Name)
 			}
 			got, err := s.run(context.Background(), r.cfg, f, RunOptions{CPAChunk: r.cpaChunk})
 			if err != nil {
 				t.Fatal(err)
 			}
+			replays += got.Replays
 			if got.Insts == 0 || (r.cpaChunk > 0 && got.CPA.Chunks < 2) {
 				t.Fatalf("run %d on %s: %d instructions, CPA %+v: too short to test", i, r.cfg.Name, got.Insts, got.CPA)
 			}
@@ -129,6 +133,9 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 				t.Fatalf("run %d on %s changed the first run's result:\n got %+v\nwant %+v", i, r.cfg.Name, first, firstCopy)
 			}
 		}
+	}
+	if replays == 0 {
+		t.Error("no run squashed: no reset followed a refetch")
 	}
 }
 

@@ -482,8 +482,9 @@ func TestReexecMismatchInvalidates(t *testing.T) {
 	}
 }
 
-// TestRenamedSize keeps the ROB record, copied on every rename, commit and
-// replay, from growing.
+// TestRenamedSize keeps the rename record from growing: the elimination
+// engine builds one in its window per decision, and the detailed
+// pipeline's in-flight entries point at them.
 func TestRenamedSize(t *testing.T) {
 	if n := unsafe.Sizeof(Renamed{}); n > 120 {
 		t.Errorf("Renamed is %d bytes, want at most 120", n)
