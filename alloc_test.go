@@ -33,8 +33,8 @@ func loopFeed(trace []emu.Dyn) func(*emu.Dyn) bool {
 }
 
 // steadySim builds a simulator over a looped gzip trace and runs it past
-// its allocation high-water mark: all reusable buffers (the stream's
-// replay stack, the elimination engine's decision window) reach their
+// its allocation high-water mark: all reusable buffers (the ROB and
+// fetch-queue ring, the elimination engine's decision window) reach their
 // final capacity during this warm phase.
 func steadySim(tb testing.TB) (*pipeline.Sim, uint64) {
 	tb.Helper()
