@@ -6,6 +6,7 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	rtmetrics "runtime/metrics"
 	"testing"
 
 	"reno/internal/backend"
@@ -172,7 +173,9 @@ func TestEngineAllocsIndependentOfRunLength(t *testing.T) {
 // identical runs of gzip with the analyzer attached, the second allocates
 // at most a tenth of the bytes the first, which starts with no finished
 // run to reuse, allocates. Garbage collection, which may empty the pool,
-// is off while they run.
+// is off while they run, and so is every P but one: a sync.Pool keeps what
+// one P puts where no other P's Get finds it, so a goroutine moved to
+// another P between the runs would miss the pool.
 func TestDetailedRunRecyclesState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items on purpose")
@@ -188,6 +191,7 @@ func TestDetailedRunRecyclesState(t *testing.T) {
 	req := backend.Request{Cfg: pipeline.FourWide(reno.Default(160)), Start: start, CPAChunk: 50_000}
 	runtime.GC() // twice: a pool survives one collection
 	runtime.GC()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocated := func() uint64 {
 		var before, after runtime.MemStats
@@ -202,6 +206,84 @@ func TestDetailedRunRecyclesState(t *testing.T) {
 	if second > first/10 {
 		t.Errorf("a detailed run allocates %d bytes from nothing and %d after a finished one; want at most a tenth", first, second)
 	}
+}
+
+// pageBytes is the size of one emulator memory page (4096 words).
+const pageBytes = 32 << 10
+
+// TestSnapshotRunsSharePages pins that a run does not copy the memory of
+// the snapshot it starts from. Starting a machine from a snapshot of one
+// page and from one of 64 pages allocates less than a page either way;
+// and of two identical detailed runs of gzip from its post-warmup
+// snapshot, the second allocates no page-sized object: the pages the
+// first wrote were released to the pages the second writes. Garbage
+// collection and every P but one are off while the runs go, as in
+// TestDetailedRunRecyclesState.
+func TestSnapshotRunsSharePages(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	for _, pages := range []uint64{1, 64} {
+		m := emu.New(nil)
+		for pn := range pages {
+			m.Mem.Store(pn*pageBytes/8, pn+1)
+		}
+		s := m.Freeze()
+		const starts = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range starts {
+			if s.Machine().Mem.Load(0) != 1 {
+				t.Fatal("a machine started from the snapshot lost its memory")
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / starts; per >= pageBytes {
+			t.Errorf("starting a machine from a %d-page snapshot allocates %d bytes; want less than a page (%d)", pages, per, pageBytes)
+		}
+	}
+
+	prof, ok := workload.ByName("gzip")
+	if !ok {
+		t.Fatal("gzip profile missing")
+	}
+	start, err := workload.MustBuild(workload.Scale(prof, 0.2)).Warm(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := backend.Request{Cfg: pipeline.FourWide(reno.Default(160)), Start: start}
+	runtime.GC() // twice: a pool survives one collection
+	runtime.GC()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	pagesAllocated := func() uint64 {
+		before := largeAllocs(t)
+		if _, err := backend.For(backend.Detailed).Run(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		return largeAllocs(t) - before
+	}
+	if first := pagesAllocated(); first == 0 {
+		t.Fatal("the first run allocated no page: too short to test")
+	}
+	if second := pagesAllocated(); second != 0 {
+		t.Errorf("a second detailed run from the same snapshot allocates %d objects of a page or more; want 0", second)
+	}
+}
+
+// largeAllocs returns how many objects of a page (32 KB) or more the
+// program has allocated: the runtime's allocation histogram counts all of
+// them in its last bucket.
+func largeAllocs(t *testing.T) uint64 {
+	t.Helper()
+	s := []rtmetrics.Sample{{Name: "/gc/heap/allocs-by-size:bytes"}}
+	rtmetrics.Read(s)
+	h := s[0].Value.Float64Histogram()
+	last := len(h.Counts) - 1
+	if lo := h.Buckets[last]; lo > pageBytes+1 {
+		t.Fatalf("the allocation histogram's last bucket starts at %v bytes; want a page (%d) or less", lo, pageBytes)
+	}
+	return h.Counts[last]
 }
 
 // TestEnvelopeAllocsIndependentOfSetSize pins the envelope writer's cost

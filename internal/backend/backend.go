@@ -90,10 +90,10 @@ type Request struct {
 
 	// Start, when set, is the program's post-warmup state
 	// (workload.Program.Warm; it carries its code) and replaces Code and
-	// Warmup: the run starts from a private copy of it instead of running
-	// the warmup again. It is only read, so concurrent runs may share
-	// one. When nil, the backend runs Code's first Warmup instructions
-	// itself, polling ctx. Both give the same run.
+	// Warmup: the run starts from a copy-on-write view of it instead of
+	// running the warmup again. It is only read, so concurrent runs may
+	// share one. When nil, the backend runs Code's first Warmup
+	// instructions itself, polling ctx. Both give the same run.
 	Start *emu.Snapshot
 }
 

@@ -20,6 +20,7 @@ func (detailedBackend) Run(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer f.Release()
 	res, err := pipeline.Run(ctx, req.Cfg, f, pipeline.RunOptions{CPAChunk: req.CPAChunk})
 	return &Result{Pipe: res, ArchHash: f.ArchHash(), CommitHash: f.CommitHash()}, err
 }

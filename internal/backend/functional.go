@@ -59,6 +59,7 @@ func RunGroup(ctx context.Context, req Request, cfgs []pipeline.Config) ([]*Resu
 		fail(errs, err)
 		return res, errs
 	}
+	defer f.Release()
 	engines := make([]*elim.Engine, len(cfgs))
 	for i, cfg := range cfgs {
 		// A configuration with no elimination mechanism decides every

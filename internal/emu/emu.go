@@ -16,19 +16,35 @@
 // table again. Machines started from one Snapshot share the predecoded
 // slice read-only.
 //
+// They share the snapshot's memory pages as well, copy-on-write: a
+// machine reads a snapshot page in place until its first store to it,
+// which copies that page alone (Memory). Release hands the pages a
+// finished machine owns to later machines; nothing may touch a machine,
+// or a feed holding it, after its release.
+//
 //reno:deterministic
 package emu
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"sync"
 
 	"reno/internal/isa"
 )
 
 // Memory is a sparse, paged, word-addressed (8-byte word) data memory. Pages
 // are allocated on first touch and initialized to zero, so freestanding
-// programs can use any address.
+// programs can use any address. The zero Memory is empty and ready to use.
+//
+// A machine started from a Snapshot does not copy the snapshot's pages: it
+// reads them in place through base, which it never writes, and its first
+// Store to one of them copies that page alone into pages. Its contents are
+// pages over base: a page in pages hides base's page of the same number.
+// Pages a memory owns (those in pages) go back to a free list when its
+// machine is released (Machine.Release), and the next page a store needs
+// comes from there.
 //
 // Accesses are strongly page-local (array sweeps, stack frames), so Memory
 // keeps a one-entry cache of the last page touched: the common case costs a
@@ -37,9 +53,11 @@ import (
 // Load a mutating operation: a Memory must not be shared between goroutines
 // without external synchronization (each sweep worker owns its emulator).
 type Memory struct {
-	pages    map[uint64]*[pageWords]uint64
+	pages    map[uint64]*[pageWords]uint64 // owned: written in place
+	base     map[uint64]*[pageWords]uint64 // a snapshot's: only read
 	lastPN   uint64
 	lastPage *[pageWords]uint64
+	lastOwn  bool // lastPage is in pages, so Store may write it
 }
 
 const (
@@ -48,24 +66,51 @@ const (
 	pageMask  = pageWords - 1
 )
 
-// NewMemory returns an empty zero-filled memory.
-func NewMemory() *Memory {
-	return &Memory{pages: map[uint64]*[pageWords]uint64{}}
-}
+// freePages holds the owned pages of released machines for later stores to
+// reuse, so a sweep of runs allocates its written pages about once per
+// worker rather than once per run.
+var freePages sync.Pool
 
-func (m *Memory) page(addr uint64, create bool) *[pageWords]uint64 {
+// NewMemory returns an empty zero-filled memory.
+func NewMemory() *Memory { return &Memory{} }
+
+// page returns the page holding addr, or nil for a read of a page that
+// holds nothing. For a write it returns m's own page, copying the shared
+// one or making a zero one first.
+func (m *Memory) page(addr uint64, write bool) *[pageWords]uint64 {
 	pn := addr >> pageShift
-	if p := m.lastPage; p != nil && pn == m.lastPN {
+	if p := m.lastPage; p != nil && pn == m.lastPN && (m.lastOwn || !write) {
 		return p
 	}
-	p := m.pages[pn]
-	if p == nil && create {
-		p = new([pageWords]uint64)
-		m.pages[pn] = p
+	p, own := m.pages[pn], true
+	if p == nil {
+		p, own = m.base[pn], false
+		if write {
+			p, own = m.own(pn, p), true
+		}
 	}
 	if p != nil {
-		m.lastPN, m.lastPage = pn, p
+		m.lastPN, m.lastPage, m.lastOwn = pn, p, own
 	}
+	return p
+}
+
+// own gives m a page of its own at page number pn, from the free list when
+// it has one: a copy of shared, or zeros when shared is nil.
+func (m *Memory) own(pn uint64, shared *[pageWords]uint64) *[pageWords]uint64 {
+	p, _ := freePages.Get().(*[pageWords]uint64)
+	if p == nil {
+		p = new([pageWords]uint64)
+	} else if shared == nil {
+		clear(p[:])
+	}
+	if shared != nil {
+		*p = *shared
+	}
+	if m.pages == nil {
+		m.pages = map[uint64]*[pageWords]uint64{}
+	}
+	m.pages[pn] = p
 	return p
 }
 
@@ -317,11 +362,10 @@ func CollectTrace(code []isa.Inst, limit uint64) ([]Dyn, error) {
 // StateHash returns a cheap digest of architectural state (registers plus
 // touched-memory contents) for equivalence checks between configurations.
 func (m *Machine) StateHash() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset)
 	mix := func(v uint64) {
 		h ^= v
-		h *= prime
+		h *= fnvPrime
 	}
 	for r, v := range m.Regs {
 		if isa.Reg(r) == isa.RZero {
@@ -331,26 +375,45 @@ func (m *Machine) StateHash() uint64 {
 		mix(v)
 	}
 	// Memory pages iterate in map order; make the hash order-independent by
-	// combining per-page hashes commutatively.
+	// combining per-page hashes commutatively. A shared page counts only
+	// where the machine has no copy of its own.
 	var memH uint64
 	//lint:ignore determinism per-page hashes combine commutatively, so map order cannot reach the result
 	for pn, pg := range m.Mem.pages {
-		ph := uint64(14695981039346656037)
-		ph ^= pn
-		ph *= prime
-		for i, w := range pg {
-			if w != 0 {
-				ph ^= uint64(i)
-				ph *= prime
-				ph ^= w
-				ph *= prime
-			}
+		memH += pageHash(pn, pg)
+	}
+	//lint:ignore determinism per-page hashes combine commutatively, so map order cannot reach the result
+	for pn, pg := range m.Mem.base {
+		if _, own := m.Mem.pages[pn]; !own {
+			memH += pageHash(pn, pg)
 		}
-		memH += ph
 	}
 	mix(memH)
 	mix(m.PC)
 	return h
+}
+
+// StateHash's FNV-1a-style offset basis and prime.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// pageHash is StateHash's digest of page pn: an FNV-style hash of its
+// number and of the index and value of each nonzero word.
+func pageHash(pn uint64, pg *[pageWords]uint64) uint64 {
+	ph := uint64(fnvOffset)
+	ph ^= pn
+	ph *= fnvPrime
+	for i, w := range pg {
+		if w != 0 {
+			ph ^= uint64(i)
+			ph *= fnvPrime
+			ph ^= w
+			ph *= fnvPrime
+		}
+	}
+	return ph
 }
 
 // PollInterval is how many instructions Advance retires between polls of
@@ -387,36 +450,51 @@ func (m *Machine) Advance(done <-chan struct{}, limit, stop uint64) (ok bool, er
 
 // Snapshot is an immutable checkpoint of a machine's architectural state:
 // registers, PC, retired-instruction count and memory pages, together with
-// the code image and its predecoded facts. Its methods only read it, so any number of goroutines
-// may start machines from one snapshot at once.
+// the code image and its predecoded facts. Its methods only read it, so
+// any number of goroutines may start machines from one snapshot at once.
+// The machines share its pages copy-on-write (see Memory), and none of
+// them ever writes one.
 type Snapshot struct {
-	m Machine // never stepped: only copied and hashed
+	m Machine // never stepped: only copied and hashed; m.Mem has no base
 }
 
 // Freeze retires m into a snapshot of its current state. The snapshot
 // takes over m's memory pages instead of copying them, so m is left
-// halted with no code or memory and must not be used again.
+// halted with no code or memory and must not be used again. A machine
+// started from a snapshot freezes into one map of its own pages and the
+// shared pages it did not copy, which both snapshots then share.
 func (m *Machine) Freeze() *Snapshot {
 	s := &Snapshot{m: *m}
+	if mem := m.Mem; mem.base != nil {
+		pages := maps.Clone(mem.base)
+		maps.Copy(pages, mem.pages)
+		s.m.Mem = &Memory{pages: pages}
+	}
 	*m = Machine{Halted: true}
 	return s
 }
 
-// Machine returns a new machine in the snapshot's state, with a private
-// copy of its memory (and a cold page cache).
-func (s *Snapshot) Machine() *Machine {
-	src := s.m.Mem.pages
-	pages := make(map[uint64]*[pageWords]uint64, len(src))
-	slab := make([][pageWords]uint64, len(src))
-	i := 0
-	//lint:ignore determinism each page is copied to its own key; map order only picks the slab slot
-	for pn, pg := range src {
-		slab[i] = *pg
-		pages[pn] = &slab[i]
-		i++
+// Release ends m's life: the memory pages m owns go to the free list for
+// later machines' stores, and m is left halted with no code or memory.
+// Nothing may touch m after it, nor anything that holds m (a
+// pipeline.Feed), since another machine may already be writing those
+// pages. Pages m shares with a snapshot stay the snapshot's.
+func (m *Machine) Release() {
+	if m.Mem != nil {
+		//lint:ignore determinism every page goes to the free list; map order only picks which one a later store reuses, and reuse clears or overwrites it
+		for _, p := range m.Mem.pages {
+			freePages.Put(p)
+		}
 	}
+	*m = Machine{Halted: true}
+}
+
+// Machine returns a new machine in the snapshot's state, with a cold page
+// cache. It copies none of the snapshot's memory: the machine reads the
+// snapshot's pages in place and copies each one it first stores to.
+func (s *Snapshot) Machine() *Machine {
 	c := s.m
-	c.Mem = &Memory{pages: pages}
+	c.Mem = &Memory{base: s.m.Mem.pages}
 	return &c
 }
 

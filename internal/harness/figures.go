@@ -402,6 +402,7 @@ func countMix(ctx context.Context, start *emu.Snapshot, maxInsts uint64) (mix, e
 	var m mix
 	var d emu.Dyn
 	f := pipeline.NewFeed(ctx, start.Machine(), maxInsts)
+	defer f.Release()
 	for f.Next(&d) {
 		if f.Canceled() {
 			return m, ctx.Err()

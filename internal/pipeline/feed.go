@@ -101,6 +101,10 @@ func (f *Feed) ArchHash() uint64 { return f.m.StateHash() }
 // has handed out: in a completed run, the committed instruction stream.
 func (f *Feed) CommitHash() uint64 { return f.hash }
 
+// Release releases f's machine (emu.Machine.Release) once the caller has
+// read what it needs: nothing may use f after it, its hashes included.
+func (f *Feed) Release() { f.m.Release() }
+
 // Distinct odd multipliers per field (splitmix64/xxhash-style constants) so
 // that permuting field values cannot cancel.
 const (
@@ -147,8 +151,9 @@ var sims sync.Pool
 
 // Run times f's instructions on the detailed pipeline of cfg under ctx and
 // opts, stopping once the feed's budget has committed. On cancellation it
-// returns the partial Result together with ctx's error, and f holds the
-// architectural state reached.
+// returns the partial Result together with ctx's error; f's hashes then
+// cover every instruction fetched, which runs ahead of what committed, so
+// they compare with no other run's. Run does not release f.
 //
 // Run takes a simulator from a pool, resets it for cfg and returns it to
 // the pool when the run ends. The Result shares no memory with it: a

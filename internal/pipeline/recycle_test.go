@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"reno/internal/cpa"
 	"reno/internal/emu"
@@ -89,11 +90,17 @@ func sameRun(got, want *Result) string {
 }
 
 // builtState is s without what New and reset cannot make equal: the
-// stream's and the squash predicate's functions, and the analyzer that
-// only a CPA run attaches.
+// stream's and the squash predicate's functions, the analyzer that only a
+// CPA run attaches, and the optimizer's spare integration table
+// (reno.Optimizer.Reset), unexported in reno and so cleared through
+// reflection in a copy of the engine.
 func builtState(s *Sim) Sim {
 	c := *s
 	c.next, c.ssDead, c.cpaBuf = nil, nil, cpa.Analyzer{}
+	eng := *s.eng
+	spare := reflect.ValueOf(eng.Optimizer()).Elem().FieldByName("spare")
+	reflect.NewAt(spare.Type(), unsafe.Pointer(spare.UnsafeAddr())).Elem().SetZero()
+	c.eng = &eng
 	return c
 }
 

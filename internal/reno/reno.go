@@ -250,6 +250,11 @@ type Optimizer struct {
 	mt  renamer.MapTable
 	it  *it.Table
 
+	// spare is the integration table a reset for a configuration without
+	// integration dropped, kept for the next reset that integrates. It is
+	// the one field a reset optimizer may hold and New's does not.
+	spare *it.Table
+
 	Stats Stats
 
 	// invScratch backs CheckInvariant's per-register tallies so
@@ -265,30 +270,36 @@ func New(cfg Config) *Optimizer {
 }
 
 // Reset gives o fresh rename state for cfg, leaving it as New(cfg) builds
-// it. The reference-count and map tables and, when cfg integrates, the
-// integration table are reset in place, keeping their memory when cfg's
-// sizes fit in it; a cfg without integration drops the integration
-// table.
+// it but for the spare integration table. The reference-count and map
+// tables and, when cfg integrates, the integration table are reset in
+// place, keeping their memory when cfg's sizes fit in it. A cfg without
+// integration sets the integration table aside as the spare, and the next
+// reset that integrates resets the spare in place.
 func (o *Optimizer) Reset(cfg Config) {
 	if cfg.PhysRegs < isa.NumLogicalRegs+1 {
 		panic(fmt.Sprintf("reno: %d physical registers cannot back %d logical",
 			cfg.PhysRegs, isa.NumLogicalRegs))
 	}
 	tab := o.it
+	if tab == nil {
+		tab = o.spare
+	}
 	o.rc.Reset(cfg.PhysRegs)
 	*o = Optimizer{cfg: cfg, rc: o.rc}
 	o.mt.Reset(&o.rc)
-	if cfg.EnableCSERA {
-		entries, ways := cfg.ITEntries, cfg.ITWays
-		if entries == 0 {
-			entries, ways = 512, 2
-		}
-		if tab == nil {
-			tab = new(it.Table)
-		}
-		tab.Reset(entries, ways, cfg.PhysRegs, cfg.ITPolicy)
-		o.it = tab
+	if !cfg.EnableCSERA {
+		o.spare = tab
+		return
 	}
+	entries, ways := cfg.ITEntries, cfg.ITWays
+	if entries == 0 {
+		entries, ways = 512, 2
+	}
+	if tab == nil {
+		tab = new(it.Table)
+	}
+	tab.Reset(entries, ways, cfg.PhysRegs, cfg.ITPolicy)
+	o.it = tab
 }
 
 // Config returns the optimizer's configuration.

@@ -235,8 +235,8 @@ func (o Options) workers() int {
 }
 
 // built is one workload image shared by every run of a (bench, seed) pair,
-// with its post-warmup snapshot: every run starts from a private copy of
-// it, so the warmup runs once per program, not once per run.
+// with its post-warmup snapshot: every run starts from a copy-on-write
+// view of it, so the warmup runs once per program, not once per run.
 type built struct {
 	prog  *workload.Program
 	start *emu.Snapshot
