@@ -8,8 +8,11 @@ import (
 )
 
 // DefaultCacheEntries is the cache bound used when the configured bound is
-// zero. At typical result sizes this is tens of megabytes — generous for
-// real grids, finite for a long-lived daemon.
+// zero: generous for real grids, finite for a long-lived daemon. An entry
+// for a functional screening cell (46 metrics) measured 3.0 KB of heap
+// until its first stable emission and 10.1 KB after it, which adds the
+// cell's rendered record and its ~4.4 KB of encoded bytes (Result.Clone):
+// ~200 MB for a full cache, ~660 MB once every entry has been served.
 const DefaultCacheEntries = 65536
 
 // Cache is the in-memory result cache, addressed by stable run keys
@@ -25,9 +28,10 @@ const DefaultCacheEntries = 65536
 // Results are copied on both insert and lookup (sweep.Result.Clone), so
 // the cache never aliases mutable state with callers: a job (or client)
 // that mutates a served result cannot corrupt what later jobs are served.
-// The one shared part is the result's metric set, which is read-only —
-// emission copies it before layering the wall-clock metrics on — so a hit
-// does not copy a metric set.
+// The shared parts are read-only: the result's metric set — emission
+// copies it before layering the wall-clock metrics on — and the memo of
+// its stable envelope record, so a hit neither copies a metric set nor,
+// after the entry's first stable emission, renders or encodes its record.
 //
 // The cache is bounded LRU; the bound follows one convention everywhere
 // (NewCacheSize, Config.CacheEntries, the -cache flag): < 0 = unbounded,

@@ -195,15 +195,22 @@ func (r *Result) Complete() bool {
 }
 
 // Clone returns a copy of r that its holder may mutate freely: mutating
-// the copy's fields never changes the original. The copy shares the
-// metric set, which nothing writes after the run (emission copies it
-// before it adds the wall-clock metrics), so a result cache that clones
-// on both insert and lookup serves concurrent jobs without copying a set
-// on every hit.
+// the copy's fields never changes the original. A clone shares two
+// read-only parts with r and with r's other clones. One is the metric set,
+// which nothing writes after the run (emission copies it before it adds the
+// wall-clock metrics). The other, for a complete result, is a memo of its
+// stable envelope record, which the first deterministic emission of any of
+// them renders and later ones write as it is (recordMemo); a clone whose
+// fields have changed since no longer uses it. So a result cache that
+// clones on both insert and lookup serves concurrent jobs without copying a
+// set or rendering a record on every hit.
 func (r *Result) Clone() *Result {
 	if r == nil {
 		return nil
 	}
 	c := *r
+	if c.Complete() && (c.memo == nil || !c.memo.matches(&c)) {
+		c.memo = newRecordMemo(&c)
+	}
 	return &c
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"strconv"
+	"sync"
 
 	"reno/metrics"
 )
@@ -37,11 +38,14 @@ func NewReport(g Grid, results []*Result) *Report {
 // metric set, failed runs the partial counters plus an error attr. With
 // opts.Deterministic, wall-clock metrics are zeroed and the embedded grid
 // drops its worker count, so two stable sweeps of the same grid are
-// byte-identical whatever pool width produced them. The envelope's Tool is
-// left for the caller to stamp (the facade says "sim", the CLI
-// "renosweep").
+// byte-identical whatever pool width produced them. A deterministic record
+// of a cloned result comes from its memo (Result.Clone): every stable
+// emission of that result shares one record, whose labels, attrs and
+// metric set are read-only. The envelope's Tool is left for the caller to
+// stamp (the facade says "sim", the CLI "renosweep").
 func (rep *Report) MetricsReport(opts EmitOptions) (*metrics.Report, error) {
 	out := metrics.NewReport("")
+	out.Records = make([]metrics.Record, 0, len(rep.Results))
 
 	grid := rep.Grid
 	if opts.Deterministic {
@@ -87,9 +91,56 @@ func (rep *Report) MetricsReport(opts EmitOptions) (*metrics.Report, error) {
 		if r == nil {
 			continue
 		}
-		out.Add(r.record(opts))
+		if m := r.memo; opts.Deterministic && m != nil && m.matches(r) {
+			out.Add(m.record(r))
+		} else {
+			out.Add(r.record(opts))
+		}
 	}
 	return out, nil
+}
+
+// recordMemo is the stable envelope record of a complete result and its
+// clones, rendered and encoded (metrics.EncodedRecord) by the first
+// deterministic emission that uses it. src is the result it was made for,
+// without the wall-clock fields a deterministic record zeroes; only a
+// result that still equals src uses the memo, so a holder that changes a
+// clone's fields gets a record of what it changed.
+type recordMemo struct {
+	src  Result
+	once sync.Once
+	rec  metrics.Record
+}
+
+// newRecordMemo returns an empty memo for r.
+func newRecordMemo(r *Result) *recordMemo {
+	return &recordMemo{src: r.stableFields()}
+}
+
+// stableFields returns r without its memo and wall-clock fields.
+func (r *Result) stableFields() Result {
+	s := *r
+	s.memo, s.WallNS, s.SimInstsPerSec = nil, 0, 0
+	return s
+}
+
+// matches reports whether r is still the result m was made for.
+func (m *recordMemo) matches(r *Result) bool { return r.stableFields() == m.src }
+
+// record returns r's deterministic record, rendering and encoding it on
+// the first call. A record the encoder refuses stays live, so every Encode
+// of it reports the error.
+func (m *recordMemo) record(r *Result) metrics.Record {
+	m.once.Do(func() {
+		m.rec = r.record(EmitOptions{Deterministic: true})
+		// The set grew when the wall-clock metrics went in; the memo
+		// keeps it at its exact size.
+		m.rec.Metrics = m.rec.Metrics.Clone()
+		if enc, err := metrics.EncodedRecord(m.rec); err == nil {
+			m.rec = enc
+		}
+	})
+	return m.rec
 }
 
 // record renders one run as an envelope record.

@@ -129,7 +129,9 @@ func window(b []byte, i int) []byte {
 // TestEnvelopePinned pins the stable envelope of each pinned grid, and
 // checks that the same results, once encoded to store records and decoded
 // again, emit the identical bytes: a store hit serves what a simulation
-// would have.
+// would have. So must their clones, as a result cache serves them, both
+// when their first stable emission renders the shared record memo and when
+// a later one writes it.
 func TestEnvelopePinned(t *testing.T) {
 	for name, g := range pinnedGrids(t) {
 		t.Run(name, func(t *testing.T) {
@@ -149,6 +151,19 @@ func TestEnvelopePinned(t *testing.T) {
 			}
 			if got := stableEnvelope(t, g, restored); !bytes.Equal(got, live) {
 				t.Errorf("envelope over decoded results differs from the live one at offset %d", firstDiff(got, live))
+			}
+			stored := make([]*Result, len(restored))
+			for i, r := range restored {
+				stored[i] = r.Clone()
+			}
+			for pass := 0; pass < 2; pass++ {
+				served := make([]*Result, len(stored))
+				for i, r := range stored {
+					served[i] = r.Clone()
+				}
+				if got := stableEnvelope(t, g, served); !bytes.Equal(got, live) {
+					t.Errorf("envelope over cloned results (pass %d) differs from the live one at offset %d", pass, firstDiff(got, live))
+				}
 			}
 		})
 	}

@@ -167,6 +167,9 @@ type Result struct {
 	// buildFailed marks Err as a workload construction failure (the
 	// program never ran) rather than a simulation error.
 	buildFailed bool
+	// memo is the stable record shared by the clones of a complete result
+	// (Clone); nil for a result that was never cloned.
+	memo *recordMemo
 }
 
 // BuildFailed reports whether the run's workload could not even be built.

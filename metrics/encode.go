@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync"
 )
 
 // flushAt is the buffered size at which a streaming writer hands its bytes
@@ -42,14 +43,18 @@ func (w *writer) flush(final bool) {
 	w.buf = w.buf[:0]
 }
 
+// indent is eight levels of indentation, which newline appends in one
+// piece at the depths an envelope reaches (a metric's fields are five deep).
+const indent = "                "
+
 // newline starts a new line at the current depth (indented layout only).
 func (w *writer) newline() {
 	if !w.indent {
 		return
 	}
 	w.buf = append(w.buf, '\n')
-	for i := 0; i < w.depth; i++ {
-		w.buf = append(w.buf, ' ', ' ')
+	for n := 2 * w.depth; n > 0; n -= len(indent) {
+		w.buf = append(w.buf, indent[:min(n, len(indent))]...)
 	}
 }
 
@@ -81,39 +86,71 @@ func (w *writer) elem(i int) {
 func (w *writer) field(n *int, k string) {
 	w.elem(*n)
 	w.str(k)
-	w.buf = append(w.buf, ':')
-	if w.indent {
-		w.buf = append(w.buf, ' ')
-	}
+	w.colon()
 	*n++
 }
 
-// str writes s as a JSON string. Printable ASCII other than the quote, the
-// backslash and the HTML-escaped <, > and & is written as it is; anything
-// else goes through encoding/json, so control characters, U+2028, U+2029
-// and invalid UTF-8 come out exactly as json.Marshal writes them.
+// plainField is field for a key known to need no escaping, written
+// without scanning it.
+func (w *writer) plainField(n *int, k string) {
+	w.elem(*n)
+	w.plain(k)
+	w.colon()
+	*n++
+}
+
+// colon separates a key from its value.
+func (w *writer) colon() {
+	if w.indent {
+		w.buf = append(w.buf, ':', ' ')
+	} else {
+		w.buf = append(w.buf, ':')
+	}
+}
+
+// plain writes s, which needs no escaping, as a JSON string.
+func (w *writer) plain(s string) {
+	w.buf = append(w.buf, '"')
+	w.buf = append(w.buf, s...)
+	w.buf = append(w.buf, '"')
+}
+
+// plainByte marks the bytes a JSON string carries as they are: printable
+// ASCII other than the quote, the backslash and the HTML-escaped <, > and &.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c <= 0x7e; c++ {
+		t[c] = true
+	}
+	for _, c := range `"\<>&` {
+		t[c] = false
+	}
+	return t
+}()
+
+// str writes s as a JSON string. A string of plain bytes (plainByte) is
+// written as it is; anything else goes through encoding/json, so control
+// characters, U+2028, U+2029 and invalid UTF-8 come out exactly as
+// json.Marshal writes them.
 func (w *writer) str(s string) {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+		if !plainByte[s[i]] {
 			b, _ := json.Marshal(s) // a string always marshals
 			w.buf = append(w.buf, b...)
 			return
 		}
 	}
-	w.buf = append(w.buf, '"')
-	w.buf = append(w.buf, s...)
-	w.buf = append(w.buf, '"')
+	w.plain(s)
 }
 
 // metric writes one metric object; its value must be finite (checkSet).
 func (w *writer) metric(m Metric) {
 	n := 0
 	w.open('{')
-	w.field(&n, "name")
+	w.plainField(&n, "name")
 	w.str(m.Name)
-	w.field(&n, "kind")
-	w.str(m.Kind.String())
-	w.field(&n, "value")
+	w.plainField(&n, "kind")
+	w.plain(m.Kind.String()) // "counter", "gauge", "ratio" or "kind(n)"
+	w.plainField(&n, "value")
 	if m.Kind == Counter {
 		w.buf = strconv.AppendUint(w.buf, m.Count, 10)
 	} else {
@@ -152,8 +189,13 @@ func (w *writer) stringMap(m map[string]string) {
 }
 
 // record writes one envelope record: labels and attrs when non-empty (their
-// omitempty tags), then the metric set.
+// omitempty tags), then the metric set. A pre-encoded record
+// (EncodedRecord) writes the bytes this method wrote for it at recordDepth.
 func (w *writer) record(r Record) {
+	if r.enc != nil {
+		w.buf = append(w.buf, r.enc...)
+		return
+	}
 	n := 0
 	w.open('{')
 	if len(r.Labels) > 0 {
@@ -167,6 +209,36 @@ func (w *writer) record(r Record) {
 	w.field(&n, "metrics")
 	w.set(r.Metrics)
 	w.close('}', n)
+}
+
+// recordDepth is the nesting depth Report.Encode writes each record at:
+// inside the envelope object and its records array.
+const recordDepth = 2
+
+// recordWriters holds the scratch writers EncodedRecord renders records
+// in, so a record's bytes cost one exactly sized allocation.
+var recordWriters = sync.Pool{New: func() any { return &writer{indent: true} }}
+
+// EncodedRecord returns rec carrying its own bytes as Report.Encode writes
+// them, so every later Encode of a report holding it appends those bytes
+// instead of rendering rec again. The bytes are fixed here: rec's labels,
+// attrs and metric set must not change afterwards, since Encode would not
+// see it. A metric with no JSON form is an error, as in Encode.
+func EncodedRecord(rec Record) (Record, error) {
+	if rec.Metrics == nil {
+		return Record{}, fmt.Errorf("metrics record: no metrics")
+	}
+	if err := checkSet(rec.Metrics); err != nil {
+		return Record{}, fmt.Errorf("metrics record: %w", err)
+	}
+	w := recordWriters.Get().(*writer)
+	w.buf, w.depth = w.buf[:0], recordDepth
+	rec.enc = nil
+	w.record(rec)
+	rec.enc = make([]byte, len(w.buf))
+	copy(rec.enc, w.buf)
+	recordWriters.Put(w)
+	return rec, nil
 }
 
 // report writes the whole envelope, fields in Report's declaration order

@@ -40,6 +40,8 @@ type Record struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 	// Metrics is the measurement itself.
 	Metrics *Set `json:"metrics"`
+	// enc is the record's indented bytes when it was built by EncodedRecord.
+	enc []byte
 }
 
 // Label returns the named label ("" when absent).
@@ -105,6 +107,9 @@ func (r *Report) Encode(w io.Writer) error {
 		return fmt.Errorf("metrics report: summary: %w", err)
 	}
 	for i, rec := range r.Records {
+		if rec.enc != nil {
+			continue // checked by EncodedRecord
+		}
 		if err := checkSet(rec.Metrics); err != nil {
 			return fmt.Errorf("metrics report: record %d: %w", i, err)
 		}
