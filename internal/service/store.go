@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -43,8 +44,9 @@ type StoreStats struct {
 	Bytes   int64 `json:"bytes"`
 	// Loaded counts entries warm-loaded into the memory tier at startup.
 	Loaded int `json:"loaded"`
-	// Hits counts memory-tier misses served from disk; Writes counts
-	// entries persisted by this daemon.
+	// Hits counts memory-tier misses served from disk (the warm load
+	// counts only in Loaded); Writes counts entries persisted by this
+	// daemon.
 	Hits   uint64 `json:"hits"`
 	Writes uint64 `json:"writes"`
 	// Quarantined counts corrupt or truncated entries moved aside (to
@@ -75,7 +77,7 @@ const quarantineDir = "quarantine"
 type DiskStore struct {
 	dir string
 
-	hits, misses, writes, quarantined, writeErrors atomic.Uint64
+	hits, writes, quarantined, writeErrors atomic.Uint64
 
 	mu      sync.Mutex
 	entries map[string]int64 // guarded by mu; key → on-disk record size in bytes
@@ -146,13 +148,20 @@ func (s *DiskStore) path(key string) string {
 // was opened); a record that fails any integrity check is quarantined and
 // reported as a miss.
 func (s *DiskStore) Get(key string) *sweep.Result {
+	r := s.read(key)
+	if r != nil {
+		s.hits.Add(1)
+	}
+	return r
+}
+
+// read is Get without counting a hit.
+func (s *DiskStore) read(key string) *sweep.Result {
 	if !validKey(key) {
-		s.misses.Add(1)
 		return nil
 	}
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
-		s.misses.Add(1)
 		s.forget(key)
 		return nil
 	}
@@ -162,12 +171,30 @@ func (s *DiskStore) Get(key string) *sweep.Result {
 	}
 	if err != nil {
 		s.quarantine(key)
-		s.misses.Add(1)
 		return nil
 	}
-	s.hits.Add(1)
 	s.remember(key, int64(len(data)))
 	return r
+}
+
+// load reads keys on GOMAXPROCS goroutines and returns each one's result,
+// nil for a miss (a corrupt record is quarantined, as by Get). It counts no
+// hits: the warm load counts what it loads itself.
+func (s *DiskStore) load(keys []string) []*sweep.Result {
+	out := make([]*sweep.Result, len(keys))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(keys)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(keys)); i = next.Add(1) - 1 {
+				out[i] = s.read(keys[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // Put encodes and atomically persists a completed successful run. Failures
@@ -299,16 +326,26 @@ type TieredStore struct {
 // up to the memory bound, entries already on disk are decoded (corrupt ones
 // quarantined) and promoted, so a restarted daemon starts hot instead of
 // paying a disk read per first touch.
+//
+// The load takes the keys in sorted order and reads them in parallel
+// (DiskStore.load), one batch at a time, promoting each batch in key order.
+// A batch is as many keys as the bound has room left for, so a bounded
+// tier reads — and quarantines — exactly the keys a one-at-a-time loop
+// would, and ends with the same entries in the same LRU order.
 func NewTieredStore(mem *Cache, disk *DiskStore) *TieredStore {
 	t := &TieredStore{mem: mem, disk: disk}
 	limit := mem.Bound() // 0 = unbounded: load everything
-	for _, key := range disk.Keys() {
-		if limit > 0 && t.loaded >= limit {
-			break
+	for keys := disk.Keys(); len(keys) > 0 && (limit == 0 || t.loaded < limit); {
+		batch := keys
+		if limit > 0 {
+			batch = keys[:min(len(keys), limit-t.loaded)]
 		}
-		if r := disk.Get(key); r != nil {
-			mem.Put(key, r)
-			t.loaded++
+		keys = keys[len(batch):]
+		for i, r := range disk.load(batch) {
+			if r != nil {
+				mem.Put(batch[i], r)
+				t.loaded++
+			}
 		}
 	}
 	return t

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -151,8 +152,8 @@ func TestTieredStoreWarmLoad(t *testing.T) {
 	mem := NewCache()
 	ts := NewTieredStore(mem, disk)
 	st := ts.Stats()
-	if st.Loaded != 3 || st.Quarantined != 1 {
-		t.Fatalf("warm load: %+v", st)
+	if st.Loaded != 3 || st.Quarantined != 1 || st.Hits != 0 {
+		t.Fatalf("warm load (it counts in loaded, not in hits): %+v", st)
 	}
 	if mem.Len() != 3 {
 		t.Fatalf("memory tier holds %d entries after warm load, want 3", mem.Len())
@@ -165,8 +166,8 @@ func TestTieredStoreWarmLoad(t *testing.T) {
 	// arrives via disk fallback (and is promoted, evicting LRU).
 	small := NewCacheSize(2)
 	ts2 := NewTieredStore(small, disk)
-	if ts2.Stats().Loaded != 2 || small.Len() != 2 {
-		t.Fatalf("bounded warm load: loaded %d, mem %d", ts2.Stats().Loaded, small.Len())
+	if st := ts2.Stats(); st.Loaded != 2 || st.Hits != 0 || small.Len() != 2 {
+		t.Fatalf("bounded warm load: %+v, mem %d", st, small.Len())
 	}
 	hitsBefore := ts2.Stats().Hits
 	misses := 0
@@ -183,6 +184,117 @@ func TestTieredStoreWarmLoad(t *testing.T) {
 	}
 	if ts2.Stats().Hits == hitsBefore {
 		t.Error("no disk-tier fallback happened for entries beyond the memory cap")
+	}
+}
+
+// writeStore fills dir with n records of key16(1)..key16(n), written
+// directly (no fsync), and rots each key in corrupt.
+func writeStore(t *testing.T, dir string, n int, corrupt ...int) {
+	t.Helper()
+	for i := 1; i <= n; i++ {
+		rec, err := sweep.EncodeResult(key16(i), fakeResult(fmt.Sprintf("b%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(corrupt, i) {
+			rec = rec[:len(rec)/2]
+		}
+		if err := os.WriteFile(filepath.Join(dir, key16(i)+".json"), rec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// lruKeys lists the cache's keys from most to least recently used.
+func lruKeys(c *Cache) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var keys []string
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		keys = append(keys, el.Value.(*cacheEntry).key)
+	}
+	return keys
+}
+
+// TestWarmLoadMatchesSerialLoop: the parallel warm load promotes the
+// entries a one-at-a-time loop over the sorted keys promotes, in the same
+// LRU order, quarantining the same records, for an unbounded tier and for
+// bounds below, at and above the store's size.
+func TestWarmLoadMatchesSerialLoop(t *testing.T) {
+	for _, bound := range []int{-1, 3, 9, 40} {
+		serialDir, parallelDir := t.TempDir(), t.TempDir()
+		for _, dir := range []string{serialDir, parallelDir} {
+			writeStore(t, dir, 30, 2, 5, 17)
+		}
+
+		disk, err := OpenDiskStore(serialDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := NewCacheSize(bound)
+		loaded := 0
+		for _, key := range disk.Keys() {
+			if serial.Bound() > 0 && loaded >= serial.Bound() {
+				break
+			}
+			if r := disk.Get(key); r != nil {
+				serial.Put(key, r)
+				loaded++
+			}
+		}
+
+		pdisk, err := OpenDiskStore(parallelDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := NewCacheSize(bound)
+		st := NewTieredStore(mem, pdisk).Stats()
+		if got, want := lruKeys(mem), lruKeys(serial); !slices.Equal(got, want) {
+			t.Errorf("bound %d: LRU order %v, serial loop %v", bound, got, want)
+		}
+		if st.Loaded != loaded || st.Quarantined != disk.Stats().Quarantined || st.Entries != disk.Stats().Entries {
+			t.Errorf("bound %d: stats %+v, serial loop loaded %d, %+v", bound, st, loaded, disk.Stats())
+		}
+	}
+}
+
+// TestBoundedWarmLoadLeavesRestUnread: a bounded tier reads no record past
+// its bound, so a corrupt one there stays in place until a lookup reads it.
+func TestBoundedWarmLoadLeavesRestUnread(t *testing.T) {
+	dir := t.TempDir()
+	writeStore(t, dir, 6, 5)
+	disk, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewTieredStore(NewCacheSize(3), disk).Stats()
+	if st.Loaded != 3 || st.Quarantined != 0 || st.Entries != 6 {
+		t.Fatalf("bounded warm load: %+v", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, key16(5)+".json")); err != nil {
+		t.Fatalf("the corrupt record past the bound was moved: %v", err)
+	}
+	if q, err := os.ReadDir(filepath.Join(dir, quarantineDir)); err != nil || len(q) != 0 {
+		t.Fatalf("quarantine holds %d files (err %v), want none", len(q), err)
+	}
+}
+
+// TestWarmLoad200Records loads a 200-record store on every goroutine the
+// load starts; under -race it is the load's data-race check.
+func TestWarmLoad200Records(t *testing.T) {
+	dir := t.TempDir()
+	writeStore(t, dir, 200, 7, 101)
+	disk, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewCache()
+	st := NewTieredStore(mem, disk).Stats()
+	if st.Loaded != 198 || st.Quarantined != 2 || st.Entries != 198 || st.Hits != 0 || mem.Len() != 198 {
+		t.Fatalf("warm load: %+v, mem %d", st, mem.Len())
+	}
+	if r := mem.Get(key16(200)); r == nil || r.Bench != "b200" {
+		t.Fatalf("key %s loaded as %+v", key16(200), r)
 	}
 }
 

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 )
 
@@ -222,5 +223,26 @@ func TestCachedResubmitSettlesInJobOrder(t *testing.T) {
 	}
 	if ctx.calls != 0 {
 		t.Errorf("the sweep asked for Done %d times; a fully cached sweep warms and runs nothing", ctx.calls)
+	}
+}
+
+// TestRunKeysAllocateOnlyTheirString: Job.key and hashResult hash their
+// fields in place, numbers included, so the 16-digit string each returns
+// is its one allocation.
+func TestRunKeysAllocateOnlyTheirString(t *testing.T) {
+	j := cacheGrid(t)[0]
+	j.Seed, j.Backend = 3, "functional"
+	opts := Options{Scale: 0.3, MaxInsts: 20000}
+	cfg, err := json.Marshal(j.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = j.key(opts, cfg, nil) }); n != 1 {
+		t.Errorf("Job.key allocates %v times, want 1", n)
+	}
+	r := &Result{Bench: "gzip", Suite: "SPECint", Config: "RENO", Seed: 3, Backend: "functional",
+		Cycles: 1234, Insts: 1000, IPC: 0.81, ElimME: 12.5, BranchAccuracy: 0.97, ArchHash: "00000000000000aa"}
+	if n := testing.AllocsPerRun(100, func() { _ = hashResult(r) }); n != 1 {
+		t.Errorf("hashResult allocates %v times, want 1", n)
 	}
 }

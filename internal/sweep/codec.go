@@ -1,12 +1,11 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 
+	"reno/internal/jsonread"
 	"reno/metrics"
 )
 
@@ -32,7 +31,10 @@ import (
 // Decode is strict by design — unknown schema or fields, a checksum
 // mismatch, truncation, a key mismatch, or an incoherent payload all fail —
 // so a corrupt store entry degrades into a cache miss (the store quarantines
-// it and re-simulates), never into wrong bytes served as truth.
+// it and re-simulates), never into wrong bytes served as truth. It reads
+// the record in one pass with no reflection (internal/jsonread), and it is
+// stricter than encoding/json: a key whose case differs, a repeated key, a
+// null and bytes after the record are all errors too.
 
 // ResultSchemaV1 identifies the persistent result record format.
 const ResultSchemaV1 = "reno.result/v1"
@@ -76,10 +78,11 @@ type resultPayload struct {
 }
 
 // resultFile is the envelope around the payload. Checksum covers the
-// payload's canonical (compact, field-ordered, name-sorted) marshaling —
-// Decode re-derives it from the parsed payload rather than hashing the raw
-// bytes, so the record is whitespace-insensitive but any corruption that
-// changes a single value is caught before the payload is trusted.
+// payload's canonical (compact, field-ordered, name-sorted) marshaling.
+// The record carries those bytes indented, and Decode hashes them with the
+// whitespace between tokens dropped (compactSum), so the record is
+// whitespace-insensitive but any corruption that changes a single value —
+// or writes one in another form — is caught before the payload is trusted.
 type resultFile struct {
 	Schema   string          `json:"schema"`
 	Key      string          `json:"key"`
@@ -87,11 +90,43 @@ type resultFile struct {
 	Checksum string          `json:"checksum"`
 }
 
+// checksumPrefix names the checksum's digest.
+const checksumPrefix = "fnv1a64:"
+
 // payloadChecksum digests the canonical payload bytes.
 func payloadChecksum(payload []byte) string {
-	h := fnv.New64a()
-	h.Write(payload)
-	return fmt.Sprintf("fnv1a64:%016x", h.Sum64())
+	h := newFieldHash()
+	h.write(payload)
+	return checksumPrefix + h.String()
+}
+
+// compactSum digests the JSON text b as json.Compact would write it: every
+// byte but the whitespace between tokens. b must be valid JSON, so the
+// only bytes up to ' ' outside a string are whitespace.
+func compactSum(b []byte) fieldHash {
+	h := newFieldHash()
+	for i := 0; i < len(b); i++ {
+		c := b[i]
+		if c <= ' ' {
+			continue
+		}
+		h = (h ^ fieldHash(c)) * fnvPrime64
+		if c != '"' {
+			continue
+		}
+		// A string, hashed whole through its closing quote.
+		for i++; ; i++ {
+			c = b[i]
+			h = (h ^ fieldHash(c)) * fnvPrime64
+			if c == '\\' {
+				i++
+				h = (h ^ fieldHash(b[i])) * fnvPrime64
+			} else if c == '"' {
+				break
+			}
+		}
+	}
+	return h
 }
 
 // EncodeResult serializes a completed, successful result under its run key.
@@ -135,57 +170,146 @@ func EncodeResult(key string, r *Result) ([]byte, error) {
 
 // DecodeResult parses a persistent result record back into a Result and the
 // run key it was stored under. Every integrity property is checked before
-// anything is returned: the schema and checksum must match, the payload must
-// parse with no unknown fields, and the record must be coherent (a run
-// hash, an architectural hash that parses, a metric set). Any failure is an
+// anything is returned: the schema and checksum must match, the record
+// must parse with no unknown fields, and it must be coherent (a run hash,
+// an architectural hash that parses, a metric set). Any failure is an
 // error — the caller treats it as a cache miss, never as data.
 func DecodeResult(data []byte) (key string, r *Result, err error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var f resultFile
-	if err := dec.Decode(&f); err != nil {
+	rec, err := readRecord(data)
+	if err != nil {
 		return "", nil, fmt.Errorf("decode result: %w", err)
 	}
-	if f.Schema != ResultSchemaV1 {
-		return "", nil, fmt.Errorf("decode result: unsupported schema %q (this build understands %q)", f.Schema, ResultSchemaV1)
-	}
-	if f.Key == "" {
+	key, r = rec.key, rec.r
+	if key == "" {
 		return "", nil, fmt.Errorf("decode result: record has no run key")
 	}
-	pdec := json.NewDecoder(bytes.NewReader(f.Payload))
-	pdec.DisallowUnknownFields()
-	var p resultPayload
-	if err := pdec.Decode(&p); err != nil {
-		return "", nil, fmt.Errorf("decode result %s: payload: %w", f.Key, err)
+	// The canonical form is the compact one: if any value was altered — a
+	// flipped digit, a truncated float, an injected metric — its digest no
+	// longer matches the recorded checksum.
+	var buf [len(checksumPrefix) + 16]byte
+	if got := compactSum(rec.payload).appendHex(append(buf[:0], checksumPrefix...)); string(got) != string(rec.checksum) {
+		return "", nil, fmt.Errorf("decode result %s: checksum mismatch (%s != %s)", key, got, rec.checksum)
 	}
-	// Re-derive the canonical payload bytes from what was parsed: if any
-	// value was altered — a flipped digit, a truncated float, an injected
-	// metric — the canonical form no longer matches the recorded checksum.
-	canonical, err := json.Marshal(p)
-	if err != nil {
-		return "", nil, fmt.Errorf("decode result %s: %w", f.Key, err)
+	if r.Hash == "" || r.Metrics.Len() == 0 {
+		return "", nil, fmt.Errorf("decode result %s: incomplete record (run hash and metrics are required)", key)
 	}
-	if got := payloadChecksum(canonical); got != f.Checksum {
-		return "", nil, fmt.Errorf("decode result %s: checksum mismatch (%s != %s)", f.Key, got, f.Checksum)
+	if _, err := strconv.ParseUint(r.ArchHash, 16, 64); err != nil {
+		return "", nil, fmt.Errorf("decode result %s: arch hash %q: %w", key, r.ArchHash, err)
 	}
-	if p.Hash == "" || p.Metrics.Len() == 0 {
-		return "", nil, fmt.Errorf("decode result %s: incomplete record (run hash and metrics are required)", f.Key)
+	return key, r, nil
+}
+
+// storedRecord is a result record as read, before DecodeResult checks it.
+type storedRecord struct {
+	key               string
+	r                 *Result
+	payload, checksum []byte // the payload's bytes as stored, the checksum's value
+}
+
+// readRecord reads a result record in one pass: the envelope, with the
+// payload read in place, and nothing after it. Of the checks it makes only
+// the syntax, the field names and types and the schema.
+func readRecord(data []byte) (storedRecord, error) {
+	rec := storedRecord{r: &Result{Metrics: new(metrics.Set)}}
+	var schema []byte
+	unsupported := func() error {
+		return fmt.Errorf("unsupported schema %q (this build understands %q)", schema, ResultSchemaV1)
 	}
-	if _, err := strconv.ParseUint(p.ArchHash, 16, 64); err != nil {
-		return "", nil, fmt.Errorf("decode result %s: arch hash %q: %w", f.Key, p.ArchHash, err)
+	rd := jsonread.New(data)
+	err := rd.Object(func(field []byte) error {
+		var err error
+		switch string(field) {
+		case "schema":
+			// Checked at once, so a record of another schema is reported
+			// as that rather than as the fields this one lacks.
+			if schema, err = rd.Bytes(); err == nil && string(schema) != ResultSchemaV1 {
+				return unsupported()
+			}
+		case "key":
+			rec.key, err = rd.String()
+		case "payload":
+			rec.payload, err = rd.Value(func() error { return readPayload(&rd, rec.r) })
+			if err != nil {
+				err = fmt.Errorf("payload: %w", err)
+			}
+		case "checksum":
+			rec.checksum, err = rd.Bytes()
+		default:
+			return jsonread.UnknownField(field)
+		}
+		return err
+	})
+	if err == nil {
+		err = rd.End()
 	}
-	res := &Result{
-		Bench: p.Bench, Suite: p.Suite, Machine: p.Machine, Config: p.Config, Seed: p.Seed,
-		Backend: p.Backend,
-		Cycles:  p.Cycles, Insts: p.Insts, IPC: p.IPC,
-		ElimME: p.ElimME, ElimCF: p.ElimCF, ElimLoads: p.ElimLoads, ElimALU: p.ElimALU, ElimTotal: p.ElimTotal,
-		BranchAccuracy: p.BranchAccuracy,
-		ArchHash:       p.ArchHash, Hash: p.Hash,
-		WallNS: p.WallNS, SimInstsPerSec: p.SimInstsPerSec,
-		Metrics:    p.Metrics,
-		stopReason: p.StopReason,
+	if err == nil && string(schema) != ResultSchemaV1 {
+		err = unsupported()
 	}
-	return f.Key, res, nil
+	if err == nil && rec.payload == nil {
+		err = fmt.Errorf("record has no payload")
+	}
+	return rec, err
+}
+
+// readPayload reads a record's payload object (resultPayload's fields)
+// into r, whose Metrics must be an empty set.
+func readPayload(rd *jsonread.Reader, r *Result) error {
+	return rd.Object(func(field []byte) error {
+		var err error
+		switch string(field) {
+		case "bench":
+			r.Bench, err = rd.String()
+		case "suite":
+			r.Suite, err = rd.String()
+		case "machine":
+			r.Machine, err = rd.String()
+		case "config":
+			r.Config, err = rd.String()
+		case "seed":
+			r.Seed, err = rd.Int64()
+		case "backend":
+			r.Backend, err = rd.String()
+		case "cycles":
+			r.Cycles, err = rd.Uint64()
+		case "insts":
+			r.Insts, err = rd.Uint64()
+		case "ipc":
+			r.IPC, err = rd.Float64()
+		case "elim_me":
+			r.ElimME, err = rd.Float64()
+		case "elim_cf":
+			r.ElimCF, err = rd.Float64()
+		case "elim_loads":
+			r.ElimLoads, err = rd.Float64()
+		case "elim_alu":
+			r.ElimALU, err = rd.Float64()
+		case "elim_total":
+			r.ElimTotal, err = rd.Float64()
+		case "branch_accuracy":
+			r.BranchAccuracy, err = rd.Float64()
+		case "arch_hash":
+			r.ArchHash, err = rd.String()
+		case "run_hash":
+			r.Hash, err = rd.String()
+		case "wall_ns":
+			r.WallNS, err = rd.Int64()
+		case "sim_insts_per_sec":
+			r.SimInstsPerSec, err = rd.Float64()
+		case "stop_reason":
+			r.stopReason, err = rd.String()
+		case "metrics":
+			var set []byte
+			if set, err = rd.Raw(); err == nil {
+				err = r.Metrics.UnmarshalJSON(set)
+			}
+		default:
+			return jsonread.UnknownField(field)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", field, err)
+		}
+		return nil
+	})
 }
 
 // Complete reports whether the result is a finished, successful run — the

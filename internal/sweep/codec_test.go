@@ -123,6 +123,41 @@ func TestResultCodecRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
+
+	// Records encoding/json reads as the original values (the oracle
+	// accepts each one), which the one-pass decoder refuses: it matches
+	// keys exactly and once, has no null, reads nothing after the record,
+	// refuses fields a metric does not have, and checksums the payload in
+	// the form it is stored in, which must be the canonical one.
+	functional := pinnedRecords(t)[0] // its elim_cf is 0
+	lt := escapedRecords(t)[0]        // its bench holds an escaped '<'
+	strict := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"key case differs", bytes.Replace(enc, []byte(`"bench"`), []byte(`"Bench"`), 1), `unknown field "Bench"`},
+		{"metric key case differs", bytes.Replace(enc, []byte(`"kind"`), []byte(`"Kind"`), 1), `unknown field "Kind"`},
+		{"envelope key case differs", bytes.Replace(enc, []byte(`"checksum"`), []byte(`"Checksum"`), 1), `unknown field "Checksum"`},
+		{"repeated key", bytes.Replace(enc, []byte(`"bench": "gzip"`), []byte(`"bench": "gzip", "bench": "gzip"`), 1), `duplicate key "bench"`},
+		{"repeated envelope key", bytes.Replace(enc, []byte(`"key"`), []byte(`"schema": "reno.result/v1", "key"`), 1), `duplicate key "schema"`},
+		{"null", bytes.Replace(functional, []byte(`"elim_cf": 0`), []byte(`"elim_cf": null`), 1), "elim_cf: json at offset"},
+		{"bytes after the record", append(slices.Clip(enc), "{}"...), "data after the document"},
+		{"unknown metric field", bytes.Replace(enc, []byte(`"kind"`), []byte(`"unit": "ns", "kind"`), 1), `unknown field "unit"`},
+		{"escaped plain character", bytes.Replace(enc, []byte(`"gzip"`), []byte(`"gz\u0069p"`), 1), "checksum mismatch"},
+		{"unescaped <", bytes.Replace(lt, []byte(`\u003c`), []byte(`<`), 1), "checksum mismatch"},
+		{"another number form", bytes.Replace(functional, []byte(`"elim_cf": 0`), []byte(`"elim_cf": 0e0`), 1), "checksum mismatch"},
+	}
+	for _, c := range strict {
+		if _, _, err := oracleDecodeResult(c.data, true); err != nil {
+			t.Errorf("%s: the encoding/json decoder refuses it too (%v); not a stricter case", c.name, err)
+		}
+		if _, _, err := DecodeResult(c.data); err == nil {
+			t.Errorf("%s: decoded successfully", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
 }
 
 // TestEncodeResultRejectsIncomplete: failures and partials are not

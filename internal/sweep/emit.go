@@ -133,9 +133,6 @@ func (m *recordMemo) matches(r *Result) bool { return r.stableFields() == m.src 
 func (m *recordMemo) record(r *Result) metrics.Record {
 	m.once.Do(func() {
 		m.rec = r.record(EmitOptions{Deterministic: true})
-		// The set grew when the wall-clock metrics went in; the memo
-		// keeps it at its exact size.
-		m.rec.Metrics = m.rec.Metrics.Clone()
 		if enc, err := metrics.EncodedRecord(m.rec); err == nil {
 			m.rec = enc
 		}
@@ -173,7 +170,8 @@ func (r *Result) record(opts EmitOptions) metrics.Record {
 	var set *metrics.Set
 	if r.Metrics != nil {
 		// Copy the run's set before the wall-clock metrics are layered on
-		// below: it is shared by every clone of this result (Clone).
+		// below: it is shared by every clone of this result (Clone). The
+		// copy has room for them, so it is not copied again as they go in.
 		set = r.Metrics.Clone()
 		if r.stopReason != "" {
 			attrs[metrics.AttrStopReason] = r.stopReason

@@ -23,8 +23,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"runtime"
 	"strconv"
 	"sync"
@@ -88,34 +86,87 @@ func (j Job) Key(opts Options) string {
 
 // key is Key over j.Cfg's canonical JSON form cfg, or its marshal error.
 func (j Job) key(opts Options, cfg []byte, cfgErr error) string {
-	h := fnv.New64a()
-	writeFields(h, j.Profile.Name, j.Profile.Suite, j.Machine, j.Config)
-	writeFields(h, strconv.FormatInt(j.Seed, 10),
-		strconv.FormatFloat(scaleOf(opts), 'g', -1, 64),
-		strconv.FormatUint(opts.MaxInsts, 10))
+	h := newFieldHash()
+	h.fields(j.Profile.Name, j.Profile.Suite, j.Machine, j.Config)
+	h.int(j.Seed)
+	h.float(scaleOf(opts))
+	h.uint(opts.MaxInsts)
 	if j.Backend != "" {
 		// Folded only for non-default backends: a detailed job's key is
 		// byte-identical to its pre-backend form, so existing caches and
 		// persistent stores stay valid — while runs of the same cell at
 		// different fidelities can never serve each other (their timing
 		// fields legitimately differ).
-		writeFields(h, "backend", j.Backend)
+		h.fields("backend", j.Backend)
 	}
 	if cfgErr == nil {
-		h.Write(cfg)
+		h.write(cfg)
 	} else {
-		writeFields(h, "cfg-error", cfgErr.Error())
+		h.fields("cfg-error", cfgErr.Error())
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return h.String()
 }
 
-// writeFields writes each part to h followed by a NUL separator: the field
-// encoding of both run keys and run hashes.
-func writeFields(h hash.Hash, parts ...string) {
-	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
+// fieldHash is an FNV-1a 64 digest, inlined so that hashing a string or a
+// number allocates nothing. Run keys and run hashes write each field as
+// its bytes followed by a NUL separator (fields); numbers are fields in
+// their strconv decimal form, floats in the shortest 'g' form.
+type fieldHash uint64
+
+const (
+	fnvOffset64 fieldHash = 14695981039346656037
+	fnvPrime64  fieldHash = 1099511628211
+)
+
+func newFieldHash() fieldHash { return fnvOffset64 }
+
+// write hashes b as it is.
+func (h *fieldHash) write(b []byte) {
+	for _, c := range b {
+		*h = (*h ^ fieldHash(c)) * fnvPrime64
 	}
+}
+
+// fields hashes each part followed by its NUL separator.
+func (h *fieldHash) fields(parts ...string) {
+	for _, p := range parts {
+		for i := 0; i < len(p); i++ {
+			*h = (*h ^ fieldHash(p[i])) * fnvPrime64
+		}
+		*h *= fnvPrime64 // the NUL: h ^ 0 == h
+	}
+}
+
+// int, uint and float hash one number field.
+func (h *fieldHash) int(v int64) {
+	var buf [24]byte
+	h.write(append(strconv.AppendInt(buf[:0], v, 10), 0))
+}
+
+func (h *fieldHash) uint(v uint64) {
+	var buf [24]byte
+	h.write(append(strconv.AppendUint(buf[:0], v, 10), 0))
+}
+
+func (h *fieldHash) float(v float64) {
+	var buf [32]byte
+	h.write(append(strconv.AppendFloat(buf[:0], v, 'g', -1, 64), 0))
+}
+
+// appendHex appends the digest as 16 lowercase hex digits (%016x).
+func (h fieldHash) appendHex(dst []byte) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[h>>shift&15])
+	}
+	return dst
+}
+
+// String returns the digest as 16 lowercase hex digits, the form of run
+// keys and run hashes.
+func (h fieldHash) String() string {
+	var buf [16]byte
+	return string(h.appendHex(buf[:0]))
 }
 
 // Result is one completed run. The scalar fields form the stable
@@ -597,18 +648,21 @@ func record(r *Result, bres *backend.Result, err error, wallNS int64) {
 // rendering of every deterministic field. Wall-clock fields are deliberately
 // excluded, so the hash is invariant under worker count and machine load.
 func hashResult(r *Result) string {
-	h := fnv.New64a()
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	writeFields(h, r.Bench, r.Suite, r.Machine, r.Config, strconv.FormatInt(r.Seed, 10))
-	writeFields(h, strconv.FormatUint(r.Cycles, 10), strconv.FormatUint(r.Insts, 10), f(r.IPC))
-	writeFields(h, f(r.ElimME), f(r.ElimCF), f(r.ElimLoads), f(r.ElimALU), f(r.ElimTotal))
-	writeFields(h, f(r.BranchAccuracy), r.ArchHash, r.Err)
+	h := newFieldHash()
+	h.fields(r.Bench, r.Suite, r.Machine, r.Config)
+	h.int(r.Seed)
+	h.uint(r.Cycles)
+	h.uint(r.Insts)
+	for _, v := range [...]float64{r.IPC, r.ElimME, r.ElimCF, r.ElimLoads, r.ElimALU, r.ElimTotal, r.BranchAccuracy} {
+		h.float(v)
+	}
+	h.fields(r.ArchHash, r.Err)
 	if r.Backend != "" {
 		// Conditional for the same reason Job.Key's backend fold is:
 		// detailed runs hash identically to their pre-backend form.
-		writeFields(h, "backend", r.Backend)
+		h.fields("backend", r.Backend)
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return h.String()
 }
 
 // Audit checks architectural equivalence: every successful run of the same

@@ -25,12 +25,14 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+
+	"reno/internal/jsonread"
 )
 
 // Kind classifies a metric's type.
@@ -90,14 +92,6 @@ func (m Metric) Float() float64 {
 	return m.Value
 }
 
-// metricJSON is the serialized form; value is deferred so counters decode
-// through uint64 parsing rather than float64.
-type metricJSON struct {
-	Name  string          `json:"name"`
-	Kind  string          `json:"kind"`
-	Value json.RawMessage `json:"value"`
-}
-
 // MarshalJSON encodes the metric with its kind-appropriate number form:
 // counters as exact unsigned integers, gauges and ratios as Go's shortest
 // round-tripping float rendering.
@@ -111,41 +105,78 @@ func (m Metric) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a metric, parsing the value by declared kind so a
-// counter round-trips through uint64 with no float truncation.
+// counter round-trips through uint64 with no float truncation. The decoding
+// is strict (readMetric).
 func (m *Metric) UnmarshalJSON(data []byte) error {
-	var raw metricJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
+	r := jsonread.New(data)
+	got, name, err := readMetric(&r, nil)
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
 		return err
 	}
-	if raw.Name == "" {
-		return fmt.Errorf("metric without a name")
+	got.Name = string(name)
+	*m = got
+	return nil
+}
+
+// readMetric reads one metric object, appending its name to names and
+// returning the metric without it. The object must hold exactly a
+// non-empty name, a known kind and a value of that kind: a counter an
+// unsigned 64-bit integer, a gauge a finite float and a ratio one in
+// [0, 1]. Keys match as jsonread matches them: case-exact, once each.
+func readMetric(r *jsonread.Reader, names []byte) (Metric, []byte, error) {
+	var kind, value []byte
+	start := len(names)
+	err := r.Object(func(key []byte) error {
+		var err error
+		switch string(key) {
+		case "name":
+			names, err = r.AppendString(names)
+		case "kind":
+			kind, err = r.Bytes()
+		case "value":
+			value, err = r.Number()
+		default:
+			return jsonread.UnknownField(key)
+		}
+		return err
+	})
+	if err != nil {
+		return Metric{}, names, err
 	}
-	k, ok := kindByName(raw.Kind)
+	name := names[start:]
+	if len(name) == 0 {
+		return Metric{}, names, fmt.Errorf("metric without a name")
+	}
+	k, ok := kindByName(string(kind))
 	if !ok {
-		return fmt.Errorf("metric %q: unknown kind %q", raw.Name, raw.Kind)
+		return Metric{}, names, fmt.Errorf("metric %q: unknown kind %q", name, kind)
 	}
-	*m = Metric{Name: raw.Name, Kind: k}
+	if value == nil {
+		return Metric{}, names, fmt.Errorf("metric %q: no value", name)
+	}
+	m := Metric{Kind: k}
 	switch k {
 	case Counter:
-		v, err := strconv.ParseUint(string(raw.Value), 10, 64)
-		if err != nil {
-			return fmt.Errorf("metric %q: counter value %s: %w", raw.Name, raw.Value, err)
+		if m.Count, err = strconv.ParseUint(string(value), 10, 64); err != nil {
+			return Metric{}, names, fmt.Errorf("metric %q: counter value %s: %w", name, value, err)
 		}
-		m.Count = v
 	default:
-		v, err := strconv.ParseFloat(string(raw.Value), 64)
+		v, err := strconv.ParseFloat(string(value), 64)
 		if err != nil {
-			return fmt.Errorf("metric %q: %s value %s: %w", raw.Name, raw.Kind, raw.Value, err)
+			return Metric{}, names, fmt.Errorf("metric %q: %s value %s: %w", name, kind, value, err)
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("metric %q: non-finite %s value", raw.Name, raw.Kind)
+			return Metric{}, names, fmt.Errorf("metric %q: non-finite %s value", name, kind)
 		}
 		if k == Ratio && (v < 0 || v > 1) {
-			return fmt.Errorf("metric %q: ratio %g outside [0, 1]", raw.Name, v)
+			return Metric{}, names, fmt.Errorf("metric %q: ratio %g outside [0, 1]", name, v)
 		}
 		m.Value = v
 	}
-	return nil
+	return m, names, nil
 }
 
 // Set is a collection of uniquely named metrics. The zero value is ready to
@@ -172,8 +203,11 @@ func (s *Set) metrics() []Metric {
 // search returns the index of name in the sorted list, or the index at
 // which it would be inserted, and whether it is present.
 func (s *Set) search(name string) (int, bool) {
-	return slices.BinarySearchFunc(s.list, name, func(m Metric, name string) int { return strings.Compare(m.Name, name) })
+	return slices.BinarySearchFunc(s.list, name, byName)
 }
+
+// byName orders a metric against a name.
+func byName(m Metric, name string) int { return strings.Compare(m.Name, name) }
 
 // add inserts or replaces a metric.
 func (s *Set) add(m Metric) *Set {
@@ -254,10 +288,21 @@ func (s *Set) All() []Metric {
 	return append([]Metric(nil), s.metrics()...)
 }
 
-// Clone returns a copy of s that shares nothing with it, allocated at its
-// exact size (an empty set for nil).
+// Clone returns a copy of s that shares nothing with it (an empty set for
+// nil). The copy has room for the host-side run telemetry (RunWallNS and
+// RunSimInstsPerSec) that s lacks, which emission adds to a copy of each
+// run's set, and is otherwise at its exact size.
 func (s *Set) Clone() *Set {
-	return &Set{list: slices.Clone(s.metrics())}
+	list := s.metrics()
+	room := 0
+	for _, name := range [...]string{RunWallNS, RunSimInstsPerSec} {
+		if _, ok := slices.BinarySearchFunc(list, name, byName); !ok {
+			room++
+		}
+	}
+	c := make([]Metric, len(list), len(list)+room)
+	copy(c, list)
+	return &Set{list: c}
 }
 
 // Equal reports whether two sets carry exactly the same metrics (names,
@@ -277,16 +322,54 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 	return w.buf, nil
 }
 
-// UnmarshalJSON decodes a metric array, rejecting duplicate names (two
-// values for one name has no coherent meaning).
+// setScratch is what decoding a metric array builds before the set exists:
+// the metrics without their names, and the names back to back with the
+// offset each one ends at.
+type setScratch struct {
+	list  []Metric
+	ends  []int
+	names []byte
+}
+
+var setScratches = sync.Pool{New: func() any { return new(setScratch) }}
+
+// UnmarshalJSON decodes a metric array in one pass, each metric as strictly
+// as Metric.UnmarshalJSON, and rejects duplicate names (two values for one
+// name has no coherent meaning); null decodes to an empty set. The set is
+// allocated at its exact size, and all its names share one string.
 func (s *Set) UnmarshalJSON(data []byte) error {
-	var list []Metric
-	if err := json.Unmarshal(data, &list); err != nil {
+	r := jsonread.New(data)
+	if r.Null() {
+		*s = Set{}
+		return r.End()
+	}
+	sc := setScratches.Get().(*setScratch)
+	defer setScratches.Put(sc)
+	sc.list, sc.ends, sc.names = sc.list[:0], sc.ends[:0], sc.names[:0]
+	err := r.Array(func() error {
+		m, names, err := readMetric(&r, sc.names)
+		sc.list, sc.ends, sc.names = append(sc.list, m), append(sc.ends, len(names)), names
+		return err
+	})
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
 		return err
 	}
-	// Canonical documents are already sorted, which the sort detects in
-	// one pass.
-	slices.SortFunc(list, func(a, b Metric) int { return strings.Compare(a.Name, b.Name) })
+	names := string(sc.names)
+	list := make([]Metric, len(sc.list))
+	start := 0
+	for i, m := range sc.list {
+		m.Name, start = names[start:sc.ends[i]], sc.ends[i]
+		list[i] = m
+	}
+	// Canonical documents are already sorted, which the check sees in one
+	// pass.
+	order := func(a, b Metric) int { return strings.Compare(a.Name, b.Name) }
+	if !slices.IsSortedFunc(list, order) {
+		slices.SortFunc(list, order)
+	}
 	for i := 1; i < len(list); i++ {
 		if list[i].Name == list[i-1].Name {
 			return fmt.Errorf("duplicate metric %q", list[i].Name)

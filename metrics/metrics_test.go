@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -141,6 +142,16 @@ func TestDecodeRejections(t *testing.T) {
 		"float counter": `{"schema":"reno.metrics/v1","records":[{"metrics":[{"name":"x","kind":"counter","value":1.5}]}]}`,
 		"ratio range":   `{"schema":"reno.metrics/v1","records":[{"metrics":[{"name":"x","kind":"ratio","value":1.5}]}]}`,
 		"nil metrics":   `{"schema":"reno.metrics/v1","records":[{"labels":{"bench":"gzip"}}]}`,
+		// A metric object is read strictly: exact keys, each once, no
+		// other, and no null.
+		"metric unknown field": `{"schema":"reno.metrics/v1","records":[{"metrics":[{"name":"x","kind":"counter","value":1,"unit":"ns"}]}]}`,
+		"metric key case":      `{"schema":"reno.metrics/v1","records":[{"metrics":[{"Name":"x","kind":"counter","value":1}]}]}`,
+		"metric key repeated":  `{"schema":"reno.metrics/v1","records":[{"metrics":[{"name":"x","kind":"counter","value":1,"value":2}]}]}`,
+		"metric null value":    `{"schema":"reno.metrics/v1","records":[{"metrics":[{"name":"x","kind":"gauge","value":null}]}]}`,
+		"metric no value":      `{"schema":"reno.metrics/v1","records":[{"metrics":[{"name":"x","kind":"gauge"}]}]}`,
+		"metric string value":  `{"schema":"reno.metrics/v1","records":[{"metrics":[{"name":"x","kind":"gauge","value":"1"}]}]}`,
+		"huge gauge":           `{"schema":"reno.metrics/v1","records":[{"metrics":[{"name":"x","kind":"gauge","value":1e999}]}]}`,
+		"negative counter":     `{"schema":"reno.metrics/v1","records":[{"metrics":[{"name":"x","kind":"counter","value":-1}]}]}`,
 	}
 	for name, doc := range cases {
 		if _, err := Decode([]byte(doc)); err == nil {
@@ -180,5 +191,37 @@ func TestEncodeRejectsNonFiniteMetric(t *testing.T) {
 	}
 	if _, err := bad.MarshalJSON(); err == nil {
 		t.Error("Set.MarshalJSON accepted a NaN gauge")
+	}
+}
+
+// TestCloneHasRoomForRunTelemetry: a copy of a run's set takes the two
+// wall-clock metrics emission adds without growing, and a copy of a set
+// that holds them is at its exact size.
+func TestCloneHasRoomForRunTelemetry(t *testing.T) {
+	run := NewSet().Counter(PipelineCycles, 10).Gauge(PipelineIPC, 1.5)
+	c := run.Clone()
+	before := &c.list[0]
+	c.Counter(RunWallNS, 7).Gauge(RunSimInstsPerSec, 2)
+	if &c.list[0] != before || len(c.list) != cap(c.list) {
+		t.Fatalf("adding the run telemetry regrew the copy (len %d, cap %d)", len(c.list), cap(c.list))
+	}
+	if cc := c.Clone(); len(cc.list) != cap(cc.list) || !cc.Equal(c) {
+		t.Fatalf("copy of a set with the run telemetry: len %d, cap %d", len(cc.list), cap(cc.list))
+	}
+}
+
+// TestSetDecodeExactSize: a decoded set holds its metrics at their exact
+// size and in name order, whatever order the array had.
+func TestSetDecodeExactSize(t *testing.T) {
+	var s Set
+	if err := s.UnmarshalJSON([]byte(`[{"name":"b","kind":"gauge","value":2.5},{"value":3,"kind":"counter","name":"a"},{"name":"c\u00e9","kind":"ratio","value":0.5}]`)); err != nil {
+		t.Fatal(err)
+	}
+	want := []Metric{{Name: "a", Kind: Counter, Count: 3}, {Name: "b", Kind: Gauge, Value: 2.5}, {Name: "cé", Kind: Ratio, Value: 0.5}}
+	if !slices.Equal(s.list, want) || cap(s.list) != len(want) {
+		t.Fatalf("decoded %+v (cap %d), want %+v", s.list, cap(s.list), want)
+	}
+	if err := s.UnmarshalJSON([]byte(`null`)); err != nil || s.Len() != 0 {
+		t.Fatalf("null: %v, %d metrics", err, s.Len())
 	}
 }
