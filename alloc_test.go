@@ -12,6 +12,7 @@ import (
 	"reno/internal/backend"
 	"reno/internal/elim"
 	"reno/internal/emu"
+	"reno/internal/machine"
 	"reno/internal/pipeline"
 	"reno/internal/reno"
 	"reno/internal/workload"
@@ -205,6 +206,61 @@ func TestDetailedRunRecyclesState(t *testing.T) {
 	first, second := allocated(), allocated()
 	if second > first/10 {
 		t.Errorf("a detailed run allocates %d bytes from nothing and %d after a finished one; want at most a tenth", first, second)
+	}
+}
+
+// TestFunctionalGroupRecyclesEngines pins that a functional group reuses
+// the elimination engines a finished group left instead of building its
+// own: the integration tables, generation arrays and decision windows. Of
+// two identical groups of gzip's region under every registered RENO
+// configuration on 4w, the second allocates at most a tenth of the bytes
+// the first, which starts with no finished group to reuse, allocates.
+// Garbage collection and every P but one are off while they run, as in
+// TestDetailedRunRecyclesState.
+func TestFunctionalGroupRecyclesEngines(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items on purpose")
+	}
+	prof, ok := workload.ByName("gzip")
+	if !ok {
+		t.Fatal("gzip profile missing")
+	}
+	start, err := workload.MustBuild(workload.Scale(prof, 0.2)).Warm(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfgs []pipeline.Config
+	for _, name := range machine.RenoNames() {
+		rc, err := machine.RenoByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := machine.ParseMachine("4w", rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	req := backend.Request{Start: start}
+	runtime.GC() // twice: a pool survives one collection
+	runtime.GC()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocated := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, errs := backend.RunGroup(context.Background(), req, cfgs)
+		runtime.ReadMemStats(&after)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", machine.RenoNames()[i], err)
+			}
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, second := allocated(), allocated()
+	if second > first/10 {
+		t.Errorf("a functional group of %d configurations allocates %d bytes from nothing and %d after a finished one; want at most a tenth", len(cfgs), first, second)
 	}
 }
 

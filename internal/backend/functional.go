@@ -3,6 +3,7 @@ package backend
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"reno/internal/elim"
 	"reno/internal/emu"
@@ -32,6 +33,14 @@ func (functionalBackend) Run(ctx context.Context, req Request) (*Result, error) 
 // while the emulator fills them and while each engine drains them in turn.
 const chunkLen = 256
 
+// idleEngines holds finished groups' elimination engines, each group's as
+// one *[]*elim.Engine indexed by member, for RunGroup to reset and reuse
+// (pipeline.Run recycles its Sim the same way). Member i takes the engine
+// member i of an earlier group had, which in a screening sweep ran the same
+// configuration, so its integration table and decision window already fit:
+// the sweep allocates them about once per worker rather than once per cell.
+var idleEngines sync.Pool
+
 // RunGroup runs one functional cell per configuration in cfgs over a
 // single trace feed of the program and budget that req names (its Cfg and
 // CPAChunk are not read): the emulator steps and hashes the stream once, and
@@ -60,13 +69,29 @@ func RunGroup(ctx context.Context, req Request, cfgs []pipeline.Config) ([]*Resu
 		return res, errs
 	}
 	defer f.Release()
+	// The engines go back to the pool once the results below have copied
+	// their counters out: no engine outlives the group.
+	idle, _ := idleEngines.Get().(*[]*elim.Engine)
+	if idle == nil {
+		idle = new([]*elim.Engine)
+	}
+	defer idleEngines.Put(idle)
+	if n := len(cfgs) - len(*idle); n > 0 {
+		*idle = append(*idle, make([]*elim.Engine, n)...)
+	}
 	engines := make([]*elim.Engine, len(cfgs))
 	for i, cfg := range cfgs {
 		// A configuration with no elimination mechanism decides every
 		// instruction conventionally and counts nothing: it needs no
 		// engine, so baseline screening costs only the shared feed.
 		if errs[i] == nil && cfg.Reno.AnyEnabled() {
-			engines[i] = elim.New(cfg.Reno, cfg.ROBSize, cfg.RenameWidth)
+			eng := (*idle)[i]
+			if eng == nil {
+				eng = new(elim.Engine)
+				(*idle)[i] = eng
+			}
+			eng.Reset(cfg.Reno, cfg.ROBSize, cfg.RenameWidth)
+			engines[i] = eng
 		}
 	}
 	insts, canceled := drive(f, engines, errs, make([]emu.Dyn, chunkLen))

@@ -67,9 +67,11 @@ type Engine struct {
 	committed uint64
 }
 
-// New builds an engine for one program run. robSize bounds the decision
-// window and renameWidth fixes the group alignment; both must match the
-// timing model consuming the decisions for cross-backend equivalence.
+// New builds an engine for a program run; Reset readies it for the next
+// one, which is how the detailed pipeline and the functional backend
+// recycle their engines. robSize bounds the decision window and
+// renameWidth fixes the group alignment; both must match the timing model
+// consuming the decisions for cross-backend equivalence.
 func New(cfg reno.Config, robSize, renameWidth int) *Engine {
 	e := &Engine{}
 	e.Reset(cfg, robSize, renameWidth)

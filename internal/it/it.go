@@ -152,10 +152,6 @@ type Table struct {
 // file of physRegs physical registers. The paper's configuration is 512
 // entries, 2-way.
 func New(totalEntries, ways, physRegs int, policy Policy) *Table {
-	sets := totalEntries / ways
-	if sets < 1 {
-		sets = 1
-	}
 	t := &Table{}
 	t.Reset(totalEntries, ways, physRegs, policy)
 	return t

@@ -71,10 +71,13 @@ type MapTable struct {
 }
 
 // New creates a map table backed by the given reference-count table. Every
-// logical register initially maps to the pinned zero physical register:
-// architectural state starts as all zeros, and the first writer of each
-// logical register allocates its real home. (The zero register's count is
-// pinned and untracked, so the initial mappings need no increments.)
+// logical register initially maps to the pinned zero physical register, and
+// the first writer of each logical register allocates its real home. Until
+// then the table reads the register as zero and as equal to every other
+// unwritten register, whatever value it holds: the emulator starts sp at
+// 1<<30, and a post-warmup snapshot holds non-zero registers (a documented
+// deviation, docs/architecture.md). The zero register's count is pinned and
+// untracked, so the initial mappings need no increments.
 func New(rc *refcount.Table) *MapTable {
 	t := &MapTable{}
 	t.Reset(rc)

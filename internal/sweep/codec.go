@@ -1,9 +1,12 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
+	"sync"
 
 	"reno/internal/jsonread"
 	"reno/metrics"
@@ -19,86 +22,46 @@ import (
 // architectural-equivalence audit through its recorded hash, and re-encodes
 // to the identical bytes (pinned by TestResultCodecRoundTrip).
 //
-// The format is a small JSON envelope:
+// The format is a small JSON envelope, indented two spaces per level:
 //
 //	{
 //	  "schema":   "reno.result/v1",
 //	  "key":      "<run key, %016x>",
-//	  "payload":  { ...resultPayload... },
+//	  "payload":  { ...the run's fields... },
 //	  "checksum": "fnv1a64:<%016x over the payload bytes>"
 //	}
 //
-// Decode is strict by design — unknown schema or fields, a checksum
+// The payload holds the stable scalar record in a fixed order — bench,
+// suite, machine, config, seed, backend, cycles, insts, ipc, elim_me,
+// elim_cf, elim_loads, elim_alu, elim_total, branch_accuracy, arch_hash,
+// run_hash, wall_ns, sim_insts_per_sec, stop_reason — and last the run's
+// full metric set, name-sorted (the set its envelope record carries).
+// Suite, machine, seed, backend, wall_ns, sim_insts_per_sec and
+// stop_reason are left out when empty; backend is empty for the detailed
+// backend, so pre-backend records decode unchanged and detailed runs still
+// encode to their pre-backend bytes. The checksum covers the payload's
+// compact form: DecodeResult hashes the stored bytes with the whitespace
+// between tokens dropped (compactSum), so the record is
+// whitespace-insensitive, but any corruption that changes a single value —
+// or writes one in another form — is caught before the payload is trusted.
+//
+// Neither direction uses reflection. EncodeResult writes the record in
+// encoding/json's number and string forms, with the metric array through
+// the metrics package's writer (Set.AppendIndent), and DecodeResult reads
+// it in one pass (internal/jsonread).
+//
+// DecodeResult is strict by design — unknown schema or fields, a checksum
 // mismatch, truncation, a key mismatch, or an incoherent payload all fail —
-// so a corrupt store entry degrades into a cache miss (the store quarantines
-// it and re-simulates), never into wrong bytes served as truth. It reads
-// the record in one pass with no reflection (internal/jsonread), and it is
-// stricter than encoding/json: a key whose case differs, a repeated key, a
-// null and bytes after the record are all errors too.
+// so a corrupt store entry degrades into a cache miss (the store
+// quarantines it and re-simulates), never into wrong bytes served as
+// truth. It is stricter than encoding/json: a key whose case differs, a
+// repeated key, a null and bytes after the record are all errors too.
 
 // ResultSchemaV1 identifies the persistent result record format.
 const ResultSchemaV1 = "reno.result/v1"
 
-// resultPayload is the canonical serialized form of a completed Result: the
-// stable scalar record plus the full pipeline metric set (the same set the
-// run's envelope record carries, name-sorted) and the stop reason. Field
-// order is fixed and all encodings are deterministic, so equal results
-// produce equal bytes.
-type resultPayload struct {
-	Bench   string `json:"bench"`
-	Suite   string `json:"suite,omitempty"`
-	Machine string `json:"machine,omitempty"`
-	Config  string `json:"config"`
-	Seed    int64  `json:"seed,omitempty"`
-	// Backend is the normalized backend name ("" = detailed). Omitted when
-	// empty, so pre-backend store records decode unchanged — and detailed
-	// runs still encode to their pre-backend bytes.
-	Backend string `json:"backend,omitempty"`
-
-	Cycles uint64  `json:"cycles"`
-	Insts  uint64  `json:"insts"`
-	IPC    float64 `json:"ipc"`
-
-	ElimME    float64 `json:"elim_me"`
-	ElimCF    float64 `json:"elim_cf"`
-	ElimLoads float64 `json:"elim_loads"`
-	ElimALU   float64 `json:"elim_alu"`
-	ElimTotal float64 `json:"elim_total"`
-
-	BranchAccuracy float64 `json:"branch_accuracy"`
-
-	ArchHash string `json:"arch_hash"`
-	Hash     string `json:"run_hash"`
-
-	WallNS         int64   `json:"wall_ns,omitempty"`
-	SimInstsPerSec float64 `json:"sim_insts_per_sec,omitempty"`
-
-	StopReason string       `json:"stop_reason,omitempty"`
-	Metrics    *metrics.Set `json:"metrics"`
-}
-
-// resultFile is the envelope around the payload. Checksum covers the
-// payload's canonical (compact, field-ordered, name-sorted) marshaling.
-// The record carries those bytes indented, and Decode hashes them with the
-// whitespace between tokens dropped (compactSum), so the record is
-// whitespace-insensitive but any corruption that changes a single value —
-// or writes one in another form — is caught before the payload is trusted.
-type resultFile struct {
-	Schema   string          `json:"schema"`
-	Key      string          `json:"key"`
-	Payload  json.RawMessage `json:"payload"`
-	Checksum string          `json:"checksum"`
-}
-
 // checksumPrefix names the checksum's digest.
 const checksumPrefix = "fnv1a64:"
-
-// payloadChecksum digests the canonical payload bytes.
-func payloadChecksum(payload []byte) string {
-	h := newFieldHash()
-	h.write(payload)
-	return checksumPrefix + h.String()
-}
 
 // compactSum digests the JSON text b as json.Compact would write it: every
 // byte but the whitespace between tokens. b must be valid JSON, so the
@@ -143,29 +106,124 @@ func EncodeResult(key string, r *Result) ([]byte, error) {
 	if r.Metrics == nil {
 		return nil, fmt.Errorf("encode result %s: partial result has no pipeline metrics", r.Key())
 	}
-	payload, err := json.Marshal(resultPayload{
-		Bench: r.Bench, Suite: r.Suite, Machine: r.Machine, Config: r.Config, Seed: r.Seed,
-		Backend: r.Backend,
-		Cycles:  r.Cycles, Insts: r.Insts, IPC: r.IPC,
-		ElimME: r.ElimME, ElimCF: r.ElimCF, ElimLoads: r.ElimLoads, ElimALU: r.ElimALU, ElimTotal: r.ElimTotal,
-		BranchAccuracy: r.BranchAccuracy,
-		ArchHash:       r.ArchHash, Hash: r.Hash,
-		WallNS: r.WallNS, SimInstsPerSec: r.SimInstsPerSec,
-		StopReason: r.stopReason, Metrics: r.Metrics,
-	})
+	buf := recordBufs.Get().(*[]byte)
+	defer recordBufs.Put(buf)
+	rec, err := appendRecord((*buf)[:0], key, r)
+	*buf = rec
 	if err != nil {
 		return nil, fmt.Errorf("encode result %s: %w", r.Key(), err)
 	}
-	out, err := json.MarshalIndent(resultFile{
-		Schema:   ResultSchemaV1,
-		Key:      key,
-		Payload:  payload,
-		Checksum: payloadChecksum(payload),
-	}, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("encode result %s: %w", r.Key(), err)
+	return bytes.Clone(rec), nil
+}
+
+// recordBufs holds the scratch buffers EncodeResult writes records in, so
+// a record costs one allocation: its exactly sized copy.
+var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendRecord appends r's record under key to b, in the layout
+// json.MarshalIndent with a two-space indent gives the envelope: fields in
+// the order the format lists them, the payload's in a fixed order with
+// the empty optional ones left out. Numbers and strings take
+// encoding/json's forms (appendJSONFloat, appendJSONString) and the metric
+// array the metrics package's own (Set.AppendIndent), so equal results
+// produce equal bytes. The checksum is compactSum over the payload as
+// written, the digest DecodeResult checks.
+func appendRecord(b []byte, key string, r *Result) ([]byte, error) {
+	floats := [...]struct {
+		name string
+		v    float64
+	}{
+		{"ipc", r.IPC}, {"elim_me", r.ElimME}, {"elim_cf", r.ElimCF}, {"elim_loads", r.ElimLoads},
+		{"elim_alu", r.ElimALU}, {"elim_total", r.ElimTotal}, {"branch_accuracy", r.BranchAccuracy},
+		{"sim_insts_per_sec", r.SimInstsPerSec},
 	}
-	return append(out, '\n'), nil
+	for _, f := range floats {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return b, fmt.Errorf("%s: unsupported value %v", f.name, f.v)
+		}
+	}
+	b = append(b, "{\n  \"schema\": \""+ResultSchemaV1+"\",\n  \"key\": "...)
+	b = appendJSONString(b, key)
+	b = append(b, ",\n  \"payload\": "...)
+	payload := len(b)
+	b = appendJSONString(append(b, "{\n    \"bench\": "...), r.Bench)
+	if r.Suite != "" {
+		b = appendJSONString(payloadField(b, "suite"), r.Suite)
+	}
+	if r.Machine != "" {
+		b = appendJSONString(payloadField(b, "machine"), r.Machine)
+	}
+	b = appendJSONString(payloadField(b, "config"), r.Config)
+	if r.Seed != 0 {
+		b = strconv.AppendInt(payloadField(b, "seed"), r.Seed, 10)
+	}
+	if r.Backend != "" {
+		b = appendJSONString(payloadField(b, "backend"), r.Backend)
+	}
+	b = strconv.AppendUint(payloadField(b, "cycles"), r.Cycles, 10)
+	b = strconv.AppendUint(payloadField(b, "insts"), r.Insts, 10)
+	for _, f := range floats[:len(floats)-1] { // sim_insts_per_sec is optional and comes later
+		b = appendJSONFloat(payloadField(b, f.name), f.v)
+	}
+	b = appendJSONString(payloadField(b, "arch_hash"), r.ArchHash)
+	b = appendJSONString(payloadField(b, "run_hash"), r.Hash)
+	if r.WallNS != 0 {
+		b = strconv.AppendInt(payloadField(b, "wall_ns"), r.WallNS, 10)
+	}
+	if r.SimInstsPerSec != 0 {
+		b = appendJSONFloat(payloadField(b, "sim_insts_per_sec"), r.SimInstsPerSec)
+	}
+	if r.stopReason != "" {
+		b = appendJSONString(payloadField(b, "stop_reason"), r.stopReason)
+	}
+	b, err := r.Metrics.AppendIndent(payloadField(b, "metrics"), 2)
+	if err != nil {
+		return b, fmt.Errorf("metrics: %w", err)
+	}
+	b = append(b, "\n  }"...)
+	sum := compactSum(b[payload:])
+	b = sum.appendHex(append(b, ",\n  \"checksum\": \""+checksumPrefix...))
+	return append(b, "\"\n}\n"...), nil
+}
+
+// payloadField starts a payload field after the first: the comma, the
+// payload's indentation and the quoted name.
+func payloadField(b []byte, name string) []byte {
+	b = append(b, ",\n    \""...)
+	b = append(b, name...)
+	return append(b, "\": "...)
+}
+
+// appendJSONString appends s as a JSON string the way encoding/json writes
+// it, HTML characters escaped: a string of printable ASCII that needs no
+// escape as it is, any other through json.Marshal, so control characters,
+// U+2028, U+2029 and invalid UTF-8 come out exactly as it writes them.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends the finite f as encoding/json writes a float64:
+// the shortest decimal that round-trips, in exponent form only below 1e-6
+// or from 1e21 up, with a one-digit negative exponent unpadded.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 becomes e-7
+		b = b[:n-1]
+	}
+	return b
 }
 
 // DecodeResult parses a persistent result record back into a Result and the
@@ -251,7 +309,7 @@ func readRecord(data []byte) (storedRecord, error) {
 	return rec, err
 }
 
-// readPayload reads a record's payload object (resultPayload's fields)
+// readPayload reads a record's payload object (the fields the format lists)
 // into r, whose Metrics must be an empty set.
 func readPayload(rd *jsonread.Reader, r *Result) error {
 	return rd.Object(func(field []byte) error {

@@ -334,3 +334,24 @@ func BenchmarkDecodeResult(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEncodeResult encodes the pinned store records' results in turn
+// and reports the time and allocations per record.
+func BenchmarkEncodeResult(b *testing.B) {
+	var keys []string
+	var results []*Result
+	for _, rec := range pinnedRecords(b) {
+		key, r, err := DecodeResult(rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		keys, results = append(keys, key), append(results, r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeResult(keys[i%len(keys)], results[i%len(results)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

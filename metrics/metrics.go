@@ -322,6 +322,20 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 	return w.buf, nil
 }
 
+// AppendIndent appends the set's name-sorted metric array to dst as
+// json.MarshalIndent writes it with a two-space indent and a prefix of
+// depth indents: the form the array takes as a value nested depth levels
+// deep in a document indented two spaces per level. A metric with no JSON
+// form is an error, as in MarshalJSON.
+func (s *Set) AppendIndent(dst []byte, depth int) ([]byte, error) {
+	if err := checkSet(s); err != nil {
+		return dst, err
+	}
+	w := writer{buf: dst, indent: true, depth: depth}
+	w.set(s)
+	return w.buf, nil
+}
+
 // setScratch is what decoding a metric array builds before the set exists:
 // the metrics without their names, and the names back to back with the
 // offset each one ends at.

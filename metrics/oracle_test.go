@@ -176,8 +176,9 @@ func genReportFrom(rng *rand.Rand) genReport {
 	return g
 }
 
-// checkAgainstOracle encodes g both ways, indented and compact, and
-// reports any difference.
+// checkAgainstOracle encodes g both ways, indented and compact, and each
+// of its sets compact and indented (Set.AppendIndent), and reports any
+// difference.
 func checkAgainstOracle(t *testing.T, g genReport) {
 	t.Helper()
 	var want bytes.Buffer
@@ -216,6 +217,18 @@ func checkAgainstOracle(t *testing.T, g genReport) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("Set.MarshalJSON differs from encoding/json:\n got %q\nwant %q", got, want)
+		}
+		depth := i % 4
+		got, err = s.AppendIndent([]byte("x"), depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err = json.MarshalIndent(g.lists[i], strings.Repeat("  ", depth), "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append([]byte("x"), want...)) {
+			t.Fatalf("Set.AppendIndent at depth %d differs from encoding/json:\n got %q\nwant %q", depth, got[1:], want)
 		}
 	}
 }
