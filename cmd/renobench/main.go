@@ -40,7 +40,7 @@ func main() {
 		keys = append(keys, f.Key)
 	}
 	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(keys, ", ")+", all")
-	scale := flag.Float64("scale", 1.0, "workload scale factor")
+	scale := flag.Float64("scale", 1.0, "workload scale factor (<= 0 means 1.0)")
 	maxInsts := flag.Uint64("max", 300_000, "timed instructions per run (0 = to completion)")
 	serial := flag.Bool("serial", false, "disable parallel simulation")
 	workers := flag.Int("workers", 0, "sweep pool size (0 = GOMAXPROCS; ignored with -serial)")

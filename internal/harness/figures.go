@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"reno/internal/backend"
 	"reno/internal/cpa"
@@ -145,19 +144,19 @@ func Fig9(ctx context.Context, w io.Writer, opts Options) {
 	}
 }
 
-// warmEach builds and warms each of profs once, at opts.Scale, and calls
-// run(i, start) for every i in [0, len(profs)*per) on forEach at the pool
-// width, where start is the post-warmup snapshot of benchmark i/per. It
-// returns each benchmark's warmup error; a benchmark whose warmup failed,
-// or a run once ctx is done, gets no call.
+// warmEach starts each of profs once (sweep.Start at opts.Scale), and
+// calls run(i, start) for every i in [0, len(profs)*per) on sweep.ForEach
+// at the pool width, where start is the post-warmup snapshot of benchmark
+// i/per. It returns each benchmark's start error; a benchmark that could
+// not start, or a run once ctx is done, gets no call.
 func warmEach(ctx context.Context, profs []workload.Profile, per int, opts Options, run func(i int, start *emu.Snapshot)) []error {
 	warm := make([]func() (*emu.Snapshot, error), len(profs))
 	for b, p := range profs {
 		warm[b] = sync.OnceValues(func() (*emu.Snapshot, error) {
-			return workload.MustBuild(workload.Scale(p, opts.Scale)).Warm(ctx)
+			return sweep.Start(ctx, p, 0, opts.Scale)
 		})
 	}
-	forEach(opts.workers(), len(profs)*per, func(i int) {
+	sweep.ForEach(opts.workers(), len(profs)*per, func(i int) {
 		if start, err := warm[i/per](); err == nil && ctx.Err() == nil {
 			run(i, start)
 		}
@@ -167,23 +166,6 @@ func warmEach(ctx context.Context, profs []workload.Profile, per int, opts Optio
 		_, errs[b] = warm[b]()
 	}
 	return errs
-}
-
-// forEach calls fn(i) for every i in [0, n) on up to workers goroutines
-// and returns once every call has.
-func forEach(workers, n int, fn func(i int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(workers, n) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // runCPA times one Figure 9 run from its program's post-warmup snapshot
@@ -347,7 +329,7 @@ func Fig12(ctx context.Context, w io.Writer, opts Options) {
 // TableMix regenerates the Section 1/4.2 instruction-mix statistics: the
 // dynamic fraction of register moves and register-immediate additions in
 // each benchmark's timed region. Every benchmark is warmed once through
-// warmEach; a warmup or emulator fault prints as a "<bench>: <err>" line
+// warmEach; a start or emulator fault prints as a "<bench>: <err>" line
 // in place of the benchmark's row.
 func TableMix(ctx context.Context, w io.Writer, opts Options) {
 	var profs []workload.Profile

@@ -20,7 +20,7 @@ import (
 // Options controls experiment scale.
 type Options struct {
 	// Scale multiplies every workload's iteration count (1.0 ≈ 100-300k
-	// dynamic instructions per benchmark).
+	// dynamic instructions per benchmark); <= 0 means 1.0, as in a sweep.
 	Scale float64
 	// MaxInsts caps the timed instructions per run (0 = to completion).
 	MaxInsts uint64

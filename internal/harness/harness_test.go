@@ -154,6 +154,19 @@ func TestFig9HonorsTimeout(t *testing.T) {
 	}
 }
 
+// TestScaleDefault: a Scale <= 0 means 1.0 in the figures that start their
+// programs themselves (TableMix, Fig9), as it does in the sweep-based ones.
+func TestScaleDefault(t *testing.T) {
+	for _, f := range []func(context.Context, io.Writer, Options){TableMix, Fig9} {
+		var zero, one strings.Builder
+		f(context.Background(), &zero, Options{Scale: 0, MaxInsts: 2_000, Parallel: true})
+		f(context.Background(), &one, Options{Scale: 1, MaxInsts: 2_000, Parallel: true})
+		if zero.String() != one.String() {
+			t.Errorf("Scale 0 prints\n%s\nScale 1 prints\n%s", zero.String(), one.String())
+		}
+	}
+}
+
 func TestSpeedupEdgeCases(t *testing.T) {
 	rs := results{}
 	for key, c := range map[string]uint64{

@@ -129,11 +129,11 @@ type Job struct {
 	started   time.Time          // guarded by mu
 	finished  time.Time          // guarded by mu
 	done      int                // guarded by mu
-	failed    int                // guarded by mu
+	failed    int                // guarded by mu; runs failed so far, until results are set
 	cacheHits int                // guarded by mu
 	simulated int                // guarded by mu
-	warnings  int                // guarded by mu
 	results   []*sweep.Result    // guarded by mu; set once, when the sweep returns
+	summary   sweep.Summary      // guarded by mu; results' totals, set with them
 	events    []Event            // guarded by mu
 }
 
@@ -156,15 +156,19 @@ func (j *Job) Status() Status {
 		}
 		return t.UTC().Format(time.RFC3339Nano)
 	}
+	failed := j.failed
+	if j.results != nil {
+		failed = j.summary.Failed
+	}
 	return Status{
 		ID:            j.id,
 		State:         j.state,
 		Runs:          len(j.jobs),
 		Done:          j.done,
-		Failed:        j.failed,
+		Failed:        failed,
 		CacheHits:     j.cacheHits,
 		Simulated:     j.simulated,
-		AuditWarnings: j.warnings,
+		AuditWarnings: j.summary.Warnings,
 		Created:       ts(j.created),
 		Started:       ts(j.started),
 		Finished:      ts(j.finished),
@@ -202,12 +206,12 @@ var ErrNotFinished = errors.New("job has not finished (results exist once the st
 // byte-for-byte against it).
 func (j *Job) Results(stable bool) (*metrics.Report, error) {
 	j.mu.Lock()
-	results := j.results
+	sr := &sweep.Report{Grid: j.grid, Summary: j.summary, Results: j.results}
 	j.mu.Unlock()
-	if results == nil {
+	if sr.Results == nil {
 		return nil, ErrNotFinished
 	}
-	rep, err := sweep.NewReport(j.grid, results).MetricsReport(sweep.EmitOptions{Deterministic: stable})
+	rep, err := sr.MetricsReport(sweep.EmitOptions{Deterministic: stable})
 	if err != nil {
 		return nil, err
 	}
@@ -284,24 +288,17 @@ func (j *Job) onRun(ri sweep.RunInfo) {
 // cancelled when cancellation (or shutdown) interrupted it, failed when any
 // run failed or the architectural-equivalence audit warned, done otherwise.
 func (j *Job) complete(results []*sweep.Result, interrupted bool) {
-	warnings := len(sweep.Audit(results))
-	failed := 0
-	for _, r := range results {
-		if r.Err != "" {
-			failed++
-		}
-	}
+	sum := sweep.Summarize(results)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.results = results
-	j.warnings = warnings
-	j.failed = failed
+	j.summary = sum
 	j.finished = time.Now()
 	j.cancel = nil
 	switch {
 	case interrupted || j.cancelled:
 		j.setStateLocked(StateCancelled)
-	case failed > 0 || warnings > 0:
+	case sum.Failed > 0 || sum.Warnings > 0:
 		j.setStateLocked(StateFailed)
 	default:
 		j.setStateLocked(StateDone)

@@ -613,3 +613,67 @@ func TestNewContextParentCancel(t *testing.T) {
 		t.Fatalf("state %s after parent cancel, want %s", st.State, StateCancelled)
 	}
 }
+
+// cancelMidRun runs the in-process pool on one worker and cancels the
+// sweep as its second run completes, so every later cell fails as
+// canceled. It then gives the last finished run a foreign architectural
+// hash, so the audit warns too.
+type cancelMidRun struct{}
+
+func (cancelMidRun) Dispatch(ctx context.Context, _ string, _ []byte, jobs []sweep.Job, opts sweep.Options, _ func(Event)) []*sweep.Result {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	progress := opts.Progress
+	opts.Workers = 1
+	opts.Progress = func(ri sweep.RunInfo) {
+		if ri.Done == 2 {
+			cancel()
+		}
+		progress(ri)
+	}
+	results := sweep.RunContext(ctx, jobs, opts)
+	for i := len(results) - 1; i >= 0; i-- {
+		if results[i].Err == "" {
+			results[i].ArchHash = "ffffffffffffffff"
+			break
+		}
+	}
+	return results
+}
+
+// TestFinishedJobSummary: a job with failed cells and an audit warning
+// reports the same counts in its Status and in its envelope's summary, and
+// its stable envelope is the same bytes on every request.
+func TestFinishedJobSummary(t *testing.T) {
+	s := mustNew(t, Config{Dispatcher: cancelMidRun{}})
+	j, err := s.Submit([]byte(`{"benches":["gzip"],"renos":["BASE","ME","RENO","RENO+FI"],"max_insts":2000,"scale":0.1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeNow(t, s)
+	st := j.Status()
+	if st.State != StateFailed || st.Failed == 0 || st.Failed == st.Runs || st.AuditWarnings == 0 {
+		t.Fatalf("status %+v, want a failed job with some failed runs and an audit warning", st)
+	}
+	var encoded [2][]byte
+	for k := range encoded {
+		rep, err := j.Results(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed, _ := rep.Summary.Count(metrics.SweepFailed)
+		warnings, _ := rep.Summary.Count(metrics.SweepAuditWarnings)
+		if failed != uint64(st.Failed) || warnings != uint64(st.AuditWarnings) {
+			t.Errorf("envelope summary: %d failed, %d audit warnings; status: %d, %d",
+				failed, warnings, st.Failed, st.AuditWarnings)
+		}
+		var buf bytes.Buffer
+		if err := rep.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		encoded[k] = buf.Bytes()
+	}
+	if !bytes.Equal(encoded[0], encoded[1]) {
+		t.Errorf("two stable envelopes differ:\n%s\n----\n%s", encoded[0], encoded[1])
+	}
+}

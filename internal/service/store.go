@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -177,23 +176,12 @@ func (s *DiskStore) read(key string) *sweep.Result {
 	return r
 }
 
-// load reads keys on GOMAXPROCS goroutines and returns each one's result,
-// nil for a miss (a corrupt record is quarantined, as by Get). It counts no
-// hits: the warm load counts what it loads itself.
+// load reads keys on GOMAXPROCS goroutines (sweep.ForEach) and returns
+// each one's result, nil for a miss (a corrupt record is quarantined, as by
+// Get). It counts no hits: the warm load counts what it loads itself.
 func (s *DiskStore) load(keys []string) []*sweep.Result {
 	out := make([]*sweep.Result, len(keys))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(keys)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := next.Add(1) - 1; i < int64(len(keys)); i = next.Add(1) - 1 {
-				out[i] = s.read(keys[i])
-			}
-		}()
-	}
-	wg.Wait()
+	sweep.ForEach(0, len(keys), func(i int) { out[i] = s.read(keys[i]) })
 	return out
 }
 

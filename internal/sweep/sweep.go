@@ -3,18 +3,19 @@
 //
 // A Grid names benchmarks, machine configurations, RENO configurations, and
 // seeds; Expand crosses them into Jobs; Run executes the jobs on a fixed
-// number of workers (default runtime.GOMAXPROCS) pulling units of work from
-// a channel, so a ten-thousand-run sweep costs tens of goroutines, not ten
-// thousand. A unit is the uncached jobs of one program on one backend, or
-// a stride part of them; a functional unit shares one trace feed. Every
-// run is seeded deterministically from its (benchmark, seed) pair, timed
-// individually, and summarized by a stable FNV-1a hash over its
-// architectural and performance outcome — the hash is independent of
+// number of workers (default runtime.GOMAXPROCS) that take units of work
+// in turn (ForEach), so a ten-thousand-run sweep costs tens of goroutines,
+// not ten thousand. A unit is the uncached jobs of one program on one
+// backend, or a stride part of them; a functional unit shares one trace
+// feed. Every run is seeded deterministically from its (benchmark, seed)
+// pair, timed individually, and summarized by a stable FNV-1a hash over
+// its architectural and performance outcome — the hash is independent of
 // worker count and wall-clock, so two sweeps of the same grid can be
 // diffed run-by-run regardless of how they were scheduled.
 //
-// The harness package's figure generators run on top of this pool; the
-// renosweep command exposes it directly.
+// The harness package's figure generators run on top of this pool and
+// start their programs through Start; the renosweep command exposes it
+// directly.
 //
 //reno:deterministic
 package sweep
@@ -26,6 +27,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"reno/internal/backend"
@@ -89,7 +91,7 @@ func (j Job) key(opts Options, cfg []byte, cfgErr error) string {
 	h := newFieldHash()
 	h.fields(j.Profile.Name, j.Profile.Suite, j.Machine, j.Config)
 	h.int(j.Seed)
-	h.float(scaleOf(opts))
+	h.float(scaleOf(opts.Scale))
 	h.uint(opts.MaxInsts)
 	if j.Backend != "" {
 		// Folded only for non-default backends: a detailed job's key is
@@ -288,11 +290,11 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// built is one workload image shared by every run of a (bench, seed) pair,
-// with its post-warmup snapshot: every run starts from a copy-on-write
-// view of it, so the warmup runs once per program, not once per run.
+// built is the post-warmup snapshot shared by every run of a (bench, seed)
+// pair (Start), or the error that kept the program from reaching it: every
+// run starts from a copy-on-write view of it, so the warmup runs once per
+// program, not once per run.
 type built struct {
-	prog  *workload.Program
 	start *emu.Snapshot
 	err   error
 }
@@ -309,6 +311,43 @@ func buildKey(p workload.Profile, seed int64) string {
 func SeedProfile(p workload.Profile, seed int64) workload.Profile {
 	p.Seed += seed * 7919
 	return p
+}
+
+// Start builds run seed of profile p (SeedProfile) at scale, where a scale
+// <= 0 means 1.0 as in Options.Scale, and returns the snapshot its
+// functional warmup reaches: the state every timed run of that program
+// starts from. It is the one place a program is built and warmed, for
+// sweeps, the figures (internal/harness) and the sim facade alike. The
+// warmup polls ctx and returns ctx's error once it is done.
+func Start(ctx context.Context, p workload.Profile, seed int64, scale float64) (*emu.Snapshot, error) {
+	prog, err := workload.Build(workload.Scale(SeedProfile(p, seed), scaleOf(scale)))
+	if err != nil {
+		return nil, err
+	}
+	return prog.Warm(ctx)
+}
+
+// ForEach calls fn(i) for every i in [0, n) on up to workers goroutines
+// (workers <= 0 means runtime.GOMAXPROCS(0)), handing out indices in
+// increasing order, and returns once every call has. It is the one bounded
+// worker loop of the sweep pool, the figures and the result store's warm
+// load.
+func ForEach(workers, n int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Run executes jobs on the bounded pool and returns one Result per job, in
@@ -429,8 +468,8 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 		groups[g] = append(groups[g], i)
 	}
 
-	// Build and warm up each distinct (bench, seed) workload once, before
-	// the pool starts: builds are cheap relative to simulation, and a
+	// Build and warm up each distinct (bench, seed) workload once (Start),
+	// before the pool starts: builds are cheap relative to simulation, and a
 	// serial prebuild keeps the build cache free of locking entirely. The
 	// warmup polls ctx; once ctx is done the prebuild stops, and every job
 	// it leaves unbuilt is reported canceled without running (skip).
@@ -444,16 +483,12 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 		if _, ok := builds[k]; ok {
 			continue
 		}
-		b := &built{}
-		b.prog, b.err = workload.Build(workload.Scale(SeedProfile(j.Profile, j.Seed), scaleOf(opts)))
-		if b.err == nil {
-			b.start, b.err = b.prog.Warm(ctx)
-		}
-		builds[k] = b
+		start, err := Start(ctx, j.Profile, j.Seed, opts.Scale)
+		builds[k] = &built{start, err}
 	}
 
 	// A unit of pool work is a group or a part of one: a fixed worker
-	// count and coarse units keep goroutine and channel traffic bounded
+	// count and coarse units keep goroutine traffic bounded
 	// even for sweeps with thousands of runs. With fewer than two groups
 	// per worker, groups are split into parts so that no worker idles
 	// while another drains a long group. A part takes every p-th member,
@@ -465,7 +500,7 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 	if len(groups) > 0 && len(groups) < 2*workers {
 		parts = (2*workers + len(groups) - 1) / len(groups)
 	}
-	work := make(chan []int, len(groups)*parts)
+	units := make([][]int, 0, len(groups)*parts)
 	for _, g := range groups {
 		p := min(parts, len(g))
 		for k := 0; k < p; k++ {
@@ -473,31 +508,22 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 			for m := k; m < len(g); m += p {
 				part = append(part, g[m])
 			}
-			work <- part
+			units = append(units, part)
 		}
 	}
-	close(work)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range work {
-				j := jobs[idx[0]]
-				runGroup(ctx, jobs, idx, builds[buildKey(j.Profile, j.Seed)], opts, func(i int, r *Result) { finish(i, r, false) })
-			}
-		}()
-	}
-	wg.Wait()
+	ForEach(workers, len(units), func(u int) {
+		j := jobs[units[u][0]]
+		runGroup(ctx, jobs, units[u], builds[buildKey(j.Profile, j.Seed)], opts, func(i int, r *Result) { finish(i, r, false) })
+	})
 	return results
 }
 
-func scaleOf(o Options) float64 {
-	if o.Scale <= 0 {
+// scaleOf resolves a scale factor: <= 0 means 1.0.
+func scaleOf(scale float64) float64 {
+	if scale <= 0 {
 		return 1.0
 	}
-	return o.Scale
+	return scale
 }
 
 // newResult returns j's record with only its identity filled in.

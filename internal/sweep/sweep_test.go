@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -393,6 +394,36 @@ func TestFunctionalGroupTimeout(t *testing.T) {
 		}
 		if r.Insts != results[0].Insts {
 			t.Errorf("%s stopped after %d instructions, %s after %d", r.Key(), r.Insts, results[0].Key(), results[0].Insts)
+		}
+	}
+}
+
+// TestForEach: every index in [0, n) is called exactly once, no more than
+// min(workers, n) calls run at a time (workers <= 0 meaning GOMAXPROCS),
+// and n = 0 calls nothing.
+func TestForEach(t *testing.T) {
+	for _, c := range []struct{ workers, n int }{{1, 10}, {3, 50}, {8, 5}, {0, 20}, {4, 0}} {
+		calls := make([]atomic.Int32, c.n)
+		var running, peak atomic.Int32
+		ForEach(c.workers, c.n, func(i int) {
+			now := running.Add(1)
+			for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
+			}
+			calls[i].Add(1)
+			time.Sleep(100 * time.Microsecond)
+			running.Add(-1)
+		})
+		for i := range calls {
+			if got := calls[i].Load(); got != 1 {
+				t.Errorf("ForEach(%d, %d): index %d called %d times, want once", c.workers, c.n, i, got)
+			}
+		}
+		bound := c.workers
+		if bound <= 0 {
+			bound = runtime.GOMAXPROCS(0)
+		}
+		if got := int(peak.Load()); got > min(bound, c.n) {
+			t.Errorf("ForEach(%d, %d): %d calls ran at once, want at most %d", c.workers, c.n, got, min(bound, c.n))
 		}
 	}
 }

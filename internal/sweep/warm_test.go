@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"reno/internal/machine"
-	"reno/internal/workload"
 )
 
 // lateCancel is a context that is canceled by the nth call to Done (n = 0:
@@ -85,26 +84,16 @@ func TestSharedSnapshotUnchanged(t *testing.T) {
 	}
 	want := RunContext(context.Background(), jobs, Options{Workers: 1, Scale: g.Scale, MaxInsts: g.MaxInsts})
 
-	prog, err := workload.Build(workload.Scale(SeedProfile(jobs[0].Profile, jobs[0].Seed), g.Scale))
-	if err != nil {
-		t.Fatal(err)
-	}
-	start, err := prog.Warm(context.Background())
+	start, err := Start(context.Background(), jobs[0].Profile, jobs[0].Seed, g.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hash, icount := start.StateHash(), start.ICount()
-	b := &built{prog: prog, start: start}
+	b := &built{start: start}
 	got := make([]*Result, len(jobs))
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i] = runOne(context.Background(), jobs[i], b, g.Options())
-		}()
-	}
-	wg.Wait()
+	ForEach(len(jobs), len(jobs), func(i int) {
+		got[i] = runOne(context.Background(), jobs[i], b, g.Options())
+	})
 
 	for i, r := range got {
 		if r.Err != "" || r.Hash != want[i].Hash {
@@ -114,5 +103,28 @@ func TestSharedSnapshotUnchanged(t *testing.T) {
 	if start.StateHash() != hash || start.ICount() != icount {
 		t.Errorf("shared snapshot changed: hash %016x -> %016x, icount %d -> %d",
 			hash, start.StateHash(), icount, start.ICount())
+	}
+}
+
+// TestStartScaleDefault: a scale <= 0 starts the program a scale of 1.0
+// starts, as Options.Scale documents.
+func TestStartScaleDefault(t *testing.T) {
+	profs, err := ResolveBenches([]string{"bzip2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Start(context.Background(), profs[0], 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []float64{0, -1} {
+		got, err := Start(context.Background(), profs[0], 0, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Machine().StateHash() != want.Machine().StateHash() || got.ICount() != want.ICount() {
+			t.Errorf("scale %v: state %016x after %d instructions; scale 1: %016x after %d",
+				scale, got.Machine().StateHash(), got.ICount(), want.Machine().StateHash(), want.ICount())
+		}
 	}
 }

@@ -124,9 +124,9 @@ type Program struct {
 
 // Load resolves a Spec into a Program: the benchmark is generated and
 // assembled at the requested seed and scale and run through its functional
-// warmup, and the machine and RENO specs resolve through the registry with
-// full validation, so a bad spec fails here with a field-level error,
-// never mid-run.
+// warmup (sweep.Start, as a sweep does), and the machine and RENO specs
+// resolve through the registry with full validation, so a bad spec fails
+// here with a field-level error, never mid-run.
 func Load(spec Spec) (*Program, error) {
 	spec = spec.withDefaults()
 	if spec.Bench == "" {
@@ -143,13 +143,9 @@ func Load(spec Spec) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := workload.Build(workload.Scale(sweep.SeedProfile(profs[0], spec.Seed), spec.Scale))
-	if err != nil {
-		return nil, fmt.Errorf("sim: build %s: %w", spec.Bench, err)
-	}
 	//lint:ignore ctxflow Load takes no context: the warmup it runs is bounded by the workload's warmup limit
-	if p.start, err = prog.Warm(context.Background()); err != nil {
-		return nil, fmt.Errorf("sim: warmup %s: %w", spec.Bench, err)
+	if p.start, err = sweep.Start(context.Background(), profs[0], spec.Seed, spec.Scale); err != nil {
+		return nil, fmt.Errorf("sim: start %s: %w", spec.Bench, err)
 	}
 	p.suite = profs[0].Suite
 	return p, nil
