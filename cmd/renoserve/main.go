@@ -16,13 +16,14 @@
 //
 // GET /v1/sweeps/{id}/results is byte-identical to `renosweep -stable` on
 // the same grid, and resubmitting an identical grid is served entirely
-// from cache. With -store, the cache is tiered over a persistent
+// from cache. With -store, the cache keeps a disk tier in a persistent
 // content-addressed directory: results survive restarts (even SIGKILL —
-// every entry is written atomically as its run completes) and may be
-// shared between daemons. SIGINT/SIGTERM drain gracefully: intake stops
-// first (POST refuses with 503 + Retry-After while every other endpoint
-// keeps serving), running sweeps get -drain to finish, and only then does
-// the listener close — in-flight clients never see a connection reset.
+// every entry is written atomically as its run completes), warm-load into
+// memory on start, and may be shared between daemons. SIGINT/SIGTERM
+// drain gracefully: intake stops first (POST refuses with 503 +
+// Retry-After while every other endpoint keeps serving), running sweeps
+// get -drain to finish, and only then does the listener close — in-flight
+// clients never see a connection reset.
 //
 // -role shards sweep execution across machines. The default, standalone,
 // is exactly the daemon described above. A coordinator serves the same
@@ -34,6 +35,8 @@
 //	renoserve -role worker -peers http://coord:8844 -addr :8845 \
 //	    -store /shared/results
 //
+// A worker's -store is the bare directory, with no memory tier: it reads
+// the directory before simulating a cell and writes what it simulates.
 // -peers names the worker's one coordinator; a list is refused. Workers
 // survive coordinator restarts (they back off and repoll), the
 // coordinator survives worker crashes (leases expire and the cells
@@ -88,15 +91,16 @@ func main() {
 	flag.Parse()
 
 	switch *role {
-	case "standalone", "coordinator":
-	case "worker":
-		runWorker(*addr, *peers, *workerID, *workers, *poll, *storeDir)
-		return
+	case "standalone", "coordinator", "worker":
 	default:
 		fatal(fmt.Errorf("unknown -role %q (want standalone, coordinator, or worker)", *role))
 	}
 	if *role != "coordinator" && *journalPath != "" {
 		fatal(errors.New("-journal requires -role coordinator"))
+	}
+	if *role == "worker" {
+		runWorker(*addr, *peers, *workerID, *workers, *poll, *storeDir)
+		return
 	}
 	jpath := *journalPath
 	switch {
@@ -213,13 +217,12 @@ func runWorker(addr, peers, id string, capacity int, poll time.Duration, storeDi
 		}
 		id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	var store service.ResultStore
+	var store *service.DiskStore
 	if storeDir != "" {
-		ds, err := service.OpenDiskStore(storeDir)
-		if err != nil {
+		var err error
+		if store, err = service.OpenDiskStore(storeDir); err != nil {
 			fatal(err)
 		}
-		store = ds
 		fmt.Fprintf(os.Stderr, "renoserve: result store at %s\n", storeDir)
 	}
 	w, err := cluster.NewWorker(cluster.WorkerConfig{

@@ -40,13 +40,13 @@ func startCluster(t *testing.T, ttl time.Duration, storeDir string) *testCluster
 // startWorker runs a worker against the cluster and returns a kill switch
 // that abandons everything it holds, mid-cell — the in-process equivalent
 // of kill -9 as far as the coordinator can observe.
-func (tc *testCluster) startWorker(t *testing.T, id string, store service.ResultStore) (*Worker, context.CancelFunc) {
+func (tc *testCluster) startWorker(t *testing.T, id string, store *service.DiskStore) (*Worker, context.CancelFunc) {
 	t.Helper()
 	return startWorkerAt(t, tc.ts.URL, id, store)
 }
 
 // startWorkerAt runs a worker against an arbitrary coordinator URL.
-func startWorkerAt(t *testing.T, url, id string, store service.ResultStore) (*Worker, context.CancelFunc) {
+func startWorkerAt(t *testing.T, url, id string, store *service.DiskStore) (*Worker, context.CancelFunc) {
 	t.Helper()
 	w, err := NewWorker(WorkerConfig{
 		ID: id, Coordinator: url, Capacity: 2,

@@ -169,8 +169,8 @@ func (c *Coordinator) Dispatch(ctx context.Context, id string, spec []byte, jobs
 	// Serial cache pass before anything executes, mirroring the pool: a
 	// fully cached resubmission returns here without a single lease.
 	if opts.Lookup != nil {
-		for i, j := range jobs {
-			if r := opts.Lookup(d.keys[i], j); r != nil {
+		for i := range jobs {
+			if r := opts.Lookup(d.keys[i]); r != nil {
 				d.results[i] = r
 				d.done++
 				if d.progress != nil {

@@ -45,7 +45,7 @@ var ErrJournalReplaced = errors.New("journal file was replaced by another coordi
 // are the durability contract: one that cannot land (closed journal,
 // replaced file, failed write or fsync) is an error the scheduler turns
 // into a refused job. Done records are best-effort in the same spirit as
-// ResultStore.Put: a lost one is counted, and at worst a finished sweep is
+// DiskStore.Put: a lost one is counted, and at worst a finished sweep is
 // restored and served from the store on the next start.
 type Journal struct {
 	path string

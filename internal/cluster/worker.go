@@ -34,9 +34,10 @@ type WorkerConfig struct {
 	// Poll is the idle retry interval; zero means DefaultPoll.
 	Poll time.Duration
 	// Store, when non-nil, is consulted before simulating a cell and
-	// updated after — pointing every node at one shared DiskStore
-	// directory makes the cluster's cache cluster-wide.
-	Store service.ResultStore
+	// updated after — pointing every node at one shared store directory
+	// makes the cluster's cache cluster-wide. A worker keeps no memory
+	// tier: every lookup reads the directory.
+	Store *service.DiskStore
 	// Client overrides the HTTP client (tests); nil means a default with
 	// a request timeout well under any sane lease TTL.
 	Client *http.Client
@@ -186,9 +187,7 @@ func (w *Worker) execute(ctx context.Context, g *LeaseGrant) {
 	opts := grid.Options()
 	opts.Workers = w.cfg.Capacity
 	if w.cfg.Store != nil {
-		opts.Lookup = func(key string, _ sweep.Job) *sweep.Result {
-			return w.cfg.Store.Get(key)
-		}
+		opts.Lookup = w.cfg.Store.Get
 	}
 	opts.Progress = func(ri sweep.RunInfo) {
 		if ri.Cached {

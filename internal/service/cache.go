@@ -3,6 +3,7 @@ package service
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"reno/internal/sweep"
 )
@@ -15,7 +16,7 @@ import (
 // ~200 MB for a full cache, ~660 MB once every entry has been served.
 const DefaultCacheEntries = 65536
 
-// Cache is the in-memory result cache, addressed by stable run keys
+// Cache is the service's result cache, addressed by stable run keys
 // (sweep.Job.Key): a hash over every input that determines a run's
 // deterministic outcome. Because simulation is deterministic, a key equal
 // to a previously executed run's key identifies a byte-identical stable
@@ -33,15 +34,27 @@ const DefaultCacheEntries = 65536
 // its stable envelope record, so a hit neither copies a metric set nor,
 // after the entry's first stable emission, renders or encodes its record.
 //
-// The cache is bounded LRU; the bound follows one convention everywhere
-// (NewCacheSize, Config.CacheEntries, the -cache flag): < 0 = unbounded,
-// 0 = DefaultCacheEntries, > 0 = that many entries. Each entry pins its
-// run's full metric set, and a long-lived daemon sweeping
+// The memory tier is bounded LRU; the bound follows one convention
+// everywhere (NewCache, Config.CacheEntries, the -cache flag): < 0 =
+// unbounded, 0 = DefaultCacheEntries, > 0 = that many entries. Each entry
+// pins its run's full metric set, and a long-lived daemon sweeping
 // ever-distinct grids must not grow without limit. Eviction is always
-// safe — it only costs re-simulation on the next submission.
+// safe — it only costs re-simulation, or a disk read, on the next
+// submission.
+//
+// With a DiskStore behind it (renoserve -store), the cache is tiered:
+// lookups hit memory first and fall back to disk, promoting the entry into
+// memory; writes land in memory and then on disk. That is memory speed for
+// the working set, with restart survival and cross-replica sharing from
+// the directory behind it.
 type Cache struct {
+	disk   *DiskStore // set once in NewCache; nil = memory only
+	loaded int        // set once in NewCache: entries warm-loaded from disk
+
+	diskHits atomic.Uint64 // memory misses served from disk
+
 	mu     sync.Mutex
-	max    int                      // guarded by mu; 0 = unbounded (resolved in NewCacheSize)
+	max    int                      // guarded by mu; 0 = unbounded (resolved in NewCache)
 	m      map[string]*list.Element // guarded by mu
 	lru    *list.List               // guarded by mu; front = most recently used
 	hits   uint64                   // guarded by mu
@@ -55,21 +68,45 @@ type cacheEntry struct {
 	r   *sweep.Result
 }
 
-// NewCache returns an empty unbounded cache.
-func NewCache() *Cache { return NewCacheSize(-1) }
-
-// NewCacheSize returns an empty cache bounded to max entries. The bound
-// convention matches Config.CacheEntries and the renoserve -cache flag:
-// max < 0 means unbounded, max == 0 means DefaultCacheEntries, and a
-// positive max is taken literally.
-func NewCacheSize(max int) *Cache {
+// NewCache returns a cache bounded to max entries, over disk when disk is
+// non-nil. The bound convention matches Config.CacheEntries and the
+// renoserve -cache flag: max < 0 means unbounded, max == 0 means
+// DefaultCacheEntries, and a positive max is taken literally.
+//
+// With a disk, the memory tier warm-loads: up to the bound, entries already
+// on disk are decoded (corrupt ones quarantined) and promoted, so a
+// restarted daemon starts hot instead of paying a disk read per first
+// touch. The load takes the keys in sorted order and reads them in
+// parallel (DiskStore.load), one batch at a time, promoting each batch in
+// key order. A batch is as many keys as the bound has room left for, so a
+// bounded cache reads — and quarantines — exactly the keys a
+// one-at-a-time loop would, and ends with the same entries in the same LRU
+// order.
+func NewCache(max int, disk *DiskStore) *Cache {
 	switch {
 	case max < 0:
 		max = 0 // unbounded
 	case max == 0:
 		max = DefaultCacheEntries
 	}
-	return &Cache{max: max, m: map[string]*list.Element{}, lru: list.New()}
+	c := &Cache{disk: disk, max: max, m: map[string]*list.Element{}, lru: list.New()}
+	if disk == nil {
+		return c
+	}
+	for keys := disk.Keys(); len(keys) > 0 && (max == 0 || c.loaded < max); {
+		batch := keys
+		if max > 0 {
+			batch = keys[:min(len(keys), max-c.loaded)]
+		}
+		keys = keys[len(batch):]
+		for i, r := range disk.load(batch) {
+			if r != nil {
+				c.insert(batch[i], r)
+				c.loaded++
+			}
+		}
+	}
+	return c
 }
 
 // Bound returns the resolved entry bound (0 = unbounded).
@@ -80,9 +117,24 @@ func (c *Cache) Bound() int {
 }
 
 // Get returns a copy of the cached result for key (nil on miss) and counts
-// the outcome. The returned result is the caller's own: mutating it never
-// affects the cache.
+// the memory tier's outcome. A memory miss falls back to the disk, if any,
+// and a disk hit is promoted into memory so the next lookup is free. The
+// returned result is the caller's own: mutating it never affects the
+// cache.
 func (c *Cache) Get(key string) *sweep.Result {
+	if r := c.memGet(key); r != nil || c.disk == nil {
+		return r
+	}
+	r := c.disk.Get(key)
+	if r != nil {
+		c.diskHits.Add(1)
+		c.insert(key, r)
+	}
+	return r
+}
+
+// memGet is Get's memory-tier lookup.
+func (c *Cache) memGet(key string) *sweep.Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
@@ -94,10 +146,18 @@ func (c *Cache) Get(key string) *sweep.Result {
 	return nil
 }
 
-// Put stores a copy (Clone) of a completed successful run under its key,
-// evicting the least recently used entry when the bound is exceeded. Failed
-// or partial runs are ignored, as are nil results.
+// Put records a completed successful run under its key, in memory and then
+// on disk, if any. Failed or partial runs are ignored, as are nil results.
 func (c *Cache) Put(key string, r *sweep.Result) {
+	c.insert(key, r)
+	if c.disk != nil {
+		c.disk.Put(key, r)
+	}
+}
+
+// insert stores a copy (Clone) of a completed successful run in memory,
+// evicting the least recently used entry when the bound is exceeded.
+func (c *Cache) insert(key string, r *sweep.Result) {
 	if !r.Complete() {
 		return
 	}
@@ -118,14 +178,14 @@ func (c *Cache) Put(key string, r *sweep.Result) {
 	}
 }
 
-// Len returns the number of cached runs.
+// Len returns the number of runs in memory.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
 }
 
-// Stats returns the lifetime hit and miss counts.
+// Stats returns the memory tier's lifetime hit and miss counts.
 func (c *Cache) Stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -137,4 +197,15 @@ func (c *Cache) Evictions() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.evicts
+}
+
+// StoreStats snapshots the disk tier, with the warm-load and disk-hit
+// counts; nil when the cache has no disk.
+func (c *Cache) StoreStats() *StoreStats {
+	if c.disk == nil {
+		return nil
+	}
+	st := c.disk.Stats()
+	st.Loaded, st.Hits = c.loaded, c.diskHits.Load()
+	return &st
 }

@@ -174,7 +174,7 @@ func TestDiskStoreConcurrentSharedDir(t *testing.T) {
 			t.Fatalf("key %s lost after concurrent writes", key16(i))
 		}
 	}
-	if n := a.Len(); n != keys {
+	if n := a.Stats().Entries; n != keys {
 		t.Errorf("store holds %d entries, want %d", n, keys)
 	}
 }

@@ -1,8 +1,8 @@
 // Package service is the serving layer behind the renoserve daemon: a
 // long-running sweep service with a bounded job scheduler, an in-memory job
 // store, a run-key result cache (optionally tiered over a persistent
-// content-addressed disk store — see ResultStore, DiskStore, TieredStore),
-// and streaming per-run progress.
+// content-addressed disk store — see Cache and DiskStore), and streaming
+// per-run progress.
 //
 // A submitted grid (the same JSON schema cmd/renosweep consumes, validated
 // with the same field-level errors) becomes a Job that moves through the
@@ -356,7 +356,7 @@ type Config struct {
 	// already parallelizes internally across its pool).
 	Runners int
 	// CacheEntries bounds the in-memory LRU result cache, under the one
-	// bound convention shared with NewCacheSize and the renoserve -cache
+	// bound convention shared with NewCache and the renoserve -cache
 	// flag: 0 = DefaultCacheEntries, < 0 = unbounded. Evictions only cost
 	// re-simulation (or, with StoreDir set, a disk read).
 	CacheEntries int
@@ -398,8 +398,7 @@ func (c Config) workers() int {
 // Create one with New; it accepts jobs until Close.
 type Service struct {
 	cfg     Config
-	cache   *Cache             // the in-memory tier (always present)
-	store   ResultStore        // what runs read/write: cache, or tiered over disk
+	cache   *Cache             // what runs read and write; over disk with StoreDir
 	ctx     context.Context    // base context of every sweep
 	stop    context.CancelFunc // cancels in-flight sweeps on forced drain
 	started time.Time          // set once at construction; Uptime's epoch
@@ -466,23 +465,21 @@ func NewContext(ctx context.Context, cfg Config) (*Service, error) {
 // newService builds the service without starting its runners (tests drive
 // the scheduler by hand through this seam).
 func newService(parent context.Context, cfg Config) (*Service, error) {
+	var disk *DiskStore
+	if cfg.StoreDir != "" {
+		var err error
+		if disk, err = OpenDiskStore(cfg.StoreDir); err != nil {
+			return nil, err
+		}
+	}
 	ctx, stop := context.WithCancel(parent)
 	s := &Service{
 		cfg:     cfg,
-		cache:   NewCacheSize(cfg.CacheEntries),
+		cache:   NewCache(cfg.CacheEntries, disk),
 		ctx:     ctx,
 		stop:    stop,
 		started: time.Now(),
 		jobs:    map[string]*Job{},
-	}
-	s.store = s.cache
-	if cfg.StoreDir != "" {
-		disk, err := OpenDiskStore(cfg.StoreDir)
-		if err != nil {
-			stop()
-			return nil, err
-		}
-		s.store = NewTieredStore(s.cache, disk)
 	}
 	s.wake = sync.NewCond(&s.mu)
 	return s, nil
@@ -509,13 +506,8 @@ func (s *Service) runLoop() {
 	}
 }
 
-// Cache returns the in-memory tier of the service's result cache.
+// Cache returns the service's result cache.
 func (s *Service) Cache() *Cache { return s.cache }
-
-// Store returns the result store runs read and write: the in-memory cache
-// alone, or the tiered memory-over-disk composition when Config.StoreDir
-// was set.
-func (s *Service) Store() ResultStore { return s.store }
 
 // Simulated returns the lifetime count of runs actually executed on the
 // pipeline (cache hits excluded) — the counter the cache acceptance test
@@ -791,13 +783,11 @@ func (s *Service) run(j *Job) {
 	if opts.Workers <= 0 {
 		opts.Workers = s.cfg.workers()
 	}
-	opts.Lookup = func(key string, _ sweep.Job) *sweep.Result {
-		return s.store.Get(key)
-	}
+	opts.Lookup = s.cache.Get
 	opts.Progress = func(ri sweep.RunInfo) {
 		if !ri.Cached {
 			s.simulated.Add(1)
-			s.store.Put(ri.Key, ri.Result)
+			s.cache.Put(ri.Key, ri.Result)
 		}
 		j.onRun(ri)
 	}
@@ -849,10 +839,7 @@ func (s *Service) Stats() Stats {
 	st.CacheHits, st.CacheMisses = s.cache.Stats()
 	st.CacheEvictions = s.cache.Evictions()
 	st.Simulated = s.simulated.Load()
-	if ts, ok := s.store.(*TieredStore); ok {
-		ss := ts.Stats()
-		st.Store = &ss
-	}
+	st.Store = s.cache.StoreStats()
 	if cr, ok := s.cfg.Dispatcher.(ClusterReporter); ok {
 		st.Cluster = cr.ClusterStats()
 	}

@@ -161,7 +161,7 @@ func waitState(t *testing.T, j *Job, want State) Status {
 // TestCacheOnlyKeepsCompleteRuns: failures and partials never enter the
 // cache.
 func TestCacheOnlyKeepsCompleteRuns(t *testing.T) {
-	c := NewCache()
+	c := NewCache(-1, nil)
 	c.Put("k1", nil)
 	c.Put("k2", &sweep.Result{Err: "boom"})
 	c.Put("k3", &sweep.Result{}) // no metric set: partial
@@ -183,7 +183,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	ok := func(key string) *sweep.Result {
 		return &sweep.Result{Bench: key, Metrics: (&pipeline.Result{}).Metrics()}
 	}
-	c := NewCacheSize(2)
+	c := NewCache(2, nil)
 	c.Put("a", ok("a"))
 	c.Put("b", ok("b"))
 	if c.Get("a") == nil { // refresh "a": "b" is now the LRU victim
@@ -210,7 +210,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // TestCacheBoundConvention pins the one bound convention shared by
-// NewCacheSize, Config.CacheEntries, and the renoserve -cache flag:
+// NewCache, Config.CacheEntries, and the renoserve -cache flag:
 // negative = unbounded, zero = DefaultCacheEntries, positive = literal.
 // (The historical bug: the flag help said "0 = default" while the
 // constructor treated <= 0 as unbounded, so -cache 0 daemons ran without
@@ -233,15 +233,15 @@ func TestCacheBoundConvention(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cache := NewCacheSize(c.max)
+			cache := NewCache(c.max, nil)
 			if got := cache.Bound(); got != c.bound {
-				t.Fatalf("NewCacheSize(%d).Bound() = %d, want %d", c.max, got, c.bound)
+				t.Fatalf("NewCache(%d, nil).Bound() = %d, want %d", c.max, got, c.bound)
 			}
 			for i := 0; i < c.inserts; i++ {
 				cache.Put(fmt.Sprintf("k%07d", i), ok("b"))
 			}
 			if got := cache.Len(); got != c.wantLen {
-				t.Fatalf("after %d inserts into NewCacheSize(%d): len %d, want %d",
+				t.Fatalf("after %d inserts into NewCache(%d, nil): len %d, want %d",
 					c.inserts, c.max, got, c.wantLen)
 			}
 			// The Config path resolves identically.
@@ -259,7 +259,7 @@ func TestCacheBoundConvention(t *testing.T) {
 // caller mutating an emitted report (or the put result, post-insert)
 // corrupted what every later job was served.
 func TestCacheLookupAliasing(t *testing.T) {
-	c := NewCache()
+	c := NewCache(-1, nil)
 	orig := &sweep.Result{
 		Bench: "gzip", Config: "RENO", IPC: 1.5, Hash: "h0",
 		Metrics: (&pipeline.Result{Cycles: 1000, IPC: 1.5}).Metrics(),

@@ -13,25 +13,6 @@ import (
 	"reno/internal/sweep"
 )
 
-// ResultStore is the pluggable persistence seam behind the service's result
-// cache: a content-addressed map from stable run keys (sweep.Job.Key) to
-// completed results. The in-memory Cache, the disk-backed DiskStore, and
-// their TieredStore composition all implement it; a future KV backend slots
-// in here without touching the scheduler. Implementations must be safe for
-// concurrent use, must only ever serve complete successful results, and
-// must treat Put as best-effort (a store that cannot persist degrades to
-// re-simulation, never to an error on the run path).
-type ResultStore interface {
-	// Get returns the stored result for key, or nil on a miss. The caller
-	// owns the returned result.
-	Get(key string) *sweep.Result
-	// Put records a completed successful run under its key. Failed or
-	// partial results are ignored.
-	Put(key string, r *sweep.Result)
-	// Len returns the number of stored results.
-	Len() int
-}
-
 // StoreStats is the persistent tier's health snapshot, served under
 // "store" in /v1/healthz.
 type StoreStats struct {
@@ -43,9 +24,9 @@ type StoreStats struct {
 	Bytes   int64 `json:"bytes"`
 	// Loaded counts entries warm-loaded into the memory tier at startup.
 	Loaded int `json:"loaded"`
-	// Hits counts memory-tier misses served from disk (the warm load
-	// counts only in Loaded); Writes counts entries persisted by this
-	// daemon.
+	// Hits counts the cache's memory misses served from disk (the warm
+	// load counts only in Loaded; a bare DiskStore's Stats leaves both
+	// zero); Writes counts entries persisted by this daemon.
 	Hits   uint64 `json:"hits"`
 	Writes uint64 `json:"writes"`
 	// Quarantined counts corrupt or truncated entries moved aside (to
@@ -76,7 +57,7 @@ const quarantineDir = "quarantine"
 type DiskStore struct {
 	dir string
 
-	hits, writes, quarantined, writeErrors atomic.Uint64
+	writes, quarantined, writeErrors atomic.Uint64
 
 	mu      sync.Mutex
 	entries map[string]int64 // guarded by mu; key → on-disk record size in bytes
@@ -86,7 +67,8 @@ type DiskStore struct {
 // OpenDiskStore opens (creating if needed) a disk store rooted at dir and
 // indexes the entries already present. Files that are not result records
 // (tmp leftovers, foreign files) are ignored; decoding — and therefore
-// quarantining — happens lazily on Get and eagerly on WarmLoad.
+// quarantining — happens lazily on Get and eagerly in the cache's warm
+// load (NewCache).
 func OpenDiskStore(dir string) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("result store: %w", err)
@@ -147,15 +129,6 @@ func (s *DiskStore) path(key string) string {
 // was opened); a record that fails any integrity check is quarantined and
 // reported as a miss.
 func (s *DiskStore) Get(key string) *sweep.Result {
-	r := s.read(key)
-	if r != nil {
-		s.hits.Add(1)
-	}
-	return r
-}
-
-// read is Get without counting a hit.
-func (s *DiskStore) read(key string) *sweep.Result {
 	if !validKey(key) {
 		return nil
 	}
@@ -176,12 +149,11 @@ func (s *DiskStore) read(key string) *sweep.Result {
 	return r
 }
 
-// load reads keys on GOMAXPROCS goroutines (sweep.ForEach) and returns
-// each one's result, nil for a miss (a corrupt record is quarantined, as by
-// Get). It counts no hits: the warm load counts what it loads itself.
+// load Gets keys on GOMAXPROCS goroutines (sweep.ForEach) and returns
+// each one's result, nil for a miss (a corrupt record is quarantined).
 func (s *DiskStore) load(keys []string) []*sweep.Result {
 	out := make([]*sweep.Result, len(keys))
-	sweep.ForEach(0, len(keys), func(i int) { out[i] = s.read(keys[i]) })
+	sweep.ForEach(0, len(keys), func(i int) { out[i] = s.Get(keys[i]) })
 	return out
 }
 
@@ -276,13 +248,6 @@ func (s *DiskStore) Keys() []string {
 	return keys
 }
 
-// Len returns the number of indexed entries.
-func (s *DiskStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
 // Stats snapshots the store.
 func (s *DiskStore) Stats() StoreStats {
 	s.mu.Lock()
@@ -292,79 +257,8 @@ func (s *DiskStore) Stats() StoreStats {
 		Dir:         s.dir,
 		Entries:     entries,
 		Bytes:       bytes,
-		Hits:        s.hits.Load(),
 		Writes:      s.writes.Load(),
 		Quarantined: s.quarantined.Load(),
 		WriteErrors: s.writeErrors.Load(),
 	}
-}
-
-// TieredStore composes the in-memory LRU in front of the disk store:
-// lookups hit memory first and fall back to disk (promoting the entry into
-// memory), writes land in both tiers. This is the cache renoserve runs with
-// -store: memory speed for the working set, restart survival and
-// cross-replica sharing from the directory behind it.
-type TieredStore struct {
-	mem    *Cache
-	disk   *DiskStore
-	loaded int
-}
-
-// NewTieredStore composes mem over disk and warm-loads the memory tier:
-// up to the memory bound, entries already on disk are decoded (corrupt ones
-// quarantined) and promoted, so a restarted daemon starts hot instead of
-// paying a disk read per first touch.
-//
-// The load takes the keys in sorted order and reads them in parallel
-// (DiskStore.load), one batch at a time, promoting each batch in key order.
-// A batch is as many keys as the bound has room left for, so a bounded
-// tier reads — and quarantines — exactly the keys a one-at-a-time loop
-// would, and ends with the same entries in the same LRU order.
-func NewTieredStore(mem *Cache, disk *DiskStore) *TieredStore {
-	t := &TieredStore{mem: mem, disk: disk}
-	limit := mem.Bound() // 0 = unbounded: load everything
-	for keys := disk.Keys(); len(keys) > 0 && (limit == 0 || t.loaded < limit); {
-		batch := keys
-		if limit > 0 {
-			batch = keys[:min(len(keys), limit-t.loaded)]
-		}
-		keys = keys[len(batch):]
-		for i, r := range disk.load(batch) {
-			if r != nil {
-				mem.Put(batch[i], r)
-				t.loaded++
-			}
-		}
-	}
-	return t
-}
-
-// Get consults memory, then disk. A disk hit is promoted into memory so
-// the next lookup is free.
-func (t *TieredStore) Get(key string) *sweep.Result {
-	if r := t.mem.Get(key); r != nil {
-		return r
-	}
-	r := t.disk.Get(key)
-	if r != nil {
-		t.mem.Put(key, r)
-	}
-	return r
-}
-
-// Put records the run in both tiers.
-func (t *TieredStore) Put(key string, r *sweep.Result) {
-	t.mem.Put(key, r)
-	t.disk.Put(key, r)
-}
-
-// Len returns the persistent tier's entry count (the superset: memory is
-// a bounded subset of disk plus whatever has not been persisted).
-func (t *TieredStore) Len() int { return t.disk.Len() }
-
-// Stats snapshots the persistent tier, including the warm-load count.
-func (t *TieredStore) Stats() StoreStats {
-	st := t.disk.Stats()
-	st.Loaded = t.loaded
-	return st
 }

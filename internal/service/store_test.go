@@ -40,8 +40,8 @@ func TestDiskStorePutGet(t *testing.T) {
 	s.Put("not-a-key", fakeResult("gzip"))      // invalid address: ignored
 	s.Put(key16(3), &sweep.Result{Err: "boom"}) // failure: ignored
 
-	if s.Len() != 2 {
-		t.Fatalf("store has %d entries, want 2", s.Len())
+	if n := s.Stats().Entries; n != 2 {
+		t.Fatalf("store has %d entries, want 2", n)
 	}
 	got := s.Get(key16(1))
 	if got == nil || got.Bench != "gzip" || !got.Complete() {
@@ -75,8 +75,8 @@ func TestDiskStorePutGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 2 || s2.Get(key16(2)) == nil {
-		t.Fatalf("reopened store: len %d", s2.Len())
+	if s2.Stats().Entries != 2 || s2.Get(key16(2)) == nil {
+		t.Fatalf("reopened store: len %d", s2.Stats().Entries)
 	}
 }
 
@@ -128,10 +128,10 @@ func TestDiskStoreQuarantine(t *testing.T) {
 	}
 }
 
-// TestTieredStoreWarmLoad: entries on disk are promoted into the memory
-// tier at construction (bounded by the memory cap), corrupt ones
-// quarantined; a memory miss falls back to disk and promotes.
-func TestTieredStoreWarmLoad(t *testing.T) {
+// TestCacheWarmLoad: entries on disk are promoted into the memory tier at
+// construction (bounded by the memory cap), corrupt ones quarantined; a
+// memory miss falls back to disk and promotes.
+func TestCacheWarmLoad(t *testing.T) {
 	dir := t.TempDir()
 	seed, err := OpenDiskStore(dir)
 	if err != nil {
@@ -149,40 +149,38 @@ func TestTieredStoreWarmLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := NewCache()
-	ts := NewTieredStore(mem, disk)
-	st := ts.Stats()
+	mem := NewCache(-1, disk)
+	st := mem.StoreStats()
 	if st.Loaded != 3 || st.Quarantined != 1 || st.Hits != 0 {
 		t.Fatalf("warm load (it counts in loaded, not in hits): %+v", st)
 	}
 	if mem.Len() != 3 {
 		t.Fatalf("memory tier holds %d entries after warm load, want 3", mem.Len())
 	}
-	if r := ts.Get(key16(3)); r != nil {
+	if r := mem.Get(key16(3)); r != nil {
 		t.Fatalf("quarantined entry served: %+v", r)
 	}
 
 	// A bounded memory tier only warm-loads up to its cap; the rest still
 	// arrives via disk fallback (and is promoted, evicting LRU).
-	small := NewCacheSize(2)
-	ts2 := NewTieredStore(small, disk)
-	if st := ts2.Stats(); st.Loaded != 2 || st.Hits != 0 || small.Len() != 2 {
+	small := NewCache(2, disk)
+	if st := small.StoreStats(); st.Loaded != 2 || st.Hits != 0 || small.Len() != 2 {
 		t.Fatalf("bounded warm load: %+v, mem %d", st, small.Len())
 	}
-	hitsBefore := ts2.Stats().Hits
+	hitsBefore := small.StoreStats().Hits
 	misses := 0
 	for i := 1; i <= 4; i++ {
 		if i == 3 {
 			continue // quarantined above
 		}
-		if ts2.Get(key16(i)) == nil {
+		if small.Get(key16(i)) == nil {
 			misses++
 		}
 	}
 	if misses != 0 {
-		t.Fatalf("%d entries unreachable through the tiered store", misses)
+		t.Fatalf("%d entries unreachable through the tiered cache", misses)
 	}
-	if ts2.Stats().Hits == hitsBefore {
+	if small.StoreStats().Hits == hitsBefore {
 		t.Error("no disk-tier fallback happened for entries beyond the memory cap")
 	}
 }
@@ -231,7 +229,7 @@ func TestWarmLoadMatchesSerialLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial := NewCacheSize(bound)
+		serial := NewCache(bound, nil)
 		loaded := 0
 		for _, key := range disk.Keys() {
 			if serial.Bound() > 0 && loaded >= serial.Bound() {
@@ -247,8 +245,8 @@ func TestWarmLoadMatchesSerialLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mem := NewCacheSize(bound)
-		st := NewTieredStore(mem, pdisk).Stats()
+		mem := NewCache(bound, pdisk)
+		st := mem.StoreStats()
 		if got, want := lruKeys(mem), lruKeys(serial); !slices.Equal(got, want) {
 			t.Errorf("bound %d: LRU order %v, serial loop %v", bound, got, want)
 		}
@@ -267,7 +265,7 @@ func TestBoundedWarmLoadLeavesRestUnread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewTieredStore(NewCacheSize(3), disk).Stats()
+	st := NewCache(3, disk).StoreStats()
 	if st.Loaded != 3 || st.Quarantined != 0 || st.Entries != 6 {
 		t.Fatalf("bounded warm load: %+v", st)
 	}
@@ -288,8 +286,8 @@ func TestWarmLoad200Records(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := NewCache()
-	st := NewTieredStore(mem, disk).Stats()
+	mem := NewCache(-1, disk)
+	st := mem.StoreStats()
 	if st.Loaded != 198 || st.Quarantined != 2 || st.Entries != 198 || st.Hits != 0 || mem.Len() != 198 {
 		t.Fatalf("warm load: %+v, mem %d", st, mem.Len())
 	}
@@ -394,6 +392,31 @@ func TestServiceRestartSurvival(t *testing.T) {
 	// The re-simulated entry healed the store.
 	if st := s3.Stats(); st.Store.Entries != 2 {
 		t.Fatalf("store not healed after re-simulation: %+v", st.Store)
+	}
+}
+
+// TestServiceDiskFallback: a service whose memory tier holds one entry
+// serves a 2-cell grid persisted by an earlier service wholly from cache.
+// The warm load fills the one slot; the other cell is a memory miss served
+// from disk and promoted, and Stats reports it under store.hits.
+func TestServiceDiskFallback(t *testing.T) {
+	dir := t.TempDir()
+	spec := []byte(`{"benches":["gzip"],"renos":["BASE","RENO"],"max_insts":5000,"scale":0.2}`)
+	s1 := mustNew(t, Config{Workers: 2, StoreDir: dir})
+	want := stableBytes(t, runToDone(t, s1, spec))
+	closeNow(t, s1)
+
+	s2 := mustNew(t, Config{Workers: 2, CacheEntries: 1, StoreDir: dir})
+	defer closeNow(t, s2)
+	j := runToDone(t, s2, spec)
+	if st := j.Status(); st.Runs != 2 || st.CacheHits != st.Runs || st.Simulated != 0 {
+		t.Fatalf("bounded resubmission counters: %+v", st)
+	}
+	if st := s2.Stats().Store; st == nil || st.Loaded != 1 || st.Hits < 1 {
+		t.Fatalf("bounded store stats: %+v", st)
+	}
+	if got := stableBytes(t, j); !bytes.Equal(got, want) {
+		t.Fatalf("disk fallback served different bytes:\n%s\n----\n%s", got, want)
 	}
 }
 

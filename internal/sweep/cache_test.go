@@ -94,7 +94,7 @@ func TestLookupSeamServesFromCache(t *testing.T) {
 	simulated := 0
 	warm := RunContext(context.Background(), jobs, Options{
 		Workers: 2, Scale: 0.3, MaxInsts: 20000,
-		Lookup: func(key string, j Job) *Result { return cache[key] },
+		Lookup: func(key string) *Result { return cache[key] },
 		Progress: func(ri RunInfo) {
 			if !ri.Cached {
 				simulated++
@@ -155,7 +155,7 @@ func TestPartiallyCachedSweep(t *testing.T) {
 			hits, misses := 0, 0
 			warm := RunContext(context.Background(), jobs, Options{
 				Workers: 2, Scale: 0.3, MaxInsts: 20000,
-				Lookup: func(key string, j Job) *Result { return cache[key] },
+				Lookup: func(key string) *Result { return cache[key] },
 				Progress: func(ri RunInfo) {
 					if ri.Cached {
 						hits++
@@ -205,7 +205,7 @@ func TestCachedResubmitSettlesInJobOrder(t *testing.T) {
 	// (and every simulation) asks for it.
 	ctx := &lateCancel{Context: context.Background(), n: -1, done: make(chan struct{})}
 	var order []int
-	opts.Lookup = func(key string, _ Job) *Result { return cache[key] }
+	opts.Lookup = func(key string) *Result { return cache[key] }
 	opts.Progress = func(ri RunInfo) {
 		if !ri.Cached || ri.Done != len(order)+1 {
 			t.Errorf("run %d: cached %v, done %d after %d runs", ri.Index, ri.Cached, ri.Done, len(order))

@@ -188,9 +188,9 @@ func TestRunKeysPinned(t *testing.T) {
 		}
 		opts := g.Options()
 		var looked []string // Lookup is called once per job, in job order
-		opts.Lookup = func(key string, j Job) *Result {
+		opts.Lookup = func(key string) *Result {
 			looked = append(looked, key)
-			return &Result{Bench: j.Profile.Name}
+			return &Result{Bench: jobs[len(looked)-1].Profile.Name}
 		}
 		progressed := make([]string, len(jobs))
 		opts.Progress = func(ri RunInfo) { progressed[ri.Index] = ri.Key }

@@ -271,16 +271,18 @@ type Options struct {
 	// Progress, when non-nil, is called once per completed run, serialized
 	// by the pool (no locking needed in the callback).
 	Progress func(RunInfo)
-	// Lookup, when non-nil, is consulted once per job — with the job's
-	// stable cache key — before the pool builds or simulates anything;
-	// returning a non-nil Result serves the run from cache. The caller
+	// Lookup, when non-nil, is consulted once per job with the job's
+	// stable cache key (Job.Key under these options), the run's whole
+	// identity, before the pool builds or simulates anything; returning a
+	// non-nil Result serves the run from cache. A result store's Get
+	// method fits as it is. The caller
 	// must only return results recorded under the same key (same
 	// benchmark, seed, scale, budget, and resolved configuration): the
 	// pool trusts the hit and re-verifies nothing. Lookup is called
 	// serially during sweep setup, in job order, and each hit is settled
 	// (Progress included) before the next job is looked up, so it needs no
 	// internal locking against the pool.
-	Lookup func(key string, j Job) *Result
+	Lookup func(key string) *Result
 }
 
 func (o Options) workers() int {
@@ -453,7 +455,7 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 	slot := map[groupKey]int{}
 	for i, j := range jobs {
 		if opts.Lookup != nil {
-			if r := opts.Lookup(keys[i], j); r != nil {
+			if r := opts.Lookup(keys[i]); r != nil {
 				finish(i, r, true)
 				continue
 			}
