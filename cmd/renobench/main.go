@@ -39,18 +39,20 @@ func main() {
 	for _, f := range harness.Figures {
 		keys = append(keys, f.Key)
 	}
+	// The flag defaults are the paper's run settings, owned by the harness.
+	opts := harness.DefaultOptions()
 	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(keys, ", ")+", all")
-	scale := flag.Float64("scale", 1.0, "workload scale factor (<= 0 means 1.0)")
-	maxInsts := flag.Uint64("max", 300_000, "timed instructions per run (0 = to completion)")
-	serial := flag.Bool("serial", false, "disable parallel simulation")
-	workers := flag.Int("workers", 0, "sweep pool size (0 = GOMAXPROCS; ignored with -serial)")
-	timeout := flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none)")
+	flag.Float64Var(&opts.Scale, "scale", opts.Scale, "workload scale factor (<= 0 means 1.0)")
+	flag.Uint64Var(&opts.MaxInsts, "max", opts.MaxInsts, "timed instructions per run (0 = to completion)")
+	serial := flag.Bool("serial", !opts.Parallel, "disable parallel simulation")
+	flag.IntVar(&opts.Workers, "workers", opts.Workers, "sweep pool size (0 = GOMAXPROCS; ignored with -serial)")
+	flag.DurationVar(&opts.Timeout, "timeout", opts.Timeout, "per-run wall-clock budget (0 = none)")
 	flag.Parse()
+	opts.Parallel = !*serial
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opts := harness.Options{Scale: *scale, MaxInsts: *maxInsts, Parallel: !*serial, Workers: *workers, Timeout: *timeout}
 	w := os.Stdout
 
 	did := false

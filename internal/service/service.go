@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -387,13 +386,6 @@ func (c Config) runners() int {
 	return 1
 }
 
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Service is the sweep service: job store, scheduler, and result cache.
 // Create one with New; it accepts jobs until Close.
 type Service struct {
@@ -520,11 +512,7 @@ func (s *Service) Simulated() uint64 { return s.simulated.Load() }
 // created — a job that enqueues will not fail on a spec error. ErrClosed,
 // ErrQueueFull and ErrJournal report scheduler, not spec, conditions.
 func (s *Service) Submit(spec []byte) (*Job, error) {
-	grid, err := sweep.ParseGridJSON(spec)
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := grid.Expand()
+	grid, jobs, err := expand(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -562,11 +550,7 @@ func (s *Service) Restore(id string, spec []byte) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	grid, err := sweep.ParseGridJSON(spec)
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := grid.Expand()
+	grid, jobs, err := expand(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -587,6 +571,17 @@ func (s *Service) Restore(id string, spec []byte) (*Job, error) {
 		s.seq = n
 	}
 	return j, nil
+}
+
+// expand parses, validates and expands a grid spec: the intake Submit and
+// Restore share.
+func expand(spec []byte) (sweep.Grid, []sweep.Job, error) {
+	grid, err := sweep.ParseGridJSON(spec)
+	if err != nil {
+		return sweep.Grid{}, nil, err
+	}
+	jobs, err := grid.Expand()
+	return grid, jobs, err
 }
 
 // enqueueLocked journals a validated job and then queues it under id.
@@ -781,7 +776,7 @@ func (s *Service) run(j *Job) {
 	}
 	opts := j.grid.Options()
 	if opts.Workers <= 0 {
-		opts.Workers = s.cfg.workers()
+		opts.Workers = s.cfg.Workers // sweep resolves <= 0 to GOMAXPROCS
 	}
 	opts.Lookup = s.cache.Get
 	opts.Progress = func(ri sweep.RunInfo) {

@@ -4,29 +4,31 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"reno/internal/backend"
 )
 
-// TestNormalizeBackend pins the normalization convention the whole backend
-// feature rests on: "detailed" and "" collapse to "", so a detailed job's
-// key, result hash, store record, and emitted bytes are all identical to
-// their pre-backend forms.
-func TestNormalizeBackend(t *testing.T) {
+// TestBackendName pins the convention the whole backend feature rests on:
+// "detailed" and "" both parse to the detailed backend, whose record form
+// is "", so a detailed job's key, result hash, store record, and emitted
+// bytes are all identical to their pre-backend forms.
+func TestBackendName(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"", ""},
 		{"detailed", ""},
 		{"functional", "functional"},
 	}
 	for _, c := range cases {
-		got, err := NormalizeBackend(c.in)
+		k, err := backend.ParseKind(c.in)
 		if err != nil {
-			t.Errorf("NormalizeBackend(%q): %v", c.in, err)
-		} else if got != c.want {
-			t.Errorf("NormalizeBackend(%q) = %q, want %q", c.in, got, c.want)
+			t.Errorf("ParseKind(%q): %v", c.in, err)
+		} else if got := backendName(k); got != c.want {
+			t.Errorf("backendName(ParseKind(%q)) = %q, want %q", c.in, got, c.want)
 		}
 	}
 	for _, bad := range []string{"fast", "approx"} {
-		if _, err := NormalizeBackend(bad); err == nil {
-			t.Errorf("unknown backend %q normalized without error", bad)
+		if _, err := backend.ParseKind(bad); err == nil {
+			t.Errorf("unknown backend %q parsed without error", bad)
 		} else if !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), "detailed, functional") {
 			t.Errorf("error %q does not name the bad backend and list the known ones", err)
 		}
@@ -34,8 +36,8 @@ func TestNormalizeBackend(t *testing.T) {
 }
 
 // TestGridBackendField: the backend field is validated at parse time with a
-// field-level error, demands schema version 2, and normalizes through
-// Expand ("detailed" and absent both land as the "" default).
+// field-level error, demands schema version 2, and parses through Expand
+// ("detailed" and absent both land as the detailed default).
 func TestGridBackendField(t *testing.T) {
 	for _, bad := range []string{"fast", "approx"} {
 		spec := `{"version": 2, "benches": ["gzip"], "backend": "` + bad + `"}`
@@ -54,9 +56,9 @@ func TestGridBackendField(t *testing.T) {
 		t.Errorf("unhelpful version error: %v", err)
 	}
 
-	for spec, want := range map[string]string{
-		`{"version": 2, "benches": ["gzip"], "backend": "detailed"}`:   "",
-		`{"version": 2, "benches": ["gzip"], "backend": "functional"}`: "functional",
+	for spec, want := range map[string]backend.Kind{
+		`{"version": 2, "benches": ["gzip"], "backend": "detailed"}`:   backend.Detailed,
+		`{"version": 2, "benches": ["gzip"], "backend": "functional"}`: backend.Functional,
 	} {
 		g, err := ParseGridJSON([]byte(spec))
 		if err != nil {
@@ -83,23 +85,23 @@ func TestJobKeyBackendIsolation(t *testing.T) {
 	jobs := cacheGrid(t)
 	opts := Options{Scale: 0.3, MaxInsts: 20000}
 
-	legacy := jobs[0] // Backend "" — the pre-backend key shape
+	legacy := jobs[0] // Backend Detailed — the pre-backend key shape
 	keys := map[string]string{"": legacy.Key(opts)}
 	fn := jobs[0]
-	fn.Backend = "functional"
+	fn.Backend = backend.Functional
 	keys["functional"] = fn.Key(opts)
 	if keys["functional"] == keys[""] {
 		t.Errorf("backend does not isolate run keys: %v", keys)
 	}
 
-	// "detailed" normalizes to "" before it ever reaches a Job, so the
-	// detailed key IS the legacy key.
-	norm, err := NormalizeBackend("detailed")
+	// "detailed" parses to the zero Kind before it ever reaches a Job, so
+	// the detailed key IS the legacy key.
+	kind, err := backend.ParseKind("detailed")
 	if err != nil {
 		t.Fatal(err)
 	}
 	j := jobs[0]
-	j.Backend = norm
+	j.Backend = kind
 	if got := j.Key(opts); got != keys[""] {
 		t.Errorf("detailed key %s != legacy key %s", got, keys[""])
 	}

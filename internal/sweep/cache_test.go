@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+
+	"reno/internal/backend"
 )
 
 // cacheGrid is a small two-config grid used by the cache-seam tests.
@@ -132,7 +134,7 @@ func TestLookupSeamServesFromCache(t *testing.T) {
 // emit byte-identically to an uncached sweep of the same grid. On the
 // functional backend each program's group then holds only its misses.
 func TestPartiallyCachedSweep(t *testing.T) {
-	for name, be := range map[string]string{"detailed": "", "functional": "functional"} {
+	for name, be := range map[string]backend.Kind{"detailed": backend.Detailed, "functional": backend.Functional} {
 		t.Run(name, func(t *testing.T) {
 			jobs := cacheGrid(t)
 			for i := range jobs {
@@ -169,7 +171,7 @@ func TestPartiallyCachedSweep(t *testing.T) {
 			}
 
 			g := Grid{Benches: []string{"gzip", "gsm.de"}, MachineConfigs: Specs("4w"),
-				RenoConfigs: Specs("BASE", "RENO"), Scale: 0.3, MaxInsts: 20000, Backend: be}
+				RenoConfigs: Specs("BASE", "RENO"), Scale: 0.3, MaxInsts: 20000, Backend: backendName(be)}
 			var a, b bytes.Buffer
 			if err := NewReport(g, cold).WriteJSON(&a, EmitOptions{Deterministic: true}); err != nil {
 				t.Fatal(err)
@@ -231,7 +233,7 @@ func TestCachedResubmitSettlesInJobOrder(t *testing.T) {
 // is its one allocation.
 func TestRunKeysAllocateOnlyTheirString(t *testing.T) {
 	j := cacheGrid(t)[0]
-	j.Seed, j.Backend = 3, "functional"
+	j.Seed, j.Backend = 3, backend.Functional
 	opts := Options{Scale: 0.3, MaxInsts: 20000}
 	cfg, err := json.Marshal(j.Cfg)
 	if err != nil {

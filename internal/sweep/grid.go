@@ -183,23 +183,6 @@ func kernelByName(name string) (workload.KernelKind, bool) {
 	return 0, false
 }
 
-// NormalizeBackend resolves a backend name to its run-key form: the
-// canonical name for non-default backends, "" for detailed (and for the
-// empty string). Detailed mapping to "" is what keeps every pre-backend run
-// key, result hash, and cache entry valid — a job that never asked for a
-// non-default fidelity is byte-identical to one from before backends
-// existed. Unknown names fail with the backend parser's field-level error.
-func NormalizeBackend(name string) (string, error) {
-	k, err := backend.ParseKind(name)
-	if err != nil {
-		return "", err
-	}
-	if k == backend.Detailed {
-		return "", nil
-	}
-	return k.String(), nil
-}
-
 // Resolve resolves one (machine, RENO) axis pair through the machine
 // registry into a validated configuration and the tags results are labeled
 // with. It is the one spec resolver of grids and the public sim facade.
@@ -235,7 +218,7 @@ func (g Grid) Expand() ([]Job, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{0}
 	}
-	be, err := NormalizeBackend(g.Backend)
+	be, err := backend.ParseKind(g.Backend)
 	if err != nil {
 		return nil, fmt.Errorf("grid: %w", err)
 	}

@@ -46,11 +46,10 @@ type Job struct {
 	Config  string // RENO configuration tag
 	Seed    int64  // seed offset (0 = the profile's canonical program)
 	Cfg     pipeline.Config
-	// Backend is the simulation fidelity in normalized form: the canonical
-	// name of a non-default backend ("functional"), or "" for the
-	// detailed pipeline (see NormalizeBackend — the normalization is what
-	// keeps pre-backend run keys and cache entries valid).
-	Backend string
+	// Backend is the simulation fidelity. Its zero value is the detailed
+	// pipeline, whose run key, result hash and record name no backend, so
+	// a Job that names none keeps its pre-backend key (see backendName).
+	Backend backend.Kind
 }
 
 // Tag returns the run's configuration axis label: "machine/config", with
@@ -93,13 +92,13 @@ func (j Job) key(opts Options, cfg []byte, cfgErr error) string {
 	h.int(j.Seed)
 	h.float(scaleOf(opts.Scale))
 	h.uint(opts.MaxInsts)
-	if j.Backend != "" {
+	if be := backendName(j.Backend); be != "" {
 		// Folded only for non-default backends: a detailed job's key is
 		// byte-identical to its pre-backend form, so existing caches and
 		// persistent stores stay valid — while runs of the same cell at
 		// different fidelities can never serve each other (their timing
 		// fields legitimately differ).
-		h.fields("backend", j.Backend)
+		h.fields("backend", be)
 	}
 	if cfgErr == nil {
 		h.write(cfg)
@@ -182,8 +181,9 @@ type Result struct {
 	Machine string
 	Config  string
 	Seed    int64
-	// Backend is the run's simulation fidelity in normalized form ("" =
-	// detailed), mirrored from Job.Backend.
+	// Backend is the run's simulation fidelity as records store and emit
+	// it: the backend's name, or "" for detailed (backendName of
+	// Job.Backend).
 	Backend string
 
 	Cycles uint64
@@ -450,7 +450,10 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []*Result {
 	// Settle cache hits serially, in job order; group every other job by
 	// its program and backend. A (bench, seed, backend) group's cells share
 	// one post-warmup snapshot, and functional ones one instruction stream.
-	type groupKey struct{ build, backend string }
+	type groupKey struct {
+		build   string
+		backend backend.Kind
+	}
 	var groups [][]int
 	slot := map[groupKey]int{}
 	for i, j := range jobs {
@@ -536,8 +539,18 @@ func newResult(j Job) *Result {
 		Machine: j.Machine,
 		Config:  j.Config,
 		Seed:    j.Seed,
-		Backend: j.Backend,
+		Backend: backendName(j.Backend),
 	}
+}
+
+// backendName is k's run-key and record form: "" for the detailed
+// backend, so detailed keys, hashes and records stay byte-identical to
+// their pre-backend forms, and k's name otherwise.
+func backendName(k backend.Kind) string {
+	if k == backend.Detailed {
+		return ""
+	}
+	return k.String()
 }
 
 // skip records r as a run that never started and reports true when the
@@ -571,20 +584,11 @@ func runOne(ctx context.Context, j Job, b *built, opts Options) *Result {
 	if skip(ctx, r, b) {
 		return r
 	}
-	kind, err := backend.ParseKind(j.Backend)
-	if err != nil {
-		// Expand normalizes and validates the grid's backend; only a
-		// hand-built Job can carry a bogus name, and it fails like any
-		// other per-run configuration error.
-		r.Err = err.Error()
-		r.Hash = hashResult(r)
-		return r
-	}
 	rctx, cancel := withTimeout(ctx, opts.Timeout)
 	defer cancel()
 	//lint:ignore determinism wall time is telemetry only: WallNS is excluded from hashResult and from -stable output
 	t0 := time.Now()
-	bres, err := backend.For(kind).Run(rctx, backend.Request{
+	bres, err := backend.For(j.Backend).Run(rctx, backend.Request{
 		Cfg: j.Cfg, Start: b.start, MaxInsts: opts.MaxInsts,
 	})
 	//lint:ignore determinism wall time is telemetry only: WallNS is excluded from hashResult and from -stable output
@@ -599,7 +603,7 @@ func runOne(ctx context.Context, j Job, b *built, opts Options) *Result {
 // its wall time split evenly among the members; any other group runs
 // member by member.
 func runGroup(ctx context.Context, jobs []Job, idx []int, b *built, opts Options, finish func(i int, r *Result)) {
-	if kind, err := backend.ParseKind(jobs[idx[0]].Backend); err != nil || kind != backend.Functional {
+	if jobs[idx[0]].Backend != backend.Functional {
 		for _, i := range idx {
 			finish(i, runOne(ctx, jobs[i], b, opts))
 		}

@@ -100,24 +100,25 @@ func resolve(spec Spec) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	backendTag, err := sweep.NormalizeBackend(spec.Backend)
+	kind, err := backend.ParseKind(spec.Backend)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	return &Program{spec: spec, cfg: cfg, machineTag: machineTag, configTag: configTag, backendTag: backendTag}, nil
+	return &Program{spec: spec, cfg: cfg, machineTag: machineTag, configTag: configTag, backend: kind}, nil
 }
 
 // Program is a loaded, resolved, runnable simulation: assembled workload
-// code, its post-warmup state and a validated machine configuration. A
-// Program is immutable and reusable; each Run simulates its timed region
-// from scratch.
+// code, its post-warmup state, a validated machine configuration and the
+// backend Spec.Backend names, parsed once when the spec resolves. A Program
+// is immutable and reusable; each Run simulates its timed region from
+// scratch.
 type Program struct {
 	spec       Spec
 	suite      string // benchmark suite (labels + run-key identity)
 	cfg        pipeline.Config
 	machineTag string
 	configTag  string
-	backendTag string        // normalized backend ("" = detailed), run-key identity
+	backend    backend.Kind  // parsed once from Spec.Backend (run-key identity)
 	code       []isa.Inst    // LoadAsm's program (its run-key identity)
 	start      *emu.Snapshot // post-warmup state every Run starts a copy of
 }
@@ -180,12 +181,7 @@ func (p *Program) Tag() string {
 
 // Backend returns the canonical name of the simulation backend the program
 // runs on ("detailed" for specs that never mentioned one).
-func (p *Program) Backend() string {
-	if p.backendTag == "" {
-		return "detailed"
-	}
-	return p.backendTag
-}
+func (p *Program) Backend() string { return p.backend.String() }
 
 // RunKey returns the run's stable cache identity under opts: an FNV-1a 64
 // hash (rendered %016x) over everything that determines the run's
@@ -218,7 +214,7 @@ func (p *Program) RunKey(opts Options) string {
 		Config:  p.configTag,
 		Seed:    p.spec.Seed,
 		Cfg:     p.cfg,
-		Backend: p.backendTag,
+		Backend: p.backend,
 	}
 	key := j.Key(sweep.Options{Scale: p.spec.Scale, MaxInsts: opts.MaxInsts})
 	if opts.CPAChunk != 0 {
@@ -275,7 +271,7 @@ type Result struct {
 
 	machineTag string // resolved tag halves (labels; Tag joins them)
 	configTag  string
-	backendTag string // normalized backend ("" = detailed; labels)
+	backend    backend.Kind // the program's backend (labels)
 
 	// StopReason records why the simulation ended: "" (program drained),
 	// "max-insts", or "canceled" (partial result).
@@ -315,8 +311,8 @@ func (r *Result) Record() metrics.Record {
 	if r.Spec.Seed != 0 {
 		labels[metrics.LabelSeed] = strconv.FormatInt(r.Spec.Seed, 10)
 	}
-	if r.backendTag != "" {
-		labels[metrics.LabelBackend] = r.backendTag
+	if r.backend != backend.Detailed {
+		labels[metrics.LabelBackend] = r.backend.String()
 	}
 	attrs := map[string]string{
 		metrics.AttrArchHash: fmt.Sprintf("%016x", r.ArchHash),
@@ -346,12 +342,7 @@ func (p *Program) Run(opts Options) (*Result, error) {
 // together with ctx's error — callers always get the statistics the cycles
 // they paid for produced. All other stops return a nil error.
 func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error) {
-	kind, kerr := backend.ParseKind(p.backendTag)
-	if kerr != nil {
-		// Unreachable through Load/LoadAsm, which validate the spec.
-		return nil, fmt.Errorf("sim: %w", kerr)
-	}
-	bres, err := backend.For(kind).Run(ctx, backend.Request{
+	bres, err := backend.For(p.backend).Run(ctx, backend.Request{
 		Cfg: p.cfg, Start: p.start, MaxInsts: opts.MaxInsts, CPAChunk: opts.CPAChunk,
 	})
 	if bres == nil || bres.Pipe == nil {
@@ -363,7 +354,7 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 		Tag:        p.Tag(),
 		machineTag: p.machineTag,
 		configTag:  p.configTag,
-		backendTag: p.backendTag,
+		backend:    p.backend,
 		StopReason: res.StopReason,
 		Cycles:     res.Cycles,
 		Insts:      res.Insts,
